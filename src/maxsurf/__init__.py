@@ -27,13 +27,13 @@ from .forms import (ClosednessError, TopologyError, circle_polyline,
                     vertex_circulation, wedge_integral,
                     weighted_line_integral)
 from .duality import (conjugate_pair_coeffs, maximal_conjugate,
-                      minimal_conjugate, round_trip_error)
+                      minimal_conjugate, return_trip_error, round_trip_error)
 from .uniqueness import (ComparisonVerdict, DecayTable, FluxScan,
                          LevelRegion, OdeComparison, blowup_radius,
                          comparison_verdict, flux_scan, level_region,
                          perturbation_decay, radial_grid,
                          region_gradient_margin, riccati_comparison,
                          riccati_rk4, save_scan)
-from .expressions import Expression, ExpressionError, evaluate
+from .expressions import Expression, ExpressionError
 
 __version__ = "0.1.0"

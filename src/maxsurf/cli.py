@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .duality import maximal_conjugate, minimal_conjugate, round_trip_error
+from .duality import maximal_conjugate, minimal_conjugate, return_trip_error
 from .expressions import Expression, ExpressionError
 from .lorentz import coercivity_constants, sample_coercivity
 from .mesh import (ARTIFICIAL, Mesh, build_annulus, build_rectangle,
@@ -210,7 +210,8 @@ def cmd_dualize(args, threads: int) -> int:
         conj = maximal_conjugate(mesh, field, args.closedness_tol)
     else:
         conj = minimal_conjugate(mesh, field, args.closedness_tol)
-    err = round_trip_error(mesh, field, args.closedness_tol, args.direction)
+    err = return_trip_error(mesh, field, conj, args.closedness_tol,
+                            args.direction)
     save_field(mesh, conj, f"{args.out}_conjugate.csv")
     _emit([("direction", args.direction),
            ("round_trip_error", err),

@@ -20,6 +20,7 @@ __all__ = [
     "conjugate_pair_coeffs",
     "maximal_conjugate",
     "minimal_conjugate",
+    "return_trip_error",
     "round_trip_error",
 ]
 
@@ -86,9 +87,26 @@ def round_trip_error(mesh: Mesh, field: np.ndarray,
     field = _check_field(mesh, field)
     if direction == "min2max":
         mid = maximal_conjugate(mesh, field, closedness_tol)
-        back = _integrate_lenient(mesh, flux_form(mesh, mid), closedness_tol)
     elif direction == "max2min":
         mid = minimal_conjugate(mesh, field, closedness_tol)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return return_trip_error(mesh, field, mid, closedness_tol, direction)
+
+
+def return_trip_error(mesh: Mesh, field: np.ndarray, conjugate: np.ndarray,
+                      closedness_tol: float = 1e-9,
+                      direction: str = "min2max") -> float:
+    """round_trip_error given the field's forward conjugate, already built.
+
+    ``conjugate`` is what maximal_conjugate (min2max) or minimal_conjugate
+    (max2min) returned for the field; only the return leg is integrated.
+    """
+    field = _check_field(mesh, field)
+    mid = _check_field(mesh, conjugate)
+    if direction == "min2max":
+        back = _integrate_lenient(mesh, flux_form(mesh, mid), closedness_tol)
+    elif direction == "max2min":
         back = _integrate_lenient(
             mesh, conjugate_pair_coeffs(p1_gradient(mesh, mid)),
             closedness_tol)

@@ -158,7 +158,3 @@ class Expression:
         raise ExpressionError(f"unexpected {value!r}" if value
                               else "unexpected end of expression")
 
-
-def evaluate(text: str, x, y) -> np.ndarray:
-    """Parse and evaluate in one step."""
-    return Expression(text)(x, y)

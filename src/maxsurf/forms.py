@@ -10,7 +10,6 @@ closed form to a vertex potential.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -328,6 +327,26 @@ def subset_boundary_integral(mesh: Mesh, scalar, form, triangles) -> float:
 # ----------------------------------------------------------------------
 
 
+def _bfs_tree(mesh: Mesh):
+    """Breadth-first order and predecessors of the triangle adjacency graph.
+
+    Rooted at triangle 0, first in first out, each triangle's neighbors
+    taken in ascending index order.  Predecessors of the root and of
+    unreached triangles are negative.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    nbrs = np.sort(mesh.neighbors, axis=1)  # boundary slots (-1) first
+    keep = nbrs >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    n = mesh.triangle_count
+    graph = csr_matrix((np.ones(int(indptr[-1])), nbrs[keep], indptr),
+                       shape=(n, n))
+    return breadth_first_order(graph, 0, directed=True,
+                               return_predecessors=True)
+
+
 def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.ndarray:
     """Vertex potential u with du approximating the given closed form.
 
@@ -358,28 +377,31 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     t = mesh.triangles
     cent = mesh.centroids
     pts = mesh.vertices
-    nbrs = mesh.neighbors
-    phi = np.zeros(mesh.triangle_count)
-    seen = np.zeros(mesh.triangle_count, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        order = np.argsort(nbrs[cur])
-        for slot in order:
-            nxt = nbrs[cur, slot]
-            if nxt < 0 or seen[nxt]:
-                continue
-            a = t[cur, (slot + 1) % 3]
-            b = t[cur, (slot + 2) % 3]
-            m = 0.5 * (pts[a] + pts[b])
-            phi[nxt] = phi[cur] \
-                + float(form[cur] @ (m - cent[cur])) \
-                + float(form[nxt] @ (cent[nxt] - m))
-            seen[nxt] = True
-            queue.append(nxt)
-    if not seen.all():
+    order, pred = _bfs_tree(mesh)
+    if len(order) != mesh.triangle_count:
         raise TopologyError("mesh is not edge-connected")
+    # tree edges in BFS order; the shared edge is the parent's slot
+    # holding the child
+    child = order[1:]
+    parent = pred[child]
+    slot = np.argmax(mesh.neighbors[parent] == child[:, None], axis=1)
+    a = t[parent, (slot + 1) % 3]
+    b = t[parent, (slot + 2) % 3]
+    m = 0.5 * (pts[a] + pts[b])
+    inc1 = np.sum(form[parent] * (m - cent[parent]), axis=1)
+    inc2 = np.sum(form[child] * (cent[child] - m), axis=1)
+    # BFS order lists the tree level by level and the parents' positions
+    # never decrease, so each level is one slice of the tree edges
+    pos = np.empty(mesh.triangle_count, dtype=np.int64)
+    pos[order] = np.arange(mesh.triangle_count)
+    parent_pos = pos[parent]
+    phi = np.zeros(mesh.triangle_count)
+    start = 0
+    while start < len(child):
+        stop = int(np.searchsorted(parent_pos, start + 1))
+        sel = slice(start, stop)
+        phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
+        start = stop
 
     sums = np.zeros(mesh.vertex_count)
     counts = np.zeros(mesh.vertex_count)

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .records import fmt, read_rows, write_rows
+
 INTERIOR = 0
 DIRICHLET = 1
 ARTIFICIAL = 2
@@ -524,14 +526,11 @@ def inner_region(mesh: Mesh, distance: np.ndarray, depth: float) -> np.ndarray:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the text format: header 'V T h', V lines 'x y class', T lines 'i j k'."""
-    from .records import fmt
-
     with open(path, "w") as fh:
         fh.write(f"{mesh.vertex_count} {mesh.triangle_count} {fmt(mesh.h)}\n")
-        for (x, y), c in zip(mesh.vertices, mesh.vertex_class):
-            fh.write(f"{fmt(x)} {fmt(y)} {int(c)}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
+        write_rows(fh, [mesh.vertices[:, 0], mesh.vertices[:, 1],
+                        mesh.vertex_class], sep=" ")
+        write_rows(fh, mesh.triangles.T, sep=" ")
 
 
 def load_mesh(path) -> Mesh:
@@ -541,18 +540,16 @@ def load_mesh(path) -> Mesh:
             raise ValueError("bad mesh header")
         nv, nt = int(header[0]), int(header[1])
         h = float(header[2])
-        vertices = np.empty((nv, 2))
-        cls = np.empty(nv, dtype=np.int8)
-        for i in range(nv):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"bad vertex line {i}")
-            vertices[i] = (float(parts[0]), float(parts[1]))
-            cls[i] = int(parts[2])
-        triangles = np.empty((nt, 3), dtype=np.int64)
-        for i in range(nt):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"bad triangle line {i}")
-            triangles[i] = [int(p) for p in parts]
-    return Mesh(vertices, triangles, cls, h, shape_tag="file")
+        if nv < 1 or nt < 1:
+            raise ValueError("bad mesh header: counts must be positive")
+        vert = read_rows(fh, 3, "mesh vertex lines", max_rows=nv)
+        tris = read_rows(fh, 3, "mesh triangle lines", max_rows=nt,
+                         dtype=np.int64)
+    if len(vert) != nv or len(tris) != nt:
+        raise ValueError(f"mesh file is truncated: its header says {nv} "
+                         f"vertex and {nt} triangle lines")
+    if not np.isfinite(vert).all():
+        raise ValueError("mesh vertex lines: non-finite value")
+    if not np.isin(vert[:, 2], (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
+        raise ValueError("mesh vertex lines: unknown vertex class")
+    return Mesh(vert[:, :2], tris, vert[:, 2], h, shape_tag="file")

@@ -177,6 +177,19 @@ def test_dualize_rejects_annulus(capsys, tmp_path, annulus_coarse):
     assert "simply connected" in capsys.readouterr().err
 
 
+def test_dualize_truncated_mesh_is_one_error_line(capsys, tmp_path, square4):
+    save_mesh(square4, tmp_path / "m.txt")
+    save_field(square4, 0.1 * square4.vertices[:, 0], tmp_path / "f.csv")
+    lines = (tmp_path / "m.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "m.txt").write_text("".join(lines[:-3]))
+    rc = main(["dualize", "--mesh", "m.txt", "--in", "f.csv",
+               "--direction", "max2min"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # uniqueness
 

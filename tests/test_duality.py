@@ -13,6 +13,7 @@ from maxsurf import (
     minimal_conjugate,
     p1_gradient,
     residual,
+    return_trip_error,
     round_trip_error,
     solve,
 )
@@ -135,6 +136,17 @@ def test_round_trip_direction_validated(square16):
     u = affine_field(square16, 0.1, 0.1)
     with pytest.raises(ValueError, match="direction"):
         round_trip_error(square16, u, direction="sideways")
+
+
+@pytest.mark.parametrize("direction", ["min2max", "max2min"])
+def test_return_trip_reuses_the_forward_conjugate(mse_solution, direction):
+    mesh, u = mse_solution
+    field = u if direction == "min2max" else maximal_conjugate(mesh, u)
+    tol = 1e-9 if direction == "min2max" else 1e-2
+    conj = (maximal_conjugate(mesh, field, tol) if direction == "min2max"
+            else minimal_conjugate(mesh, field, tol))
+    assert return_trip_error(mesh, field, conj, tol, direction) == \
+        round_trip_error(mesh, field, tol, direction)
 
 
 def test_round_trip_error_shrinks_with_mesh(mse_solution):

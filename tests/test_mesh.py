@@ -337,6 +337,47 @@ def test_load_mesh_bad_header(tmp_path):
         load_mesh(path)
 
 
+MESH_TEXT = "4 2 1\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0 1 2\n0 2 3\n"
+
+
+def test_load_mesh_small_text(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT)
+    mesh = load_mesh(path)
+    assert mesh.vertex_count == 4 and mesh.triangle_count == 2
+
+
+@pytest.mark.parametrize("text", [
+    "4 2 1\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0 1 2\n",   # a triangle short
+    "4 2 1\n0 0 1\n1 0 1\n1 1 1\n0 1 2\n0 2 3\n",   # a vertex short
+    "4 2 1\n0 0 1\n1 0 1\n",                         # cut in the vertices
+    "4 2 1\n",                                        # header only
+])
+def test_load_mesh_truncated(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("1 0 1\n", "1 0\n"),          # vertex line short
+    ("1 0 1\n", "1 0 1 7\n"),      # vertex line long
+    ("1 1 1\n", "1 x 1\n"),        # non-numeric coordinate
+    ("1 1 1\n", "1 1 1.5\n"),      # fractional class
+    ("1 1 1\n", "1 1 9\n"),        # unknown class
+    ("1 1 1\n", "1 nan 1\n"),      # non-finite coordinate
+    ("0 1 2\n", "0 1\n"),          # triangle line short
+    ("0 2 3\n", "0 2 3.0\n"),      # non-integer index
+    ("0 2 3\n", "# 2 3\n"),        # '#' is not a comment
+])
+def test_load_mesh_bad_lines(tmp_path, old, new):
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT.replace(old, new, 1))
+    with pytest.raises(ValueError):
+        load_mesh(path)
+
+
 def test_load_mesh_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_mesh(tmp_path / "nope.txt")

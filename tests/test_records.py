@@ -49,3 +49,32 @@ def test_csv_header_checked(tmp_path):
     write_csv(path, "r,eta", [np.arange(3.0), np.arange(3.0)])
     with pytest.raises(ValueError, match="header"):
         read_csv(path, "L,diff")
+
+
+def test_csv_header_only_is_empty(tmp_path, recwarn):
+    path = tmp_path / "t.csv"
+    write_csv(path, "r,eta,x", [np.empty(0), np.empty(0), np.empty(0)])
+    data = read_csv(path, "r,eta,x")
+    assert data.shape == (0, 3)
+    assert len(recwarn) == 0
+
+
+def test_csv_single_row_and_column(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, "r", [np.array([0.5])])
+    assert read_csv(path, "r").shape == (1, 1)
+
+
+@pytest.mark.parametrize("body", [
+    "1,2\n3\n",            # ragged
+    "1,2,3\n4,5,6\n",      # every row too wide
+    "1,abc\n",             # non-numeric token
+    "1,2\n,3\n",           # empty field
+    "# comment\n1,2\n",    # '#' is data, not a comment
+    "1,2 # trailing\n",
+])
+def test_csv_bad_rows_rejected(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("r,eta\n" + body)
+    with pytest.raises(ValueError):
+        read_csv(path, "r,eta")
