@@ -32,8 +32,7 @@ from .uniqueness import (ComparisonVerdict, DecayTable, FluxScan,
                          LevelRegion, OdeComparison, blowup_radius,
                          comparison_verdict, flux_scan, level_region,
                          perturbation_decay, radial_grid,
-                         region_gradient_margin, riccati_comparison,
-                         riccati_rk4, save_scan)
+                         riccati_comparison, riccati_rk4, save_scan)
 from .expressions import Expression, ExpressionError
 
 __version__ = "0.1.0"

@@ -9,12 +9,13 @@ closed form to a vertex potential.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .lorentz import flux_coeffs
-from .mesh import Mesh
+from .mesh import Mesh, barycentric_rows
 from .records import write_csv, read_csv
 from .solver import p1_gradient
 
@@ -120,83 +121,112 @@ def polyline_pieces(mesh: Mesh, points, clip: bool = False, triangles=None):
     pieces outside the mesh or the subset are dropped, otherwise leaving
     the mesh is an error.
 
+    Each segment is cut into chunks no longer than h; a chunk is split
+    where it crosses an edge of a triangle near it, and each piece belongs
+    to the lowest-index nearby triangle that contains its midpoint.  All
+    chunks of the polyline are handled in one pass over whole arrays.
+
     Returns (tri, delta, mid): piece owner indices (K,), piece vectors
     (K, 2), and piece midpoints (K, 2).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("polyline must be (N, 2)")
+    if not np.isfinite(pts).all():
+        raise ValueError("polyline has a non-finite point")
     mask = None
     if triangles is not None:
         if not clip:
             raise ValueError("a triangle subset requires clip=True")
         mask = np.zeros(mesh.triangle_count, dtype=bool)
         mask[np.asarray(triangles, dtype=np.int64)] = True
-    out_tri: list[int] = []
-    out_delta: list[np.ndarray] = []
-    out_mid: list[np.ndarray] = []
-    chunk_len = max(mesh.h, 1e-12)
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        seg_len = float(np.hypot(*seg))
-        if seg_len < 1e-15:
-            continue
-        nchunk = max(1, int(math.ceil(seg_len / chunk_len)))
-        cuts = np.linspace(0.0, 1.0, nchunk + 1)
-        for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            p = a + c0 * seg
-            q = a + c1 * seg
-            _chunk_pieces(mesh, p, q, mask, clip, out_tri, out_delta, out_mid)
-    if not out_tri:
+
+    # chunks p -> q of every segment, cut at k/n as np.linspace(0, 1, n + 1)
+    a = pts[:-1]
+    seg = pts[1:] - a
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    keep = seg_len >= 1e-15
+    a, seg = a[keep], seg[keep]
+    nchunk = np.maximum(1, np.ceil(seg_len[keep] / max(mesh.h, 1e-12)))
+    nchunk = nchunk.astype(np.int64)
+    if len(nchunk) == 0:
         return (np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty((0, 2)))
-    return (np.asarray(out_tri, dtype=np.int64),
-            np.asarray(out_delta), np.asarray(out_mid))
-
-
-def _chunk_pieces(mesh, p, q, mask, clip, out_tri, out_delta, out_mid):
+    k = _ragged_arange(nchunk)
+    n = np.repeat(nchunk, nchunk)
+    c0 = k * (1.0 / n)
+    c1 = np.where(k + 1 == n, 1.0, (k + 1) * (1.0 / n))
+    a = np.repeat(a, nchunk, axis=0)
+    seg = np.repeat(seg, nchunk, axis=0)
+    p = a + c0[:, None] * seg
+    q = a + c1[:, None] * seg
     d = q - p
-    cands = mesh.candidates_near(0.5 * (p + q), extra=0.5 * float(np.hypot(*d)))
-    ts = [0.0, 1.0]
-    if len(cands):
-        corners = mesh.vertices[mesh.triangles[cands]]  # (C, 3, 2)
-        for i in range(3):
-            a_pts = corners[:, i]
-            e = corners[:, (i + 1) % 3] - a_pts
-            denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-            ok = np.abs(denom) > 1e-15
-            if not np.any(ok):
-                continue
-            w = a_pts - p
-            t_par = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0])[ok] / denom[ok]
-            s_par = (w[:, 0] * d[1] - w[:, 1] * d[0])[ok] / denom[ok]
-            hit = (s_par >= -1e-12) & (s_par <= 1 + 1e-12) & \
-                  (t_par > PARAM_MERGE_TOL) & (t_par < 1 - PARAM_MERGE_TOL)
-            ts.extend(t_par[hit].tolist())
-    ts = sorted(set(round(t / PARAM_MERGE_TOL) * PARAM_MERGE_TOL for t in ts))
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if t1 - t0 <= PARAM_MERGE_TOL:
-            continue
-        mid = p + (0.5 * (t0 + t1)) * d
-        tri = _locate_among(mesh, cands, mid)
-        if tri is None:
-            if clip:
-                continue
-            raise ValueError(f"polyline leaves the mesh near {mid}")
-        if mask is not None and not mask[tri]:
-            continue
-        out_tri.append(tri)
-        out_delta.append((t1 - t0) * d)
-        out_mid.append(mid)
+
+    # candidate triangles near each chunk, sorted by (chunk, triangle)
+    tree, rmax = mesh._locator
+    radius = rmax + 0.5 * np.hypot(d[:, 0], d[:, 1]) + 1e-12
+    lists = tree.query_ball_point(0.5 * (p + q), radius, return_sorted=True)
+    ncand = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    cand = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                       count=int(ncand.sum()))
+    cand_chunk = np.repeat(np.arange(len(p)), ncand)
+
+    # chunk parameters where a candidate edge crosses the chunk
+    corners = mesh.vertices[mesh.triangles[cand]]  # (C, 3, 2)
+    dc = d[cand_chunk]
+    pc = p[cand_chunk]
+    ts = [np.zeros(len(p)), np.ones(len(p))]
+    ts_chunk = [np.arange(len(p)), np.arange(len(p))]
+    for i in range(3):
+        a_pts = corners[:, i]
+        e = corners[:, (i + 1) % 3] - a_pts
+        denom = dc[:, 0] * e[:, 1] - dc[:, 1] * e[:, 0]
+        ok = np.abs(denom) > 1e-15
+        w = a_pts - pc
+        t_par = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0])[ok] / denom[ok]
+        s_par = (w[:, 0] * dc[:, 1] - w[:, 1] * dc[:, 0])[ok] / denom[ok]
+        hit = (s_par >= -1e-12) & (s_par <= 1 + 1e-12) & \
+              (t_par > PARAM_MERGE_TOL) & (t_par < 1 - PARAM_MERGE_TOL)
+        ts.append(t_par[hit])
+        ts_chunk.append(cand_chunk[ok][hit])
+    ts = np.rint(np.concatenate(ts) / PARAM_MERGE_TOL) * PARAM_MERGE_TOL
+    ts_chunk = np.concatenate(ts_chunk)
+    order = np.lexsort((ts, ts_chunk))
+    ts, ts_chunk = ts[order], ts_chunk[order]
+    fresh = np.ones(len(ts), dtype=bool)
+    fresh[1:] = (ts_chunk[1:] != ts_chunk[:-1]) | (ts[1:] != ts[:-1])
+    ts, ts_chunk = ts[fresh], ts_chunk[fresh]
+
+    # pieces between consecutive parameters of a chunk
+    t0, t1 = ts[:-1], ts[1:]
+    piece = (ts_chunk[:-1] == ts_chunk[1:]) & (t1 - t0 > PARAM_MERGE_TOL)
+    t0, t1 = t0[piece], t1[piece]
+    chunk = ts_chunk[:-1][piece]
+    mid = p[chunk] + (0.5 * (t0 + t1))[:, None] * d[chunk]
+    delta = (t1 - t0)[:, None] * d[chunk]
+
+    # owner: lowest-index candidate of the chunk containing the midpoint
+    per_piece = ncand[chunk]
+    pair_piece = np.repeat(np.arange(len(chunk)), per_piece)
+    pair = np.repeat((np.cumsum(ncand) - ncand)[chunk], per_piece) \
+        + _ragged_arange(per_piece)
+    bary = barycentric_rows(corners[pair], np.repeat(mid, per_piece, axis=0))
+    lowest = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+    inside = lowest >= -BARY_TOL
+    owner = np.full(len(chunk), mesh.triangle_count, dtype=np.int64)
+    np.minimum.at(owner, pair_piece[inside], cand[pair][inside])
+    located = owner < mesh.triangle_count
+    if not clip and not located.all():
+        raise ValueError(
+            f"polyline leaves the mesh near {mid[np.argmin(located)]}")
+    if mask is not None:
+        located[located] = mask[owner[located]]
+    return owner[located], delta[located], mid[located]
 
 
-def _locate_among(mesh, cands, point):
-    if len(cands) == 0:
-        return None
-    bary = mesh.barycentric(cands, point)
-    hits = np.where(bary.min(axis=1) >= -BARY_TOL)[0]
-    if len(hits) == 0:
-        return None
-    return int(cands[hits[0]])
+def _ragged_arange(counts) -> np.ndarray:
+    """Concatenated aranges 0..c-1 for each entry c of counts."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
 
 
 def line_integral(mesh: Mesh, form, points) -> float:
@@ -226,15 +256,10 @@ def weighted_line_integral(mesh: Mesh, scalar, form, points,
 
 def _interp_at(mesh, scalar, tri, points):
     corners = mesh.triangles[tri]
-    p = mesh.vertices[corners]
-    d = points - p[:, 0]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    bary = barycentric_rows(mesh.vertices[corners], points)
     vals = scalar[corners]
-    return vals[:, 0] * (1 - l1 - l2) + vals[:, 1] * l1 + vals[:, 2] * l2
+    return (vals[:, 0] * bary[:, 0] + vals[:, 1] * bary[:, 1]
+            + vals[:, 2] * bary[:, 2])
 
 
 def norm_line_integral(mesh: Mesh, form, points,

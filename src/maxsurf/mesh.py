@@ -122,13 +122,16 @@ class Mesh:
         """Unique edges plus per-triangle edge ids and neighbor triangles."""
         t = self.triangles
         # edge slot i is opposite corner i
-        raw = np.stack(
-            [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
-        ).reshape(-1, 2)
-        raw_sorted = np.sort(raw, axis=1)
-        edges, inverse, counts = np.unique(
-            raw_sorted, axis=0, return_inverse=True, return_counts=True
+        a = t[:, [1, 2, 0]].ravel()
+        b = t[:, [2, 0, 1]].ravel()
+        # one int64 key lo * V + hi per edge sorts like its (lo, hi) row;
+        # exact for V below about 3e9
+        nv = self.vertex_count
+        keys, inverse, counts = np.unique(
+            np.minimum(a, b) * nv + np.maximum(a, b),
+            return_inverse=True, return_counts=True,
         )
+        edges = np.column_stack([keys // nv, keys % nv])
         if counts.max(initial=0) > 2:
             raise ValueError("an edge is shared by more than two triangles")
         tri_edges = inverse.reshape(-1, 3)
@@ -137,10 +140,9 @@ class Mesh:
         slot_tri = order // 3
         slot_loc = order % 3
         eid = inverse[order]
-        same = eid[:-1] == eid[1:]
-        a = np.where(same)[0]
-        neighbors[slot_tri[a], slot_loc[a]] = slot_tri[a + 1]
-        neighbors[slot_tri[a + 1], slot_loc[a + 1]] = slot_tri[a]
+        pair = np.where(eid[:-1] == eid[1:])[0]
+        neighbors[slot_tri[pair], slot_loc[pair]] = slot_tri[pair + 1]
+        neighbors[slot_tri[pair + 1], slot_loc[pair + 1]] = slot_tri[pair]
         for arr in (edges, tri_edges, neighbors):
             arr.setflags(write=False)
         return edges, counts, tri_edges, neighbors
@@ -208,10 +210,10 @@ class Mesh:
     def _locator(self):
         from scipy.spatial import cKDTree
 
-        radii = np.linalg.norm(
-            self.vertices[self.triangles] - self.centroids[:, None, :], axis=2
-        ).max(axis=1)
-        return cKDTree(self.centroids), float(radii.max())
+        # largest corner distance from a centroid, one root of the largest square
+        off = self.vertices[self.triangles] - self.centroids[:, None, :]
+        sq = off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1]
+        return cKDTree(self.centroids), float(np.sqrt(sq.max()))
 
     def candidates_near(self, point, extra: float = 0.0) -> np.ndarray:
         """Sorted triangle indices whose circumball may contain the point."""
@@ -221,14 +223,8 @@ class Mesh:
 
     def barycentric(self, tri_indices, point) -> np.ndarray:
         """Barycentric coordinates of one point in each listed triangle."""
-        p = self.vertices[self.triangles[tri_indices]]
-        d = np.asarray(point, float) - p[:, 0]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-        return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+        return barycentric_rows(self.vertices[self.triangles[tri_indices]],
+                                point)
 
     def find_triangle(self, point, tol: float = 1e-9):
         """Index of a triangle containing the point, lowest index on ties.
@@ -265,26 +261,63 @@ class Mesh:
         used[self.triangles.ravel()] = True
         if not used.all():
             raise ValueError("unreferenced vertex")
-        if self.triangle_count > 1:
-            from scipy.sparse import coo_matrix
-            from scipy.sparse.csgraph import connected_components
+        if not _edge_connected(self.neighbors):
+            raise ValueError("triangle adjacency graph is disconnected")
 
-            nbrs = self.neighbors
-            tri = np.repeat(np.arange(self.triangle_count), 3)
-            flat = nbrs.ravel()
-            ok = flat >= 0
-            graph = coo_matrix(
-                (np.ones(int(ok.sum())), (tri[ok], flat[ok])),
-                shape=(self.triangle_count, self.triangle_count),
-            )
-            pieces = connected_components(graph, directed=False, return_labels=False)
-            if pieces != 1:
-                raise ValueError("triangle adjacency graph is disconnected")
+
+def _edge_connected(neighbors) -> bool:
+    """Whether every triangle reaches triangle 0 across shared edges.
+
+    Union-find over whole arrays: each root is hooked onto the smallest
+    root across any of its edges, then every label is shortcut to its
+    root, until no edge joins two roots.  Labels never exceed their
+    index, so the component of triangle 0 keeps root 0.
+    """
+    src = np.repeat(np.arange(len(neighbors)), 3)
+    dst = neighbors.ravel()
+    src, dst = src[dst >= 0], dst[dst >= 0]
+    label = np.arange(len(neighbors))
+    while True:
+        ls, ld = label[src], label[dst]
+        hook = ld < ls
+        if not hook.any():
+            return bool((label == 0).all())
+        np.minimum.at(label, ls[hook], ld[hook])
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+
+
+def barycentric_rows(corners, points) -> np.ndarray:
+    """Barycentric coordinates of points in triangles, row by row.
+
+    ``corners`` is (N, 3, 2); ``points`` is (N, 2), or one point for every
+    row.  Returns (N, 3) with columns (1 - l1 - l2, l1, l2), where l1 and
+    l2 weight corners 1 and 2.
+    """
+    d = np.asarray(points, float) - corners[:, 0]
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
 
 # ----------------------------------------------------------------------
 # generators
 # ----------------------------------------------------------------------
+
+
+def _split_quads(v00, v10, v11, v01) -> np.ndarray:
+    """Two counterclockwise triangles per quad, split along v00-v11.
+
+    The arguments are equal-shape arrays of corner indices; quads are taken
+    in row-major order, each giving (v00, v10, v11) then (v00, v11, v01).
+    """
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
 
 
 def _grid_divisions(extent: float, h: float, name: str) -> int:
@@ -326,19 +359,10 @@ def build_rectangle(length: float, height: float, h: float,
     xv, yv = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v11 = vid(i + 1, j + 1)
-            v01 = vid(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # vertex index of grid point (x_i, y_j) at [j, i]
+    vid = np.arange(len(vertices), dtype=np.int64).reshape(ny + 1, nx + 1)
+    triangles = _split_quads(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:],
+                             vid[1:, :-1])
 
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
     ii = ii.ravel()
@@ -410,19 +434,11 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
         [(rv * np.cos(av)).ravel(), (rv * np.sin(av)).ravel()]
     )
 
-    def vid(i, j):
-        return i * n_theta + (j % n_theta)
-
-    tris = []
-    for i in range(n_r):
-        for j in range(n_theta):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v11 = vid(i + 1, j + 1)
-            v01 = vid(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # vertex index of ring i, angle j at [i, j]; column n_theta wraps to 0
+    vid = np.arange(len(vertices), dtype=np.int64).reshape(n_r + 1, n_theta)
+    vid = np.column_stack([vid, vid[:, 0]])
+    triangles = _split_quads(vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:],
+                             vid[:-1, 1:])
 
     cls = np.zeros(len(vertices), dtype=np.int8)
     inner_cls = ARTIFICIAL if "inner" in rings else DIRICHLET

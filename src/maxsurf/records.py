@@ -27,15 +27,15 @@ def fmt(value) -> str:
     return FLOAT_FMT % float(value)
 
 
+def record_lines(items) -> list[str]:
+    """The lines of a flat key=value record, in the given order."""
+    return [f"{key}={fmt(value)}" for key, value in items]
+
+
 def write_record(path, items) -> None:
     """Write a flat key=value record, one pair per line, in the given order."""
-    lines = [f"{key}={fmt(value)}" for key, value in items]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def record_lines(items) -> list[str]:
-    return [f"{key}={fmt(value)}" for key, value in items]
+        fh.write("\n".join(record_lines(items)) + "\n")
 
 
 def read_record(path) -> dict[str, str]:

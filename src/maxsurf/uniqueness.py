@@ -99,19 +99,6 @@ def level_region(mesh: Mesh, v: np.ndarray, vp: np.ndarray) -> LevelRegion:
                        clearance=float(clearances[best]))
 
 
-def region_gradient_margin(mesh: Mesh, v: np.ndarray, vp: np.ndarray,
-                           region: LevelRegion) -> float:
-    """Measured spacelike margin over the region, min across both fields.
-
-    Positive for converged solutions; feeds the coercivity constant used
-    by the flux scan.
-    """
-    if region.empty:
-        raise ValueError("empty region has no gradient margin")
-    return min(gradient_margin(mesh, v, region.triangles),
-               gradient_margin(mesh, vp, region.triangles))
-
-
 # ----------------------------------------------------------------------
 # flux scan
 # ----------------------------------------------------------------------
@@ -296,11 +283,7 @@ class OdeComparison:
         t = np.asarray(t, dtype=float)
         if np.any(t < self.r0 * (1.0 - 1e-12)):
             raise ValueError("solution is defined from r0 onward")
-        inv = 4.0 * self.delta / self.mu \
-            - self.c / (FOUR_PI * self.delta) * np.log(t / self.r0)
-        out = np.full(t.shape, np.inf)
-        np.divide(1.0, inv, out=out, where=inv > 0.0)
-        return out
+        return _riccati_y(t, self.r0, self.mu, self.delta, self.c)
 
     def record_items(self):
         return [
@@ -311,6 +294,15 @@ class OdeComparison:
             ("r1", self.r1),
             ("n_samples", len(self.t)),
         ]
+
+
+def _riccati_y(t: np.ndarray, r0: float, mu: float, delta: float,
+               c: float) -> np.ndarray:
+    """Closed-form blow-up solution at radii t >= r0; inf at or beyond r1."""
+    inv = 4.0 * delta / mu - c / (FOUR_PI * delta) * np.log(t / r0)
+    out = np.full(t.shape, np.inf)
+    np.divide(1.0, inv, out=out, where=inv > 0.0)
+    return out
 
 
 def blowup_radius(r0: float, mu: float, delta: float, c: float) -> float:
@@ -337,10 +329,8 @@ def riccati_comparison(r0: float, mu: float, delta: float, c: float,
     # a huge anchor collapses r1 onto r0; keep the grid inside [r0, r1)
     t = np.geomspace(r0, max(r0, r1 * (1.0 - 1e-6)), n_samples)
     t[0] = r0
-    comp = OdeComparison(r0=r0, mu=mu, delta=delta, c=c, r1=r1, t=t,
-                         y=np.empty(0))
-    y = comp.y_at(t)
-    return OdeComparison(r0=r0, mu=mu, delta=delta, c=c, r1=r1, t=t, y=y)
+    return OdeComparison(r0=r0, mu=mu, delta=delta, c=c, r1=r1, t=t,
+                         y=_riccati_y(t, r0, mu, delta, c))
 
 
 def riccati_rk4(r0: float, mu: float, delta: float, c: float, t_eval,

@@ -457,3 +457,10 @@ def test_polyline_round_trip(tmp_path):
     save_polyline(loop, path)
     assert path.read_text().splitlines()[0] == POLYLINE_HEADER
     np.testing.assert_array_equal(load_polyline(path), loop)
+
+
+def test_circle_piece_count_is_pinned():
+    # a counter, not a timing: an algorithmic change to clipping moves it
+    mesh = build_annulus(1.0, 4.0, 0.1)
+    tri, _, _ = polyline_pieces(mesh, circle_polyline(2.5, 0.05), clip=True)
+    assert len(tri) == 1315

@@ -27,7 +27,6 @@ from maxsurf import (
     norm_sq_area_integral,
     perturbation_decay,
     radial_grid,
-    region_gradient_margin,
     riccati_comparison,
     riccati_rk4,
     save_scan,
@@ -60,7 +59,6 @@ def test_level_region_of_tilted_plane(square4):
     assert region.eps_hat == pytest.approx(0.2, abs=1e-12)
     # membership is decided at centroids
     assert square4.centroids[region.triangles, 0].min() > 0.625
-    assert region_gradient_margin(square4, v, vp, region) == region.eps_hat
 
 
 def test_level_offset_stays_in_window(annulus_coarse):
@@ -97,9 +95,6 @@ def test_level_region_empty_when_not_above(square4):
     assert region.empty
     assert region.delta <= 0.0
     assert math.isnan(region.eps_hat)
-    with pytest.raises(ValueError, match="empty"):
-        region_gradient_margin(square4, v, np.zeros(square4.vertex_count),
-                               region)
 
 
 def test_level_region_empty_for_corner_spike(square4):
@@ -131,7 +126,7 @@ def test_level_region_sits_in_deep_interior():
     assert np.isin(members, deep).all()
     # restricting to the region cannot shrink the measured margin
     whole = min(gradient_margin(mesh, v), gradient_margin(mesh, vp))
-    assert region_gradient_margin(mesh, v, vp, region) >= whole
+    assert region.eps_hat >= whole
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Parity of the array-at-a-time potential and text I/O with the loops they replaced.
+"""Parity of the array-at-a-time layers with the loops they replaced.
 
-The reference routines below are the former per-triangle and per-line
-implementations, kept here verbatim in substance.  The potential must match
-its reference's breadth-first tree exactly and its values to 1e-12 of the
-field's size (the increments are now summed by numpy instead of ``@``);
-the text I/O must match byte for byte and bit for bit.
+The reference routines below are the former per-triangle, per-chunk and
+per-line implementations, kept here verbatim in substance.  The potential
+must match its reference's breadth-first tree exactly and its values to
+1e-12 of the field's size (the increments are now summed by numpy instead
+of ``@``); the text I/O must match byte for byte and bit for bit; polyline
+clipping, the mesh generators and the edge table must match bit for bit.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -14,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxsurf import (Mesh, SolverConfig, TopologyError, build_annulus,
-                     build_rectangle, conjugate_pair_coeffs, integrate_potential,
-                     load_mesh, p1_gradient, save_mesh, solve)
-from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
+                     build_rectangle, circle_polyline, conjugate_pair_coeffs,
+                     integrate_potential, load_mesh, p1_gradient,
+                     polyline_pieces, save_mesh, solve)
+from maxsurf.mesh import _edge_connected
+from maxsurf.forms import (BARY_TOL, PARAM_MERGE_TOL, _bfs_tree, _check_form,
+                           max_interior_circulation)
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
 
 # ----------------------------------------------------------------------
@@ -313,3 +318,375 @@ def test_annulus_mesh_text_matches_loop(tmp_path):
     ref = loop_load_mesh(tmp_path / "new.txt")
     assert got.vertices.tobytes() == ref.vertices.tobytes()
     np.testing.assert_array_equal(got.vertex_class, ref.vertex_class)
+
+
+# ----------------------------------------------------------------------
+# polyline clipping, generators and edge table: references
+# ----------------------------------------------------------------------
+
+
+def loop_polyline_pieces(mesh, points, clip=False, triangles=None):
+    """Chunk-at-a-time clipping: one k-d tree query and loop per chunk."""
+    pts = np.asarray(points, dtype=float)
+    mask = None
+    if triangles is not None:
+        mask = np.zeros(mesh.triangle_count, dtype=bool)
+        mask[np.asarray(triangles, dtype=np.int64)] = True
+    out_tri, out_delta, out_mid = [], [], []
+    chunk_len = max(mesh.h, 1e-12)
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = b - a
+        seg_len = float(np.hypot(*seg))
+        if seg_len < 1e-15:
+            continue
+        nchunk = max(1, int(math.ceil(seg_len / chunk_len)))
+        cuts = np.linspace(0.0, 1.0, nchunk + 1)
+        for c0, c1 in zip(cuts[:-1], cuts[1:]):
+            loop_chunk_pieces(mesh, a + c0 * seg, a + c1 * seg, mask, clip,
+                              out_tri, out_delta, out_mid)
+    if not out_tri:
+        return (np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty((0, 2)))
+    return (np.asarray(out_tri, dtype=np.int64),
+            np.asarray(out_delta), np.asarray(out_mid))
+
+
+def loop_chunk_pieces(mesh, p, q, mask, clip, out_tri, out_delta, out_mid):
+    d = q - p
+    cands = mesh.candidates_near(0.5 * (p + q), extra=0.5 * float(np.hypot(*d)))
+    ts = [0.0, 1.0]
+    if len(cands):
+        corners = mesh.vertices[mesh.triangles[cands]]
+        for i in range(3):
+            a_pts = corners[:, i]
+            e = corners[:, (i + 1) % 3] - a_pts
+            denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+            ok = np.abs(denom) > 1e-15
+            if not np.any(ok):
+                continue
+            w = a_pts - p
+            t_par = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0])[ok] / denom[ok]
+            s_par = (w[:, 0] * d[1] - w[:, 1] * d[0])[ok] / denom[ok]
+            hit = (s_par >= -1e-12) & (s_par <= 1 + 1e-12) & \
+                  (t_par > PARAM_MERGE_TOL) & (t_par < 1 - PARAM_MERGE_TOL)
+            ts.extend(t_par[hit].tolist())
+    ts = sorted(set(round(t / PARAM_MERGE_TOL) * PARAM_MERGE_TOL for t in ts))
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        if t1 - t0 <= PARAM_MERGE_TOL:
+            continue
+        mid = p + (0.5 * (t0 + t1)) * d
+        tri = loop_locate_among(mesh, cands, mid)
+        if tri is None:
+            if clip:
+                continue
+            raise ValueError(f"polyline leaves the mesh near {mid}")
+        if mask is not None and not mask[tri]:
+            continue
+        out_tri.append(tri)
+        out_delta.append((t1 - t0) * d)
+        out_mid.append(mid)
+
+
+def loop_locate_among(mesh, cands, point):
+    if len(cands) == 0:
+        return None
+    p = mesh.vertices[mesh.triangles[cands]]
+    d = point - p[:, 0]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    bary = np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+    hits = np.where(bary.min(axis=1) >= -BARY_TOL)[0]
+    if len(hits) == 0:
+        return None
+    return int(cands[hits[0]])
+
+
+def loop_rectangle_triangles(nx, ny):
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def loop_annulus_triangles(n_r, n_theta):
+    def vid(i, j):
+        return i * n_theta + (j % n_theta)
+
+    tris = []
+    for i in range(n_r):
+        for j in range(n_theta):
+            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def sorted_rows_edge_data(triangles):
+    """Edge table from np.unique over sorted (3T, 2) vertex-pair rows."""
+    t = np.asarray(triangles, dtype=np.int64)
+    raw = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]],
+                   axis=1).reshape(-1, 2)
+    edges, inverse, counts = np.unique(np.sort(raw, axis=1), axis=0,
+                                       return_inverse=True, return_counts=True)
+    tri_edges = inverse.reshape(-1, 3)
+    neighbors = np.full((len(t), 3), -1, dtype=np.int64)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    eid = inverse.ravel()[order]
+    a = np.where(eid[:-1] == eid[1:])[0]
+    neighbors[order[a] // 3, order[a] % 3] = order[a + 1] // 3
+    neighbors[order[a + 1] // 3, order[a + 1] % 3] = order[a] // 3
+    return edges, counts, tri_edges, neighbors
+
+
+# ----------------------------------------------------------------------
+# generated annuli, relabelled meshes and polylines
+# ----------------------------------------------------------------------
+
+
+def jittered(mesh, seed):
+    """The mesh with interior vertices moved, every triangle kept CCW.
+
+    Each coordinate moves by at most a fifth of the smallest triangle
+    height, so no vertex crosses the line of an opposite edge.
+    """
+    p = mesh.vertices[mesh.triangles]
+    longest = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max(axis=1)
+    step = 0.2 * float((2.0 * mesh.areas / longest).min())
+    rng = np.random.default_rng(seed)
+    pts = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    pts[inner] += rng.uniform(-step, step, size=(len(inner), 2))
+    return Mesh(pts, mesh.triangles, mesh.vertex_class, mesh.h,
+                shape_tag="jittered")
+
+
+@st.composite
+def annuli(draw):
+    """Structured annulus, optionally with interior vertices jittered."""
+    r_inner = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    h = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    n_r = draw(st.integers(1, 6))
+    n_theta = draw(st.one_of(st.none(), st.integers(3, 40)))
+    mesh = build_annulus(r_inner, r_inner + n_r * h, h, n_theta=n_theta)
+    if draw(st.booleans()):
+        mesh = jittered(mesh, draw(st.integers(0, 2**32 - 1)))
+    return mesh
+
+
+def meshes():
+    return st.one_of(rectangles(), annuli())
+
+
+@st.composite
+def relabelled(draw, mesh_strategy):
+    """The mesh with its vertices, triangles and corners reordered."""
+    mesh = draw(mesh_strategy)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(mesh.vertex_count)
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(len(perm))
+    tris = new_id[mesh.triangles][rng.permutation(mesh.triangle_count)]
+    shift = rng.integers(0, 3, size=len(tris))
+    tris = np.take_along_axis(tris, (np.arange(3) + shift[:, None]) % 3, axis=1)
+    return Mesh(mesh.vertices[perm], tris, mesh.vertex_class[perm], mesh.h)
+
+
+@st.composite
+def polylines(draw, mesh):
+    """Points mixing mesh vertices, grid-line walks, repeats and strays.
+
+    Vertices and walks along a grid line put pieces on edges and through
+    vertices, where ownership ties are decided; repeats give zero-length
+    segments; strays up to a third of the extent outside the mesh make
+    the polyline leave it; distant points give segments longer than h.
+    """
+    lo = mesh.vertices.min(axis=0)
+    span = mesh.vertices.max(axis=0) - lo
+    n = draw(st.integers(2, 7))
+    pts = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["vertex", "walk", "repeat", "stray"]))
+        if kind == "repeat" and pts:
+            pts.append(pts[-1].copy())
+        elif kind == "walk" and pts:
+            axis = draw(st.integers(0, 1))
+            step = pts[-1].copy()
+            step[axis] += draw(st.integers(-6, 6)) * mesh.h
+            pts.append(step)
+        elif kind == "stray":
+            u = draw(st.tuples(st.floats(-0.3, 1.3), st.floats(-0.3, 1.3)))
+            pts.append(lo + np.asarray(u) * span)
+        else:
+            v = draw(st.integers(0, mesh.vertex_count - 1))
+            pts.append(mesh.vertices[v].copy())
+    return np.asarray(pts)
+
+
+def pieces_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def assert_pieces_equal(got, ref):
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype
+        assert g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
+# ----------------------------------------------------------------------
+# polyline clipping, generators and edge table: parity
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mesh=meshes())
+def test_polyline_pieces_match_loop_without_clip(data, mesh):
+    pts = data.draw(polylines(mesh))
+    got, got_err = pieces_or_error(polyline_pieces, mesh, pts)
+    ref, ref_err = pieces_or_error(loop_polyline_pieces, mesh, pts)
+    assert got_err == ref_err
+    if ref is not None:
+        assert_pieces_equal(got, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mesh=meshes(), subset=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_polyline_pieces_match_loop_with_clip(data, mesh, subset, seed):
+    pts = data.draw(polylines(mesh))
+    tris = None
+    if subset:
+        rng = np.random.default_rng(seed)
+        tris = np.flatnonzero(rng.random(mesh.triangle_count) < 0.5)
+    got = polyline_pieces(mesh, pts, clip=True, triangles=tris)
+    ref = loop_polyline_pieces(mesh, pts, clip=True, triangles=tris)
+    assert_pieces_equal(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=annuli(), frac=st.floats(0.0, 1.2), seg=st.floats(0.2, 3.0))
+def test_circle_pieces_match_loop(mesh, frac, seg):
+    r_in = float(np.hypot(*mesh.vertices[0]))
+    r_out = float(np.hypot(*mesh.vertices[-1]))
+    radius = r_in + frac * (r_out - r_in)
+    circle = circle_polyline(radius, seg * mesh.h)
+    tris = np.arange(0, mesh.triangle_count, 3)
+    for kwargs in ({"clip": True}, {"clip": True, "triangles": tris}):
+        assert_pieces_equal(polyline_pieces(mesh, circle, **kwargs),
+                            loop_polyline_pieces(mesh, circle, **kwargs))
+
+
+def test_scan_circle_pieces_match_loop():
+    mesh = build_annulus(1.0, 4.0, 0.05, artificial_rings=("outer",))
+    tris = np.flatnonzero(np.linalg.norm(mesh.centroids, axis=1) > 2.0)
+    for radius in (2.2, 3.1, 3.9):
+        circle = circle_polyline(radius, 0.5 * mesh.h)
+        got = polyline_pieces(mesh, circle, clip=True, triangles=tris)
+        assert len(got[0]) > 0
+        assert_pieces_equal(
+            got, loop_polyline_pieces(mesh, circle, clip=True, triangles=tris))
+
+
+@pytest.mark.parametrize("nchunk", [48, 49, 98, 103])
+def test_long_segment_chunks_match_loop(nchunk):
+    # n * (1/n) rounds below 1 for n = 49, 98, 103: the last cut must still
+    # be exactly 1, as np.linspace places it
+    mesh = build_rectangle(2.0, 2.0, 1.0 / 64)
+    step = (nchunk - 0.5) / 64 / np.hypot(1.0, 0.3)
+    pts = np.array([[0.05, 0.1], [0.05 + step, 0.1 + 0.3 * step]])
+    got = polyline_pieces(mesh, pts)
+    assert len(got[0]) > 2 * nchunk
+    assert_pieces_equal(got, loop_polyline_pieces(mesh, pts))
+
+
+def test_polyline_error_names_first_piece_off_the_mesh():
+    mesh = build_rectangle(1.0, 1.0, 0.25)
+    pts = np.array([[0.5, 0.5], [0.5, 1.6], [1.7, 1.7], [0.5, -0.9]])
+    with pytest.raises(ValueError) as got:
+        polyline_pieces(mesh, pts)
+    with pytest.raises(ValueError) as ref:
+        loop_polyline_pieces(mesh, pts)
+    assert str(got.value) == str(ref.value)
+
+
+def test_polyline_rejects_non_finite_point(square4):
+    with pytest.raises(ValueError, match="non-finite"):
+        polyline_pieces(square4, [[0.1, 0.1], [np.nan, 0.5]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(1, 20), ny=st.integers(1, 20),
+       h=st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+def test_rectangle_triangles_match_loop(nx, ny, h):
+    mesh = build_rectangle(nx * h, ny * h, h)
+    np.testing.assert_array_equal(mesh.triangles,
+                                  loop_rectangle_triangles(nx, ny))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_r=st.integers(1, 12), n_theta=st.integers(3, 60),
+       r_inner=st.sampled_from([0.25, 1.0, 2.0]))
+def test_annulus_triangles_match_loop(n_r, n_theta, r_inner):
+    mesh = build_annulus(r_inner, r_inner + n_r * 0.1, 0.1, n_theta=n_theta)
+    np.testing.assert_array_equal(mesh.triangles,
+                                  loop_annulus_triangles(n_r, n_theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())))
+def test_edge_data_matches_sorted_rows(mesh):
+    ref = sorted_rows_edge_data(mesh.triangles)
+    got = (mesh.edges, mesh.edge_counts, mesh.triangle_edges, mesh.neighbors)
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+        assert g.shape == r.shape
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=meshes())
+def test_locator_radius_matches_norm(mesh):
+    # the clipping references share this radius through candidates_near
+    radii = np.linalg.norm(mesh.vertices[mesh.triangles]
+                           - mesh.centroids[:, None, :], axis=2).max(axis=1)
+    assert mesh._locator[1] == float(radii.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_edge_connected_matches_csgraph(sizes, seed):
+    """Blocks of grid triangles, some glued along a shared edge, some not."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(seed)
+    tris, offset = [], 0
+    for nx, ny in sizes:
+        block = loop_rectangle_triangles(nx, ny) + offset
+        if tris and rng.random() < 0.5:
+            # glue this block's first bottom edge onto the top edge of the
+            # previous block's last triangle, joining the two across it
+            prev = tris[-1][-1, [1, 2]]
+            block = np.where(block == offset, prev[0], block)
+            block = np.where(block == offset + 1, prev[1], block)
+        tris.append(block)
+        offset += (nx + 1) * (ny + 1)
+    t = np.concatenate(tris)
+    t = t[rng.permutation(len(t))]
+    _, counts, _, nbrs = sorted_rows_edge_data(t)
+    assert counts.max() <= 2
+    src = np.repeat(np.arange(len(t)), 3)[nbrs.ravel() >= 0]
+    graph = coo_matrix((np.ones(len(src)), (src, nbrs.ravel()[nbrs.ravel() >= 0])),
+                       shape=(len(t), len(t)))
+    pieces = connected_components(graph, directed=False, return_labels=False)
+    assert _edge_connected(nbrs) == (pieces == 1)
