@@ -88,18 +88,6 @@ def _expand_config(argv: list[str]) -> list[str]:
     return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MAXSURF_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise UsageError(
-            f"MAXSURF_THREADS must be a nonnegative integer, got {raw!r}")
-    return n
-
-
 def _positive(value: str, what: str) -> float:
     try:
         x = float(value)
@@ -181,7 +169,7 @@ def _emit(items, path) -> None:
 # ----------------------------------------------------------------------
 
 
-def cmd_solve(args, threads: int) -> int:
+def cmd_solve(args) -> int:
     mesh = _build_mesh(args)
     bc = _boundary_values(args.bc, mesh)
     config = SolverConfig(metric=args.metric, residual_tol=args.tol,
@@ -195,7 +183,7 @@ def cmd_solve(args, threads: int) -> int:
     return 0
 
 
-def cmd_lemma(args, threads: int) -> int:
+def cmd_lemma(args) -> int:
     coercivity_constants(args.eps)  # validates the range before sampling
     report = sample_coercivity(args.eps, n_samples=args.samples,
                                seed=args.seed)
@@ -203,7 +191,7 @@ def cmd_lemma(args, threads: int) -> int:
     return 0 if report.violations == 0 else 1
 
 
-def cmd_dualize(args, threads: int) -> int:
+def cmd_dualize(args) -> int:
     mesh = _build_mesh(args)
     field = load_field(mesh, args.infile)
     if args.direction == "min2max":
@@ -220,7 +208,7 @@ def cmd_dualize(args, threads: int) -> int:
     return 0
 
 
-def cmd_uniqueness(args, threads: int) -> int:
+def cmd_uniqueness(args) -> int:
     mesh = _build_mesh(args)
     if args.v or args.vprime:
         if not (args.v and args.vprime):
@@ -271,7 +259,7 @@ def cmd_uniqueness(args, threads: int) -> int:
     return 0 if scan.n_flagged == 0 else 1
 
 
-def cmd_decay(args, threads: int) -> int:
+def cmd_decay(args) -> int:
     lengths = [_positive(tok, "length") for tok in args.lengths.split(",")]
     phi = None
     if args.phi is not None:
@@ -281,7 +269,7 @@ def cmd_decay(args, threads: int) -> int:
             raise UsageError(f"bad expression {args.phi!r}: {exc}") from None
     table = perturbation_decay(lengths, s=args.s, phi=phi,
                                height=args.height, h=args.h,
-                               metric=args.metric, threads=threads)
+                               metric=args.metric)
     table.save(f"{args.out}_decay.csv")
     for length, diff in zip(table.lengths, table.diffs):
         print(f"L={length:g} diff={diff:.17g}")
@@ -388,8 +376,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(argv))
-        threads = _thread_count()
-        return args.handler(args, threads)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

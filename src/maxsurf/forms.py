@@ -66,14 +66,14 @@ def circulations(mesh: Mesh, form) -> np.ndarray:
     """
     form = _check_form(mesh, form)
     t = mesh.triangles
-    pts = mesh.vertices
-    out = np.zeros(mesh.vertex_count)
-    for i in range(3):
-        j = (i + 1) % 3
-        k = (i + 2) % 3
-        delta = 0.5 * (pts[t[:, k]] - pts[t[:, j]])
-        np.add.at(out, t[:, i], np.sum(form * delta, axis=1))
-    return out
+    pts = mesh.vertices[t]
+    # corner i's loop crosses the triangle along half the edge from
+    # corner i + 1 to corner i + 2; summed per vertex in the same order as
+    # the solver's residual
+    delta = 0.5 * (np.roll(pts, -2, axis=1) - np.roll(pts, -1, axis=1))
+    local = np.sum(form[:, None, :] * delta, axis=2)
+    return np.bincount(t.ravel(), weights=local.ravel(),
+                       minlength=mesh.vertex_count)
 
 
 def vertex_circulation(mesh: Mesh, form, vertex: int) -> float:
@@ -357,19 +357,28 @@ def _bfs_tree(mesh: Mesh):
 
     Rooted at triangle 0, first in first out, each triangle's neighbors
     taken in ascending index order.  Predecessors of the root and of
-    unreached triangles are negative.
+    unreached triangles are -1.  Built one level at a time: the unvisited
+    neighbors of a level, listed by parent position and then ascending
+    index and each kept at its first occurrence, are the next level in
+    the order a FIFO queue reaches them.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
     nbrs = np.sort(mesh.neighbors, axis=1)  # boundary slots (-1) first
-    keep = nbrs >= 0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    n = mesh.triangle_count
-    graph = csr_matrix((np.ones(int(indptr[-1])), nbrs[keep], indptr),
-                       shape=(n, n))
-    return breadth_first_order(graph, 0, directed=True,
-                               return_predecessors=True)
+    pred = np.full(mesh.triangle_count, -1, dtype=np.int64)
+    seen = np.zeros(mesh.triangle_count, dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    levels = [level]
+    while len(level):
+        cand = nbrs[level].ravel()
+        parent = np.repeat(level, 3)
+        fresh = (cand >= 0) & ~seen[cand]
+        cand, parent = cand[fresh], parent[fresh]
+        first = np.sort(np.unique(cand, return_index=True)[1])
+        level = cand[first]
+        pred[level] = parent[first]
+        seen[level] = True
+        levels.append(level)
+    return np.concatenate(levels), pred
 
 
 def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.ndarray:

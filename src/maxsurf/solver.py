@@ -4,9 +4,13 @@ The unknown is a piecewise-linear vertex field; dirichlet and artificial
 vertices are constrained, interior vertices are free.  The weak residual of
 div(sigma(grad v)) = 0 with flux sigma(g) = g / sqrt(1 -+ |g|^2) is driven
 to zero by a damped Newton iteration whose linear systems are solved with
-diagonally preconditioned conjugate gradients.  In the Lorentzian metric
-every iterate is kept strictly spacelike: per-triangle |grad v| never
-reaches 1 - sigma_min.
+conjugate gradients preconditioned by one smoothed-aggregation multigrid
+V-cycle (Vanek, Mandel & Brezina, Computing 56 (1996) 179-196).  Each mesh
+gets, on first use, an assembly plan: the P1 sparsity pattern with one
+scatter slot per local entry, the free-vertex block inside it, and the
+aggregates of the multigrid hierarchy.  In the Lorentzian metric every
+iterate is kept strictly spacelike: per-triangle |grad v| never reaches
+1 - sigma_min.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix, diags
 
 from .lorentz import SpacelikeError
 from .mesh import Mesh
@@ -24,6 +28,13 @@ METRICS = ("lorentz", "euclid")
 
 LINE_SEARCH_FLOOR = 1e-12
 INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| <= 1 - 10 sigma_min
+
+# smoothed-aggregation multigrid
+STRENGTH_THETA = 0.1      # strong link: |a_ij| >= theta sqrt(a_ii a_jj)
+STALL_FRACTION = 0.5      # coarsening stalls above this size ratio; retry at theta 0
+COARSE_SIZE = 300         # levels this small are solved densely
+JACOBI_WEIGHT = 4.0 / 3.0  # over the Gershgorin bound of D^-1 A
+COARSE_RCOND = 1e-13      # coarse eigenvalues below this fraction of the largest are dropped
 
 
 class NonConvergenceError(RuntimeError):
@@ -126,13 +137,10 @@ def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
 def _assemble_residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray:
     g = p1_gradient(mesh, values)
     sigma, _ = _flux_and_density(g, config.metric, config.sigma_min)
-    out = np.zeros(mesh.vertex_count)
-    t = mesh.triangles
-    basis = mesh.basis_gradients
     weighted = mesh.areas[:, None] * sigma
-    for i in range(3):
-        np.add.at(out, t[:, i], np.sum(basis[:, i, :] * weighted, axis=1))
-    return out
+    local = np.einsum("tid,td->ti", mesh.basis_gradients, weighted)
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.vertex_count)
 
 
 def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -171,33 +179,245 @@ def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
 
     D is the flux Jacobian, positive definite in both metrics while the
     field is admissible, so K restricted to the free vertices is SPD.
-    Returns the free-vertex block unless ``full`` is set.
+    Returns the free-vertex block unless ``full`` is set.  The local
+    matrices are summed into the mesh's assembly plan by one ``bincount``;
+    the pattern keeps structural zeros and sorts columns within each row.
     """
     values = _check_field(mesh, values)
     g = p1_gradient(mesh, values)
     dmat = _flux_jacobian(g, config.metric, config.sigma_min)
     basis = mesh.basis_gradients
-    local = np.einsum("tid,tde,tje->tij", basis, dmat, basis)
-    local *= mesh.areas[:, None, None]
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n = mesh.vertex_count
-    k = coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    local = np.einsum("tid,tde,tje->tij", basis,
+                      dmat * mesh.areas[:, None, None], basis, optimize=True)
+    plan = _plan(mesh)
+    data = np.bincount(plan.slots, weights=local.ravel(), minlength=plan.nnz)
     if full:
-        return k
-    free = mesh.interior_vertices
-    return k[free][:, free]
+        n = mesh.vertex_count
+        return csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+    return plan.free_block(data)
+
+
+# ----------------------------------------------------------------------
+# assembly plan and multigrid preconditioner
+# ----------------------------------------------------------------------
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of row indices listed in nondecreasing order."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+
+
+class _AssemblyPlan:
+    """The P1 sparsity of one mesh, built on first use.
+
+    The full-vertex CSR pattern (``indptr``, ``indices``) holds each
+    vertex's diagonal entry and both directions of each edge, columns
+    sorted within each row; ``slots`` sends each of the 9T local entries
+    (triangle, row corner, column corner) to its place in that pattern,
+    and ``free_pos`` lists the places of the free-free block, row by row.
+    The matrices built from the plan share its index arrays, which are
+    therefore read-only.  ``tentatives`` holds the multigrid aggregates
+    once the first harmonic extension on the mesh has built them from the
+    Laplace matrix.
+    """
+
+    def __init__(self, mesh: Mesh):
+        n = mesh.vertex_count
+        t = mesh.triangles
+        lo, hi = mesh.edges.T
+        index = np.int32 if 9 * len(t) < 2**31 else np.int64
+        # entries: the diagonal, then every edge as (lo, hi) and as (hi, lo)
+        rows = np.concatenate([np.arange(n), lo, hi])
+        cols = np.concatenate([np.arange(n), hi, lo])
+        order = np.argsort(rows * n + cols)
+        rows, cols = rows[order], cols[order]
+        place = np.empty(len(order), dtype=index)
+        place[order] = np.arange(len(order))
+        slots = np.empty((len(t), 3, 3), dtype=index)
+        for i in range(3):
+            slots[:, i, i] = place[t[:, i]]
+            for j in range(3):
+                if j != i:
+                    # the edge of corners i and j is opposite corner 3 - i - j
+                    edge = n + mesh.triangle_edges[:, 3 - i - j]
+                    slots[:, i, j] = place[np.where(t[:, i] < t[:, j], edge,
+                                                    edge + len(lo))]
+        free = mesh.interior_vertices
+        renumber = np.full(n, -1, dtype=np.int64)
+        renumber[free] = np.arange(len(free))
+        keep = (renumber[rows] >= 0) & (renumber[cols] >= 0)
+        self.nnz = len(rows)
+        self.slots = slots.ravel()
+        self.indptr = _indptr(rows, n).astype(index)
+        self.indices = cols.astype(index)
+        self.free_pos = np.flatnonzero(keep).astype(index)
+        self.free_indptr = _indptr(renumber[rows[keep]], len(free)).astype(index)
+        self.free_indices = renumber[cols[keep]].astype(index)
+        for arr in (self.slots, self.indptr, self.indices, self.free_pos,
+                    self.free_indptr, self.free_indices):
+            arr.setflags(write=False)
+        self.tentatives = None
+
+    def free_block(self, data: np.ndarray) -> csr_matrix:
+        """Free-vertex block of the full-pattern matrix with these entries."""
+        n = len(self.free_indptr) - 1
+        return csr_matrix((data[self.free_pos], self.free_indices,
+                           self.free_indptr), shape=(n, n))
+
+
+def _plan(mesh: Mesh) -> _AssemblyPlan:
+    # kept in the instance dict, as functools.cached_property keeps the
+    # mesh's own derived arrays (Mesh is a frozen dataclass)
+    plan = mesh.__dict__.get("_assembly_plan")
+    if plan is None:
+        plan = mesh.__dict__["_assembly_plan"] = _AssemblyPlan(mesh)
+    return plan
+
+
+def _jacobi_scale(a: csr_matrix) -> np.ndarray:
+    """Damped Jacobi weights omega / a_ii with omega safely below 2 / rho(D^-1 A).
+
+    The Gershgorin bound max_i sum_j |a_ij| / a_ii caps rho(D^-1 A), so the
+    smoother contracts in the energy norm of any SPD matrix.
+    """
+    d = a.diagonal()
+    if not np.all(d > 0.0):
+        raise NonConvergenceError("operator is not positive definite", 1.0)
+    rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
+    return (JACOBI_WEIGHT / float(np.max(rowsum / d))) / d
+
+
+def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
+    """Aggregate number of each row of ``a`` from its strength graph.
+
+    Roots are a maximal set of rows at least three strong links apart: a
+    maximal independent set of the squared graph, grown in rounds where an
+    undecided row whose fixed hashed priority beats every undecided row
+    within two links becomes a root.  Each root's strong neighbours join
+    it, then the remaining rows join a strongly linked aggregate; a row
+    left over (possible only if rounding made the graph asymmetric) gets
+    an aggregate of its own.
+    """
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    d = a.diagonal()
+    strong = np.abs(a.data) >= theta * np.sqrt(d[rows] * d[a.indices])
+    rows = rows[strong]
+    cols = a.indices[strong]
+    s = csr_matrix((np.ones(len(cols)), cols, _indptr(rows, n)), shape=(n, n))
+    s2 = s @ s
+    # odd multiplier: distinct priorities for n < 2**32, no random state
+    priority = np.arange(n, dtype=np.int64) * 2654435761 % (1 << 32)
+    state = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 root, -1 not a root
+    near, start = s2.indices, s2.indptr[:-1]
+    while True:
+        open_ = state == 0
+        if not open_.any():
+            break
+        best = np.maximum.reduceat(np.where(open_[near], priority[near], -1),
+                                   start)
+        root = open_ & (best == priority)
+        reached = np.logical_or.reduceat(root[near], start)
+        state[root] = 1
+        state[open_ & reached & ~root] = -1
+    agg = np.full(n, -1, dtype=np.int64)
+    roots = np.flatnonzero(state == 1)
+    agg[roots] = np.arange(len(roots))
+    for _ in range(2):
+        link = (agg[rows] < 0) & (agg[cols] >= 0)
+        joiner, first = np.unique(rows[link], return_index=True)
+        agg[joiner] = agg[cols[link][first]]
+    left = np.flatnonzero(agg < 0)
+    agg[left] = len(roots) + np.arange(len(left))
+    return agg
+
+
+def _tentative(a: csr_matrix):
+    """Piecewise-constant prolongator of an aggregation of ``a``, or None.
+
+    Strength STRENGTH_THETA is tried first and 0 when that coarsens by
+    less than STALL_FRACTION; None when even that leaves the size as it is.
+    """
+    n = a.shape[0]
+    for theta in (STRENGTH_THETA, 0.0):
+        agg = _aggregates(a, theta)
+        coarse = int(agg.max()) + 1
+        if coarse <= STALL_FRACTION * n:
+            break
+    if coarse == n:
+        return None
+    return csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, coarse))
+
+
+class _VCycle:
+    """Symmetric V(1,1) smoothed-aggregation cycle for one SPD matrix.
+
+    Built from the matrix itself and piecewise-constant prolongators T:
+    each level smooths its prolongator, P = (I - S A) T with the damped
+    Jacobi weights S, and passes the Galerkin product P^T A P down.  Without
+    ``tentatives`` the aggregates are chosen here from the matrix, level
+    by level, and kept in ``self.tentatives``.  The last level is inverted
+    densely (its positive eigenpairs) when it has at most COARSE_SIZE rows,
+    and smoothed once otherwise.  Calling the cycle maps a residual r to z;
+    the map is symmetric and positive definite.
+    """
+
+    def __init__(self, matrix: csr_matrix, tentatives=None):
+        choose = tentatives is None
+        self.tentatives = [] if choose else tentatives
+        self.levels = []
+        a = matrix
+        while True:
+            scale = _jacobi_scale(a)
+            if choose and a.shape[0] > COARSE_SIZE:
+                t = _tentative(a)
+                if t is not None:
+                    self.tentatives.append(t)
+            if len(self.levels) == len(self.tentatives):
+                break
+            t = self.tentatives[len(self.levels)]
+            at = a @ t
+            at.data *= np.repeat(scale, np.diff(at.indptr))
+            p = (t - at).tocsr()
+            r = p.T.tocsr()
+            self.levels.append((a, scale, p, r))
+            a = r @ (a @ p)
+        if a.shape[0] <= COARSE_SIZE:
+            lam, q = np.linalg.eigh(a.toarray())
+            keep = lam > COARSE_RCOND * lam[-1]
+            inv = (q[:, keep] / lam[keep]) @ q[:, keep].T
+            self.bottom = 0.5 * (inv + inv.T)
+        else:
+            self.bottom = diags(scale)
+
+    def __call__(self, residual: np.ndarray) -> np.ndarray:
+        return self._cycle(0, residual)
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        if level == len(self.levels):
+            return self.bottom @ b
+        a, scale, p, r = self.levels[level]
+        x = scale * b
+        x += p @ self._cycle(level + 1, r @ (b - a @ x))
+        x += scale * (b - a @ x)
+        return x
 
 
 def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
-             max_iter: int | None = None) -> np.ndarray:
-    """Conjugate gradients with Jacobi scaling for an SPD operator.
+             max_iter: int | None = None, preconditioner=None) -> np.ndarray:
+    """Preconditioned conjugate gradients for an SPD operator.
+
+    ``preconditioner`` maps a residual r to z, approximately the operator's
+    inverse applied to r, and must be symmetric positive definite; without
+    it z is r scaled by the operator's diagonal when that is positive
+    (Jacobi), else r itself.  The operator is used only through ``@``, and
+    through ``diagonal()`` when no preconditioner is given.
 
     Deterministic: fixed starting point (zero), fixed update order.  Stops
     when ||r|| <= linear_tol * ||b||; raises NonConvergenceError carrying
-    the achieved relative residual if the iteration cap is hit or negative
-    curvature reveals an indefinite operator.
+    the achieved relative residual if the iteration cap is hit, or if
+    p.Ap <= 0 or r.z <= 0 reveals an operator or preconditioner that is
+    not positive definite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -206,17 +426,24 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
         return np.zeros(n)
     if max_iter is None:
         max_iter = 10 * n + 100
-    diag = None
-    if hasattr(operator, "diagonal"):
-        d = np.asarray(operator.diagonal(), dtype=float)
-        if np.all(d > 0):
-            diag = d
+    if preconditioner is None:
+        diag = None
+        if hasattr(operator, "diagonal"):
+            d = np.asarray(operator.diagonal(), dtype=float)
+            if np.all(d > 0):
+                diag = d
+        preconditioner = (lambda r: r / diag) if diag is not None \
+            else (lambda r: r)
     x = np.zeros(n)
     r = rhs.copy()
-    z = r / diag if diag is not None else r.copy()
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
+        if rz <= 0.0:
+            raise NonConvergenceError(
+                "preconditioner is not positive definite",
+                np.linalg.norm(r) / bnorm)
         ap = operator @ p
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -228,7 +455,7 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
         r -= alpha * ap
         if np.linalg.norm(r) <= linear_tol * bnorm:
             return x
-        z = r / diag if diag is not None else r
+        z = preconditioner(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -250,13 +477,30 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.
     laplace_cfg = replace(config, metric="euclid")
     zero = np.zeros(mesh.vertex_count)
     k_full = tangent_matrix(mesh, zero, laplace_cfg, full=True)
+    plan = _plan(mesh)
+    k = plan.free_block(k_full.data)
     free = mesh.interior_vertices
     fixed = mesh.constrained_vertices
     out = np.zeros(mesh.vertex_count)
     out[fixed] = bc[fixed]
-    rhs = -k_full[free][:, fixed] @ out[fixed]
-    out[free] = cg_solve(k_full[free][:, free], rhs, config.linear_tol)
+    rhs = -(k_full @ out)[free]  # out is zero at the free vertices
+    # the Laplace matrix chooses the mesh's multigrid aggregates
+    vcycle = _VCycle(k, plan.tentatives)
+    plan.tentatives = vcycle.tentatives
+    out[free] = cg_solve(k, rhs, config.linear_tol, preconditioner=vcycle)
     return out
+
+
+def _newton_direction(mesh: Mesh, values: np.ndarray, config: SolverConfig):
+    """Newton step at the free vertices, by multigrid-preconditioned CG.
+
+    The matrix and its V-cycle are released on return, before the next
+    step assembles its own.
+    """
+    k = tangent_matrix(mesh, values, config)
+    rhs = -residual(mesh, values, config)
+    vcycle = _VCycle(k, _plan(mesh).tentatives)
+    return cg_solve(k, rhs, config.linear_tol, preconditioner=vcycle)
 
 
 def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
@@ -349,10 +593,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             _, rep = report_failure(values, "max_newton exceeded", iterations)
             rep.energy_history = history
             return values, rep
-        k = tangent_matrix(mesh, values, config)
-        rhs = -residual(mesh, values, config)
         try:
-            direction = cg_solve(k, rhs, config.linear_tol)
+            direction = _newton_direction(mesh, values, config)
         except NonConvergenceError as exc:
             _, rep = report_failure(values, f"linear solve failed: {exc}", iterations)
             rep.energy_history = history

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,8 +516,7 @@ def _end_taper(mesh: Mesh, height: float) -> np.ndarray:
 
 def perturbation_decay(lengths, s: float, phi=None, height: float = 4.0,
                        h: float = 0.25, metric: str = "lorentz",
-                       config: SolverConfig | None = None,
-                       threads: int = 0) -> DecayTable:
+                       config: SolverConfig | None = None) -> DecayTable:
     """Far-field influence of artificial end data on truncated strips.
 
     For each length L solves twice on the strip [0, L] x [0, height]: both
@@ -530,9 +528,6 @@ def perturbation_decay(lengths, s: float, phi=None, height: float = 4.0,
     Reported per length: the maximum |v - v'| over the center cross
     section.  Lengths must be strictly increasing; uniqueness on the
     unbounded strip predicts the differences decrease.
-
-    threads > 1 solves independent lengths concurrently; the table order
-    and every numeric value are independent of the schedule.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or len(lengths) == 0:
@@ -563,11 +558,7 @@ def perturbation_decay(lengths, s: float, phi=None, height: float = 4.0,
         return (float(np.abs(v - vp)[center].max()),
                 rep.iterations + rep_p.iterations)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(run, lengths))
-    else:
-        results = [run(length) for length in lengths]
+    results = [run(length) for length in lengths]
     diffs = np.array([r[0] for r in results])
     iters = np.array([r[1] for r in results], dtype=np.int64)
     return DecayTable(lengths=lengths, diffs=diffs, iterations=iters)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from maxsurf import SolverConfig, build_annulus, build_rectangle, solve
+from maxsurf import (Mesh, SolverConfig, build_annulus, build_rectangle,
+                     p1_gradient, solve)
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,29 @@ def annulus_coarse():
 
 def affine_field(mesh, a, b, c=0.0):
     return a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
+
+
+def jittered(mesh, seed):
+    """The mesh with interior vertices moved, every triangle kept CCW.
+
+    Each coordinate moves by at most a fifth of the smallest triangle
+    height, so no vertex crosses the line of an opposite edge.
+    """
+    p = mesh.vertices[mesh.triangles]
+    longest = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max(axis=1)
+    step = 0.2 * float((2.0 * mesh.areas / longest).min())
+    rng = np.random.default_rng(seed)
+    pts = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    pts[inner] += rng.uniform(-step, step, size=(len(inner), 2))
+    return Mesh(pts, mesh.triangles, mesh.vertex_class, mesh.h,
+                shape_tag="jittered")
+
+
+def spacelike_field(mesh, seed, steepest=0.5):
+    """Random vertex field scaled so that its steepest triangle has |grad| = steepest."""
+    v = np.random.default_rng(seed).standard_normal(mesh.vertex_count)
+    return v * (steepest / np.linalg.norm(p1_gradient(mesh, v), axis=1).max())
 
 
 @pytest.fixture(scope="session")

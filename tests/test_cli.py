@@ -1,8 +1,14 @@
 """Command line behavior: flags, files, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maxsurf
 from maxsurf import (
     ARTIFICIAL,
     SolverConfig,
@@ -344,21 +350,35 @@ def test_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("MAXSURF_THREADS", "zoo")
-    assert main(["lemma", "--eps", "0.4", "--samples", "10"]) == 1
-    assert "MAXSURF_THREADS" in capsys.readouterr().err
+# ---------------------------------------------------------------------------
+# start-up cost
 
 
-def test_thread_env_matches_serial(monkeypatch, tmp_path, capsys):
-    argv = ["decay", "--lengths", "2,4", "--s", "1", "--h", "0.5"]
-    monkeypatch.setenv("MAXSURF_THREADS", "2")
-    assert main(argv + ["--out", "par"]) == 0
-    monkeypatch.delenv("MAXSURF_THREADS")
-    assert main(argv + ["--out", "ser"]) == 0
-    assert ((tmp_path / "par_decay.csv").read_bytes()
-            == (tmp_path / "ser_decay.csv").read_bytes())
-    capsys.readouterr()
+IMPORT_PROBE = """
+import sys
+import maxsurf.cli
+from maxsurf import SolverConfig, build_rectangle, maximal_conjugate, solve
+mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
+x, y = mesh.vertices.T
+u, report = solve(mesh, x * x - y * y, SolverConfig(metric="euclid"))
+assert report.converged
+maximal_conjugate(mesh, u)
+heavy = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+print(sorted(name for name in sys.modules
+             if any(name == h or name.startswith(h + ".") for h in heavy)))
+"""
+
+
+def test_solve_and_conjugate_import_no_scipy_solver_packages():
+    # each of these costs a tenth of a second or more of interpreter start-up
+    src = str(Path(maxsurf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import diags, identity
 
 from maxsurf import (
     NonConvergenceError,
@@ -18,9 +20,11 @@ from maxsurf import (
     solve,
     tangent_matrix,
 )
-from maxsurf.solver import FIELD_HEADER
+from maxsurf import solver as solver_module
+from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, JACOBI_WEIGHT,
+                            _harmonic_extension, _VCycle)
 
-from conftest import affine_field
+from conftest import affine_field, jittered, spacelike_field
 
 LORENTZ = SolverConfig()
 EUCLID = SolverConfig(metric="euclid")
@@ -202,6 +206,143 @@ def test_cg_iteration_cap():
 def test_cg_zero_rhs_short_circuits():
     out = cg_solve(np.eye(4), np.zeros(4), 1e-12)
     np.testing.assert_array_equal(out, np.zeros(4))
+
+
+# ----------------------------------------------------------------------
+# multilevel preconditioner
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def multilevel_meshes(draw):
+    """Rectangles and annuli of 100 to 5,000 free vertices, maybe jittered.
+
+    Above COARSE_SIZE free vertices the V-cycle has coarse levels; below
+    it, it is one dense solve.
+    """
+    h = draw(st.sampled_from([0.05, 0.1]))
+    if draw(st.booleans()):
+        mesh = build_rectangle(draw(st.integers(12, 45)) * h,
+                               draw(st.integers(12, 45)) * h, h)
+    else:
+        mesh = build_annulus(1.0, 1.0 + draw(st.integers(6, 20)) * h, h)
+    if draw(st.booleans()):
+        mesh = jittered(mesh, draw(st.integers(0, 2**32 - 1)))
+    return mesh
+
+
+def newton_matrix(mesh, metric, seed):
+    return tangent_matrix(mesh, spacelike_field(mesh, seed),
+                          SolverConfig(metric=metric))
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=multilevel_meshes(), metric=st.sampled_from(["lorentz", "euclid"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_multilevel_pcg_matches_jacobi_cg(mesh, metric, seed):
+    k = newton_matrix(mesh, metric, seed)
+    vcycle = _VCycle(k)
+    if k.shape[0] > COARSE_SIZE:
+        assert vcycle.levels
+    rhs = np.random.default_rng(seed).standard_normal(k.shape[0])
+    ref = cg_solve(k, rhs, 1e-14)
+    got = cg_solve(k, rhs, 1e-14, preconditioner=vcycle)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=multilevel_meshes(), metric=st.sampled_from(["lorentz", "euclid"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_vcycle_is_symmetric_positive_definite(mesh, metric, seed):
+    k = newton_matrix(mesh, metric, seed)
+    vcycle = _VCycle(k)
+    rng = np.random.default_rng(seed)
+    r1, r2 = rng.standard_normal((2, k.shape[0]))
+    z1, z2 = vcycle(r1), vcycle(r2)
+    scale = np.linalg.norm(z1) * np.linalg.norm(r2)
+    assert abs(z1 @ r2 - r1 @ z2) <= 1e-12 * scale
+    assert z1 @ r1 > 0.0
+    assert z2 @ r2 > 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(mesh=multilevel_meshes(), seed=st.integers(0, 2**32 - 1))
+def test_harmonic_extension_matches_sliced_jacobi_cg(mesh, seed):
+    config = SolverConfig(metric="euclid", linear_tol=1e-14)
+    bc = np.random.default_rng(seed).standard_normal(mesh.vertex_count)
+    got = _harmonic_extension(mesh, bc, config)
+    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count), config, full=True)
+    free, fixed = mesh.interior_vertices, mesh.constrained_vertices
+    ref = cg_solve(k[free][:, free], -k[free][:, fixed] @ bc[fixed], 1e-14)
+    np.testing.assert_array_equal(got[fixed], bc[fixed])
+    assert np.linalg.norm(got[free] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class CountingOperator:
+    """Forwards ``@`` only, counting the calls."""
+
+    def __init__(self, operator):
+        self.operator = operator
+        self.matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.operator @ x
+
+
+def test_multilevel_matvec_count_is_pinned(monkeypatch):
+    counted = []
+    real_cg = solver_module.cg_solve
+
+    def counting_cg(operator, *args, **kwargs):
+        counted.append(CountingOperator(operator))
+        return real_cg(counted[-1], *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "cg_solve", counting_cg)
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
+    x, y = mesh.vertices.T
+    _, report = solve(mesh, x * x - y * y, EUCLID)
+    assert report.converged
+    assert report.iterations == 4
+    # outer PCG matvecs: the harmonic extension, then each Newton step
+    assert [c.matvecs for c in counted] == [17, 24, 25, 25, 25]
+
+
+def test_multilevel_rejects_indefinite_operator():
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
+    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count), EUCLID)
+    shifted = (k - 0.5 * k.diagonal().max() * identity(k.shape[0])).tocsr()
+    assert shifted.diagonal().min() > 0.0
+    rhs = np.random.default_rng(4).standard_normal(k.shape[0])
+    with pytest.raises(NonConvergenceError, match="positive definite"):
+        cg_solve(shifted, rhs, 1e-12, preconditioner=_VCycle(shifted))
+    with pytest.raises(NonConvergenceError, match="positive definite"):
+        _VCycle(-k)
+
+
+def test_vcycle_coarsens_weak_links_and_stops_on_a_diagonal():
+    n = 3 * COARSE_SIZE
+    rhs = np.random.default_rng(5).standard_normal(n)
+    # every link is weak at STRENGTH_THETA, so aggregation retries at 0
+    weak = diags([np.full(n - 1, -0.01), np.ones(n), np.full(n - 1, -0.01)],
+                 [-1, 0, 1], format="csr")
+    vcycle = _VCycle(weak)
+    assert vcycle.levels
+    np.testing.assert_allclose(
+        cg_solve(weak, rhs, 1e-13, preconditioner=vcycle),
+        cg_solve(weak, rhs, 1e-13), rtol=1e-10)
+    # nothing to aggregate: one damped Jacobi sweep
+    d = np.linspace(1.0, 2.0, n)
+    vcycle = _VCycle(diags(d, format="csr"))
+    assert not vcycle.levels
+    np.testing.assert_allclose(vcycle(rhs), JACOBI_WEIGHT * rhs / d,
+                               rtol=1e-15)
+
+
+def test_cg_rejects_indefinite_preconditioner():
+    with pytest.raises(NonConvergenceError, match="preconditioner is not positive definite"):
+        cg_solve(np.eye(2), np.array([1.0, 0.0]), 1e-12,
+                 preconditioner=lambda r: -r)
 
 
 # ----------------------------------------------------------------------

@@ -501,13 +501,6 @@ def test_perturbation_decay_zero_offset_is_exact():
     assert not table.strictly_decreasing
 
 
-def test_perturbation_decay_threads_match_serial():
-    serial = perturbation_decay([2.0, 4.0], s=1.0, h=0.5)
-    threaded = perturbation_decay([2.0, 4.0], s=1.0, h=0.5, threads=2)
-    np.testing.assert_array_equal(serial.diffs, threaded.diffs)
-    np.testing.assert_array_equal(serial.iterations, threaded.iterations)
-
-
 def test_perturbation_decay_euclid_metric():
     table = perturbation_decay([2.0], s=0.5, h=0.5, metric="euclid")
     assert table.diffs[0] > 0.0

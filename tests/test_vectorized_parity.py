@@ -5,7 +5,9 @@ per-line implementations, kept here verbatim in substance.  The potential
 must match its reference's breadth-first tree exactly and its values to
 1e-12 of the field's size (the increments are now summed by numpy instead
 of ``@``); the text I/O must match byte for byte and bit for bit; polyline
-clipping, the mesh generators and the edge table must match bit for bit.
+clipping, the mesh generators and the edge table must match bit for bit;
+the tangent matrix must keep its sparsity pattern exactly and its entries
+to 1e-14 of the largest (they are now summed by ``bincount``).
 """
 
 import math
@@ -18,11 +20,15 @@ from hypothesis import given, settings, strategies as st
 from maxsurf import (Mesh, SolverConfig, TopologyError, build_annulus,
                      build_rectangle, circle_polyline, conjugate_pair_coeffs,
                      integrate_potential, load_mesh, p1_gradient,
-                     polyline_pieces, save_mesh, solve)
+                     polyline_pieces, save_mesh, solve, tangent_matrix)
 from maxsurf.mesh import _edge_connected
 from maxsurf.forms import (BARY_TOL, PARAM_MERGE_TOL, _bfs_tree, _check_form,
                            max_interior_circulation)
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
+from maxsurf.solver import _flux_jacobian
+from scipy.sparse import coo_matrix
+
+from conftest import jittered, spacelike_field
 
 # ----------------------------------------------------------------------
 # reference implementations
@@ -449,23 +455,6 @@ def sorted_rows_edge_data(triangles):
 # ----------------------------------------------------------------------
 
 
-def jittered(mesh, seed):
-    """The mesh with interior vertices moved, every triangle kept CCW.
-
-    Each coordinate moves by at most a fifth of the smallest triangle
-    height, so no vertex crosses the line of an opposite edge.
-    """
-    p = mesh.vertices[mesh.triangles]
-    longest = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2).max(axis=1)
-    step = 0.2 * float((2.0 * mesh.areas / longest).min())
-    rng = np.random.default_rng(seed)
-    pts = mesh.vertices.copy()
-    inner = mesh.interior_vertices
-    pts[inner] += rng.uniform(-step, step, size=(len(inner), 2))
-    return Mesh(pts, mesh.triangles, mesh.vertex_class, mesh.h,
-                shape_tag="jittered")
-
-
 @st.composite
 def annuli(draw):
     """Structured annulus, optionally with interior vertices jittered."""
@@ -666,7 +655,6 @@ def test_locator_radius_matches_norm(mesh):
        seed=st.integers(0, 2**32 - 1))
 def test_edge_connected_matches_csgraph(sizes, seed):
     """Blocks of grid triangles, some glued along a shared edge, some not."""
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     rng = np.random.default_rng(seed)
@@ -690,3 +678,43 @@ def test_edge_connected_matches_csgraph(sizes, seed):
                        shape=(len(t), len(t)))
     pieces = connected_components(graph, directed=False, return_labels=False)
     assert _edge_connected(nbrs) == (pieces == 1)
+
+
+# ----------------------------------------------------------------------
+# tangent assembly: parity
+# ----------------------------------------------------------------------
+
+
+def coo_tangent(mesh, values, config, full=False):
+    """Former assembly: COO triplets to CSR, then free rows and columns sliced."""
+    g = p1_gradient(mesh, values)
+    dmat = _flux_jacobian(g, config.metric, config.sigma_min)
+    basis = mesh.basis_gradients
+    local = np.einsum("tid,tde,tje->tij", basis, dmat, basis)
+    local *= mesh.areas[:, None, None]
+    t = mesh.triangles
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    n = mesh.vertex_count
+    k = coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    if full:
+        return k
+    free = mesh.interior_vertices
+    return k[free][:, free]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       metric=st.sampled_from(["lorentz", "euclid"]), full=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_tangent_refill_matches_coo(mesh, metric, full, seed):
+    config = SolverConfig(metric=metric)
+    v = spacelike_field(mesh, seed)
+    got = tangent_matrix(mesh, v, config, full=full)
+    ref = coo_tangent(mesh, v, config, full=full)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    scale = float(np.abs(ref.data).max(initial=0.0))
+    np.testing.assert_allclose(got.data, ref.data, rtol=1e-14,
+                               atol=1e-14 * scale)
