@@ -3,31 +3,43 @@
 The unknown is a piecewise-linear vertex field; dirichlet and artificial
 vertices are constrained, interior vertices are free.  The weak residual of
 div(sigma(grad v)) = 0 with flux sigma(g) = g / sqrt(1 -+ |g|^2) is driven
-to zero by a damped Newton iteration whose linear systems are solved with
-conjugate gradients preconditioned by one smoothed-aggregation multigrid
-V-cycle (Vanek, Mandel & Brezina, Computing 56 (1996) 179-196).  Each mesh
-gets, on first use, an assembly plan: the P1 sparsity pattern with one
-scatter slot per local entry, the free-vertex block inside it, and the
-aggregates of the multigrid hierarchy.  In the Lorentzian metric every
-iterate is kept strictly spacelike: per-triangle |grad v| never reaches
-1 - sigma_min.
+to zero by a damped inexact Newton iteration.  Each Newton system is solved
+only to a relative tolerance, the forcing term, that tightens as the
+nonlinear residual falls (Eisenstat & Walker, SIAM J. Sci. Comput. 17
+(1996) 16-32, choice 2), by conjugate gradients preconditioned by one
+smoothed-aggregation multigrid V-cycle (Vanek, Mandel & Brezina, Computing
+56 (1996) 179-196).  The Newton matrix is filled edge by edge: one value
+per mesh edge, the diagonal from the zero row sums of the P1 basis.  Each
+mesh gets, on first use, an assembly plan: the P1 sparsity pattern, the
+order that gathers diagonal and edge values into it, the free-vertex block
+inside it, and the aggregates of the multigrid hierarchy.  In the
+Lorentzian metric every iterate is kept strictly spacelike: per-triangle
+|grad v| never reaches 1 - sigma_min.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
 
 from .lorentz import SpacelikeError
 from .mesh import Mesh
 from .records import fmt, write_csv, read_csv
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
 METRICS = ("lorentz", "euclid")
 
 LINE_SEARCH_FLOOR = 1e-12
 INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| <= 1 - 10 sigma_min
+
+# inexact Newton: Eisenstat-Walker forcing terms, choice 2
+FORCING_MAX = 0.5         # the first and the loosest relative linear tolerance
+FORCING_GAMMA = 0.9       # eta_k = gamma (|F_k| / |F_k-1|)^2
+FORCING_SAFEGUARD = 0.1   # keep gamma eta_k-1^2 when it is above this
 
 # smoothed-aggregation multigrid
 STRENGTH_THETA = 0.1      # strong link: |a_ij| >= theta sqrt(a_ii a_jj)
@@ -47,6 +59,12 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings.
+
+    ``linear_tol`` is the floor of the Newton forcing terms and the
+    relative tolerance of the harmonic extension behind the initial guess.
+    """
+
     metric: str = "lorentz"
     residual_tol: float = 1e-10
     max_newton: int = 50
@@ -110,17 +128,18 @@ def _check_field(mesh: Mesh, values) -> np.ndarray:
     return values
 
 
-def _flux_and_density(g: np.ndarray, metric: str, sigma_min: float):
-    """Flux sigma(g) and area density per triangle; guards the light cone."""
+def _density(g: np.ndarray, metric: str, sigma_min: float) -> np.ndarray:
+    """Area density sqrt(1 -+ |g|^2) per triangle; guards the light cone.
+
+    The flux is sigma(g) = g / density.
+    """
     norm2 = np.sum(g * g, axis=-1)
     if metric == "lorentz":
         limit = 1.0 - sigma_min
         if np.any(norm2 >= limit * limit):
             raise SpacelikeError(float(np.sqrt(norm2.max())))
-        dens = np.sqrt(1.0 - norm2)
-    else:
-        dens = np.sqrt(1.0 + norm2)
-    return g / dens[:, None], dens
+        return np.sqrt(1.0 - norm2)
+    return np.sqrt(1.0 + norm2)
 
 
 def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
@@ -130,14 +149,14 @@ def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
     the Euclidean one is convex and minimized.
     """
     g = p1_gradient(mesh, values)
-    _, dens = _flux_and_density(g, config.metric, config.sigma_min)
+    dens = _density(g, config.metric, config.sigma_min)
     return float(np.dot(mesh.areas, dens))
 
 
 def _assemble_residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray:
     g = p1_gradient(mesh, values)
-    sigma, _ = _flux_and_density(g, config.metric, config.sigma_min)
-    weighted = mesh.areas[:, None] * sigma
+    dens = _density(g, config.metric, config.sigma_min)
+    weighted = mesh.areas[:, None] * (g / dens[:, None])
     local = np.einsum("tid,td->ti", mesh.basis_gradients, weighted)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.vertex_count)
@@ -158,42 +177,44 @@ def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float
     return float(np.linalg.norm(r) / mesh.total_area)
 
 
-def _flux_jacobian(g: np.ndarray, metric: str, sigma_min: float) -> np.ndarray:
-    """(T, 2, 2) derivative of the flux map at each triangle gradient."""
-    norm2 = np.sum(g * g, axis=-1)
-    eye = np.eye(2)
-    outer = g[:, :, None] * g[:, None, :]
-    if metric == "lorentz":
-        limit = 1.0 - sigma_min
-        if np.any(norm2 >= limit * limit):
-            raise SpacelikeError(float(np.sqrt(norm2.max())))
-        w3 = (1.0 - norm2) ** 1.5
-        return (eye[None, :, :] * (1.0 - norm2)[:, None, None] + outer) / w3[:, None, None]
-    w3 = (1.0 + norm2) ** 1.5
-    return (eye[None, :, :] * (1.0 + norm2)[:, None, None] - outer) / w3[:, None, None]
-
-
 def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
                    full: bool = False) -> csr_matrix:
     """Sparse symmetric Newton matrix K_ij = sum_T area_T grad(phi_i) . D . grad(phi_j).
 
-    D is the flux Jacobian, positive definite in both metrics while the
-    field is admissible, so K restricted to the free vertices is SPD.
-    Returns the free-vertex block unless ``full`` is set.  The local
-    matrices are summed into the mesh's assembly plan by one ``bincount``;
-    the pattern keeps structural zeros and sorts columns within each row.
+    D = c1 I + c2 g g^T is the flux Jacobian at the triangle gradient g,
+    with c1 = 1 / density and c2 = +-c1 / density^2 (Lorentz +, Euclid -);
+    it is positive definite in both metrics while the field is admissible,
+    so K restricted to the free vertices is SPD.  Returns the free-vertex
+    block unless ``full`` is set.  The entries of the corner pair opposite
+    each corner are summed per edge by one ``bincount``; each diagonal
+    entry is minus its row's off-diagonal sum, since the P1 basis gradients
+    of a triangle sum to zero.  The pattern is the mesh's assembly plan: it
+    keeps structural zeros and sorts columns within each row.
     """
     values = _check_field(mesh, values)
     g = p1_gradient(mesh, values)
-    dmat = _flux_jacobian(g, config.metric, config.sigma_min)
+    dens = _density(g, config.metric, config.sigma_min)
+    c1 = mesh.areas / dens  # c1 and c2 times the triangle area
+    c2 = c1 / (dens * dens)
+    if config.metric == "euclid":
+        c2 = -c2
     basis = mesh.basis_gradients
-    local = np.einsum("tid,tde,tje->tij", basis,
-                      dmat * mesh.areas[:, None, None], basis, optimize=True)
+    bx, by = basis[..., 0], basis[..., 1]
+    bg = np.einsum("tid,td->ti", basis, g)
+    # corners (k + 1, k + 2) of the edge opposite corner k
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    pair = (c1[:, None] * (bx[:, nxt] * bx[:, prv] + by[:, nxt] * by[:, prv])
+            + c2[:, None] * bg[:, nxt] * bg[:, prv])
     plan = _plan(mesh)
-    data = np.bincount(plan.slots, weights=local.ravel(), minlength=plan.nnz)
+    edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
+                       minlength=len(mesh.edges))
+    lo, hi = mesh.edges.T
+    n = mesh.vertex_count
+    diag = -(np.bincount(lo, weights=edge, minlength=n)
+             + np.bincount(hi, weights=edge, minlength=n))
+    data = np.concatenate([diag, edge, edge])[plan.order]
     if full:
-        n = mesh.vertex_count
-        return csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+        return _csr(data, plan.indices, plan.indptr, (n, n))
     return plan.free_block(data)
 
 
@@ -207,53 +228,46 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
+def _csr(data, indices, indptr, shape) -> csr_matrix:
+    # scipy.sparse is imported on first use: it costs a fifth of a second,
+    # which processes that only read, write and integrate fields never pay
+    from scipy.sparse import csr_matrix
+    return csr_matrix((data, indices, indptr), shape=shape)
+
+
 class _AssemblyPlan:
     """The P1 sparsity of one mesh, built on first use.
 
     The full-vertex CSR pattern (``indptr``, ``indices``) holds each
     vertex's diagonal entry and both directions of each edge, columns
-    sorted within each row; ``slots`` sends each of the 9T local entries
-    (triangle, row corner, column corner) to its place in that pattern,
-    and ``free_pos`` lists the places of the free-free block, row by row.
-    The matrices built from the plan share its index arrays, which are
-    therefore read-only.  ``tentatives`` holds the multigrid aggregates
-    once the first harmonic extension on the mesh has built them from the
-    Laplace matrix.
+    sorted within each row.  Its entries, listed as the V diagonal values,
+    then the E edge values for (lo, hi), then the same for (hi, lo), come
+    in CSR order when gathered by ``order``; ``free_pos`` lists the places
+    of the free-free block, row by row.  The matrices built from the plan
+    share its index arrays, which are therefore read-only.  ``tentatives``
+    holds the multigrid aggregates once the first V-cycle on the mesh has
+    chosen them.
     """
 
     def __init__(self, mesh: Mesh):
         n = mesh.vertex_count
-        t = mesh.triangles
         lo, hi = mesh.edges.T
-        index = np.int32 if 9 * len(t) < 2**31 else np.int64
-        # entries: the diagonal, then every edge as (lo, hi) and as (hi, lo)
         rows = np.concatenate([np.arange(n), lo, hi])
         cols = np.concatenate([np.arange(n), hi, lo])
+        index = np.int32 if len(rows) < 2**31 else np.int64
         order = np.argsort(rows * n + cols)
         rows, cols = rows[order], cols[order]
-        place = np.empty(len(order), dtype=index)
-        place[order] = np.arange(len(order))
-        slots = np.empty((len(t), 3, 3), dtype=index)
-        for i in range(3):
-            slots[:, i, i] = place[t[:, i]]
-            for j in range(3):
-                if j != i:
-                    # the edge of corners i and j is opposite corner 3 - i - j
-                    edge = n + mesh.triangle_edges[:, 3 - i - j]
-                    slots[:, i, j] = place[np.where(t[:, i] < t[:, j], edge,
-                                                    edge + len(lo))]
         free = mesh.interior_vertices
         renumber = np.full(n, -1, dtype=np.int64)
         renumber[free] = np.arange(len(free))
         keep = (renumber[rows] >= 0) & (renumber[cols] >= 0)
-        self.nnz = len(rows)
-        self.slots = slots.ravel()
+        self.order = order.astype(index)
         self.indptr = _indptr(rows, n).astype(index)
         self.indices = cols.astype(index)
         self.free_pos = np.flatnonzero(keep).astype(index)
         self.free_indptr = _indptr(renumber[rows[keep]], len(free)).astype(index)
         self.free_indices = renumber[cols[keep]].astype(index)
-        for arr in (self.slots, self.indptr, self.indices, self.free_pos,
+        for arr in (self.order, self.indptr, self.indices, self.free_pos,
                     self.free_indptr, self.free_indices):
             arr.setflags(write=False)
         self.tentatives = None
@@ -261,8 +275,8 @@ class _AssemblyPlan:
     def free_block(self, data: np.ndarray) -> csr_matrix:
         """Free-vertex block of the full-pattern matrix with these entries."""
         n = len(self.free_indptr) - 1
-        return csr_matrix((data[self.free_pos], self.free_indices,
-                           self.free_indptr), shape=(n, n))
+        return _csr(data[self.free_pos], self.free_indices, self.free_indptr,
+                    (n, n))
 
 
 def _plan(mesh: Mesh) -> _AssemblyPlan:
@@ -304,7 +318,7 @@ def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
     strong = np.abs(a.data) >= theta * np.sqrt(d[rows] * d[a.indices])
     rows = rows[strong]
     cols = a.indices[strong]
-    s = csr_matrix((np.ones(len(cols)), cols, _indptr(rows, n)), shape=(n, n))
+    s = _csr(np.ones(len(cols)), cols, _indptr(rows, n), (n, n))
     s2 = s @ s
     # odd multiplier: distinct priorities for n < 2**32, no random state
     priority = np.arange(n, dtype=np.int64) * 2654435761 % (1 << 32)
@@ -346,7 +360,7 @@ def _tentative(a: csr_matrix):
             break
     if coarse == n:
         return None
-    return csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, coarse))
+    return _csr(np.ones(n), agg, np.arange(n + 1), (n, coarse))
 
 
 class _VCycle:
@@ -388,7 +402,8 @@ class _VCycle:
             inv = (q[:, keep] / lam[keep]) @ q[:, keep].T
             self.bottom = 0.5 * (inv + inv.T)
         else:
-            self.bottom = diags(scale)
+            n = a.shape[0]
+            self.bottom = _csr(scale, np.arange(n), np.arange(n + 1), (n, n))
 
     def __call__(self, residual: np.ndarray) -> np.ndarray:
         return self._cycle(0, residual)
@@ -473,34 +488,70 @@ def _max_gradient_norm(mesh: Mesh, values: np.ndarray) -> float:
 
 
 def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Solve the Laplace equation with the given constrained values."""
+    """Solve the Laplace equation with the given constrained values.
+
+    Solved to ``linear_tol``, so affine data comes back exact; with a zero
+    right-hand side (zero data) the constrained data is returned at once,
+    without a V-cycle.
+    """
     laplace_cfg = replace(config, metric="euclid")
     zero = np.zeros(mesh.vertex_count)
     k_full = tangent_matrix(mesh, zero, laplace_cfg, full=True)
-    plan = _plan(mesh)
-    k = plan.free_block(k_full.data)
     free = mesh.interior_vertices
     fixed = mesh.constrained_vertices
     out = np.zeros(mesh.vertex_count)
     out[fixed] = bc[fixed]
     rhs = -(k_full @ out)[free]  # out is zero at the free vertices
-    # the Laplace matrix chooses the mesh's multigrid aggregates
-    vcycle = _VCycle(k, plan.tentatives)
-    plan.tentatives = vcycle.tentatives
-    out[free] = cg_solve(k, rhs, config.linear_tol, preconditioner=vcycle)
+    if not rhs.any():
+        return out
+    plan = _plan(mesh)
+    k = plan.free_block(k_full.data)
+    out[free] = cg_solve(k, rhs, config.linear_tol,
+                         preconditioner=_vcycle(plan, k))
     return out
 
 
-def _newton_direction(mesh: Mesh, values: np.ndarray, config: SolverConfig):
-    """Newton step at the free vertices, by multigrid-preconditioned CG.
+def _vcycle(plan: _AssemblyPlan, matrix: csr_matrix) -> _VCycle:
+    """V-cycle on the mesh's aggregates; the first one on a mesh chooses them."""
+    vcycle = _VCycle(matrix, plan.tentatives)
+    plan.tentatives = vcycle.tentatives
+    return vcycle
 
-    The matrix and its V-cycle are released on return, before the next
-    step assembles its own.
+
+def _newton_direction(mesh: Mesh, values: np.ndarray, config: SolverConfig,
+                      forcing: float):
+    """Inexact Newton step at the free vertices, by multigrid-preconditioned CG.
+
+    The linear residual is brought below ``forcing`` times the nonlinear
+    one.  The matrix and its V-cycle are released on return, before the
+    next step assembles its own.
     """
     k = tangent_matrix(mesh, values, config)
     rhs = -residual(mesh, values, config)
-    vcycle = _VCycle(k, _plan(mesh).tentatives)
-    return cg_solve(k, rhs, config.linear_tol, preconditioner=vcycle)
+    return cg_solve(k, rhs, forcing, preconditioner=_vcycle(_plan(mesh), k))
+
+
+def _forcing_term(res: float, previous: float | None, eta: float,
+                  config: SolverConfig) -> float:
+    """Relative linear tolerance of the next Newton system.
+
+    Eisenstat & Walker (1996) choice 2 with its safeguard: FORCING_MAX at
+    the first step, then gamma (res / previous)^2, kept at least
+    gamma eta^2 when that is above FORCING_SAFEGUARD (``eta`` is the last
+    forcing term) and capped at FORCING_MAX.  The floor 0.5 residual_tol /
+    res stops the last step from solving past the nonlinear tolerance
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+    6.3); ``linear_tol`` is the absolute floor.
+    """
+    if previous is None:
+        eta = FORCING_MAX
+    else:
+        kept = FORCING_GAMMA * eta * eta
+        eta = FORCING_GAMMA * (res / previous) ** 2
+        if kept > FORCING_SAFEGUARD:
+            eta = max(eta, kept)
+        eta = min(eta, FORCING_MAX)
+    return max(eta, 0.5 * config.residual_tol / res, config.linear_tol)
 
 
 def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
@@ -549,10 +600,12 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     is reported, not raised: ``report.converged`` is False and the partial
     field is returned, so callers can still serialize the outcome.
 
-    A step is accepted when the candidate stays strictly spacelike (Lorentz
-    metric only) and the residual norm satisfies the sufficient-decrease
-    test; the step is halved otherwise.  Convergence is declared on the
-    area-scaled residual norm.
+    Each Newton system is solved to the relative tolerance of
+    ``_forcing_term``.  A step is accepted when the candidate stays
+    strictly spacelike (Lorentz metric only) and the residual norm
+    satisfies the sufficient-decrease test; the step is halved otherwise.
+    Convergence is declared only on the area-scaled residual norm,
+    recomputed at each accepted iterate.
     """
     if config is None:
         config = SolverConfig()
@@ -587,14 +640,16 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     limit = 1.0 - config.sigma_min
     history = [energy(mesh, values, config)]
     res = residual_norm(mesh, values, config)
+    previous, eta = None, FORCING_MAX
     iterations = 0
     while res > config.residual_tol:
         if iterations >= config.max_newton:
             _, rep = report_failure(values, "max_newton exceeded", iterations)
             rep.energy_history = history
             return values, rep
+        eta = _forcing_term(res, previous, eta, config)
         try:
-            direction = _newton_direction(mesh, values, config)
+            direction = _newton_direction(mesh, values, config, eta)
         except NonConvergenceError as exc:
             _, rep = report_failure(values, f"linear solve failed: {exc}", iterations)
             rep.energy_history = history
@@ -617,6 +672,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             _, rep = report_failure(values, "line search stagnation", iterations)
             rep.energy_history = history
             return values, rep
+        previous = res
         values, res = target
         iterations += 1
         history.append(energy(mesh, values, config))

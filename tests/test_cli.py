@@ -381,6 +381,36 @@ def test_solve_and_conjugate_import_no_scipy_solver_packages():
     assert out.stdout.strip() == "[]"
 
 
+FIELD_PROBE = """
+import os
+import sys
+import maxsurf.cli
+from maxsurf import (build_rectangle, load_field, load_mesh, maximal_conjugate,
+                     return_trip_error, save_field, save_mesh)
+workdir = sys.argv[1]
+save_mesh(build_rectangle(1.0, 1.0, 1.0 / 16), os.path.join(workdir, "r.mesh"))
+mesh = load_mesh(os.path.join(workdir, "r.mesh"))
+x, y = mesh.vertices.T
+save_field(mesh, 0.3 * x + 0.2 * y, os.path.join(workdir, "u.csv"))
+u = load_field(mesh, os.path.join(workdir, "u.csv"))
+assert return_trip_error(mesh, u, maximal_conjugate(mesh, u)) < 1e-12
+print(sorted(name for name in sys.modules
+             if name == "scipy.sparse" or name.startswith("scipy.sparse.")))
+"""
+
+
+def test_field_io_and_conjugation_import_no_scipy_sparse(tmp_path):
+    # scipy.sparse is imported only where the solver builds a matrix
+    src = str(Path(maxsurf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", FIELD_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 

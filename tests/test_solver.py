@@ -21,7 +21,8 @@ from maxsurf import (
     tangent_matrix,
 )
 from maxsurf import solver as solver_module
-from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, JACOBI_WEIGHT,
+from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
+                            FORCING_MAX, JACOBI_WEIGHT, _forcing_term,
                             _harmonic_extension, _VCycle)
 
 from conftest import affine_field, jittered, spacelike_field
@@ -303,9 +304,100 @@ def test_multilevel_matvec_count_is_pinned(monkeypatch):
     x, y = mesh.vertices.T
     _, report = solve(mesh, x * x - y * y, EUCLID)
     assert report.converged
-    assert report.iterations == 4
-    # outer PCG matvecs: the harmonic extension, then each Newton step
-    assert [c.matvecs for c in counted] == [17, 24, 25, 25, 25]
+    assert report.iterations == 5
+    # outer PCG matvecs: the harmonic extension, then each inexact Newton step
+    assert [c.matvecs for c in counted] == [17, 2, 2, 5, 10, 1]
+
+
+def catenoid_case():
+    mesh = build_annulus(1.0, 2.0, 0.1)
+    return mesh, np.arcsinh(np.linalg.norm(mesh.vertices, axis=1)), LORENTZ
+
+
+def saddle_case():
+    mesh = build_rectangle(1.0, 1.0, 0.1)
+    x, y = mesh.vertices.T
+    return mesh, x * x - y * y, EUCLID
+
+
+@pytest.mark.parametrize("case", [catenoid_case, saddle_case])
+def test_newton_forcing_terms_lie_between_linear_tol_and_half(case, monkeypatch):
+    tolerances = []
+    real_cg = solver_module.cg_solve
+
+    def recording_cg(operator, rhs, linear_tol, **kwargs):
+        tolerances.append(linear_tol)
+        return real_cg(operator, rhs, linear_tol, **kwargs)
+
+    monkeypatch.setattr(solver_module, "cg_solve", recording_cg)
+    mesh, bc, config = case()
+    _, report = solve(mesh, bc, config)
+    assert report.converged
+    # the harmonic extension, then one system per Newton step
+    assert len(tolerances) == report.iterations + 1
+    assert tolerances[0] == config.linear_tol
+    forcing = tolerances[1:]
+    assert forcing[0] == FORCING_MAX == 0.5
+    assert all(config.linear_tol <= eta <= 0.5 for eta in forcing)
+
+
+def test_forcing_term_choice_two_with_safeguard_and_floors():
+    config = SolverConfig(residual_tol=1e-10, linear_tol=1e-12)
+    assert _forcing_term(1.0, None, 0.01, config) == FORCING_MAX
+    # fast decrease: gamma (res / previous)^2
+    assert _forcing_term(1e-3, 1e-1, 0.01, config) == \
+        pytest.approx(FORCING_GAMMA * 1e-4, rel=1e-15)
+    # gamma eta^2 = 0.225 > 0.1 keeps the last forcing term from collapsing
+    assert _forcing_term(1e-3, 1e-1, 0.5, config) == \
+        pytest.approx(FORCING_GAMMA * 0.25, rel=1e-15)
+    # slow decrease is capped at FORCING_MAX
+    assert _forcing_term(1.0, 1.0, 0.5, config) == FORCING_MAX
+    # never solve past the nonlinear tolerance, never below linear_tol
+    assert _forcing_term(4e-10, 1e-6, 0.01, config) == \
+        pytest.approx(0.125, rel=1e-15)
+    assert _forcing_term(1e3, 1e9, 0.01, config) == config.linear_tol
+
+
+def exact_newton(mesh, bc, config):
+    """Damped Newton from the harmonic extension with every system solved
+    to 1e-12 by Jacobi CG, until the residual norm is at round-off."""
+    v = _harmonic_extension(mesh, bc, config)
+    free = mesh.interior_vertices
+    res = residual_norm(mesh, v, config)
+    for _ in range(20):
+        if res <= 1e-14:
+            return v
+        d = cg_solve(tangent_matrix(mesh, v, config),
+                     -residual(mesh, v, config), 1e-12)
+        step = 1.0
+        while True:
+            trial = v.copy()
+            trial[free] += step * d
+            try:
+                trial_res = residual_norm(mesh, trial, config)
+            except SpacelikeError:
+                trial_res = np.inf
+            if trial_res < res:
+                break
+            step *= 0.5
+        v, res = trial, trial_res
+    raise AssertionError(f"reference Newton stalled at {res:.3e}")
+
+
+@pytest.mark.parametrize("case", [catenoid_case, saddle_case])
+def test_inexact_newton_converges_to_the_exact_newton_field(case):
+    mesh, bc, config = case()
+    v, report = solve(mesh, bc, config)
+    assert report.converged
+    assert report.residual == residual_norm(mesh, v, config)
+    assert report.residual <= config.residual_tol
+    ref = exact_newton(mesh, bc, config)
+    # to first order v - ref = K^-1 F(v), so |v - ref|_inf <= |F|_2 / lambda_min(K)
+    # with |F|_2 = residual * area; twice that leaves room for the second
+    # order, 1e-13 for the reference's own round-off
+    lam_min = np.linalg.eigvalsh(tangent_matrix(mesh, ref, config).toarray())[0]
+    bound = 2.0 * report.residual * mesh.total_area / lam_min + 1e-13
+    assert np.abs(v - ref).max() <= bound
 
 
 def test_multilevel_rejects_indefinite_operator():
