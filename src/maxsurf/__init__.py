@@ -8,24 +8,19 @@ on unbounded domains.
 """
 
 from .mesh import (ARTIFICIAL, DIRICHLET, INTERIOR, Mesh, build_annulus,
-                   build_rectangle, build_strip, inner_region,
-                   intrinsic_distance, load_mesh, save_mesh)
+                   build_rectangle, build_strip, load_mesh, save_mesh)
 from .lorentz import (CoercivityConstants, CoercivityReport, SpacelikeError,
-                      SpacelikePoint, area_density, coercivity_constants,
-                      flux_coeffs, flux_gap_sq, flux_monotonicity,
-                      minkowski_inner, normal_gap_sq, normalized_gradient,
-                      sample_coercivity, unit_normal)
+                      area_density, coercivity_constants, flux_coeffs,
+                      flux_gap_sq, flux_monotonicity, minkowski_inner,
+                      normal_gap_sq, normalized_gradient, sample_coercivity,
+                      unit_normal)
 from .solver import (NonConvergenceError, SolveReport, SolverConfig,
                      cg_solve, energy, gradient_margin, load_field,
                      p1_gradient, residual, residual_norm, save_field,
                      solve, tangent_matrix)
 from .forms import (ClosednessError, TopologyError, circle_polyline,
                     circulations, flux_form, integrate_potential,
-                    line_integral, load_form, max_interior_circulation,
-                    norm_line_integral, norm_sq_area_integral,
-                    polyline_pieces, save_form, subset_boundary_integral,
-                    vertex_circulation, wedge_integral,
-                    weighted_line_integral)
+                    max_interior_circulation, polyline_pieces)
 from .duality import (conjugate_pair_coeffs, maximal_conjugate,
                       minimal_conjugate, return_trip_error, round_trip_error)
 from .uniqueness import (ComparisonVerdict, DecayTable, FluxScan,

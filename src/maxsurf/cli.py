@@ -93,8 +93,8 @@ def _positive(value: str, what: str) -> float:
         x = float(value)
     except ValueError:
         raise UsageError(f"{what} is not a number: {value!r}") from None
-    if x <= 0:
-        raise UsageError(f"{what} must be positive, got {value}")
+    if not 0.0 < x < np.inf:
+        raise UsageError(f"{what} must be positive and finite, got {value}")
     return x
 
 
@@ -249,8 +249,7 @@ def cmd_uniqueness(args) -> int:
                           for r in args.radii.split(",")])
     else:
         radii = radial_grid(mesh, region, ratio=args.ratio)
-    scan = flux_scan(mesh, v, vp, region, radii, tol_rel=args.tol_rel,
-                     seg_len=args.seg_len)
+    scan = flux_scan(mesh, v, vp, region, radii, tol_rel=args.tol_rel)
     ode = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
     verdict = comparison_verdict(scan, ode)
     save_scan(scan, f"{args.out}_scan.csv")
@@ -268,7 +267,8 @@ def cmd_decay(args) -> int:
         except ExpressionError as exc:
             raise UsageError(f"bad expression {args.phi!r}: {exc}") from None
     table = perturbation_decay(lengths, s=args.s, phi=phi,
-                               height=args.height, h=args.h,
+                               height=_positive(str(args.height), "--height"),
+                               h=_positive(str(args.h), "--h"),
                                metric=args.metric)
     table.save(f"{args.out}_decay.csv")
     for length, diff in zip(table.lengths, table.diffs):
@@ -348,8 +348,6 @@ def build_parser() -> _Parser:
                      help="geometric grid ratio")
     sub.add_argument("--tol-rel", type=float, default=0.05,
                      help="relative slack for the inequality flags")
-    sub.add_argument("--seg-len", type=float, default=None,
-                     help="circle polyline segment length (default h/2)")
     _add_common(sub)
     sub.set_defaults(handler=cmd_uniqueness)
 

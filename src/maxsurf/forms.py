@@ -2,9 +2,10 @@
 
 A form is a (T, 2) array of coefficients (p, q), meaning p dx + q dy on
 each triangle.  The module provides the conserved-flux form of a spacelike
-field, circulation around vertices (the discrete closedness test), exact
-line integrals along polylines, area integrals, and integration of a
-closed form to a vertex potential.
+field, circulation around vertices (the discrete closedness test), the
+split of circle polylines into pieces that each lie in one triangle (on
+which the flux scan integrates forms exactly), and integration of a closed
+form to a vertex potential.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ import numpy as np
 
 from .lorentz import flux_coeffs
 from .mesh import Mesh, barycentric_rows
-from .records import write_csv, read_csv
 from .solver import p1_gradient
 
 BARY_TOL = 1e-9
 PARAM_MERGE_TOL = 1e-12
-
-FORM_HEADER = "triangle,p,q"
-POLYLINE_HEADER = "x,y"
 
 
 class TopologyError(ValueError):
@@ -76,29 +73,6 @@ def circulations(mesh: Mesh, form) -> np.ndarray:
                        minlength=mesh.vertex_count)
 
 
-def vertex_circulation(mesh: Mesh, form, vertex: int) -> float:
-    """Circulation of the form around one interior vertex.
-
-    For the flux form of a discrete solution this equals minus the FEM
-    residual at the vertex, so closedness and solver convergence are the
-    same measurement.
-    """
-    from .mesh import INTERIOR
-
-    if mesh.vertex_class[vertex] != INTERIOR:
-        raise ValueError(f"vertex {vertex} is not interior")
-    form = _check_form(mesh, form)
-    total = 0.0
-    pts = mesh.vertices
-    for tri in mesh.vertex_triangles[vertex]:
-        corners = mesh.triangles[tri]
-        i = int(np.where(corners == vertex)[0][0])
-        j = corners[(i + 1) % 3]
-        k = corners[(i + 2) % 3]
-        total += float(form[tri] @ (0.5 * (pts[k] - pts[j])))
-    return total
-
-
 def max_interior_circulation(mesh: Mesh, form) -> float:
     c = circulations(mesh, form)
     interior = mesh.interior_vertices
@@ -108,18 +82,17 @@ def max_interior_circulation(mesh: Mesh, form) -> float:
 
 
 # ----------------------------------------------------------------------
-# polyline decomposition and line integrals
+# polyline decomposition
 # ----------------------------------------------------------------------
 
 
-def polyline_pieces(mesh: Mesh, points, clip: bool = False, triangles=None):
-    """Split a polyline at triangle boundaries.
+def polyline_pieces(mesh: Mesh, points, triangles=None):
+    """Split a polyline at triangle boundaries, clipped to the mesh.
 
     Every returned piece lies inside a single triangle, so integrals of
-    piecewise-constant forms over the pieces are exact.  ``triangles``
-    restricts ownership to a subset (requires ``clip``); with ``clip`` the
-    pieces outside the mesh or the subset are dropped, otherwise leaving
-    the mesh is an error.
+    piecewise-constant forms over the pieces are exact.  Pieces outside the
+    mesh are dropped, and so are pieces outside ``triangles`` when that
+    subset is given.
 
     Each segment is cut into chunks no longer than h; a chunk is split
     where it crosses an edge of a triangle near it, and each piece belongs
@@ -136,8 +109,6 @@ def polyline_pieces(mesh: Mesh, points, clip: bool = False, triangles=None):
         raise ValueError("polyline has a non-finite point")
     mask = None
     if triangles is not None:
-        if not clip:
-            raise ValueError("a triangle subset requires clip=True")
         mask = np.zeros(mesh.triangle_count, dtype=bool)
         mask[np.asarray(triangles, dtype=np.int64)] = True
 
@@ -215,9 +186,6 @@ def polyline_pieces(mesh: Mesh, points, clip: bool = False, triangles=None):
     owner = np.full(len(chunk), mesh.triangle_count, dtype=np.int64)
     np.minimum.at(owner, pair_piece[inside], cand[pair][inside])
     located = owner < mesh.triangle_count
-    if not clip and not located.all():
-        raise ValueError(
-            f"polyline leaves the mesh near {mid[np.argmin(located)]}")
     if mask is not None:
         located[located] = mask[owner[located]]
     return owner[located], delta[located], mid[located]
@@ -229,48 +197,12 @@ def _ragged_arange(counts) -> np.ndarray:
     return np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
 
 
-def line_integral(mesh: Mesh, form, points) -> float:
-    """Exact integral of the form along a polyline inside the mesh."""
-    form = _check_form(mesh, form)
-    tri, delta, _ = polyline_pieces(mesh, points)
-    return float(np.sum(form[tri] * delta))
-
-
-def weighted_line_integral(mesh: Mesh, scalar, form, points,
-                           clip: bool = False, triangles=None) -> float:
-    """Integral of (scalar * form) along a polyline, midpoint rule per piece.
-
-    Exact when the scalar is the P1 interpolant (linear on each triangle)
-    and the form is piecewise constant.
-    """
-    from .solver import _check_field
-
-    scalar = _check_field(mesh, scalar)
-    form = _check_form(mesh, form)
-    tri, delta, mid = polyline_pieces(mesh, points, clip=clip, triangles=triangles)
-    if len(tri) == 0:
-        return 0.0
-    vals = _interp_at(mesh, scalar, tri, mid)
-    return float(np.sum(vals * np.sum(form[tri] * delta, axis=1)))
-
-
 def _interp_at(mesh, scalar, tri, points):
     corners = mesh.triangles[tri]
     bary = barycentric_rows(mesh.vertices[corners], points)
     vals = scalar[corners]
     return (vals[:, 0] * bary[:, 0] + vals[:, 1] * bary[:, 1]
             + vals[:, 2] * bary[:, 2])
-
-
-def norm_line_integral(mesh: Mesh, form, points,
-                       clip: bool = False, triangles=None) -> float:
-    """Integral of |(p, q)| (Euclidean coefficient norm) by arclength."""
-    form = _check_form(mesh, form)
-    tri, delta, _ = polyline_pieces(mesh, points, clip=clip, triangles=triangles)
-    if len(tri) == 0:
-        return 0.0
-    lengths = np.linalg.norm(delta, axis=1)
-    return float(np.sum(np.linalg.norm(form[tri], axis=1) * lengths))
 
 
 def circle_polyline(radius: float, seg_len: float) -> np.ndarray:
@@ -285,66 +217,6 @@ def circle_polyline(radius: float, seg_len: float) -> np.ndarray:
     ang = 2.0 * math.pi * np.arange(n) / n
     pts = np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
     return np.vstack([pts, pts[:1]])
-
-
-# ----------------------------------------------------------------------
-# area integrals
-# ----------------------------------------------------------------------
-
-
-def norm_sq_area_integral(mesh: Mesh, form, triangles=None) -> float:
-    """Integral of p^2 + q^2 over a triangle subset (default: all)."""
-    form = _check_form(mesh, form)
-    dens = np.sum(form * form, axis=1)
-    if triangles is None:
-        return float(np.dot(mesh.areas, dens))
-    idx = np.asarray(triangles, dtype=np.int64)
-    return float(np.dot(mesh.areas[idx], dens[idx]))
-
-
-def wedge_integral(mesh: Mesh, scalar, form, triangles=None) -> float:
-    """Integral of d(scalar) wedge form: sum_T area_T (v_x q - v_y p)."""
-    from .solver import _check_field
-
-    scalar = _check_field(mesh, scalar)
-    form = _check_form(mesh, form)
-    g = p1_gradient(mesh, scalar)
-    dens = g[:, 0] * form[:, 1] - g[:, 1] * form[:, 0]
-    if triangles is None:
-        return float(np.dot(mesh.areas, dens))
-    idx = np.asarray(triangles, dtype=np.int64)
-    return float(np.dot(mesh.areas[idx], dens[idx]))
-
-
-def subset_boundary_integral(mesh: Mesh, scalar, form, triangles) -> float:
-    """Integral of (scalar * form) along the boundary of a triangle subset.
-
-    Each boundary edge is traversed in its owner triangle's orientation and
-    integrated with the owner's coefficients and the edge-midpoint scalar
-    value, which is exact for P1 scalars.  Together with wedge_integral
-    this realizes the discrete Stokes identity up to circulation defects.
-    """
-    from .solver import _check_field
-
-    scalar = _check_field(mesh, scalar)
-    form = _check_form(mesh, form)
-    idx = np.asarray(triangles, dtype=np.int64)
-    mask = np.zeros(mesh.triangle_count, dtype=bool)
-    mask[idx] = True
-    nbrs = mesh.neighbors
-    total = 0.0
-    pts = mesh.vertices
-    for t in idx:
-        corners = mesh.triangles[t]
-        for slot in range(3):
-            nb = nbrs[t, slot]
-            if nb >= 0 and mask[nb]:
-                continue
-            a = corners[(slot + 1) % 3]
-            b = corners[(slot + 2) % 3]
-            midval = 0.5 * (scalar[a] + scalar[b])
-            total += midval * float(form[t] @ (pts[b] - pts[a]))
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +268,9 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     fixed mesh; path independent up to closedness_tol times path length.
     """
     form = _check_form(mesh, form)
+    # false for nan as well, which would switch the closedness gate off
+    if not 0.0 <= closedness_tol < np.inf:
+        raise ValueError("closedness_tol must be finite and nonnegative")
     if mesh.euler_characteristic != 1:
         raise TopologyError(
             f"potential needs a simply connected mesh "
@@ -466,30 +341,3 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     u[reachable] = sums2[reachable] / counts2[reachable]
     return u - u[0]
 
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-
-def save_form(mesh: Mesh, form, path) -> None:
-    form = _check_form(mesh, form)
-    write_csv(path, FORM_HEADER, [
-        np.arange(mesh.triangle_count), form[:, 0], form[:, 1],
-    ])
-
-
-def load_form(mesh: Mesh, path) -> np.ndarray:
-    data = read_csv(path, FORM_HEADER)
-    if len(data) != mesh.triangle_count:
-        raise ValueError("form file does not match the mesh")
-    return data[:, 1:3].copy()
-
-
-def save_polyline(points, path) -> None:
-    pts = np.asarray(points, dtype=float)
-    write_csv(path, POLYLINE_HEADER, [pts[:, 0], pts[:, 1]])
-
-
-def load_polyline(path) -> np.ndarray:
-    return read_csv(path, POLYLINE_HEADER)

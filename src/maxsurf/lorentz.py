@@ -31,20 +31,24 @@ class SpacelikeError(ValueError):
         super().__init__(f"gradient norm {self.norm!r} is not safely spacelike")
 
 
-def _as_gradients(g) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.shape[-1] != 2:
-        raise ValueError("gradients must have shape (..., 2)")
-    norms = np.linalg.norm(g, axis=-1)
-    if np.any(norms >= 1.0 - LIGHTLIKE_GUARD):
-        raise SpacelikeError(norms.max())
-    return g
+def _spacelike_density(g: np.ndarray, margin: float) -> np.ndarray:
+    """Area density w = sqrt(1 - |g|^2) of gradients kept off the light cone.
+
+    Raises SpacelikeError unless every |g| stays below 1 - margin, tested
+    as |g|^2 against (1 - margin)^2.  The pointwise algebra of this module
+    passes LIGHTLIKE_GUARD; the solver passes its much wider SIGMA_MIN,
+    which keeps Newton iterates away from the light cone.
+    """
+    norm2 = np.sum(g * g, axis=-1)
+    limit = 1.0 - margin
+    if np.any(norm2 >= limit * limit):
+        raise SpacelikeError(float(np.sqrt(norm2.max())))
+    return np.sqrt(1.0 - norm2)
 
 
 def area_density(g) -> np.ndarray:
     """w = sqrt(1 - |g|^2), the Lorentzian area integrand."""
-    g = _as_gradients(g)
-    return np.sqrt(1.0 - np.sum(g * g, axis=-1))
+    return _spacelike_density(np.asarray(g, dtype=float), LIGHTLIKE_GUARD)
 
 
 def flux_coeffs(g) -> np.ndarray:
@@ -54,22 +58,21 @@ def flux_coeffs(g) -> np.ndarray:
     a maximal surface, which is what makes it integrable to a conjugate
     potential.
     """
-    g = _as_gradients(g)
-    w = np.sqrt(1.0 - np.sum(g * g, axis=-1))
+    g = np.asarray(g, dtype=float)
+    w = _spacelike_density(g, LIGHTLIKE_GUARD)
     return np.stack([-g[..., 1] / w, g[..., 0] / w], axis=-1)
 
 
 def normalized_gradient(g) -> np.ndarray:
     """x = g / w; |x| can be arbitrarily large but stays finite while spacelike."""
-    g = _as_gradients(g)
-    w = np.sqrt(1.0 - np.sum(g * g, axis=-1))
-    return g / w[..., None]
+    g = np.asarray(g, dtype=float)
+    return g / _spacelike_density(g, LIGHTLIKE_GUARD)[..., None]
 
 
 def unit_normal(g) -> np.ndarray:
     """Upward unit normal n = (-g, 1)/w with <n, n> = -1 in the Minkowski metric."""
-    g = _as_gradients(g)
-    w = np.sqrt(1.0 - np.sum(g * g, axis=-1))
+    g = np.asarray(g, dtype=float)
+    w = _spacelike_density(g, LIGHTLIKE_GUARD)
     return np.stack([-g[..., 0] / w, -g[..., 1] / w, 1.0 / w], axis=-1)
 
 
@@ -82,8 +85,8 @@ def minkowski_inner(u, v) -> np.ndarray:
 
 def flux_monotonicity(g, g2) -> np.ndarray:
     """Pairing (g - g') . (g/w - g'/w'), the left side of the coercivity bound."""
-    g = _as_gradients(g)
-    g2 = _as_gradients(g2)
+    g = np.asarray(g, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
     return np.sum((g - g2) * (normalized_gradient(g) - normalized_gradient(g2)), axis=-1)
 
 
@@ -99,38 +102,12 @@ def normal_gap_sq(g, g2) -> np.ndarray:
     Positive for distinct spacelike normals even though the metric is
     indefinite, because both normals lie on the unit timelike hyperboloid.
     """
-    g = _as_gradients(g)
-    g2 = _as_gradients(g2)
-    w = np.sqrt(1.0 - np.sum(g * g, axis=-1))
-    w2 = np.sqrt(1.0 - np.sum(g2 * g2, axis=-1))
-    return flux_gap_sq(g, g2) - (1.0 / w - 1.0 / w2) ** 2
-
-
-@dataclass(frozen=True)
-class SpacelikePoint:
-    """Algebraic data of one spacelike gradient.
-
-    Fields: gradient g, area density w, unit normal n (3-vector), and the
-    normalized gradient x = g/w.  Construction validates <n, n> = -1 and
-    1/w = sqrt(1 + |x|^2) to 1e-12.
-    """
-
-    g: np.ndarray
-    w: float
-    n: np.ndarray
-    x: np.ndarray
-
-    @classmethod
-    def from_gradient(cls, g) -> "SpacelikePoint":
-        g = _as_gradients(np.asarray(g, dtype=float).reshape(2))
-        w = float(np.sqrt(1.0 - g @ g))
-        n = np.array([-g[0] / w, -g[1] / w, 1.0 / w])
-        x = g / w
-        if abs(minkowski_inner(n, n) + 1.0) > 1e-12:
-            raise AssertionError("normal is not unit timelike")
-        if abs(1.0 / w - np.sqrt(1.0 + x @ x)) > 1e-12 * (1.0 / w):
-            raise AssertionError("w and x are inconsistent")
-        return cls(g=g, w=w, n=n, x=x)
+    g = np.asarray(g, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    w = _spacelike_density(g, LIGHTLIKE_GUARD)
+    w2 = _spacelike_density(g2, LIGHTLIKE_GUARD)
+    d = g / w[..., None] - g2 / w2[..., None]
+    return np.sum(d * d, axis=-1) - (1.0 / w - 1.0 / w2) ** 2
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,14 @@
 Domains are rectangles, strips, and annuli; every generator produces a
 conforming triangulation with counterclockwise triangles and classifies
 vertices as interior, dirichlet (true boundary), or artificial (truncation
-boundary of an unbounded domain).  The artificial class matters downstream:
-artificial vertices are constrained by the solver exactly like dirichlet
-ones, but they are not sources for the intrinsic distance field, because
-they do not belong to the real boundary of the domain being modelled.
+boundary of an unbounded domain).  The solver constrains artificial
+vertices exactly like dirichlet ones; the class marks the data that stands
+in for a truncation rather than for the real boundary of the domain.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -189,57 +187,18 @@ class Mesh:
         return out
 
     @cached_property
-    def dirichlet_vertices(self) -> np.ndarray:
-        out = np.where(self.vertex_class == DIRICHLET)[0]
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def vertex_triangles(self) -> tuple:
-        """Tuple of index arrays: triangles incident to each vertex."""
-        order = np.argsort(self.triangles.ravel(), kind="stable")
-        tri_of_slot = order // 3
-        sorted_verts = self.triangles.ravel()[order]
-        starts = np.searchsorted(sorted_verts, np.arange(self.vertex_count))
-        ends = np.searchsorted(sorted_verts, np.arange(self.vertex_count), side="right")
-        return tuple(tri_of_slot[s:e] for s, e in zip(starts, ends))
-
-    # point location -----------------------------------------------------
-
-    @cached_property
     def _locator(self):
+        """k-d tree over the centroids and the largest centroid-corner distance.
+
+        Every triangle containing a point has its centroid within that
+        distance of the point; ``forms.polyline_pieces`` queries it.
+        """
         from scipy.spatial import cKDTree
 
         # largest corner distance from a centroid, one root of the largest square
         off = self.vertices[self.triangles] - self.centroids[:, None, :]
         sq = off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1]
         return cKDTree(self.centroids), float(np.sqrt(sq.max()))
-
-    def candidates_near(self, point, extra: float = 0.0) -> np.ndarray:
-        """Sorted triangle indices whose circumball may contain the point."""
-        tree, rmax = self._locator
-        idx = tree.query_ball_point(np.asarray(point, float), rmax + extra + 1e-12)
-        return np.sort(np.asarray(idx, dtype=np.int64))
-
-    def barycentric(self, tri_indices, point) -> np.ndarray:
-        """Barycentric coordinates of one point in each listed triangle."""
-        return barycentric_rows(self.vertices[self.triangles[tri_indices]],
-                                point)
-
-    def find_triangle(self, point, tol: float = 1e-9):
-        """Index of a triangle containing the point, lowest index on ties.
-
-        Returns None when the point lies outside the mesh.
-        """
-        cands = self.candidates_near(point)
-        if len(cands) == 0:
-            return None
-        bary = self.barycentric(cands, point)
-        ok = bary.min(axis=1) >= -tol
-        hits = np.where(ok)[0]
-        if len(hits) == 0:
-            return None
-        return int(cands[hits[0]])
 
     # ------------------------------------------------------------------
 
@@ -446,93 +405,6 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
     cls[:n_theta] = inner_cls
     cls[n_r * n_theta:] = outer_cls
     return Mesh(vertices, triangles, cls, float(h), shape_tag="annulus")
-
-
-# ----------------------------------------------------------------------
-# distance field and depth regions
-# ----------------------------------------------------------------------
-
-
-def intrinsic_distance(mesh: Mesh, augment_diagonals: bool = False) -> np.ndarray:
-    """Graph distance from the dirichlet boundary along mesh edges.
-
-    Multi-source Dijkstra with Euclidean edge weights; sources are the
-    dirichlet vertices only, so the field measures depth into the true
-    domain and ignores artificial truncation boundaries.  The graph metric
-    overestimates the intrinsic distance by at most the mesh anisotropy
-    factor (sqrt(2) on the structured grids here); ``augment_diagonals``
-    adds the opposite diagonal of every convex edge-pair quad to tighten
-    that factor.
-
-    Returns the (V,) distance array; dirichlet vertices get 0.
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    sources = mesh.dirichlet_vertices
-    if len(sources) == 0:
-        raise ValueError("mesh has no dirichlet vertices")
-    edges = mesh.edges
-    if augment_diagonals:
-        extra = _opposite_diagonals(mesh)
-        if len(extra):
-            edges = np.vstack([edges, extra])
-    w = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
-    n = mesh.vertex_count
-    g = coo_matrix(
-        (np.concatenate([w, w]),
-         (np.concatenate([edges[:, 0], edges[:, 1]]),
-          np.concatenate([edges[:, 1], edges[:, 0]]))),
-        shape=(n, n),
-    ).tocsr()
-    dist = dijkstra(g, directed=False, indices=sources, min_only=True)
-    return np.asarray(dist)
-
-
-def _opposite_diagonals(mesh: Mesh) -> np.ndarray:
-    """Cross diagonals (a, b) of convex quads formed by edge-adjacent triangles."""
-    tris = mesh.triangles
-    nbrs = mesh.neighbors
-    out = []
-    for t in range(len(tris)):
-        for slot in range(3):
-            t2 = nbrs[t, slot]
-            if t2 <= t:
-                continue
-            a = tris[t, slot]
-            shared = {tris[t, (slot + 1) % 3], tris[t, (slot + 2) % 3]}
-            b = next(v for v in tris[t2] if v not in shared)
-            u, v = sorted(shared)
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            pu, pv = mesh.vertices[u], mesh.vertices[v]
-            # segment a-b must cross segment u-v for the quad to be convex
-            d = pb - pa
-            e = pv - pu
-            det = d[0] * e[1] - d[1] * e[0]
-            if abs(det) < 1e-14:
-                continue
-            s = ((pu - pa)[0] * e[1] - (pu - pa)[1] * e[0]) / det
-            r = ((pu - pa)[0] * d[1] - (pu - pa)[1] * d[0]) / -det
-            if 1e-12 < s < 1 - 1e-12 and 1e-12 < r < 1 - 1e-12:
-                out.append((min(a, b), max(a, b)))
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(np.asarray(out, dtype=np.int64), axis=0)
-
-
-def inner_region(mesh: Mesh, distance: np.ndarray, depth: float) -> np.ndarray:
-    """Vertex indices strictly deeper than ``depth`` from the true boundary.
-
-    Negative depth is clamped to zero with a warning; depth 0 returns all
-    non-dirichlet vertices.
-    """
-    distance = np.asarray(distance)
-    if distance.shape != (mesh.vertex_count,):
-        raise ValueError("distance field does not match the mesh")
-    if depth < 0:
-        warnings.warn("negative depth clamped to 0", stacklevel=2)
-        depth = 0.0
-    return np.where(distance > depth)[0]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ mesh gets, on first use, an assembly plan: the P1 sparsity pattern, the
 order that gathers diagonal and edge values into it, the free-vertex block
 inside it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
-|grad v| never reaches 1 - sigma_min.
+|grad v| never reaches 1 - SIGMA_MIN.
 """
 
 from __future__ import annotations
@@ -24,22 +24,26 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lorentz import SpacelikeError
+from .lorentz import SpacelikeError, _spacelike_density
 from .mesh import Mesh
-from .records import fmt, write_csv, read_csv
+from .records import write_csv, read_csv
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 METRICS = ("lorentz", "euclid")
 
+SIGMA_MIN = 1e-8          # Lorentz iterates keep |grad v| below 1 - SIGMA_MIN
 LINE_SEARCH_FLOOR = 1e-12
-INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| <= 1 - 10 sigma_min
+BACKTRACK_FACTOR = 0.5    # step shrink factor of the line search
+SUFFICIENT_DECREASE = 1e-4  # accept when |F| <= (1 - c step) |F_k|
+INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| <= 1 - 10 SIGMA_MIN
 
 # inexact Newton: Eisenstat-Walker forcing terms, choice 2
 FORCING_MAX = 0.5         # the first and the loosest relative linear tolerance
 FORCING_GAMMA = 0.9       # eta_k = gamma (|F_k| / |F_k-1|)^2
 FORCING_SAFEGUARD = 0.1   # keep gamma eta_k-1^2 when it is above this
+LINEAR_TOL = 1e-12        # floor of the forcing terms; harmonic extension tolerance
 
 # smoothed-aggregation multigrid
 STRENGTH_THETA = 0.1      # strong link: |a_ij| >= theta sqrt(a_ii a_jj)
@@ -59,28 +63,18 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings.
-
-    ``linear_tol`` is the floor of the Newton forcing terms and the
-    relative tolerance of the harmonic extension behind the initial guess.
-    """
+    """Solver settings: metric, area-scaled residual tolerance, Newton cap."""
 
     metric: str = "lorentz"
     residual_tol: float = 1e-10
     max_newton: int = 50
-    sigma_min: float = 1e-8
-    linear_tol: float = 1e-12
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if not (0 < self.backtrack_factor < 1):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        for name in ("residual_tol", "sigma_min", "linear_tol", "sufficient_decrease"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # false for nan as well
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be finite and positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
 
@@ -128,18 +122,15 @@ def _check_field(mesh: Mesh, values) -> np.ndarray:
     return values
 
 
-def _density(g: np.ndarray, metric: str, sigma_min: float) -> np.ndarray:
+def _density(g: np.ndarray, metric: str) -> np.ndarray:
     """Area density sqrt(1 -+ |g|^2) per triangle; guards the light cone.
 
-    The flux is sigma(g) = g / density.
+    The flux is sigma(g) = g / density.  In the Lorentz metric the density
+    raises SpacelikeError once some |g| reaches 1 - SIGMA_MIN.
     """
-    norm2 = np.sum(g * g, axis=-1)
     if metric == "lorentz":
-        limit = 1.0 - sigma_min
-        if np.any(norm2 >= limit * limit):
-            raise SpacelikeError(float(np.sqrt(norm2.max())))
-        return np.sqrt(1.0 - norm2)
-    return np.sqrt(1.0 + norm2)
+        return _spacelike_density(g, SIGMA_MIN)
+    return np.sqrt(1.0 + np.sum(g * g, axis=-1))
 
 
 def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
@@ -149,13 +140,13 @@ def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
     the Euclidean one is convex and minimized.
     """
     g = p1_gradient(mesh, values)
-    dens = _density(g, config.metric, config.sigma_min)
+    dens = _density(g, config.metric)
     return float(np.dot(mesh.areas, dens))
 
 
 def _assemble_residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray:
     g = p1_gradient(mesh, values)
-    dens = _density(g, config.metric, config.sigma_min)
+    dens = _density(g, config.metric)
     weighted = mesh.areas[:, None] * (g / dens[:, None])
     local = np.einsum("tid,td->ti", mesh.basis_gradients, weighted)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
@@ -193,7 +184,7 @@ def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
     """
     values = _check_field(mesh, values)
     g = p1_gradient(mesh, values)
-    dens = _density(g, config.metric, config.sigma_min)
+    dens = _density(g, config.metric)
     c1 = mesh.areas / dens  # c1 and c2 times the triangle area
     c2 = c1 / (dens * dens)
     if config.metric == "euclid":
@@ -490,7 +481,7 @@ def _max_gradient_norm(mesh: Mesh, values: np.ndarray) -> float:
 def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Solve the Laplace equation with the given constrained values.
 
-    Solved to ``linear_tol``, so affine data comes back exact; with a zero
+    Solved to LINEAR_TOL, so affine data comes back exact; with a zero
     right-hand side (zero data) the constrained data is returned at once,
     without a V-cycle.
     """
@@ -506,7 +497,7 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.
         return out
     plan = _plan(mesh)
     k = plan.free_block(k_full.data)
-    out[free] = cg_solve(k, rhs, config.linear_tol,
+    out[free] = cg_solve(k, rhs, LINEAR_TOL,
                          preconditioner=_vcycle(plan, k))
     return out
 
@@ -541,7 +532,7 @@ def _forcing_term(res: float, previous: float | None, eta: float,
     forcing term) and capped at FORCING_MAX.  The floor 0.5 residual_tol /
     res stops the last step from solving past the nonlinear tolerance
     (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
-    6.3); ``linear_tol`` is the absolute floor.
+    6.3); LINEAR_TOL is the absolute floor.
     """
     if previous is None:
         eta = FORCING_MAX
@@ -551,19 +542,19 @@ def _forcing_term(res: float, previous: float | None, eta: float,
         if kept > FORCING_SAFEGUARD:
             eta = max(eta, kept)
         eta = min(eta, FORCING_MAX)
-    return max(eta, 0.5 * config.residual_tol / res, config.linear_tol)
+    return max(eta, 0.5 * config.residual_tol / res, LINEAR_TOL)
 
 
 def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
     """Harmonic extension, pulled toward a constant until safely spacelike.
 
     The interior offset from the mean constrained value is scaled by the
-    largest ladder factor keeping per-triangle |grad v| <= 1 - 10 sigma_min.
+    largest ladder factor keeping per-triangle |grad v| <= 1 - 10 SIGMA_MIN.
     Returns None when no scaling achieves that, which the caller reports as
     non-convergence (the constrained data itself is too steep).
     """
     guess = _harmonic_extension(mesh, bc, config)
-    limit = 1.0 - INITIAL_MARGIN_FACTOR * config.sigma_min
+    limit = 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
     if _max_gradient_norm(mesh, guess) <= limit:
         return guess
     fixed = mesh.constrained_vertices
@@ -637,7 +628,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         values = _harmonic_extension(mesh, bc, config)
 
     free = mesh.interior_vertices
-    limit = 1.0 - config.sigma_min
+    limit = 1.0 - SIGMA_MIN
     history = [energy(mesh, values, config)]
     res = residual_norm(mesh, values, config)
     previous, eta = None, FORCING_MAX
@@ -661,13 +652,13 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             candidate[free] += step * direction
             if config.metric == "lorentz" and \
                     _max_gradient_norm(mesh, candidate) >= limit:
-                step *= config.backtrack_factor
+                step *= BACKTRACK_FACTOR
                 continue
             new_res = residual_norm(mesh, candidate, config)
-            if new_res <= (1.0 - config.sufficient_decrease * step) * res:
+            if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
                 target = (candidate, new_res)
                 break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if target is None:
             _, rep = report_failure(values, "line search stagnation", iterations)
             rep.energy_history = history

@@ -160,8 +160,8 @@ def radial_grid(mesh: Mesh, region: LevelRegion, ratio: float = 1.1) -> np.ndarr
     """
     if region.empty:
         raise ValueError("cannot build a radius grid for an empty region")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
+    if not 1.0 < ratio < np.inf:
+        raise ValueError("ratio must exceed 1 and be finite")
     rad = np.linalg.norm(mesh.centroids[region.triangles], axis=1)
     r_lo = float(rad.min())
     r_hi = float(rad.max())
@@ -177,11 +177,13 @@ def radial_grid(mesh: Mesh, region: LevelRegion, ratio: float = 1.1) -> np.ndarr
 
 
 def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
-              radii, tol_rel: float = 0.05, seg_len: float | None = None) -> FluxScan:
+              radii, tol_rel: float = 0.05) -> FluxScan:
     """Scan circles of the given radii and test the differential inequality.
 
     Checks mu + c_eps*(energy_k - energy_0) <= 2*delta*eta_k at every
-    radius, flagging violations beyond the relative tolerance.  The anchor
+    radius, flagging violations beyond the relative tolerance (finite and
+    nonnegative).  Each circle is an inscribed polygon with segments of at
+    most half the mesh size, split at triangle edges.  The anchor
     mu = c_eps * energy at the first radius must be positive, otherwise the
     region is too small to support the comparison and a ValueError is
     raised.  Radii must be strictly increasing.
@@ -197,13 +199,13 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
         raise ValueError("radii must be positive and strictly increasing")
     if not (0.0 < region.eps_hat <= 1.0):
         raise ValueError("region gradient margin must lie in (0, 1]")
+    # false for nan as well, which would leave every radius unflagged
+    if not 0.0 <= tol_rel < np.inf:
+        raise ValueError("tol_rel must be finite and nonnegative")
 
     alpha = flux_form(mesh, v) - flux_form(mesh, vp)
     shifted = v - vp - region.a
     c_eps = coercivity_constants(region.eps_hat).c
-    seg = seg_len if seg_len is not None else 0.5 * mesh.h
-    if seg <= 0.0:
-        raise ValueError("seg_len must be positive")
 
     tris = region.triangles
     cent_rad = np.linalg.norm(mesh.centroids[tris], axis=1)
@@ -219,9 +221,8 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     sq_line = np.zeros(n)
     level_flux = np.zeros(n)
     for k, r in enumerate(radii):
-        circle = circle_polyline(float(r), seg)
-        tri, delta_vec, mid = polyline_pieces(mesh, circle, clip=True,
-                                              triangles=tris)
+        circle = circle_polyline(float(r), 0.5 * mesh.h)
+        tri, delta_vec, mid = polyline_pieces(mesh, circle, triangles=tris)
         if len(tri) == 0:
             continue
         piece_len = np.linalg.norm(delta_vec, axis=1)
@@ -534,8 +535,8 @@ def perturbation_decay(lengths, s: float, phi=None, height: float = 4.0,
         raise ValueError("need at least one strip length")
     if np.any(lengths <= 0.0) or np.any(np.diff(lengths) <= 0.0):
         raise ValueError("lengths must be positive and strictly increasing")
-    if s < 0.0:
-        raise ValueError("offset s must be nonnegative")
+    if not 0.0 <= s < np.inf:
+        raise ValueError("offset s must be finite and nonnegative")
     config = config or SolverConfig(metric=metric)
     if config.metric != metric:
         config = dataclasses.replace(config, metric=metric)

@@ -270,6 +270,50 @@ def test_uniqueness_explicit_radii(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_uniqueness_seg_len_is_a_usage_error(capsys, tmp_path):
+    # the circle segment length is always h/2; neither flag nor config key
+    (tmp_path / "seg.cfg").write_text("seg_len=0.05\n")
+    for extra in (["--seg-len", "0.05"], ["--config", "seg.cfg"]):
+        assert main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1"]
+                    + extra) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "seg-len" in err
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers
+
+
+UNIQ_SOLVES = UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1"]
+RECT = ["--shape", "rect:1x1", "--h", "0.25"]
+DECAY = ["decay", "--lengths", "2,4", "--s", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"] + RECT + ["--bc", "0.3*(x*x-y*y)", "--tol", "nan"],
+    ["solve"] + RECT + ["--bc", "0.3*(x*x-y*y)", "--tol", "inf"],
+    ["dualize"] + RECT + ["--in", "u.csv", "--direction", "min2max",
+                          "--closedness-tol", "nan"],
+    UNIQ_SOLVES + ["--tol-rel", "nan"],
+    UNIQ_SOLVES + ["--ratio", "nan"],
+    UNIQ_SOLVES + ["--ratio", "inf"],
+    UNIQ_SOLVES + ["--radii", "1.5,nan"],
+    DECAY + ["--h", "nan"],
+    DECAY + ["--height", "inf"],
+    DECAY + ["--s", "inf"],
+], ids=["solve-tol-nan", "solve-tol-inf", "dualize-closedness-tol-nan",
+        "uniqueness-tol-rel-nan", "uniqueness-ratio-nan",
+        "uniqueness-ratio-inf", "uniqueness-radii-nan", "decay-h-nan",
+        "decay-height-inf", "decay-s-inf"])
+def test_non_finite_numbers_are_one_line_errors(capsys, tmp_path, square4,
+                                                argv):
+    save_field(square4, 0.3 * square4.vertices[:, 0], tmp_path / "u.csv")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+
+
 # ---------------------------------------------------------------------------
 # decay
 

@@ -1,4 +1,4 @@
-"""Discrete 1-forms: circulations, line integrals, wedge products, potentials."""
+"""Discrete 1-forms: circulations, polyline pieces, potentials."""
 
 import numpy as np
 import pytest
@@ -9,34 +9,17 @@ from maxsurf import (
     SolverConfig,
     TopologyError,
     build_annulus,
-    build_rectangle,
     circle_polyline,
     coercivity_constants,
     flux_form,
     integrate_potential,
-    line_integral,
-    load_form,
     max_interior_circulation,
-    norm_line_integral,
-    norm_sq_area_integral,
     p1_gradient,
     residual,
-    save_form,
     solve,
-    weighted_line_integral,
-    wedge_integral,
 )
 from conftest import affine_field
-from maxsurf.forms import (
-    FORM_HEADER,
-    POLYLINE_HEADER,
-    circulations,
-    load_polyline,
-    polyline_pieces,
-    save_polyline,
-    subset_boundary_integral,
-    vertex_circulation,
-)
+from maxsurf.forms import _interp_at, circulations, polyline_pieces
 
 
 def rotational_form(mesh):
@@ -47,6 +30,47 @@ def rotational_form(mesh):
 
 def gradient_form(mesh, values):
     return p1_gradient(mesh, values)
+
+
+def line_integral(mesh, form, points, triangles=None):
+    """Integral of the form along the polyline pieces, exact per piece."""
+    tri, delta, _ = polyline_pieces(mesh, points, triangles=triangles)
+    return float(np.sum(form[tri] * delta))
+
+
+def norm_line_integral(mesh, form, points, triangles=None):
+    """Arclength integral of |(p, q)|, as the flux scan sums eta."""
+    tri, delta, _ = polyline_pieces(mesh, points, triangles=triangles)
+    return float(np.linalg.norm(form[tri], axis=1)
+                 @ np.linalg.norm(delta, axis=1))
+
+
+def weighted_line_integral(mesh, scalar, form, points):
+    """Integral of scalar * form with the P1 scalar at piece midpoints, as
+    the flux scan sums level_flux; exact for P1 scalars."""
+    tri, delta, mid = polyline_pieces(mesh, points)
+    vals = _interp_at(mesh, scalar, tri, mid)
+    return float(vals @ np.sum(form[tri] * delta, axis=1))
+
+
+def wedge(mesh, scalar, form, triangles=None):
+    """Integral of d(scalar) wedge form: sum_T area_T (v_x q - v_y p)."""
+    g = p1_gradient(mesh, scalar)
+    dens = mesh.areas * (g[:, 0] * form[:, 1] - g[:, 1] * form[:, 0])
+    return float(dens.sum() if triangles is None else dens[triangles].sum())
+
+
+def loop_vertex_circulation(mesh, form, vertex):
+    """Circulation around one vertex, one incident triangle at a time."""
+    total = 0.0
+    pts = mesh.vertices
+    for tri in np.flatnonzero(np.any(mesh.triangles == vertex, axis=1)):
+        corners = mesh.triangles[tri]
+        i = int(np.where(corners == vertex)[0][0])
+        j = corners[(i + 1) % 3]
+        k = corners[(i + 2) % 3]
+        total += float(form[tri] @ (0.5 * (pts[k] - pts[j])))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +117,10 @@ def test_rotational_circulation_is_two_thirds_star_area(square4):
     form = rotational_form(square4)
     center = int(np.argmin(
         np.linalg.norm(square4.vertices - [0.5, 0.5], axis=1)))
-    star = square4.vertex_triangles[center]
-    assert len(star) == 6
+    star = np.any(square4.triangles == center, axis=1)
+    assert np.count_nonzero(star) == 6
     expected = (2.0 / 3.0) * square4.areas[star].sum()
-    got = vertex_circulation(square4, form, center)
+    got = circulations(square4, form)[center]
     assert got == pytest.approx(expected, rel=1e-13)
     assert got == pytest.approx(0.125, rel=1e-13)
 
@@ -105,16 +129,9 @@ def test_rotational_circulation_on_unstructured_star(annulus_coarse):
     form = rotational_form(annulus_coarse)
     circ = circulations(annulus_coarse, form)
     for v in annulus_coarse.interior_vertices[::11]:
-        star = annulus_coarse.vertex_triangles[int(v)]
+        star = np.any(annulus_coarse.triangles == v, axis=1)
         expected = (2.0 / 3.0) * annulus_coarse.areas[star].sum()
         assert circ[int(v)] == pytest.approx(expected, rel=1e-12)
-
-
-def test_vertex_circulation_boundary_rejected(square4):
-    form = rotational_form(square4)
-    boundary = int(np.nonzero(square4.vertex_class != INTERIOR)[0][0])
-    with pytest.raises(ValueError, match="not interior"):
-        vertex_circulation(square4, form, boundary)
 
 
 def test_vertex_circulation_agrees_with_bulk(square4):
@@ -122,7 +139,7 @@ def test_vertex_circulation_agrees_with_bulk(square4):
     form = rng.standard_normal((square4.triangle_count, 2))
     circ = circulations(square4, form)
     for v in square4.interior_vertices:
-        assert vertex_circulation(square4, form, int(v)) == pytest.approx(
+        assert loop_vertex_circulation(square4, form, int(v)) == pytest.approx(
             circ[int(v)], rel=1e-13)
 
 
@@ -185,7 +202,7 @@ def test_catenoid_flux_through_circle():
 
 
 # ---------------------------------------------------------------------------
-# weighted and norm line integrals
+# weighted and norm line integrals over the pieces
 
 
 def test_weighted_line_integral_unit_weight(square4):
@@ -228,17 +245,10 @@ def test_norm_bounds_line_integral(square4):
 # clipping
 
 
-def test_polyline_outside_without_clip_raises(square4):
-    form = np.tile([0.0, 1.0], (square4.triangle_count, 1))
-    pts = np.array([[0.5, 0.5], [1.5, 0.5]])
-    with pytest.raises(ValueError, match="leaves the mesh"):
-        norm_line_integral(square4, form, pts)
-
-
 def test_clip_keeps_inside_portion(square4):
     form = np.tile([0.0, 1.0], (square4.triangle_count, 1))
     pts = np.array([[0.5, 0.5], [1.5, 0.5]])
-    assert norm_line_integral(square4, form, pts, clip=True) == pytest.approx(
+    assert norm_line_integral(square4, form, pts) == pytest.approx(
         0.5, rel=1e-12)
 
 
@@ -246,15 +256,8 @@ def test_clip_to_triangle_subset(square4):
     form = np.tile([0.0, 1.0], (square4.triangle_count, 1))
     pts = np.array([[0.5, 0.1], [0.5, 0.9]])
     lower = np.nonzero(square4.centroids[:, 1] < 0.5)[0]
-    got = norm_line_integral(square4, form, pts, clip=True, triangles=lower)
+    got = norm_line_integral(square4, form, pts, triangles=lower)
     assert got == pytest.approx(0.4, rel=1e-12)
-
-
-def test_subset_without_clip_rejected(square4):
-    form = np.tile([0.0, 1.0], (square4.triangle_count, 1))
-    pts = np.array([[0.5, 0.1], [0.5, 0.9]])
-    with pytest.raises(ValueError, match="clip"):
-        norm_line_integral(square4, form, pts, triangles=[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -285,53 +288,7 @@ def test_circle_polyline_validation():
 
 
 # ---------------------------------------------------------------------------
-# area integrals and wedges
-
-
-def test_norm_sq_area_integral_constant():
-    mesh = build_rectangle(2.0, 1.0, 0.25)
-    form = np.tile([0.0, 0.75], (mesh.triangle_count, 1))
-    assert norm_sq_area_integral(mesh, form) == pytest.approx(
-        0.5625 * 2.0, rel=1e-13)
-    assert norm_sq_area_integral(mesh, form, triangles=[]) == 0.0
-
-
-def test_norm_sq_area_integral_additive(square4):
-    rng = np.random.default_rng(3)
-    form = rng.standard_normal((square4.triangle_count, 2))
-    for _ in range(50):
-        pick = rng.random(square4.triangle_count) < 0.5
-        part = np.nonzero(pick)[0]
-        rest = np.nonzero(~pick)[0]
-        total = (norm_sq_area_integral(square4, form, part)
-                 + norm_sq_area_integral(square4, form, rest))
-        assert total == pytest.approx(
-            norm_sq_area_integral(square4, form), rel=1e-12)
-
-
-def test_wedge_with_constant_scalar_vanishes(square4):
-    rng = np.random.default_rng(17)
-    form = rng.standard_normal((square4.triangle_count, 2))
-    assert wedge_integral(square4, np.full(square4.vertex_count, 3.7), form) == 0.0
-
-
-def test_wedge_linear_scalar_constant_form(square4):
-    form = np.tile([0.0, 0.45], (square4.triangle_count, 1))
-    scalar = square4.vertices[:, 0].copy()
-    assert wedge_integral(square4, scalar, form) == pytest.approx(0.45, rel=1e-13)
-
-
-def test_wedge_subset_additivity(square4):
-    rng = np.random.default_rng(29)
-    form = rng.standard_normal((square4.triangle_count, 2))
-    scalar = rng.standard_normal(square4.vertex_count)
-    pick = rng.random(square4.triangle_count) < 0.4
-    part = np.nonzero(pick)[0]
-    rest = np.nonzero(~pick)[0]
-    total = (wedge_integral(square4, scalar, form, part)
-             + wedge_integral(square4, scalar, form, rest))
-    assert total == pytest.approx(wedge_integral(square4, scalar, form),
-                                  rel=1e-12)
+# wedges
 
 
 def test_wedge_coercivity_on_solved_pair(solved_pair):
@@ -353,24 +310,13 @@ def test_wedge_coercivity_on_solved_pair(solved_pair):
     for _ in range(8):
         subsets.append(np.nonzero(rng.random(mesh.triangle_count) < 0.5)[0])
     for sub in subsets:
-        lhs = wedge_integral(mesh, diff, diff_form, sub)
-        rhs = norm_sq_area_integral(mesh, diff_form, sub)
+        lhs = wedge(mesh, diff, diff_form, sub)
+        rhs = float(mesh.areas[sub] @ np.sum(diff_form[sub] ** 2, axis=1))
         assert lhs >= c * rhs - 1e-15
 
 
 # ---------------------------------------------------------------------------
-# discrete Stokes relations
-
-
-def test_single_triangle_green_identity(square16):
-    rng = np.random.default_rng(41)
-    form = rng.standard_normal((square16.triangle_count, 2))
-    scalar = rng.standard_normal(square16.vertex_count)
-    for t in (0, 17, 100, square16.triangle_count - 1):
-        sub = np.array([t])
-        lhs = subset_boundary_integral(square16, scalar, form, sub)
-        rhs = wedge_integral(square16, scalar, form, sub)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
+# summation by parts
 
 
 def test_summation_by_parts(square4):
@@ -380,12 +326,9 @@ def test_summation_by_parts(square4):
     form = rng.standard_normal((square4.triangle_count, 2))
     scalar = rng.standard_normal(square4.vertex_count)
     scalar[square4.vertex_class != INTERIOR] = 0.0
-    lhs = wedge_integral(square4, scalar, form)
+    lhs = wedge(square4, scalar, form)
     rhs = -float(np.sum(scalar * circulations(square4, form)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    bdry = subset_boundary_integral(
-        square4, scalar, form, np.arange(square4.triangle_count))
-    assert bdry == 0.0
 
 
 def test_wedge_bound_for_near_closed_form(solved_pair):
@@ -397,7 +340,7 @@ def test_wedge_bound_for_near_closed_form(solved_pair):
     scalar = rng.standard_normal(mesh.vertex_count)
     scalar[mesh.vertex_class != INTERIOR] = 0.0
     bound = max_interior_circulation(mesh, form) * np.abs(scalar).sum()
-    assert abs(wedge_integral(mesh, scalar, form)) <= bound + 1e-15
+    assert abs(wedge(mesh, scalar, form)) <= bound + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -432,35 +375,11 @@ def test_integrate_potential_tolerance_gate(square4):
 
 
 # ---------------------------------------------------------------------------
-# files
-
-
-def test_form_round_trip(square4, tmp_path):
-    rng = np.random.default_rng(53)
-    form = rng.standard_normal((square4.triangle_count, 2))
-    path = tmp_path / "alpha.csv"
-    save_form(square4, form, path)
-    assert path.read_text().splitlines()[0] == FORM_HEADER
-    np.testing.assert_array_equal(load_form(square4, path), form)
-
-
-def test_form_header_checked(square4, tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n0,1.0,2.0\n")
-    with pytest.raises(ValueError, match="header"):
-        load_form(square4, path)
-
-
-def test_polyline_round_trip(tmp_path):
-    loop = circle_polyline(2.0, 0.3)
-    path = tmp_path / "loop.csv"
-    save_polyline(loop, path)
-    assert path.read_text().splitlines()[0] == POLYLINE_HEADER
-    np.testing.assert_array_equal(load_polyline(path), loop)
+# counters
 
 
 def test_circle_piece_count_is_pinned():
     # a counter, not a timing: an algorithmic change to clipping moves it
     mesh = build_annulus(1.0, 4.0, 0.1)
-    tri, _, _ = polyline_pieces(mesh, circle_polyline(2.5, 0.05), clip=True)
+    tri, _, _ = polyline_pieces(mesh, circle_polyline(2.5, 0.05))
     assert len(tri) == 1315

@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxsurf import (
+    SolverConfig,
     SpacelikeError,
-    SpacelikePoint,
     area_density,
+    build_rectangle,
     coercivity_constants,
+    energy,
     flux_coeffs,
     flux_gap_sq,
     flux_monotonicity,
     minkowski_inner,
     normal_gap_sq,
     normalized_gradient,
+    residual,
     sample_coercivity,
+    tangent_matrix,
     unit_normal,
 )
 
@@ -63,10 +67,39 @@ def test_area_density_rejects_lightlike():
     assert err.value.norm == pytest.approx(1.0)
 
 
-def test_spacelike_guard_boundary():
+def at_gradient(fn):
+    # one gradient (|g|, 0)
+    return lambda norm: fn(np.array([norm, 0.0]))
+
+
+def at_slope(fn):
+    # the field |g| x on a grid: every triangle gradient is (|g|, 0)
+    def call(norm):
+        mesh = build_rectangle(1.0, 1.0, 0.25)
+        return fn(mesh, norm * mesh.vertices[:, 0], SolverConfig())
+    return call
+
+
+# pointwise algebra: margin LIGHTLIKE_GUARD = 1e-14; the solver: margin
+# SIGMA_MIN = 1e-8, which keeps Newton iterates off the light cone
+GUARD_CASES = [
+    (area_density, at_gradient, 5e-15, 1e-13),
+    (flux_coeffs, at_gradient, 5e-15, 1e-13),
+    (normalized_gradient, at_gradient, 5e-15, 1e-13),
+    (unit_normal, at_gradient, 5e-15, 1e-13),
+    (residual, at_slope, 1e-9, 1e-7),
+    (energy, at_slope, 1e-9, 1e-7),
+    (tangent_matrix, at_slope, 1e-9, 1e-7),
+]
+
+
+@pytest.mark.parametrize("fn, at, raise_gap, accept_gap", GUARD_CASES,
+                         ids=[case[0].__name__ for case in GUARD_CASES])
+def test_spacelike_guard_boundary(fn, at, raise_gap, accept_gap):
+    call = at(fn)
     with pytest.raises(SpacelikeError):
-        area_density(np.array([1.0 - 5e-15, 0.0]))
-    assert area_density(np.array([1.0 - 1e-13, 0.0])) > 0.0
+        call(1.0 - raise_gap)
+    call(1.0 - accept_gap)  # does not raise
 
 
 def test_flux_coeffs_values():
@@ -110,11 +143,14 @@ def test_unit_normal_is_timelike_unit():
 
 
 def test_spacelike_point_consistency():
-    pt = SpacelikePoint.from_gradient(G1)
-    assert 0.0 < pt.w <= 1.0
-    assert pt.w == pytest.approx(0.8, rel=1e-14)
-    np.testing.assert_allclose(pt.x, [0.75, 0.0], rtol=1e-14)
-    assert 1.0 / pt.w == pytest.approx(math.sqrt(1.0 + pt.x @ pt.x), rel=1e-12)
+    w = float(area_density(G1))
+    x = normalized_gradient(G1)
+    n = unit_normal(G1)
+    assert 0.0 < w <= 1.0
+    assert w == pytest.approx(0.8, rel=1e-14)
+    np.testing.assert_allclose(x, [0.75, 0.0], rtol=1e-14)
+    assert 1.0 / w == pytest.approx(math.sqrt(1.0 + x @ x), rel=1e-12)
+    assert minkowski_inner(n, n) == pytest.approx(-1.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

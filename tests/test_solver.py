@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +24,8 @@ from maxsurf import (
 )
 from maxsurf import solver as solver_module
 from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
-                            FORCING_MAX, JACOBI_WEIGHT, _forcing_term,
-                            _harmonic_extension, _VCycle)
+                            FORCING_MAX, JACOBI_WEIGHT, LINEAR_TOL,
+                            _forcing_term, _harmonic_extension, _VCycle)
 
 from conftest import affine_field, jittered, spacelike_field
 
@@ -58,12 +60,11 @@ def cotan_laplacian(mesh):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(metric="hyperbolic")
-    with pytest.raises(ValueError):
-        SolverConfig(residual_tol=0.0)
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="residual_tol"):
+            SolverConfig(residual_tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +270,10 @@ def test_vcycle_is_symmetric_positive_definite(mesh, metric, seed):
 @settings(max_examples=15, deadline=None)
 @given(mesh=multilevel_meshes(), seed=st.integers(0, 2**32 - 1))
 def test_harmonic_extension_matches_sliced_jacobi_cg(mesh, seed):
-    config = SolverConfig(metric="euclid", linear_tol=1e-14)
+    config = SolverConfig(metric="euclid")
     bc = np.random.default_rng(seed).standard_normal(mesh.vertex_count)
-    got = _harmonic_extension(mesh, bc, config)
+    with mock.patch.object(solver_module, "LINEAR_TOL", 1e-14):
+        got = _harmonic_extension(mesh, bc, config)
     k = tangent_matrix(mesh, np.zeros(mesh.vertex_count), config, full=True)
     free, fixed = mesh.interior_vertices, mesh.constrained_vertices
     ref = cg_solve(k[free][:, free], -k[free][:, fixed] @ bc[fixed], 1e-14)
@@ -335,14 +337,15 @@ def test_newton_forcing_terms_lie_between_linear_tol_and_half(case, monkeypatch)
     assert report.converged
     # the harmonic extension, then one system per Newton step
     assert len(tolerances) == report.iterations + 1
-    assert tolerances[0] == config.linear_tol
+    assert tolerances[0] == LINEAR_TOL
     forcing = tolerances[1:]
     assert forcing[0] == FORCING_MAX == 0.5
-    assert all(config.linear_tol <= eta <= 0.5 for eta in forcing)
+    assert all(LINEAR_TOL <= eta <= 0.5 for eta in forcing)
 
 
 def test_forcing_term_choice_two_with_safeguard_and_floors():
-    config = SolverConfig(residual_tol=1e-10, linear_tol=1e-12)
+    config = SolverConfig(residual_tol=1e-10)
+    assert LINEAR_TOL == 1e-12
     assert _forcing_term(1.0, None, 0.01, config) == FORCING_MAX
     # fast decrease: gamma (res / previous)^2
     assert _forcing_term(1e-3, 1e-1, 0.01, config) == \
@@ -352,10 +355,10 @@ def test_forcing_term_choice_two_with_safeguard_and_floors():
         pytest.approx(FORCING_GAMMA * 0.25, rel=1e-15)
     # slow decrease is capped at FORCING_MAX
     assert _forcing_term(1.0, 1.0, 0.5, config) == FORCING_MAX
-    # never solve past the nonlinear tolerance, never below linear_tol
+    # never solve past the nonlinear tolerance, never below LINEAR_TOL
     assert _forcing_term(4e-10, 1e-6, 0.01, config) == \
         pytest.approx(0.125, rel=1e-15)
-    assert _forcing_term(1e3, 1e9, 0.01, config) == config.linear_tol
+    assert _forcing_term(1e3, 1e9, 0.01, config) == LINEAR_TOL
 
 
 def exact_newton(mesh, bc, config):

@@ -21,10 +21,7 @@ from maxsurf import (
     flux_form,
     flux_scan,
     gradient_margin,
-    inner_region,
-    intrinsic_distance,
     level_region,
-    norm_sq_area_integral,
     perturbation_decay,
     radial_grid,
     riccati_comparison,
@@ -111,7 +108,8 @@ def test_level_region_empty_for_corner_spike(square4):
 
 def test_level_region_sits_in_deep_interior():
     # a pair sharing true-boundary data differs only near the artificial
-    # ring, so the region stays deeper than delta from the true boundary
+    # ring, so the region stays deeper than delta from the true boundary,
+    # the inner ring r = 1
     mesh = build_annulus(1.0, 4.0, 0.2, artificial_rings=("outer",))
     ends = mesh.vertex_class == ARTIFICIAL
     bc1 = np.zeros(mesh.vertex_count)
@@ -121,9 +119,9 @@ def test_level_region_sits_in_deep_interior():
     assert rep0.converged and rep1.converged
     region = level_region(mesh, v, vp)
     assert not region.empty
-    deep = inner_region(mesh, intrinsic_distance(mesh), region.delta)
     members = np.unique(mesh.triangles[region.triangles])
-    assert np.isin(members, deep).all()
+    depth = np.linalg.norm(mesh.vertices[members], axis=1) - 1.0
+    assert depth.min() > region.delta
     # restricting to the region cannot shrink the measured margin
     whole = min(gradient_margin(mesh, v), gradient_margin(mesh, vp))
     assert region.eps_hat >= whole
@@ -168,8 +166,9 @@ def test_radial_grid_validation(square4, annulus_coarse):
     with pytest.raises(ValueError, match="empty"):
         radial_grid(square4, empty)
     _, _, region = annulus_region(annulus_coarse)
-    with pytest.raises(ValueError, match="ratio"):
-        radial_grid(annulus_coarse, region, ratio=1.0)
+    for bad in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ratio"):
+            radial_grid(annulus_coarse, region, ratio=bad)
 
 
 def test_radial_grid_rejects_origin():
@@ -218,7 +217,8 @@ def test_flux_scan_energy_matches_area_integral(annulus_coarse):
     rad = np.linalg.norm(annulus_coarse.centroids[region.triangles], axis=1)
     for k, r in enumerate(grid):
         inside = region.triangles[rad <= r + 1e-12]
-        direct = norm_sq_area_integral(annulus_coarse, alpha, inside)
+        direct = float(annulus_coarse.areas[inside]
+                       @ np.sum(alpha[inside] ** 2, axis=1))
         assert scan.energy[k] == pytest.approx(direct, rel=1e-12)
 
 
@@ -248,8 +248,9 @@ def test_flux_scan_validation(square4, annulus_coarse):
     for bad in ([], [1.5, 1.5], [-1.0, 1.5]):
         with pytest.raises(ValueError, match="radii"):
             flux_scan(annulus_coarse, v, vp, region, bad)
-    with pytest.raises(ValueError, match="seg_len"):
-        flux_scan(annulus_coarse, v, vp, region, [1.5, 1.8], seg_len=0.0)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_rel"):
+            flux_scan(annulus_coarse, v, vp, region, [1.5, 1.8], tol_rel=bad)
     lame = LevelRegion(a=region.a, delta=region.delta,
                        triangles=region.triangles, eps_hat=-0.2,
                        clearance=region.clearance)

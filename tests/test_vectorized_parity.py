@@ -27,6 +27,7 @@ from maxsurf.mesh import _edge_connected
 from maxsurf.forms import (BARY_TOL, PARAM_MERGE_TOL, _bfs_tree, _check_form,
                            max_interior_circulation)
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
+from maxsurf.solver import SIGMA_MIN
 from scipy.sparse import coo_matrix
 
 from conftest import jittered, spacelike_field
@@ -332,7 +333,7 @@ def test_annulus_mesh_text_matches_loop(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def loop_polyline_pieces(mesh, points, clip=False, triangles=None):
+def loop_polyline_pieces(mesh, points, triangles=None):
     """Chunk-at-a-time clipping: one k-d tree query and loop per chunk."""
     pts = np.asarray(points, dtype=float)
     mask = None
@@ -349,7 +350,7 @@ def loop_polyline_pieces(mesh, points, clip=False, triangles=None):
         nchunk = max(1, int(math.ceil(seg_len / chunk_len)))
         cuts = np.linspace(0.0, 1.0, nchunk + 1)
         for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            loop_chunk_pieces(mesh, a + c0 * seg, a + c1 * seg, mask, clip,
+            loop_chunk_pieces(mesh, a + c0 * seg, a + c1 * seg, mask,
                               out_tri, out_delta, out_mid)
     if not out_tri:
         return (np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty((0, 2)))
@@ -357,9 +358,17 @@ def loop_polyline_pieces(mesh, points, clip=False, triangles=None):
             np.asarray(out_delta), np.asarray(out_mid))
 
 
-def loop_chunk_pieces(mesh, p, q, mask, clip, out_tri, out_delta, out_mid):
+def loop_candidates_near(mesh, point, extra):
+    """Sorted triangle indices whose circumball may contain the point."""
+    tree, rmax = mesh._locator
+    idx = tree.query_ball_point(np.asarray(point, float), rmax + extra + 1e-12)
+    return np.sort(np.asarray(idx, dtype=np.int64))
+
+
+def loop_chunk_pieces(mesh, p, q, mask, out_tri, out_delta, out_mid):
     d = q - p
-    cands = mesh.candidates_near(0.5 * (p + q), extra=0.5 * float(np.hypot(*d)))
+    cands = loop_candidates_near(mesh, 0.5 * (p + q),
+                                 extra=0.5 * float(np.hypot(*d)))
     ts = [0.0, 1.0]
     if len(cands):
         corners = mesh.vertices[mesh.triangles[cands]]
@@ -383,9 +392,7 @@ def loop_chunk_pieces(mesh, p, q, mask, clip, out_tri, out_delta, out_mid):
         mid = p + (0.5 * (t0 + t1)) * d
         tri = loop_locate_among(mesh, cands, mid)
         if tri is None:
-            if clip:
-                continue
-            raise ValueError(f"polyline leaves the mesh near {mid}")
+            continue
         if mask is not None and not mask[tri]:
             continue
         out_tri.append(tri)
@@ -518,13 +525,6 @@ def polylines(draw, mesh):
     return np.asarray(pts)
 
 
-def pieces_or_error(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
 def assert_pieces_equal(got, ref):
     for g, r in zip(got, ref):
         assert g.dtype == r.dtype
@@ -538,17 +538,6 @@ def assert_pieces_equal(got, ref):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), mesh=meshes())
-def test_polyline_pieces_match_loop_without_clip(data, mesh):
-    pts = data.draw(polylines(mesh))
-    got, got_err = pieces_or_error(polyline_pieces, mesh, pts)
-    ref, ref_err = pieces_or_error(loop_polyline_pieces, mesh, pts)
-    assert got_err == ref_err
-    if ref is not None:
-        assert_pieces_equal(got, ref)
-
-
-@settings(max_examples=150, deadline=None)
 @given(data=st.data(), mesh=meshes(), subset=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_polyline_pieces_match_loop_with_clip(data, mesh, subset, seed):
@@ -557,8 +546,8 @@ def test_polyline_pieces_match_loop_with_clip(data, mesh, subset, seed):
     if subset:
         rng = np.random.default_rng(seed)
         tris = np.flatnonzero(rng.random(mesh.triangle_count) < 0.5)
-    got = polyline_pieces(mesh, pts, clip=True, triangles=tris)
-    ref = loop_polyline_pieces(mesh, pts, clip=True, triangles=tris)
+    got = polyline_pieces(mesh, pts, triangles=tris)
+    ref = loop_polyline_pieces(mesh, pts, triangles=tris)
     assert_pieces_equal(got, ref)
 
 
@@ -570,7 +559,7 @@ def test_circle_pieces_match_loop(mesh, frac, seg):
     radius = r_in + frac * (r_out - r_in)
     circle = circle_polyline(radius, seg * mesh.h)
     tris = np.arange(0, mesh.triangle_count, 3)
-    for kwargs in ({"clip": True}, {"clip": True, "triangles": tris}):
+    for kwargs in ({}, {"triangles": tris}):
         assert_pieces_equal(polyline_pieces(mesh, circle, **kwargs),
                             loop_polyline_pieces(mesh, circle, **kwargs))
 
@@ -580,10 +569,10 @@ def test_scan_circle_pieces_match_loop():
     tris = np.flatnonzero(np.linalg.norm(mesh.centroids, axis=1) > 2.0)
     for radius in (2.2, 3.1, 3.9):
         circle = circle_polyline(radius, 0.5 * mesh.h)
-        got = polyline_pieces(mesh, circle, clip=True, triangles=tris)
+        got = polyline_pieces(mesh, circle, triangles=tris)
         assert len(got[0]) > 0
         assert_pieces_equal(
-            got, loop_polyline_pieces(mesh, circle, clip=True, triangles=tris))
+            got, loop_polyline_pieces(mesh, circle, triangles=tris))
 
 
 @pytest.mark.parametrize("nchunk", [48, 49, 98, 103])
@@ -596,16 +585,6 @@ def test_long_segment_chunks_match_loop(nchunk):
     got = polyline_pieces(mesh, pts)
     assert len(got[0]) > 2 * nchunk
     assert_pieces_equal(got, loop_polyline_pieces(mesh, pts))
-
-
-def test_polyline_error_names_first_piece_off_the_mesh():
-    mesh = build_rectangle(1.0, 1.0, 0.25)
-    pts = np.array([[0.5, 0.5], [0.5, 1.6], [1.7, 1.7], [0.5, -0.9]])
-    with pytest.raises(ValueError) as got:
-        polyline_pieces(mesh, pts)
-    with pytest.raises(ValueError) as ref:
-        loop_polyline_pieces(mesh, pts)
-    assert str(got.value) == str(ref.value)
 
 
 def test_polyline_rejects_non_finite_point(square4):
@@ -644,7 +623,7 @@ def test_edge_data_matches_sorted_rows(mesh):
 @settings(max_examples=40, deadline=None)
 @given(mesh=meshes())
 def test_locator_radius_matches_norm(mesh):
-    # the clipping references share this radius through candidates_near
+    # the clipping reference shares this radius through loop_candidates_near
     radii = np.linalg.norm(mesh.vertices[mesh.triangles]
                            - mesh.centroids[:, None, :], axis=2).max(axis=1)
     assert mesh._locator[1] == float(radii.max())
@@ -695,7 +674,7 @@ def coo_tangent(mesh, values, config, full=False):
     eye = np.eye(2)
     outer = g[:, :, None] * g[:, None, :]
     if config.metric == "lorentz":
-        assert np.all(norm2 < (1.0 - config.sigma_min) ** 2)
+        assert np.all(norm2 < (1.0 - SIGMA_MIN) ** 2)
         w3 = (1.0 - norm2) ** 1.5
         dmat = (eye[None, :, :] * (1.0 - norm2)[:, None, None] + outer) / w3[:, None, None]
     else:
