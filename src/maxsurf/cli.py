@@ -26,7 +26,7 @@ from .mesh import (ARTIFICIAL, Mesh, build_annulus, build_rectangle,
                    build_strip, load_mesh)
 from .records import record_lines, write_record, write_csv
 from .solver import (NonConvergenceError, SolverConfig, load_field,
-                     save_field, solve)
+                     save_field, save_trace, solve)
 from .uniqueness import (comparison_verdict, flux_scan, level_region,
                          perturbation_decay, radial_grid, riccati_comparison,
                          save_scan)
@@ -176,6 +176,8 @@ def cmd_solve(args) -> int:
                           max_newton=args.max_newton)
     values, report = solve(mesh, bc, config)
     save_field(mesh, values, f"{args.out}_solution.csv")
+    if args.trace:
+        save_trace([report], f"{args.out}_trace.csv")
     _emit(report.record_items(), f"{args.out}_report.txt")
     if not report.converged:
         print(f"not converged: {report.reason}", file=sys.stderr)
@@ -228,6 +230,8 @@ def cmd_uniqueness(args) -> int:
         config = SolverConfig(metric="lorentz", residual_tol=args.tol)
         v, rep0 = solve(mesh, bc0, config)
         vp, rep1 = solve(mesh, bc1, config)
+        if args.trace:
+            save_trace([rep0, rep1], f"{args.out}_trace.csv")
         for tag, rep in (("first", rep0), ("second", rep1)):
             if not rep.converged:
                 print(f"{tag} solve did not converge: {rep.reason}",
@@ -295,6 +299,12 @@ def _add_common(sub) -> None:
     sub.add_argument("--config", help="key=value file spliced in as flags")
 
 
+def _add_trace(sub) -> None:
+    sub.add_argument("--trace", action="store_true",
+                     help="also write one row per Newton step to "
+                          "<out>_trace.csv")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="maxsurf", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -309,6 +319,7 @@ def build_parser() -> _Parser:
                      help="residual tolerance")
     sub.add_argument("--max-newton", type=int, default=50)
     _add_common(sub)
+    _add_trace(sub)
     sub.set_defaults(handler=cmd_solve)
 
     sub = subs.add_parser("lemma",
@@ -349,6 +360,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--tol-rel", type=float, default=0.05,
                      help="relative slack for the inequality flags")
     _add_common(sub)
+    _add_trace(sub)
     sub.set_defaults(handler=cmd_uniqueness)
 
     sub = subs.add_parser("decay",

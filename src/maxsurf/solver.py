@@ -15,11 +15,26 @@ order that gathers diagonal and edge values into it, the free-vertex block
 inside it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
 |grad v| never reaches 1 - SIGMA_MIN.
+
+The hierarchy is lagged across the Newton systems of one solve (Knoll &
+Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
+builds a V-cycle, and later ones keep its smoothed prolongators, Galerkin
+coarse operators and bottom inverse, and swap only the finest level for
+their own matrix and Jacobi weights.  A lagged system that needs more than
+LAG_RATE_FACTOR times the PCG matvecs per decade of residual reduction of
+the system the cycle was built for (decades counted as at least
+LAG_MIN_DECADES) makes the next system build afresh; a cycle without
+coarse levels is rebuilt for every system.  The harmonic extension's
+Laplace cycle is never lagged into Newton.  The linear residual the line
+search computes at the accepted iterate is the next system's right-hand
+side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+import math
+from dataclasses import astuple, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +67,13 @@ COARSE_SIZE = 300         # levels this small are solved densely
 JACOBI_WEIGHT = 4.0 / 3.0  # over the Gershgorin bound of D^-1 A
 COARSE_RCOND = 1e-13      # coarse eigenvalues below this fraction of the largest are dropped
 
+# lagged hierarchy: rebuild after a lagged system this much slower per decade
+LAG_RATE_FACTOR = 2.0
+LAG_MIN_DECADES = 1.0     # looser solves count as one decade
+
+TRACE_HEADER = ("solve,step,residual,forcing,matvecs,achieved,step_length,"
+                "backtracks,cycle,energy")
+
 
 class NonConvergenceError(RuntimeError):
     """Linear solve failed; carries the relative residual that was reached."""
@@ -79,9 +101,36 @@ class SolverConfig:
             raise ValueError("max_newton must be at least 1")
 
 
+@dataclass(frozen=True)
+class NewtonStep:
+    """One accepted Newton iterate and the step that reached it.
+
+    ``residual`` and ``energy`` are the iterate's; ``forcing`` is the
+    relative tolerance its linear system was given and ``achieved`` the
+    relative residual PCG reached in ``matvecs`` products; the line search
+    took ``step_length`` after ``backtracks`` halvings; ``cycle`` says
+    whether the V-cycle was "built" or "lagged".  The initial guess is
+    step 0, reached by no step: nan forcing and achieved, zero counts and
+    cycle "none".
+    """
+
+    residual: float
+    forcing: float
+    matvecs: int
+    achieved: float
+    step_length: float
+    backtracks: int
+    cycle: str
+    energy: float
+
+
 @dataclass
 class SolveReport:
-    """Outcome of one solve; serialized as a flat key=value record."""
+    """Outcome of one solve; serialized as a flat key=value record.
+
+    ``steps`` holds one NewtonStep per accepted iterate, the initial guess
+    first; it is empty when no initial guess was found.
+    """
 
     iterations: int
     residual: float
@@ -89,7 +138,11 @@ class SolveReport:
     energy: float
     converged: bool
     reason: str = ""
-    energy_history: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
+
+    @property
+    def energy_history(self) -> list:
+        return [row.energy for row in self.steps]
 
     def record_items(self):
         return [
@@ -164,7 +217,10 @@ def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray
 
 def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
     """Euclidean residual norm scaled by the total mesh area."""
-    r = residual(mesh, values, config)
+    return _area_norm(mesh, residual(mesh, values, config))
+
+
+def _area_norm(mesh: Mesh, r: np.ndarray) -> float:
     return float(np.linalg.norm(r) / mesh.total_area)
 
 
@@ -396,6 +452,22 @@ class _VCycle:
             n = a.shape[0]
             self.bottom = _csr(scale, np.arange(n), np.arange(n + 1), (n, n))
 
+    def refreshed(self, matrix: csr_matrix | None) -> _VCycle:
+        """This cycle with its finest level on ``matrix`` and its Jacobi weights.
+
+        The smoothed prolongator, the coarser levels and the bottom inverse
+        are kept.  The result is symmetric positive definite for any SPD
+        ``matrix``: its smoother comes from the matrix it is applied to, and
+        the kept coarse correction is SPD.  With ``matrix`` None the copy
+        holds no finest matrix and only serves to be refreshed again.
+        Needs at least one level.
+        """
+        cycle = copy.copy(self)
+        _, _, p, r = self.levels[0]
+        scale = None if matrix is None else _jacobi_scale(matrix)
+        cycle.levels = [(matrix, scale, p, r)] + self.levels[1:]
+        return cycle
+
     def __call__(self, residual: np.ndarray) -> np.ndarray:
         return self._cycle(0, residual)
 
@@ -410,7 +482,8 @@ class _VCycle:
 
 
 def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
-             max_iter: int | None = None, preconditioner=None) -> np.ndarray:
+             max_iter: int | None = None, preconditioner=None,
+             full_output: bool = False):
     """Preconditioned conjugate gradients for an SPD operator.
 
     ``preconditioner`` maps a residual r to z, approximately the operator's
@@ -423,13 +496,15 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
     when ||r|| <= linear_tol * ||b||; raises NonConvergenceError carrying
     the achieved relative residual if the iteration cap is hit, or if
     p.Ap <= 0 or r.z <= 0 reveals an operator or preconditioner that is
-    not positive definite.
+    not positive definite.  Returns the solution x, or with ``full_output``
+    the tuple (x, matvecs, achieved): the operator products used and the
+    relative residual ||r|| / ||b|| reached.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return np.zeros(n)
+        return (np.zeros(n), 0, 0.0) if full_output else np.zeros(n)
     if max_iter is None:
         max_iter = 10 * n + 100
     if preconditioner is None:
@@ -445,7 +520,7 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
-    for _ in range(max_iter):
+    for matvecs in range(1, max_iter + 1):
         if rz <= 0.0:
             raise NonConvergenceError(
                 "preconditioner is not positive definite",
@@ -459,8 +534,9 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= linear_tol * bnorm:
-            return x
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= linear_tol * bnorm:
+            return (x, matvecs, rnorm / bnorm) if full_output else x
         z = preconditioner(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
@@ -509,17 +585,10 @@ def _vcycle(plan: _AssemblyPlan, matrix: csr_matrix) -> _VCycle:
     return vcycle
 
 
-def _newton_direction(mesh: Mesh, values: np.ndarray, config: SolverConfig,
-                      forcing: float):
-    """Inexact Newton step at the free vertices, by multigrid-preconditioned CG.
-
-    The linear residual is brought below ``forcing`` times the nonlinear
-    one.  The matrix and its V-cycle are released on return, before the
-    next step assembles its own.
-    """
-    k = tangent_matrix(mesh, values, config)
-    rhs = -residual(mesh, values, config)
-    return cg_solve(k, rhs, forcing, preconditioner=_vcycle(_plan(mesh), k))
+def _matvec_rate(matvecs: int, achieved: float) -> float:
+    """PCG matvecs per decade of relative residual, at least LAG_MIN_DECADES."""
+    decades = -math.log10(achieved) if achieved > 0.0 else math.inf
+    return matvecs / max(LAG_MIN_DECADES, decades)
 
 
 def _forcing_term(res: float, previous: float | None, eta: float,
@@ -592,7 +661,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     field is returned, so callers can still serialize the outcome.
 
     Each Newton system is solved to the relative tolerance of
-    ``_forcing_term``.  A step is accepted when the candidate stays
+    ``_forcing_term``, with the V-cycle built or lagged as the module
+    docstring describes.  A step is accepted when the candidate stays
     strictly spacelike (Lorentz metric only) and the residual norm
     satisfies the sufficient-decrease test; the step is halved otherwise.
     Convergence is declared only on the area-scaled residual norm,
@@ -604,15 +674,16 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     if len(mesh.interior_vertices) == 0:
         raise ValueError("mesh has no free vertices")
 
-    def report_failure(values, reason, iterations):
+    def report_failure(values, reason, steps=()):
         res = _try_residual_norm(mesh, values, config)
         return values, SolveReport(
-            iterations=iterations,
+            iterations=max(len(steps) - 1, 0),
             residual=res if res is not None else float("nan"),
             margin=1.0 - _max_gradient_norm(mesh, values),
             energy=_try_energy(mesh, values, config),
             converged=False,
             reason=reason,
+            steps=list(steps),
         )
 
     if config.metric == "lorentz":
@@ -623,58 +694,69 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             fallback[mesh.interior_vertices] = float(
                 np.mean(bc[mesh.constrained_vertices])
             )
-            return report_failure(fallback, "no spacelike initial guess", 0)
+            return report_failure(fallback, "no spacelike initial guess")
     else:
         values = _harmonic_extension(mesh, bc, config)
 
     free = mesh.interior_vertices
     limit = 1.0 - SIGMA_MIN
-    history = [energy(mesh, values, config)]
-    res = residual_norm(mesh, values, config)
+    r = residual(mesh, values, config)
+    res = _area_norm(mesh, r)
+    nan = float("nan")
+    steps = [NewtonStep(res, nan, 0, nan, 0.0, 0, "none",
+                        energy(mesh, values, config))]
     previous, eta = None, FORCING_MAX
-    iterations = 0
+    lagged, built_rate = None, 0.0  # cycle the next system refreshes
     while res > config.residual_tol:
-        if iterations >= config.max_newton:
-            _, rep = report_failure(values, "max_newton exceeded", iterations)
-            rep.energy_history = history
-            return values, rep
+        if len(steps) > config.max_newton:
+            return report_failure(values, "max_newton exceeded", steps)
         eta = _forcing_term(res, previous, eta, config)
+        k = tangent_matrix(mesh, values, config)
+        built = lagged is None
+        cycle = _vcycle(_plan(mesh), k) if built else lagged.refreshed(k)
         try:
-            direction = _newton_direction(mesh, values, config, eta)
+            direction, matvecs, achieved = cg_solve(
+                k, -r, eta, preconditioner=cycle, full_output=True)
         except NonConvergenceError as exc:
-            _, rep = report_failure(values, f"linear solve failed: {exc}", iterations)
-            rep.energy_history = history
-            return values, rep
-        step = 1.0
+            return report_failure(values, f"linear solve failed: {exc}", steps)
+        rate = _matvec_rate(matvecs, achieved)
+        if built:
+            built_rate = rate
+        keep = bool(cycle.levels) and (
+            built or rate <= LAG_RATE_FACTOR * built_rate)
+        # the matrix, and a cycle not kept, are freed before the next
+        # system is assembled
+        lagged = cycle.refreshed(None) if keep else None
+        del k, cycle
+        step, backtracks = 1.0, 0
         target = None
         while step >= LINE_SEARCH_FLOOR:
             candidate = values.copy()
             candidate[free] += step * direction
-            if config.metric == "lorentz" and \
-                    _max_gradient_norm(mesh, candidate) >= limit:
-                step *= BACKTRACK_FACTOR
-                continue
-            new_res = residual_norm(mesh, candidate, config)
-            if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
-                target = (candidate, new_res)
-                break
+            if config.metric != "lorentz" or \
+                    _max_gradient_norm(mesh, candidate) < limit:
+                r = residual(mesh, candidate, config)
+                new_res = _area_norm(mesh, r)
+                if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
+                    target = (candidate, new_res)
+                    break
             step *= BACKTRACK_FACTOR
+            backtracks += 1
         if target is None:
-            _, rep = report_failure(values, "line search stagnation", iterations)
-            rep.energy_history = history
-            return values, rep
+            return report_failure(values, "line search stagnation", steps)
         previous = res
         values, res = target
-        iterations += 1
-        history.append(energy(mesh, values, config))
+        steps.append(NewtonStep(res, eta, matvecs, achieved, step, backtracks,
+                                "built" if built else "lagged",
+                                energy(mesh, values, config)))
 
     report = SolveReport(
-        iterations=iterations,
+        iterations=len(steps) - 1,
         residual=res,
         margin=1.0 - _max_gradient_norm(mesh, values),
-        energy=history[-1],
+        energy=steps[-1].energy,
         converged=True,
-        energy_history=history,
+        steps=steps,
     )
     return values, report
 
@@ -724,6 +806,14 @@ def save_field(mesh: Mesh, values: np.ndarray, path) -> None:
         mesh.vertices[:, 1],
         values,
     ])
+
+
+def save_trace(reports, path) -> None:
+    """CSV of the Newton steps of the given solves, numbered from 1 in ``solve``."""
+    rows = [(number, index, *astuple(row))
+            for number, report in enumerate(reports, start=1)
+            for index, row in enumerate(report.steps)]
+    write_csv(path, TRACE_HEADER, [np.array(c) for c in zip(*rows)])
 
 
 def load_field(mesh: Mesh, path) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line behavior: flags, files, exit codes, determinism."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from maxsurf import (
     solve,
 )
 from maxsurf.cli import main
-from maxsurf.records import read_record
+from maxsurf.records import fmt, read_record
+from maxsurf.solver import TRACE_HEADER
 
 
 @pytest.fixture(autouse=True)
@@ -279,6 +281,71 @@ def test_uniqueness_seg_len_is_a_usage_error(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "seg-len" in err
+
+
+# ---------------------------------------------------------------------------
+# --trace
+
+
+def read_trace(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert ",".join(rows[0]) == TRACE_HEADER
+    return rows
+
+
+def check_trace_rows(rows, report):
+    """One row per iterate, the last one's residual and energy the report's."""
+    assert [int(row["step"]) for row in rows] == \
+        list(range(int(report["iterations"]) + 1))
+    assert rows[0]["cycle"] == "none"
+    assert {row["cycle"] for row in rows[1:]} <= {"built", "lagged"}
+    assert rows[-1]["residual"] == report["residual"]
+    assert rows[-1]["energy"] == report["energy"]
+
+
+def test_trace_rows_match_the_final_reports(capsys, tmp_path):
+    assert main(["solve", "--shape", "rect:1x1", "--h", "0.125", "--metric",
+                 "euclid", "--bc", "10*x*y", "--trace", "--out", "s"]) == 0
+    rows = read_trace(tmp_path / "s_trace.csv")
+    report = read_record(tmp_path / "s_report.txt")
+    assert {row["solve"] for row in rows} == {"1"}
+    assert int(report["iterations"]) >= 2
+    check_trace_rows(rows, report)
+
+    # the pair's two solves; the same solves again, in process, for reports
+    assert main(UNIQ_SOLVES + ["--trace", "--out", "u"]) == 0
+    capsys.readouterr()
+    rows = read_trace(tmp_path / "u_trace.csv")
+    mesh = build_annulus(1.0, 4.0, 0.2, artificial_rings=("outer",))
+    bc = np.where(mesh.vertex_class == ARTIFICIAL, -1.0, 0.0)
+    for number, data in (("1", np.zeros(mesh.vertex_count)), ("2", bc)):
+        _, report = solve(mesh, data)
+        check_trace_rows([row for row in rows if row["solve"] == number],
+                         {k: fmt(v) for k, v in report.record_items()})
+
+
+def test_trace_leaves_the_determinism_outputs_unchanged(capsys, tmp_path):
+    # the solve and flux-scan runs of acceptance criterion 10, by the CLI
+    runs = [["solve", "--shape", "rect:1x1", "--h", "0.015625",
+             "--metric", metric, "--bc", "0.5*x-0.3*y+0.2", "--out", metric]
+            for metric in ("lorentz", "euclid")]
+    runs.append(["uniqueness", "--shape", "annulus:1:4", "--h", "0.05",
+                 "--artificial", "outer", "--bc", "0", "--art0", "0",
+                 "--art1", "-1", "--out", "flux"])
+    for sub, extra in (("plain", []), ("traced", ["--trace"])):
+        (tmp_path / sub).mkdir()
+        os.chdir(tmp_path / sub)
+        for argv in runs:
+            assert main(argv + extra) == 0
+    capsys.readouterr()
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    traced = sorted(p.name for p in (tmp_path / "traced").iterdir())
+    assert traced == sorted(plain + ["euclid_trace.csv", "flux_trace.csv",
+                                     "lorentz_trace.csv"])
+    for name in plain:
+        assert ((tmp_path / "traced" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
 
 
 # ---------------------------------------------------------------------------

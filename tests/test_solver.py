@@ -1,8 +1,9 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import diags, identity
 
 from maxsurf import (
@@ -267,6 +268,34 @@ def test_vcycle_is_symmetric_positive_definite(mesh, metric, seed):
     assert z2 @ r2 > 0.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(mesh=multilevel_meshes(), metric=st.sampled_from(["lorentz", "euclid"]),
+       built_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_refreshed_vcycle_is_spd_and_matches_jacobi_cg(mesh, metric,
+                                                        built_seed, seed):
+    # coarse levels from one field's Newton matrix, the finest from another's
+    vcycle = _VCycle(newton_matrix(mesh, metric, built_seed))
+    assume(vcycle.levels)
+    k = newton_matrix(mesh, metric, seed)
+    # as solve keeps it between systems: without the finest matrix
+    kept = vcycle.refreshed(None)
+    assert kept.levels[0][:2] == (None, None)
+    lagged = kept.refreshed(k)
+    assert lagged.levels[0][0] is k
+    assert lagged.levels[1:] == vcycle.levels[1:]
+    assert lagged.bottom is vcycle.bottom
+    rng = np.random.default_rng(seed)
+    r1, r2, rhs = rng.standard_normal((3, k.shape[0]))
+    z1, z2 = lagged(r1), lagged(r2)
+    scale = np.linalg.norm(z1) * np.linalg.norm(r2)
+    assert abs(z1 @ r2 - r1 @ z2) <= 1e-12 * scale
+    assert z1 @ r1 > 0.0
+    assert z2 @ r2 > 0.0
+    ref = cg_solve(k, rhs, 1e-14)
+    got = cg_solve(k, rhs, 1e-14, preconditioner=lagged)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 @settings(max_examples=15, deadline=None)
 @given(mesh=multilevel_meshes(), seed=st.integers(0, 2**32 - 1))
 def test_harmonic_extension_matches_sliced_jacobi_cg(mesh, seed):
@@ -308,7 +337,93 @@ def test_multilevel_matvec_count_is_pinned(monkeypatch):
     assert report.converged
     assert report.iterations == 5
     # outer PCG matvecs: the harmonic extension, then each inexact Newton step
-    assert [c.matvecs for c in counted] == [17, 2, 2, 5, 10, 1]
+    assert [c.matvecs for c in counted] == [17, 2, 2, 5, 11, 2]
+    assert [row.matvecs for row in report.steps[1:]] == [2, 2, 5, 11, 2]
+    assert [row.cycle for row in report.steps] == \
+        ["none", "built", "lagged", "lagged", "lagged", "lagged"]
+
+
+def newton_matvecs(mesh, bc):
+    _, report = solve(mesh, bc, EUCLID)
+    assert report.converged
+    return sum(row.matvecs for row in report.steps)
+
+
+@pytest.mark.parametrize("data, lag_only_fails", [
+    (lambda x, y: 10.0 * x * y, False),
+    (lambda x, y: 2.0 * np.sin(6.0 * x) * np.cosh(2.0 * y), True),
+], ids=["10xy", "sin-cosh"])
+def test_rebuild_trigger_keeps_lagging_near_rebuilding(data, lag_only_fails,
+                                                        monkeypatch):
+    # steep Euclidean data, where the Newton matrices drift far from the
+    # one the cycle was built on
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 64)
+    bc = data(*mesh.vertices.T)
+    triggered = newton_matvecs(mesh, bc)
+    refreshed = _VCycle.refreshed
+
+    def rebuild(cycle, k):
+        # a full build on the same aggregates wherever a refresh would be
+        return refreshed(cycle, k) if k is None else _VCycle(k, cycle.tentatives)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_VCycle, "refreshed", rebuild)
+        rebuilt = newton_matvecs(mesh, bc)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "LAG_RATE_FACTOR", math.inf)
+        lag_only = newton_matvecs(mesh, bc)
+    assert triggered <= 1.5 * rebuilt
+    if lag_only_fails:
+        assert lag_only > 3.0 * rebuilt
+
+
+def test_cycle_without_coarse_levels_is_built_for_every_system():
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 16)
+    assert len(mesh.interior_vertices) <= COARSE_SIZE
+    x, y = mesh.vertices.T
+    _, report = solve(mesh, 10.0 * x * y, EUCLID)
+    assert report.converged
+    assert report.iterations >= 3
+    assert [row.cycle for row in report.steps[1:]] == \
+        ["built"] * report.iterations
+
+
+def test_line_search_residual_is_the_next_right_hand_side(monkeypatch):
+    calls = []
+    real_residual = solver_module.residual
+
+    def counting_residual(*args):
+        calls.append(1)
+        return real_residual(*args)
+
+    monkeypatch.setattr(solver_module, "residual", counting_residual)
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
+    x, y = mesh.vertices.T
+    v, report = solve(mesh, 10.0 * x * y, EUCLID)
+    assert report.converged
+    # the initial guess, then every line-search candidate
+    candidates = sum(1 + row.backtracks for row in report.steps[1:])
+    assert len(calls) == 1 + candidates
+    assert report.residual == residual_norm(mesh, v, EUCLID)
+    assert report.steps[-1].residual == report.residual
+
+
+def test_cg_full_output_reports_matvecs_and_achieved_residual():
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((30, 30))
+    a = b @ b.T + 30.0 * np.eye(30)
+    rhs = rng.standard_normal(30)
+    counted = CountingOperator(a)
+    x, matvecs, achieved = cg_solve(counted, rhs, 1e-6, full_output=True)
+    # without diagonal(), both runs are unpreconditioned
+    np.testing.assert_array_equal(x, cg_solve(CountingOperator(a), rhs, 1e-6))
+    assert matvecs == counted.matvecs
+    assert achieved <= 1e-6
+    # the recursive residual, which agrees with the true one to round-off
+    true = np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
+    assert achieved == pytest.approx(true, rel=1e-6)
+    x, matvecs, achieved = cg_solve(a, np.zeros(30), 1e-6, full_output=True)
+    assert not x.any() and matvecs == 0 and achieved == 0.0
 
 
 def catenoid_case():
