@@ -18,9 +18,9 @@ from .solver import (NonConvergenceError, SolveReport, SolverConfig,
                      cg_solve, energy, gradient_margin, load_field,
                      p1_gradient, residual, residual_norm, save_field,
                      solve, tangent_matrix)
-from .forms import (ClosednessError, TopologyError, circle_polyline,
-                    circulations, flux_form, integrate_potential,
-                    max_interior_circulation, polyline_pieces)
+from .forms import (ClosednessError, TopologyError, circulations,
+                    flux_form, integrate_potential, max_interior_circulation,
+                    polyline_pieces)
 from .duality import (conjugate_pair_coeffs, maximal_conjugate,
                       minimal_conjugate, return_trip_error, round_trip_error)
 from .uniqueness import (ComparisonVerdict, DecayTable, FluxScan,

@@ -3,24 +3,20 @@
 A form is a (T, 2) array of coefficients (p, q), meaning p dx + q dy on
 each triangle.  The module provides the conserved-flux form of a spacelike
 field, circulation around vertices (the discrete closedness test), the
-split of circle polylines into pieces that each lie in one triangle (on
-which the flux scan integrates forms exactly), and integration of a closed
-form to a vertex potential.
+exact arcs in which origin-centred circles cross the triangles (on which
+the flux scan integrates forms in closed form), and integration of a
+closed form to a vertex potential.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .lorentz import flux_coeffs
-from .mesh import Mesh, barycentric_rows
+from .mesh import Mesh
 from .solver import p1_gradient
 
-BARY_TOL = 1e-9
-PARAM_MERGE_TOL = 1e-12
+ROOT_TOL = 1e-9
 
 
 class TopologyError(ValueError):
@@ -82,141 +78,123 @@ def max_interior_circulation(mesh: Mesh, form) -> float:
 
 
 # ----------------------------------------------------------------------
-# polyline decomposition
+# circle arcs
 # ----------------------------------------------------------------------
 
 
-def polyline_pieces(mesh: Mesh, points, triangles=None):
-    """Split a polyline at triangle boundaries, clipped to the mesh.
+def polyline_pieces(mesh: Mesh, radii, triangles=None):
+    """Exact arcs in which origin-centred circles cross the triangles.
 
-    Every returned piece lies inside a single triangle, so integrals of
-    piecewise-constant forms over the pieces are exact.  Pieces outside the
-    mesh are dropped, and so are pieces outside ``triangles`` when that
-    subset is given.
+    Every arc lies inside a single triangle, so integrals of
+    piecewise-constant forms, and of affine fields against them, have
+    closed forms on the arcs.  Arcs outside the mesh are dropped, and so
+    are arcs outside ``triangles`` when that subset is given.  All radii
+    are handled in one pass over whole arrays.
 
-    Each segment is cut into chunks no longer than h; a chunk is split
-    where it crosses an edge of a triangle near it, and each piece belongs
-    to the lowest-index nearby triangle that contains its midpoint.  All
-    chunks of the polyline are handled in one pass over whole arrays.
+    The routine keeps the name of the polyline clipper it replaced, so
+    that the benchmark's tracer, which hooks ``forms.polyline_pieces``,
+    keeps timing and counting the circle clipping of the flux scan.
 
-    Returns (tri, delta, mid): piece owner indices (K,), piece vectors
-    (K, 2), and piece midpoints (K, 2).
+    A triangle T meets the circle of radius r exactly when r lies in its
+    radius band [r_min(T), r_max(T)].  The circle's crossings of an edge
+    are found once per (edge, radius), in the orientation ``mesh.edges``
+    gives, so the two triangles sharing an edge split their arcs at
+    bit-identical angles.  Each triangle's angles are sorted, the last is
+    wrapped to the first plus 2 pi, and the arcs between consecutive
+    angles whose midpoints lie inside the triangle are kept; a point on a
+    shared edge belongs to the triangle left of the edge's stored
+    direction, so the arcs tile each circle.  A circle tangent to an edge,
+    or through its ends, to within ``ROOT_TOL`` gets a split there too:
+    a split never changes which parts of the circle are kept.  A triangle
+    the circle meets but never crosses holds the whole circle.
+
+    Returns (tri, k, theta0, theta1): owner triangles (A,), radius
+    indices into ``radii`` (A,), and start and end angles (A,), with
+    theta0 < theta1 <= theta0 + 2 pi, counterclockwise.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("polyline must be (N, 2)")
-    if not np.isfinite(pts).all():
-        raise ValueError("polyline has a non-finite point")
-    mask = None
-    if triangles is not None:
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not np.isfinite(radii).all():
+        raise ValueError("radii must be a 1d array of finite values")
+    if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
+        raise ValueError("radii must be positive and strictly increasing")
+    if triangles is None:
+        tris = np.arange(mesh.triangle_count)
+    else:
         mask = np.zeros(mesh.triangle_count, dtype=bool)
         mask[np.asarray(triangles, dtype=np.int64)] = True
+        tris = np.flatnonzero(mask)
 
-    # chunks p -> q of every segment, cut at k/n as np.linspace(0, 1, n + 1)
-    a = pts[:-1]
-    seg = pts[1:] - a
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    keep = seg_len >= 1e-15
-    a, seg = a[keep], seg[keep]
-    nchunk = np.maximum(1, np.ceil(seg_len[keep] / max(mesh.h, 1e-12)))
-    nchunk = nchunk.astype(np.int64)
-    if len(nchunk) == 0:
-        return (np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty((0, 2)))
-    k = _ragged_arange(nchunk)
-    n = np.repeat(nchunk, nchunk)
-    c0 = k * (1.0 / n)
-    c1 = np.where(k + 1 == n, 1.0, (k + 1) * (1.0 / n))
-    a = np.repeat(a, nchunk, axis=0)
-    seg = np.repeat(seg, nchunk, axis=0)
-    p = a + c0[:, None] * seg
-    q = a + c1[:, None] * seg
-    d = q - p
-
-    # candidate triangles near each chunk, sorted by (chunk, triangle)
-    tree, rmax = mesh._locator
-    radius = rmax + 0.5 * np.hypot(d[:, 0], d[:, 1]) + 1e-12
-    lists = tree.query_ball_point(0.5 * (p + q), radius, return_sorted=True)
-    ncand = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    cand = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
-                       count=int(ncand.sum()))
-    cand_chunk = np.repeat(np.arange(len(p)), ncand)
-
-    # chunk parameters where a candidate edge crosses the chunk
-    corners = mesh.vertices[mesh.triangles[cand]]  # (C, 3, 2)
-    dc = d[cand_chunk]
-    pc = p[cand_chunk]
-    ts = [np.zeros(len(p)), np.ones(len(p))]
-    ts_chunk = [np.arange(len(p)), np.arange(len(p))]
+    # radius bands: r_max at a corner, r_min on an edge a + t d, or 0
+    # when the origin lies left of all three edges
+    corners = mesh.triangles[tris]
+    x = [mesh.vertices[corners[:, i], 0] for i in range(3)]
+    y = [mesh.vertices[corners[:, i], 1] for i in range(3)]
+    r_min = np.full(len(tris), np.inf)
+    r_max = np.zeros(len(tris))
+    origin_inside = np.ones(len(tris), dtype=bool)
     for i in range(3):
-        a_pts = corners[:, i]
-        e = corners[:, (i + 1) % 3] - a_pts
-        denom = dc[:, 0] * e[:, 1] - dc[:, 1] * e[:, 0]
-        ok = np.abs(denom) > 1e-15
-        w = a_pts - pc
-        t_par = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0])[ok] / denom[ok]
-        s_par = (w[:, 0] * dc[:, 1] - w[:, 1] * dc[:, 0])[ok] / denom[ok]
-        hit = (s_par >= -1e-12) & (s_par <= 1 + 1e-12) & \
-              (t_par > PARAM_MERGE_TOL) & (t_par < 1 - PARAM_MERGE_TOL)
-        ts.append(t_par[hit])
-        ts_chunk.append(cand_chunk[ok][hit])
-    ts = np.rint(np.concatenate(ts) / PARAM_MERGE_TOL) * PARAM_MERGE_TOL
-    ts_chunk = np.concatenate(ts_chunk)
-    order = np.lexsort((ts, ts_chunk))
-    ts, ts_chunk = ts[order], ts_chunk[order]
-    fresh = np.ones(len(ts), dtype=bool)
-    fresh[1:] = (ts_chunk[1:] != ts_chunk[:-1]) | (ts[1:] != ts[:-1])
-    ts, ts_chunk = ts[fresh], ts_chunk[fresh]
+        ax, ay = x[(i + 1) % 3], y[(i + 1) % 3]
+        dx, dy = x[(i + 2) % 3] - ax, y[(i + 2) % 3] - ay
+        t = np.clip(-(ax * dx + ay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        qx, qy = ax + t * dx, ay + t * dy
+        r_min = np.minimum(r_min, qx * qx + qy * qy)
+        r_max = np.maximum(r_max, x[i] * x[i] + y[i] * y[i])
+        origin_inside &= dy * ax - dx * ay >= 0.0
+    r_min = np.where(origin_inside, 0.0, np.sqrt(r_min))
+    r_max = np.sqrt(r_max)
+    lo = np.searchsorted(radii, r_min, side="left")
+    count = np.searchsorted(radii, r_max, side="right") - lo
+    pair_tri = np.repeat(tris, count)
+    pair_k = np.arange(int(count.sum())) \
+        + np.repeat(lo - (np.cumsum(count) - count), count)
 
-    # pieces between consecutive parameters of a chunk
-    t0, t1 = ts[:-1], ts[1:]
-    piece = (ts_chunk[:-1] == ts_chunk[1:]) & (t1 - t0 > PARAM_MERGE_TOL)
-    t0, t1 = t0[piece], t1[piece]
-    chunk = ts_chunk[:-1][piece]
-    mid = p[chunk] + (0.5 * (t0 + t1))[:, None] * d[chunk]
-    delta = (t1 - t0)[:, None] * d[chunk]
+    # crossing angles of every (edge, radius), nan where there is none
+    nr = len(radii)
+    keys, inverse = np.unique(
+        (mesh.triangle_edges[pair_tri] * nr + pair_k[:, None]).ravel(),
+        return_inverse=True)
+    edge, k = np.divmod(keys, nr)
+    ends = mesh.vertices[mesh.edges[edge]]
+    ea = ends[:, 0]
+    ed = ends[:, 1] - ea
+    r_sq = radii[k] ** 2
+    dd = np.sum(ed * ed, axis=1)
+    t_near = -np.sum(ea * ed, axis=1) / dd
+    near = ea + t_near[:, None] * ed
+    chord_sq = r_sq - np.sum(near * near, axis=1)
+    dt = np.sqrt(np.maximum(chord_sq, 0.0) / dd)
+    t = np.stack([t_near - dt, t_near + dt], axis=1)
+    hit = (chord_sq >= -ROOT_TOL * r_sq)[:, None] \
+        & (t >= -ROOT_TOL) & (t <= 1.0 + ROOT_TOL)
+    pts = ea[:, None, :] + t[..., None] * ed[:, None, :]
+    roots = np.where(hit, np.arctan2(pts[..., 1], pts[..., 0]), np.nan)
+    ang = np.sort(roots[inverse].reshape(len(pair_tri), 6), axis=1)
 
-    # owner: lowest-index candidate of the chunk containing the midpoint
-    per_piece = ncand[chunk]
-    pair_piece = np.repeat(np.arange(len(chunk)), per_piece)
-    pair = np.repeat((np.cumsum(ncand) - ncand)[chunk], per_piece) \
-        + _ragged_arange(per_piece)
-    bary = barycentric_rows(corners[pair], np.repeat(mid, per_piece, axis=0))
-    lowest = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
-    inside = lowest >= -BARY_TOL
-    owner = np.full(len(chunk), mesh.triangle_count, dtype=np.int64)
-    np.minimum.at(owner, pair_piece[inside], cand[pair][inside])
-    located = owner < mesh.triangle_count
-    if mask is not None:
-        located[located] = mask[owner[located]]
-    return owner[located], delta[located], mid[located]
+    # arcs between consecutive angles; no crossing gives (-pi, pi)
+    m = np.count_nonzero(~np.isnan(ang), axis=1)
+    ang[m == 0, 0] = -np.pi
+    m = np.maximum(m, 1)[:, None]
+    col = np.arange(6)
+    wrap = ang[:, :1] + 2.0 * np.pi
+    end = np.where(col == m - 1, wrap,
+                   np.concatenate([ang[:, 1:], wrap], axis=1))
+    row, col = np.nonzero((col < m) & (end > ang))
+    tri, k = pair_tri[row], pair_k[row]
+    theta0, theta1 = ang[row, col], end[row, col]
 
-
-def _ragged_arange(counts) -> np.ndarray:
-    """Concatenated aranges 0..c-1 for each entry c of counts."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
-
-
-def _interp_at(mesh, scalar, tri, points):
-    corners = mesh.triangles[tri]
-    bary = barycentric_rows(mesh.vertices[corners], points)
-    vals = scalar[corners]
-    return (vals[:, 0] * bary[:, 0] + vals[:, 1] * bary[:, 1]
-            + vals[:, 2] * bary[:, 2])
-
-
-def circle_polyline(radius: float, seg_len: float) -> np.ndarray:
-    """Closed inscribed polygon approximating an origin-centered circle.
-
-    Segment length stays at or below ``seg_len``; the last point repeats
-    the first bitwise so the loop closes exactly.
-    """
-    if radius <= 0 or seg_len <= 0:
-        raise ValueError("radius and seg_len must be positive")
-    n = max(8, int(math.ceil(2.0 * math.pi * radius / seg_len)))
-    ang = 2.0 * math.pi * np.arange(n) / n
-    pts = np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
-    return np.vstack([pts, pts[:1]])
+    # midpoint side of each edge, with the edge as stored
+    mid = 0.5 * (theta0 + theta1)
+    mx = radii[k] * np.cos(mid)
+    my = radii[k] * np.sin(mid)
+    tri_edges = mesh.triangle_edges[tri]
+    ends = mesh.vertices[mesh.edges[tri_edges]]
+    ea = ends[:, :, 0]
+    ed = ends[:, :, 1] - ea
+    side = ed[..., 0] * (my[:, None] - ea[..., 1]) \
+        - ed[..., 1] * (mx[:, None] - ea[..., 0])
+    left = mesh.edges[tri_edges, 0] == mesh.triangles[tri][:, [1, 2, 0]]
+    inside = np.where(left, side >= 0.0, side < 0.0).all(axis=1)
+    return tri[inside], k[inside], theta0[inside], theta1[inside]
 
 
 # ----------------------------------------------------------------------

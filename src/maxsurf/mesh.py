@@ -186,20 +186,6 @@ class Mesh:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def _locator(self):
-        """k-d tree over the centroids and the largest centroid-corner distance.
-
-        Every triangle containing a point has its centroid within that
-        distance of the point; ``forms.polyline_pieces`` queries it.
-        """
-        from scipy.spatial import cKDTree
-
-        # largest corner distance from a centroid, one root of the largest square
-        off = self.vertices[self.triangles] - self.centroids[:, None, :]
-        sq = off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1]
-        return cKDTree(self.centroids), float(np.sqrt(sq.max()))
-
     # ------------------------------------------------------------------
 
     def _validate(self):
@@ -247,22 +233,6 @@ def _edge_connected(neighbors) -> bool:
             if np.array_equal(root, label):
                 break
             label = root
-
-
-def barycentric_rows(corners, points) -> np.ndarray:
-    """Barycentric coordinates of points in triangles, row by row.
-
-    ``corners`` is (N, 3, 2); ``points`` is (N, 2), or one point for every
-    row.  Returns (N, 3) with columns (1 - l1 - l2, l1, l2), where l1 and
-    l2 weight corners 1 and 2.
-    """
-    d = np.asarray(points, float) - corners[:, 0]
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-    l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
 
 # ----------------------------------------------------------------------

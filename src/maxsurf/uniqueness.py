@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import forms
-from .forms import flux_form, polyline_pieces, circle_polyline
+from .forms import flux_form, polyline_pieces
 from .lorentz import coercivity_constants
 from .mesh import ARTIFICIAL, Mesh, build_strip
 from .records import write_csv
@@ -182,11 +181,12 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
 
     Checks mu + c_eps*(energy_k - energy_0) <= 2*delta*eta_k at every
     radius, flagging violations beyond the relative tolerance (finite and
-    nonnegative).  Each circle is an inscribed polygon with segments of at
-    most half the mesh size, split at triangle edges.  The anchor
-    mu = c_eps * energy at the first radius must be positive, otherwise the
-    region is too small to support the comparison and a ValueError is
-    raised.  Radii must be strictly increasing.
+    nonnegative).  The circles are cut into exact arcs at triangle edges
+    (``forms.polyline_pieces``); on each arc the difference form is
+    constant and v - v' - a affine, so every line integral is in closed
+    form.  The anchor mu = c_eps * energy at the first radius must be
+    positive, otherwise the region is too small to support the comparison
+    and a ValueError is raised.  Radii must be strictly increasing.
     """
     if region.empty:
         raise ValueError("flux scan needs a nonempty region")
@@ -215,23 +215,8 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     energy = cum_energy[np.searchsorted(cent_rad[order], radii + 1e-12,
                                         side="right")]
 
-    n = len(radii)
-    eta = np.zeros(n)
-    length = np.zeros(n)
-    sq_line = np.zeros(n)
-    level_flux = np.zeros(n)
-    for k, r in enumerate(radii):
-        circle = circle_polyline(float(r), 0.5 * mesh.h)
-        tri, delta_vec, mid = polyline_pieces(mesh, circle, triangles=tris)
-        if len(tri) == 0:
-            continue
-        piece_len = np.linalg.norm(delta_vec, axis=1)
-        norms = np.linalg.norm(alpha[tri], axis=1)
-        eta[k] = float(norms @ piece_len)
-        length[k] = float(piece_len.sum())
-        sq_line[k] = float((norms ** 2) @ piece_len)
-        vals = forms._interp_at(mesh, shifted, tri, mid)
-        level_flux[k] = float(vals @ np.sum(alpha[tri] * delta_vec, axis=1))
+    length, eta, sq_line, level_flux = _circle_sums(mesh, alpha, shifted,
+                                                    radii, tris)
 
     mu = c_eps * float(energy[0])
     if mu <= 0.0:
@@ -247,6 +232,44 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
                     tol_rel=tol_rel, radii=radii, eta=eta, energy=energy,
                     lhs=lhs, rhs=rhs, flags=flags, length=length,
                     sq_line=sq_line, level_flux=level_flux)
+
+
+def _circle_sums(mesh: Mesh, alpha, shifted, radii, triangles):
+    """Line integrals over the circles of the given radii, clipped to the
+    triangles: (length, eta, sq_line, level_flux), one entry per radius.
+
+    On an arc of radius r from t0 to t1 the form alpha is constant and
+    the P1 field is c0 + g.x, so with x = r (cos t, sin t) the arc gives
+    r (t1 - t0) times 1, |alpha| and |alpha|^2, and the integral of
+    (c0 + g.x) alpha.dx is c0 r [a1 cos t + a2 sin t] plus
+    r^2 [(g2 a2 - g1 a1) sin^2(t) / 2 + (g1 a2 - g2 a1) t / 2
+    + (g1 a2 + g2 a1) sin(2t) / 4] between the two angles.  The
+    differences are written as products of sines, which keeps short arcs
+    accurate.
+    """
+    tri, k, t0, t1 = polyline_pieces(mesh, radii, triangles=triangles)
+    n = len(radii)
+    r = radii[k]
+    span = t1 - t0
+    mid = 0.5 * (t0 + t1)
+    a1, a2 = alpha[tri, 0], alpha[tri, 1]
+    sq_norm = a1 * a1 + a2 * a2
+    corner_vals = shifted[mesh.triangles[tri]]
+    g = np.sum(corner_vals[:, :, None] * mesh.basis_gradients[tri], axis=1)
+    g1, g2 = g[:, 0], g[:, 1]
+    c0 = corner_vals[:, 0] - np.sum(
+        g * mesh.vertices[mesh.triangles[tri, 0]], axis=1)
+    affine = 2.0 * c0 * r * np.sin(0.5 * span) * (
+        a2 * np.cos(mid) - a1 * np.sin(mid))
+    linear = 0.5 * r * r * (
+        (g1 * a2 - g2 * a1) * span
+        + np.sin(span) * ((g2 * a2 - g1 * a1) * np.sin(2.0 * mid)
+                          + (g1 * a2 + g2 * a1) * np.cos(2.0 * mid)))
+    arc = r * span
+    return (np.bincount(k, weights=arc, minlength=n),
+            np.bincount(k, weights=np.sqrt(sq_norm) * arc, minlength=n),
+            np.bincount(k, weights=sq_norm * arc, minlength=n),
+            np.bincount(k, weights=affine + linear, minlength=n))
 
 
 def save_scan(scan: FluxScan, path) -> None:

@@ -522,6 +522,33 @@ def test_field_io_and_conjugation_import_no_scipy_sparse(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+UNIQUENESS_PROBE = """
+import sys
+from maxsurf.cli import main
+assert main(["uniqueness", "--shape", "annulus:1:4", "--h", "0.2",
+             "--artificial", "outer", "--bc", "0", "--art0", "0",
+             "--art1", "-1", "--out", "u"]) == 0
+heavy = ("scipy.spatial", "scipy.linalg")
+print(sorted(name for name in sys.modules
+             if any(name == h or name.startswith(h + ".") for h in heavy)))
+"""
+
+
+def test_uniqueness_imports_no_scipy_spatial_or_linalg(tmp_path):
+    # the flux scan's circle arcs need no k-d tree
+    src = str(Path(maxsurf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", UNIQUENESS_PROBE],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    # the verdict record comes first
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "u_scan.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 

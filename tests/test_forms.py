@@ -1,4 +1,6 @@
-"""Discrete 1-forms: circulations, polyline pieces, potentials."""
+"""Discrete 1-forms: circulations, circle arcs, potentials."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ import pytest
 from maxsurf import (
     ClosednessError,
     INTERIOR,
+    Mesh,
     SolverConfig,
     TopologyError,
     build_annulus,
-    circle_polyline,
+    build_rectangle,
     coercivity_constants,
     flux_form,
     integrate_potential,
@@ -19,7 +22,23 @@ from maxsurf import (
     solve,
 )
 from conftest import affine_field
-from maxsurf.forms import _interp_at, circulations, polyline_pieces
+from maxsurf.forms import circulations, polyline_pieces
+from maxsurf.uniqueness import _circle_sums
+
+
+def centred_square(h, dx=0.0):
+    """[-1, 1]^2 triangulated with step h, shifted right by dx."""
+    m = build_rectangle(2.0, 2.0, h)
+    return Mesh(m.vertices - [1.0 - dx, 1.0], m.triangles, m.vertex_class, h)
+
+
+@pytest.fixture(scope="module")
+def square8c():
+    return centred_square(1.0 / 8.0)
+
+
+def upper_half(mesh):
+    return np.flatnonzero(mesh.centroids[:, 1] > 0.0)
 
 
 def rotational_form(mesh):
@@ -32,25 +51,25 @@ def gradient_form(mesh, values):
     return p1_gradient(mesh, values)
 
 
-def line_integral(mesh, form, points, triangles=None):
-    """Integral of the form along the polyline pieces, exact per piece."""
-    tri, delta, _ = polyline_pieces(mesh, points, triangles=triangles)
-    return float(np.sum(form[tri] * delta))
+def line_integral(mesh, form, radius, triangles=None):
+    """Counterclockwise integral of the form along the circle's arcs,
+    exact per arc: the form dotted with the arc's chord."""
+    tri, _, t0, t1 = polyline_pieces(mesh, [radius], triangles=triangles)
+    return float(radius * np.sum(form[tri, 0] * (np.cos(t1) - np.cos(t0))
+                                 + form[tri, 1] * (np.sin(t1) - np.sin(t0))))
 
 
-def norm_line_integral(mesh, form, points, triangles=None):
-    """Arclength integral of |(p, q)|, as the flux scan sums eta."""
-    tri, delta, _ = polyline_pieces(mesh, points, triangles=triangles)
-    return float(np.linalg.norm(form[tri], axis=1)
-                 @ np.linalg.norm(delta, axis=1))
+def norm_line_integral(mesh, form, radius, triangles=None):
+    """Arclength integral of |(p, q)| over the circle, as the scan's eta."""
+    tri, _, t0, t1 = polyline_pieces(mesh, [radius], triangles=triangles)
+    return float(np.linalg.norm(form[tri], axis=1) @ (radius * (t1 - t0)))
 
 
-def weighted_line_integral(mesh, scalar, form, points):
-    """Integral of scalar * form with the P1 scalar at piece midpoints, as
-    the flux scan sums level_flux; exact for P1 scalars."""
-    tri, delta, mid = polyline_pieces(mesh, points)
-    vals = _interp_at(mesh, scalar, tri, mid)
-    return float(vals @ np.sum(form[tri] * delta, axis=1))
+def weighted_line_integral(mesh, scalar, form, radius, triangles=None):
+    """Integral of the P1 scalar times the form, as the scan's level_flux."""
+    tris = np.arange(mesh.triangle_count) if triangles is None else triangles
+    return float(_circle_sums(mesh, form, scalar, np.array([radius]),
+                              tris)[3][0])
 
 
 def wedge(mesh, scalar, form, triangles=None):
@@ -150,44 +169,100 @@ def test_gradient_form_is_closed(square16):
 
 
 # ---------------------------------------------------------------------------
-# line integrals
+# line integrals over circle arcs
 
 
-def test_line_integral_constant_form(square4):
-    form = np.tile([0.3, -0.2], (square4.triangle_count, 1))
-    pts = np.array([[0.1, 0.2], [0.7, 0.9]])
-    expected = 0.3 * 0.6 + (-0.2) * 0.7
-    assert line_integral(square4, form, pts) == pytest.approx(expected, rel=1e-13)
+def test_line_integral_constant_form(square8c):
+    form = np.tile([0.3, -0.2], (square8c.triangle_count, 1))
+    # the upper semicircle runs from (r, 0) to (-r, 0)
+    got = line_integral(square8c, form, 0.6, triangles=upper_half(square8c))
+    assert got == pytest.approx(0.3 * -1.2, rel=1e-13)
+    assert abs(line_integral(square8c, form, 0.6)) < 1e-14
 
 
-def test_line_integral_of_gradient_telescopes(square16):
-    # For df the integral depends only on the endpoints.
-    f = affine_field(square16, 0.4, -0.7, 0.2)
-    form = gradient_form(square16, f)
-    pts = np.array([[0.125, 0.25], [0.8, 0.3], [0.4, 0.9], [0.6, 0.1]])
-    expected = (0.4 * (0.6 - 0.125) + (-0.7) * (0.1 - 0.25))
-    assert line_integral(square16, form, pts) == pytest.approx(expected, rel=1e-12)
+def test_line_integral_of_gradient_telescopes(square8c):
+    # for df the integral depends only on the endpoints
+    f = affine_field(square8c, 0.4, -0.7, 0.2)
+    form = gradient_form(square8c, f)
+    got = line_integral(square8c, form, 0.55, triangles=upper_half(square8c))
+    assert got == pytest.approx(0.4 * -1.1, rel=1e-12)
 
 
-def test_line_integral_closed_loop_of_gradient(square16):
-    f = np.cos(square16.vertices[:, 0] * 2.0) * square16.vertices[:, 1]
-    form = gradient_form(square16, f)
-    loop = np.array([[0.2, 0.2], [0.8, 0.3], [0.7, 0.8], [0.25, 0.7],
-                     [0.2, 0.2]])
-    assert abs(line_integral(square16, form, loop)) < 1e-12
+def test_line_integral_closed_loop_of_gradient():
+    # a P1 field is affine on each arc's triangle and continuous across
+    # edges, so its differential sums to zero around any circle
+    mesh = centred_square(1.0 / 16.0)
+    f = np.cos(mesh.vertices[:, 0] * 2.0) * mesh.vertices[:, 1]
+    form = gradient_form(mesh, f)
+    for radius in (0.3, 0.5, 0.77):
+        assert abs(line_integral(mesh, form, radius)) < 1e-13
 
 
-def test_polyline_pieces_partition_segment(square4):
-    pts = np.array([[0.05, 0.1], [0.9, 0.85]])
-    tri, delta, mid = polyline_pieces(square4, pts)
-    np.testing.assert_allclose(delta.sum(axis=0), pts[1] - pts[0], atol=1e-12)
-    # every midpoint must lie in its assigned triangle
-    for t, m in zip(tri, mid):
-        corners = square4.vertices[square4.triangles[t]]
+def test_polyline_pieces_partition_circle(square8c):
+    # consecutive arcs meet at bit-identical angles and every arc's
+    # midpoint lies in the triangle that owns it
+    radius = 0.6
+    tri, k, t0, t1 = polyline_pieces(square8c, [radius])
+    assert np.all(k == 0)
+    assert np.all(t1 > t0)
+    order = np.argsort(t0)
+    t0, t1, tri = t0[order], t1[order], tri[order]
+    np.testing.assert_array_equal(t1[:-1], t0[1:])
+    assert t1[-1] == pytest.approx(t0[0] + 2.0 * np.pi, abs=1e-14)
+    mid = 0.5 * (t0 + t1)
+    pts = radius * np.column_stack([np.cos(mid), np.sin(mid)])
+    for t, m in zip(tri, pts):
+        corners = square8c.vertices[square8c.triangles[t]]
         mat = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
         lam = np.linalg.solve(mat, m - corners[0])
-        assert lam[0] >= -1e-9 and lam[1] >= -1e-9
-        assert lam.sum() <= 1.0 + 1e-9
+        assert lam[0] >= -1e-12 and lam[1] >= -1e-12
+        assert lam.sum() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("dx, radii", [
+    # through vertices such as (0.5, 0), (3/8, 1/2) and (1/2, 1/2); the
+    # unit circle touches the boundary at four vertices
+    (0.0, [0.5, 0.625, math.sqrt(0.5), 1.0]),
+    # tangent to the grid lines y = +-1/2 in the middle of an edge
+    (1.0 / 16.0, [0.5]),
+])
+def test_circle_through_vertex_or_tangent_tiles(dx, radii):
+    mesh = centred_square(1.0 / 8.0, dx)
+    radii = np.asarray(radii)
+    tri, k, t0, t1 = polyline_pieces(mesh, radii)
+    length = np.bincount(k, weights=radii[k] * (t1 - t0))
+    np.testing.assert_allclose(length, 2.0 * np.pi * radii, rtol=1e-12)
+
+
+def test_tangent_edge_keeps_the_arc_at_any_rotation():
+    # a kite whose middle edge touches the circle at the point where the
+    # lower triangle's arc has its midpoint; rotated, the touch is decided
+    # by rounding, and the arc must neither vanish nor double
+    r, w, hgt = 0.5, 0.2, 0.3
+    kite = np.array([[-w, r], [0.0, r - hgt], [w, r], [0.0, r + hgt]])
+    # the circle leaves the lower triangle through the sides from (+-w, r)
+    # to (0, r - hgt), at |x| = r
+    t = np.roots([w * w + hgt * hgt, -2.0 * (w * w + r * hgt), w * w])
+    t = float(t[(t > 0.0) & (t < 1.0)][0])
+    expected = 2.0 * r * math.atan2(w * (1.0 - t), r - hgt * t)
+    for phi in np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False):
+        rot = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
+        mesh = Mesh(kite @ rot, [[0, 1, 2], [0, 2, 3]], [1, 1, 1, 1], h=0.4)
+        tri, _, t0, t1 = polyline_pieces(mesh, [r])
+        assert r * np.sum(t1 - t0) == pytest.approx(expected, rel=1e-12)
+        # where rounding makes the circle cut the edge twice, the upper
+        # triangle may own the sliver in between
+        assert np.all((tri == 0) | (t1 - t0 < 1e-6))
+
+
+def test_circle_inside_one_triangle_is_one_arc():
+    mesh = Mesh([[-1.0, -1.0], [2.0, -1.0], [-1.0, 2.0]], [[0, 1, 2]],
+                [1, 1, 1], h=3.0)
+    radii = np.array([0.1, 0.4])
+    tri, k, t0, t1 = polyline_pieces(mesh, radii)
+    np.testing.assert_array_equal(tri, [0, 0])
+    np.testing.assert_array_equal(k, [0, 1])
+    np.testing.assert_array_equal(t1 - t0, [2.0 * np.pi, 2.0 * np.pi])
 
 
 def test_catenoid_flux_through_circle():
@@ -195,50 +270,52 @@ def test_catenoid_flux_through_circle():
     v0 = np.arcsinh(np.linalg.norm(mesh.vertices, axis=1))
     v, report = solve(mesh, v0)
     assert report.converged
-    loop = circle_polyline(1.5, 0.05)
-    flux = line_integral(mesh, flux_form(mesh, v), loop)
-    # exact catenoid carries total flux 2*pi through any concentric circle
-    assert flux == pytest.approx(2.0 * np.pi, rel=0.03)
+    # exact catenoid carries total flux 2*pi through any concentric circle;
+    # midway between two rings of vertices a circle crosses the two halves
+    # of every quad alike, and the closed discrete form carries one flux
+    # there (on a ring the difference between the halves shows: -3% at 1.5)
+    form = flux_form(mesh, v)
+    flux = [line_integral(mesh, form, r) for r in (1.15, 1.55, 1.95)]
+    assert flux[0] == pytest.approx(2.0 * np.pi, rel=2e-3)
+    np.testing.assert_allclose(flux, flux[0], rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# weighted and norm line integrals over the pieces
+# weighted and norm line integrals over the arcs
 
 
-def test_weighted_line_integral_unit_weight(square4):
+def test_weighted_line_integral_unit_weight(square8c):
     rng = np.random.default_rng(11)
-    form = rng.standard_normal((square4.triangle_count, 2))
-    pts = np.array([[0.1, 0.15], [0.85, 0.6], [0.3, 0.9]])
-    ones = np.ones(square4.vertex_count)
-    assert weighted_line_integral(square4, ones, form, pts) == pytest.approx(
-        line_integral(square4, form, pts), rel=1e-13)
+    form = rng.standard_normal((square8c.triangle_count, 2))
+    ones = np.ones(square8c.vertex_count)
+    assert weighted_line_integral(square8c, ones, form, 0.7) == pytest.approx(
+        line_integral(square8c, form, 0.7), rel=1e-13)
     assert weighted_line_integral(
-        square4, np.zeros(square4.vertex_count), form, pts) == 0.0
+        square8c, np.zeros(square8c.vertex_count), form, 0.7) == 0.0
 
 
-def test_weighted_line_integral_linear_weight(square4):
-    # weight x against dx along a horizontal run: integral of x dx
-    form = np.tile([1.0, 0.0], (square4.triangle_count, 1))
-    scalar = square4.vertices[:, 0].copy()
-    pts = np.array([[0.2, 0.3], [0.8, 0.3]])
-    expected = 0.5 * (0.8 ** 2 - 0.2 ** 2)
-    assert weighted_line_integral(square4, scalar, form, pts) == pytest.approx(
-        expected, rel=1e-12)
+def test_weighted_line_integral_linear_weight(square8c):
+    # weight y against dx along the upper semicircle: -pi r^2 / 2
+    form = np.tile([1.0, 0.0], (square8c.triangle_count, 1))
+    scalar = square8c.vertices[:, 1].copy()
+    got = weighted_line_integral(square8c, scalar, form, 0.6,
+                                 triangles=upper_half(square8c))
+    assert got == pytest.approx(-0.5 * np.pi * 0.36, rel=1e-12)
 
 
-def test_norm_line_integral_constant(square4):
-    form = np.tile([0.0, 0.75], (square4.triangle_count, 1))
-    pts = np.array([[0.5, 0.0], [0.5, 1.0]])
-    assert norm_line_integral(square4, form, pts) == pytest.approx(0.75, rel=1e-13)
+def test_norm_line_integral_constant(square8c):
+    form = np.tile([0.0, 0.75], (square8c.triangle_count, 1))
+    for radius in (0.1, 0.6, 0.95):
+        assert norm_line_integral(square8c, form, radius) == pytest.approx(
+            0.75 * 2.0 * np.pi * radius, rel=1e-12)
 
 
-def test_norm_bounds_line_integral(square4):
+def test_norm_bounds_line_integral(square8c):
     rng = np.random.default_rng(23)
-    pts = np.array([[0.1, 0.1], [0.9, 0.2], [0.5, 0.9]])
     for _ in range(100):
-        form = rng.standard_normal((square4.triangle_count, 2))
-        assert abs(line_integral(square4, form, pts)) <= (
-            norm_line_integral(square4, form, pts) + 1e-12)
+        form = rng.standard_normal((square8c.triangle_count, 2))
+        assert abs(line_integral(square8c, form, 0.6)) <= (
+            norm_line_integral(square8c, form, 0.6) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,45 +323,17 @@ def test_norm_bounds_line_integral(square4):
 
 
 def test_clip_keeps_inside_portion(square4):
+    # the unit square holds a quarter of the circle about its corner
     form = np.tile([0.0, 1.0], (square4.triangle_count, 1))
-    pts = np.array([[0.5, 0.5], [1.5, 0.5]])
-    assert norm_line_integral(square4, form, pts) == pytest.approx(
-        0.5, rel=1e-12)
+    assert norm_line_integral(square4, form, 0.5) == pytest.approx(
+        0.25 * np.pi, rel=1e-12)
 
 
-def test_clip_to_triangle_subset(square4):
-    form = np.tile([0.0, 1.0], (square4.triangle_count, 1))
-    pts = np.array([[0.5, 0.1], [0.5, 0.9]])
-    lower = np.nonzero(square4.centroids[:, 1] < 0.5)[0]
-    got = norm_line_integral(square4, form, pts, triangles=lower)
-    assert got == pytest.approx(0.4, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# circles
-
-
-def test_circle_polyline_shape():
-    loop = circle_polyline(1.5, 0.05)
-    assert loop.shape[0] >= 2.0 * np.pi * 1.5 / 0.05
-    assert np.array_equal(loop[0], loop[-1])
-    radii = np.linalg.norm(loop, axis=1)
-    np.testing.assert_allclose(radii, 1.5, rtol=1e-12)
-    chords = np.linalg.norm(np.diff(loop, axis=0), axis=1)
-    assert chords.max() <= 0.05
-
-
-def test_circle_polyline_minimum_resolution():
-    # even a tiny circle keeps at least eight segments
-    loop = circle_polyline(0.01, 10.0)
-    assert loop.shape[0] == 9
-
-
-def test_circle_polyline_validation():
-    with pytest.raises(ValueError):
-        circle_polyline(-1.0, 0.1)
-    with pytest.raises(ValueError):
-        circle_polyline(1.0, 0.0)
+def test_clip_to_triangle_subset(square8c):
+    form = np.tile([0.0, 1.0], (square8c.triangle_count, 1))
+    lower = np.flatnonzero(square8c.centroids[:, 1] < 0.0)
+    got = norm_line_integral(square8c, form, 0.6, triangles=lower)
+    assert got == pytest.approx(0.6 * np.pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -381,5 +430,5 @@ def test_integrate_potential_tolerance_gate(square4):
 def test_circle_piece_count_is_pinned():
     # a counter, not a timing: an algorithmic change to clipping moves it
     mesh = build_annulus(1.0, 4.0, 0.1)
-    tri, _, _ = polyline_pieces(mesh, circle_polyline(2.5, 0.05))
-    assert len(tri) == 1315
+    tri, _, _, _ = polyline_pieces(mesh, [2.5])
+    assert len(tri) == 524

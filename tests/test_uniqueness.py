@@ -209,6 +209,28 @@ def test_flux_scan_constant_difference_form(annulus_coarse):
                                atol=1e-13)
 
 
+def test_flux_scan_is_exact_for_affine_fields(annulus_coarse):
+    # affine v and v' over the whole annulus: alpha is constant and
+    # v - v' - a = c0 + g.x, so each full circle gives length 2 pi r,
+    # eta |alpha| 2 pi r and level_flux pi r^2 (g1 alpha2 - g2 alpha1)
+    x, y = annulus_coarse.vertices.T
+    v = 0.5 * x - 0.2 * y + 0.3
+    vp = -0.1 * x + 0.25 * y
+    region = LevelRegion(a=0.1, delta=1.0,
+                         triangles=np.arange(annulus_coarse.triangle_count),
+                         eps_hat=0.5, clearance=0.0)
+    radii = np.array([1.15, 1.5, 1.83])
+    scan = flux_scan(annulus_coarse, v, vp, region, radii)
+    alpha = (flux_form(annulus_coarse, v) - flux_form(annulus_coarse, vp))[0]
+    g = np.array([0.6, -0.45])
+    np.testing.assert_allclose(scan.length, 2.0 * np.pi * radii, rtol=1e-12)
+    np.testing.assert_allclose(
+        scan.eta, np.hypot(*alpha) * 2.0 * np.pi * radii, rtol=1e-12)
+    np.testing.assert_allclose(
+        scan.level_flux,
+        np.pi * radii ** 2 * (g[0] * alpha[1] - g[1] * alpha[0]), rtol=1e-12)
+
+
 def test_flux_scan_energy_matches_area_integral(annulus_coarse):
     v, vp, region = annulus_region(annulus_coarse)
     grid = radial_grid(annulus_coarse, region)
