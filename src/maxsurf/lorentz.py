@@ -31,24 +31,28 @@ class SpacelikeError(ValueError):
         super().__init__(f"gradient norm {self.norm!r} is not safely spacelike")
 
 
-def _spacelike_density(g: np.ndarray, margin: float) -> np.ndarray:
+def _spacelike_density(norm2: np.ndarray, margin: float) -> np.ndarray:
     """Area density w = sqrt(1 - |g|^2) of gradients kept off the light cone.
 
-    Raises SpacelikeError unless every |g| stays below 1 - margin, tested
-    as |g|^2 against (1 - margin)^2.  The pointwise algebra of this module
-    passes LIGHTLIKE_GUARD; the solver passes its much wider SIGMA_MIN,
-    which keeps Newton iterates away from the light cone.
+    Takes the squared norms |g|^2 and raises SpacelikeError unless every
+    |g| stays below 1 - margin, tested as |g|^2 against (1 - margin)^2.
+    The pointwise algebra of this module passes LIGHTLIKE_GUARD; the solver
+    passes its much wider SIGMA_MIN, which keeps Newton iterates away from
+    the light cone.
     """
-    norm2 = np.sum(g * g, axis=-1)
     limit = 1.0 - margin
     if np.any(norm2 >= limit * limit):
         raise SpacelikeError(float(np.sqrt(norm2.max())))
     return np.sqrt(1.0 - norm2)
 
 
+def _density(g: np.ndarray) -> np.ndarray:
+    return _spacelike_density(np.sum(g * g, axis=-1), LIGHTLIKE_GUARD)
+
+
 def area_density(g) -> np.ndarray:
     """w = sqrt(1 - |g|^2), the Lorentzian area integrand."""
-    return _spacelike_density(np.asarray(g, dtype=float), LIGHTLIKE_GUARD)
+    return _density(np.asarray(g, dtype=float))
 
 
 def flux_coeffs(g) -> np.ndarray:
@@ -59,20 +63,20 @@ def flux_coeffs(g) -> np.ndarray:
     potential.
     """
     g = np.asarray(g, dtype=float)
-    w = _spacelike_density(g, LIGHTLIKE_GUARD)
+    w = _density(g)
     return np.stack([-g[..., 1] / w, g[..., 0] / w], axis=-1)
 
 
 def normalized_gradient(g) -> np.ndarray:
     """x = g / w; |x| can be arbitrarily large but stays finite while spacelike."""
     g = np.asarray(g, dtype=float)
-    return g / _spacelike_density(g, LIGHTLIKE_GUARD)[..., None]
+    return g / _density(g)[..., None]
 
 
 def unit_normal(g) -> np.ndarray:
     """Upward unit normal n = (-g, 1)/w with <n, n> = -1 in the Minkowski metric."""
     g = np.asarray(g, dtype=float)
-    w = _spacelike_density(g, LIGHTLIKE_GUARD)
+    w = _density(g)
     return np.stack([-g[..., 0] / w, -g[..., 1] / w, 1.0 / w], axis=-1)
 
 
@@ -104,8 +108,8 @@ def normal_gap_sq(g, g2) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     g2 = np.asarray(g2, dtype=float)
-    w = _spacelike_density(g, LIGHTLIKE_GUARD)
-    w2 = _spacelike_density(g2, LIGHTLIKE_GUARD)
+    w = _density(g)
+    w2 = _density(g2)
     d = g / w[..., None] - g2 / w2[..., None]
     return np.sum(d * d, axis=-1) - (1.0 / w - 1.0 / w2) ** 2
 

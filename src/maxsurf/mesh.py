@@ -99,19 +99,23 @@ class Mesh:
         return self.vertices[self.triangles].mean(axis=1)
 
     @cached_property
-    def basis_gradients(self) -> np.ndarray:
-        """(T, 3, 2) gradients of the barycentric basis functions.
+    def basis_columns(self) -> np.ndarray:
+        """(2, 3, T) gradients of the barycentric basis functions, by row.
 
-        grad(lambda_i) = rot90(P_{i+2} - P_{i+1}) / (2 area), with rot90 the
-        counterclockwise quarter turn.
+        Row [d, i] is component d of grad(lambda_i) on every triangle, with
+        grad(lambda_i) = rot90(P_{i+2} - P_{i+1}) / (2 area) and rot90 the
+        counterclockwise quarter turn.  The solver's kernels work on these
+        contiguous (T,) rows.
         """
-        p = self.vertices[self.triangles]
-        out = np.empty((len(self.triangles), 3, 2))
+        corners = self.triangles.T
+        x = self.vertices[:, 0][corners]
+        y = self.vertices[:, 1][corners]
+        out = np.empty((2, 3, len(self.triangles)))
         for i in range(3):
-            d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            out[:, i, 0] = -d[:, 1]
-            out[:, i, 1] = d[:, 0]
-        out /= (2.0 * self.signed_areas)[:, None, None]
+            ahead, behind = (i + 2) % 3, (i + 1) % 3
+            out[0, i] = -(y[ahead] - y[behind])
+            out[1, i] = x[ahead] - x[behind]
+        out /= 2.0 * self.signed_areas
         out.setflags(write=False)
         return out
 

@@ -16,6 +16,13 @@ inside it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
 |grad v| never reaches 1 - SIGMA_MIN.
 
+Each iterate is evaluated once: its P1 gradient, squared norms, largest
+norm and area density are kept in one ``_Evaluation``, made for each
+line-search candidate and for the initial guess, and read by the
+spacelike test, the residual, the energy, the next Newton matrix and the
+reported margins.  The pointwise kernels work on the contiguous (T,)
+rows of ``Mesh.basis_columns`` and of the gradient.
+
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
 builds a V-cycle, and later ones keep its smoothed prolongators, Galerkin
@@ -35,6 +42,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import astuple, dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,7 +80,7 @@ LAG_RATE_FACTOR = 2.0
 LAG_MIN_DECADES = 1.0     # looser solves count as one decade
 
 TRACE_HEADER = ("solve,step,residual,forcing,matvecs,achieved,step_length,"
-                "backtracks,cycle,energy")
+                "backtracks,cycle,energy,margin")
 
 
 class NonConvergenceError(RuntimeError):
@@ -109,9 +117,9 @@ class NewtonStep:
     relative tolerance its linear system was given and ``achieved`` the
     relative residual PCG reached in ``matvecs`` products; the line search
     took ``step_length`` after ``backtracks`` halvings; ``cycle`` says
-    whether the V-cycle was "built" or "lagged".  The initial guess is
-    step 0, reached by no step: nan forcing and achieved, zero counts and
-    cycle "none".
+    whether the V-cycle was "built" or "lagged"; ``margin`` is the
+    iterate's 1 - max_T |grad v|.  The initial guess is step 0, reached by
+    no step: nan forcing and achieved, zero counts and cycle "none".
     """
 
     residual: float
@@ -122,6 +130,7 @@ class NewtonStep:
     backtracks: int
     cycle: str
     energy: float
+    margin: float
 
 
 @dataclass
@@ -160,10 +169,19 @@ class SolveReport:
 
 
 def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """(T, 2) constant gradient of the piecewise-linear interpolant."""
+    """(T, 2) constant gradient of the piecewise-linear interpolant.
+
+    Computed row by row from ``mesh.basis_columns``, so the result is the
+    transposed view of a (2, T) array of contiguous x and y rows.
+    """
     values = _check_field(mesh, values)
-    vals = values[mesh.triangles]
-    return np.einsum("ti,tid->td", vals, mesh.basis_gradients)
+    v0, v1, v2 = values[mesh.triangles.T]
+    g = np.empty((2, mesh.triangle_count))
+    for row, (b0, b1, b2) in zip(g, mesh.basis_columns):
+        np.multiply(v0, b0, out=row)
+        row += v1 * b1
+        row += v2 * b2
+    return g.T
 
 
 def _check_field(mesh: Mesh, values) -> np.ndarray:
@@ -175,44 +193,73 @@ def _check_field(mesh: Mesh, values) -> np.ndarray:
     return values
 
 
-def _density(g: np.ndarray, metric: str) -> np.ndarray:
-    """Area density sqrt(1 -+ |g|^2) per triangle; guards the light cone.
+class _Evaluation:
+    """The pointwise P1 data of one field, computed once.
 
-    The flux is sigma(g) = g / density.  In the Lorentz metric the density
-    raises SpacelikeError once some |g| reaches 1 - SIGMA_MIN.
+    ``gx`` and ``gy`` are the (T,) rows of the triangle gradients, ``norm2``
+    their squared norms and ``max_norm`` the largest norm.  ``density`` is
+    the area density sqrt(1 -+ |g|^2), made on first use; the flux is
+    sigma(g) = g / density.  In the Lorentz metric it raises SpacelikeError
+    once some |g| reaches 1 - SIGMA_MIN.  ``solve`` builds one per
+    line-search candidate and hands it to ``residual``, ``energy`` and the
+    next ``tangent_matrix``.
     """
-    if metric == "lorentz":
-        return _spacelike_density(g, SIGMA_MIN)
-    return np.sqrt(1.0 + np.sum(g * g, axis=-1))
+
+    def __init__(self, mesh: Mesh, values: np.ndarray, metric: str):
+        self.values = values
+        self.gx, self.gy = p1_gradient(mesh, values).T
+        self.norm2 = self.gx * self.gx + self.gy * self.gy
+        self.max_norm = float(np.sqrt(self.norm2.max()))
+        self.metric = metric
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        if self.metric == "lorentz":
+            return _spacelike_density(self.norm2, SIGMA_MIN)
+        return np.sqrt(1.0 + self.norm2)
 
 
-def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
+def _evaluation(mesh: Mesh, values, config: SolverConfig,
+                at: _Evaluation | None) -> _Evaluation:
+    """``at`` when the caller holds the evaluation of ``values``, else a new one."""
+    if at is None:
+        return _Evaluation(mesh, values, config.metric)
+    assert at.values is values, "the evaluation belongs to another field"
+    return at
+
+
+def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
+           at: _Evaluation | None = None) -> float:
     """Area functional sum_T area_T * density_T.
 
     The Lorentzian functional is concave and maximized by the solution;
-    the Euclidean one is convex and minimized.
+    the Euclidean one is convex and minimized.  ``at``, the evaluation of
+    this very ``values`` array when the caller holds one, is read instead
+    of recomputing.
     """
-    g = p1_gradient(mesh, values)
-    dens = _density(g, config.metric)
-    return float(np.dot(mesh.areas, dens))
+    ev = _evaluation(mesh, values, config, at)
+    return float(np.dot(mesh.areas, ev.density))
 
 
-def _assemble_residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray:
-    g = p1_gradient(mesh, values)
-    dens = _density(g, config.metric)
-    weighted = mesh.areas[:, None] * (g / dens[:, None])
-    local = np.einsum("tid,td->ti", mesh.basis_gradients, weighted)
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.vertex_count)
-
-
-def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> np.ndarray:
+def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
+             at: _Evaluation | None = None) -> np.ndarray:
     """Weak-form residual at the free (interior) vertices.
 
-    Component for vertex i is sum_T area_T grad(phi_i) . sigma(grad v).
+    Component for vertex i is sum_T area_T grad(phi_i) . sigma(grad v),
+    summed per vertex triangle by triangle, in the order that
+    ``forms.circulations`` follows.  ``at`` as in ``energy``.
     """
-    values = _check_field(mesh, values)
-    return _assemble_residual(mesh, values, config)[mesh.interior_vertices]
+    ev = _evaluation(mesh, values, config, at)
+    dens = ev.density
+    wx = mesh.areas * (ev.gx / dens)
+    wy = mesh.areas * (ev.gy / dens)
+    bx, by = mesh.basis_columns
+    local = np.empty((mesh.triangle_count, 3))
+    for i in range(3):
+        local[:, i] = bx[i] * wx + by[i] * wy
+    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.vertex_count)
+    return full[mesh.interior_vertices]
 
 
 def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
@@ -225,7 +272,8 @@ def _area_norm(mesh: Mesh, r: np.ndarray) -> float:
 
 
 def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
-                   full: bool = False) -> csr_matrix:
+                   full: bool = False, *,
+                   at: _Evaluation | None = None) -> csr_matrix:
     """Sparse symmetric Newton matrix K_ij = sum_T area_T grad(phi_i) . D . grad(phi_j).
 
     D = c1 I + c2 g g^T is the flux Jacobian at the triangle gradient g,
@@ -236,22 +284,22 @@ def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
     each corner are summed per edge by one ``bincount``; each diagonal
     entry is minus its row's off-diagonal sum, since the P1 basis gradients
     of a triangle sum to zero.  The pattern is the mesh's assembly plan: it
-    keeps structural zeros and sorts columns within each row.
+    keeps structural zeros and sorts columns within each row.  ``at`` as
+    in ``energy``.
     """
-    values = _check_field(mesh, values)
-    g = p1_gradient(mesh, values)
-    dens = _density(g, config.metric)
+    ev = _evaluation(mesh, values, config, at)
+    dens = ev.density
     c1 = mesh.areas / dens  # c1 and c2 times the triangle area
     c2 = c1 / (dens * dens)
     if config.metric == "euclid":
         c2 = -c2
-    basis = mesh.basis_gradients
-    bx, by = basis[..., 0], basis[..., 1]
-    bg = np.einsum("tid,td->ti", basis, g)
-    # corners (k + 1, k + 2) of the edge opposite corner k
-    nxt, prv = [1, 2, 0], [2, 0, 1]
-    pair = (c1[:, None] * (bx[:, nxt] * bx[:, prv] + by[:, nxt] * by[:, prv])
-            + c2[:, None] * bg[:, nxt] * bg[:, prv])
+    bx, by = mesh.basis_columns
+    bg = bx * ev.gx + by * ev.gy
+    pair = np.empty((mesh.triangle_count, 3))
+    for k in range(3):
+        # corners (k + 1, k + 2) of the edge opposite corner k
+        a, b = (k + 1) % 3, (k + 2) % 3
+        pair[:, k] = c1 * (bx[a] * bx[b] + by[a] * by[b]) + c2 * bg[a] * bg[b]
     plan = _plan(mesh)
     edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
                        minlength=len(mesh.edges))
@@ -549,11 +597,6 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
 # ----------------------------------------------------------------------
 
 
-def _max_gradient_norm(mesh: Mesh, values: np.ndarray) -> float:
-    g = p1_gradient(mesh, values)
-    return float(np.sqrt(np.sum(g * g, axis=-1).max()))
-
-
 def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Solve the Laplace equation with the given constrained values.
 
@@ -614,32 +657,35 @@ def _forcing_term(res: float, previous: float | None, eta: float,
     return max(eta, 0.5 * config.residual_tol / res, LINEAR_TOL)
 
 
-def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
+def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray,
+                             config: SolverConfig) -> _Evaluation | None:
     """Harmonic extension, pulled toward a constant until safely spacelike.
 
     The interior offset from the mean constrained value is scaled by the
     largest ladder factor keeping per-triangle |grad v| <= 1 - 10 SIGMA_MIN.
-    Returns None when no scaling achieves that, which the caller reports as
+    Returns the evaluation of the guess, which is the Newton start, or None
+    when no scaling achieves that, which the caller reports as
     non-convergence (the constrained data itself is too steep).
     """
-    guess = _harmonic_extension(mesh, bc, config)
+    guess = _Evaluation(mesh, _harmonic_extension(mesh, bc, config),
+                        config.metric)
     limit = 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
-    if _max_gradient_norm(mesh, guess) <= limit:
+    if guess.max_norm <= limit:
         return guess
     fixed = mesh.constrained_vertices
     free = mesh.interior_vertices
     base = np.zeros(mesh.vertex_count)
     base[fixed] = bc[fixed]
     base[free] = float(np.mean(bc[fixed]))
-    offset = guess - base  # zero at constrained vertices
+    offset = guess.values - base  # zero at constrained vertices
     t = 1.0
     while t > 1e-6:
-        candidate = base + t * offset
-        if _max_gradient_norm(mesh, candidate) <= limit:
+        candidate = _Evaluation(mesh, base + t * offset, config.metric)
+        if candidate.max_norm <= limit:
             return candidate
         t *= 0.95
-    candidate = base
-    if _max_gradient_norm(mesh, candidate) <= limit:
+    candidate = _Evaluation(mesh, base, config.metric)
+    if candidate.max_norm <= limit:
         return candidate
     return None
 
@@ -674,51 +720,58 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     if len(mesh.interior_vertices) == 0:
         raise ValueError("mesh has no free vertices")
 
-    def report_failure(values, reason, steps=()):
-        res = _try_residual_norm(mesh, values, config)
-        return values, SolveReport(
+    def report_failure(ev, reason, steps=()):
+        try:
+            res = _area_norm(mesh, residual(mesh, ev.values, config, at=ev))
+            area = energy(mesh, ev.values, config, at=ev)
+        except SpacelikeError:
+            res = area = float("nan")
+        return ev.values, SolveReport(
             iterations=max(len(steps) - 1, 0),
-            residual=res if res is not None else float("nan"),
-            margin=1.0 - _max_gradient_norm(mesh, values),
-            energy=_try_energy(mesh, values, config),
+            residual=res,
+            margin=1.0 - ev.max_norm,
+            energy=area,
             converged=False,
             reason=reason,
             steps=list(steps),
         )
 
     if config.metric == "lorentz":
-        values = _spacelike_initial_guess(mesh, bc, config)
-        if values is None:
+        ev = _spacelike_initial_guess(mesh, bc, config)
+        if ev is None:
             fallback = np.zeros(mesh.vertex_count)
             fallback[mesh.constrained_vertices] = bc[mesh.constrained_vertices]
             fallback[mesh.interior_vertices] = float(
                 np.mean(bc[mesh.constrained_vertices])
             )
-            return report_failure(fallback, "no spacelike initial guess")
+            return report_failure(_Evaluation(mesh, fallback, config.metric),
+                                  "no spacelike initial guess")
     else:
-        values = _harmonic_extension(mesh, bc, config)
+        ev = _Evaluation(mesh, _harmonic_extension(mesh, bc, config),
+                         config.metric)
 
     free = mesh.interior_vertices
     limit = 1.0 - SIGMA_MIN
-    r = residual(mesh, values, config)
+    r = residual(mesh, ev.values, config, at=ev)
     res = _area_norm(mesh, r)
     nan = float("nan")
     steps = [NewtonStep(res, nan, 0, nan, 0.0, 0, "none",
-                        energy(mesh, values, config))]
+                        energy(mesh, ev.values, config, at=ev),
+                        1.0 - ev.max_norm)]
     previous, eta = None, FORCING_MAX
     lagged, built_rate = None, 0.0  # cycle the next system refreshes
     while res > config.residual_tol:
         if len(steps) > config.max_newton:
-            return report_failure(values, "max_newton exceeded", steps)
+            return report_failure(ev, "max_newton exceeded", steps)
         eta = _forcing_term(res, previous, eta, config)
-        k = tangent_matrix(mesh, values, config)
+        k = tangent_matrix(mesh, ev.values, config, at=ev)
         built = lagged is None
         cycle = _vcycle(_plan(mesh), k) if built else lagged.refreshed(k)
         try:
             direction, matvecs, achieved = cg_solve(
                 k, -r, eta, preconditioner=cycle, full_output=True)
         except NonConvergenceError as exc:
-            return report_failure(values, f"linear solve failed: {exc}", steps)
+            return report_failure(ev, f"linear solve failed: {exc}", steps)
         rate = _matvec_rate(matvecs, achieved)
         if built:
             built_rate = rate
@@ -731,48 +784,35 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         step, backtracks = 1.0, 0
         target = None
         while step >= LINE_SEARCH_FLOOR:
-            candidate = values.copy()
+            candidate = ev.values.copy()
             candidate[free] += step * direction
-            if config.metric != "lorentz" or \
-                    _max_gradient_norm(mesh, candidate) < limit:
-                r = residual(mesh, candidate, config)
+            trial = _Evaluation(mesh, candidate, config.metric)
+            if config.metric != "lorentz" or trial.max_norm < limit:
+                r = residual(mesh, candidate, config, at=trial)
                 new_res = _area_norm(mesh, r)
                 if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
-                    target = (candidate, new_res)
+                    target = (trial, new_res)
                     break
             step *= BACKTRACK_FACTOR
             backtracks += 1
         if target is None:
-            return report_failure(values, "line search stagnation", steps)
+            return report_failure(ev, "line search stagnation", steps)
         previous = res
-        values, res = target
+        ev, res = target
         steps.append(NewtonStep(res, eta, matvecs, achieved, step, backtracks,
                                 "built" if built else "lagged",
-                                energy(mesh, values, config)))
+                                energy(mesh, ev.values, config, at=ev),
+                                1.0 - ev.max_norm))
 
     report = SolveReport(
         iterations=len(steps) - 1,
         residual=res,
-        margin=1.0 - _max_gradient_norm(mesh, values),
+        margin=steps[-1].margin,
         energy=steps[-1].energy,
         converged=True,
         steps=steps,
     )
-    return values, report
-
-
-def _try_residual_norm(mesh, values, config):
-    try:
-        return residual_norm(mesh, values, config)
-    except SpacelikeError:
-        return None
-
-
-def _try_energy(mesh, values, config):
-    try:
-        return energy(mesh, values, config)
-    except SpacelikeError:
-        return float("nan")
+    return ev.values, report
 
 
 def gradient_margin(mesh: Mesh, values: np.ndarray, triangles=None) -> float:

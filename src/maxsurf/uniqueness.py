@@ -25,7 +25,7 @@ from .lorentz import coercivity_constants
 from .mesh import ARTIFICIAL, Mesh, build_strip
 from .records import write_csv
 from .solver import (NonConvergenceError, SolverConfig, _check_field,
-                     gradient_margin, solve)
+                     gradient_margin, p1_gradient, solve)
 
 LEVEL_CANDIDATES = 33
 SCAN_HEADER = "r,eta,energy,lhs,rhs,flag"
@@ -82,7 +82,8 @@ def level_region(mesh: Mesh, v: np.ndarray, vp: np.ndarray) -> LevelRegion:
                            triangles=np.empty(0, dtype=np.int64),
                            eps_hat=math.nan, clearance=math.nan)
     candidates = np.linspace(2.0 * delta, 3.0 * delta, LEVEL_CANDIDATES)
-    clearances = np.abs(diff[:, None] - candidates[None, :]).min(axis=0)
+    # a candidate at a time: the (V, 33) table took more memory than the solves
+    clearances = np.array([np.abs(diff - c).min() for c in candidates])
     best = int(np.argmax(clearances))
     a = float(candidates[best])
     centroid_diff = diff[mesh.triangles].mean(axis=1)
@@ -255,7 +256,7 @@ def _circle_sums(mesh: Mesh, alpha, shifted, radii, triangles):
     a1, a2 = alpha[tri, 0], alpha[tri, 1]
     sq_norm = a1 * a1 + a2 * a2
     corner_vals = shifted[mesh.triangles[tri]]
-    g = np.sum(corner_vals[:, :, None] * mesh.basis_gradients[tri], axis=1)
+    g = p1_gradient(mesh, shifted)[tri]
     g1, g2 = g[:, 0], g[:, 1]
     c0 = corner_vals[:, 0] - np.sum(
         g * mesh.vertices[mesh.triangles[tri, 0]], axis=1)

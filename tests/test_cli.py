@@ -14,6 +14,7 @@ from maxsurf import (
     ARTIFICIAL,
     SolverConfig,
     build_annulus,
+    gradient_margin,
     save_field,
     save_mesh,
     solve,
@@ -295,13 +296,14 @@ def read_trace(path):
 
 
 def check_trace_rows(rows, report):
-    """One row per iterate, the last one's residual and energy the report's."""
+    """One row per iterate, the last one's residual, energy and margin the
+    report's."""
     assert [int(row["step"]) for row in rows] == \
         list(range(int(report["iterations"]) + 1))
     assert rows[0]["cycle"] == "none"
     assert {row["cycle"] for row in rows[1:]} <= {"built", "lagged"}
-    assert rows[-1]["residual"] == report["residual"]
-    assert rows[-1]["energy"] == report["energy"]
+    for key in ("residual", "energy", "margin"):
+        assert rows[-1][key] == report[key]
 
 
 def test_trace_rows_match_the_final_reports(capsys, tmp_path):
@@ -320,9 +322,10 @@ def test_trace_rows_match_the_final_reports(capsys, tmp_path):
     mesh = build_annulus(1.0, 4.0, 0.2, artificial_rings=("outer",))
     bc = np.where(mesh.vertex_class == ARTIFICIAL, -1.0, 0.0)
     for number, data in (("1", np.zeros(mesh.vertex_count)), ("2", bc)):
-        _, report = solve(mesh, data)
+        v, report = solve(mesh, data)
+        assert report.margin == gradient_margin(mesh, v)
         check_trace_rows([row for row in rows if row["solve"] == number],
-                         {k: fmt(v) for k, v in report.record_items()})
+                         {k: fmt(x) for k, x in report.record_items()})
 
 
 def test_trace_leaves_the_determinism_outputs_unchanged(capsys, tmp_path):

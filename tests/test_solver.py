@@ -25,8 +25,10 @@ from maxsurf import (
 )
 from maxsurf import solver as solver_module
 from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
-                            FORCING_MAX, JACOBI_WEIGHT, LINEAR_TOL,
-                            _forcing_term, _harmonic_extension, _VCycle)
+                            FORCING_MAX, INITIAL_MARGIN_FACTOR, JACOBI_WEIGHT,
+                            LINEAR_TOL, SIGMA_MIN, _Evaluation,
+                            _forcing_term, _harmonic_extension,
+                            _spacelike_initial_guess, _VCycle)
 
 from conftest import affine_field, jittered, spacelike_field
 
@@ -388,22 +390,33 @@ def test_cycle_without_coarse_levels_is_built_for_every_system():
         ["built"] * report.iterations
 
 
-def test_line_search_residual_is_the_next_right_hand_side(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    real_residual = solver_module.residual
+    real = getattr(solver_module, name)
 
-    def counting_residual(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return real_residual(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "residual", counting_residual)
+    monkeypatch.setattr(solver_module, name, counting)
+    return calls
+
+
+def test_line_search_residual_is_the_next_right_hand_side(monkeypatch):
+    calls = count_calls(monkeypatch, "residual")
+    gradients = count_calls(monkeypatch, "p1_gradient")
     mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
     x, y = mesh.vertices.T
     v, report = solve(mesh, 10.0 * x * y, EUCLID)
     assert report.converged
     # the initial guess, then every line-search candidate
     candidates = sum(1 + row.backtracks for row in report.steps[1:])
+    assert candidates > report.iterations  # some steps were halved
     assert len(calls) == 1 + candidates
+    # one gradient per field: the harmonic extension's zero field, the
+    # initial guess and every candidate; the Newton matrices, energies and
+    # margins reuse them
+    assert len(gradients) == 2 + candidates
     assert report.residual == residual_norm(mesh, v, EUCLID)
     assert report.steps[-1].residual == report.residual
 
@@ -435,6 +448,81 @@ def saddle_case():
     mesh = build_rectangle(1.0, 1.0, 0.1)
     x, y = mesh.vertices.T
     return mesh, x * x - y * y, EUCLID
+
+
+SQUARE16 = build_rectangle(1.0, 1.0, 1.0 / 16)
+ANNULUS = build_annulus(1.0, 2.0, 0.2)
+
+# data too steep for any rung of the initial-guess ladder
+NO_GUESS_CASES = {
+    "square16-affine": lambda: (SQUARE16, affine_field(SQUARE16, 2.0, 0.0)),
+    "annulus-step": lambda: (
+        ANNULUS,
+        np.where(np.linalg.norm(ANNULUS.vertices, axis=1) > 1.5, 0.9, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", NO_GUESS_CASES)
+def test_initial_guess_ladder_without_a_spacelike_rung(case):
+    mesh, bc = NO_GUESS_CASES[case]()
+    assert _spacelike_initial_guess(mesh, bc, LORENTZ) is None
+    _, report = solve(mesh, bc)
+    assert not report.converged
+    assert report.reason == "no spacelike initial guess"
+
+
+def test_one_gradient_per_lorentz_iterate(monkeypatch):
+    mesh, bc, _ = catenoid_case()
+    residuals = count_calls(monkeypatch, "residual")
+    gradients = count_calls(monkeypatch, "p1_gradient")
+    v, report = solve(mesh, bc)
+    assert report.converged
+    candidates = sum(1 + row.backtracks for row in report.steps[1:])
+    # a candidate that is not spacelike is rejected without a residual
+    assert len(residuals) <= 1 + candidates
+    # the harmonic extension's zero field, the start and every candidate
+    assert len(gradients) == 2 + candidates
+    assert report.residual == residual_norm(mesh, v, LORENTZ)
+
+
+def test_evaluation_of_another_field_is_refused():
+    mesh, bc, config = catenoid_case()
+    v = _harmonic_extension(mesh, bc, config)
+    ev = _Evaluation(mesh, v, config.metric)
+    assert residual(mesh, v, config, at=ev).shape == \
+        mesh.interior_vertices.shape
+    for kernel in (energy, residual, tangent_matrix):
+        with pytest.raises(AssertionError):
+            kernel(mesh, v.copy(), config, at=ev)
+
+
+def test_initial_guess_ladder_evaluation_is_the_newton_start(monkeypatch):
+    # noise whose harmonic extension is slightly too steep, so the ladder
+    # pulls it back over a few rungs
+    bc = np.random.default_rng(0).standard_normal(SQUARE16.vertex_count)
+    g = p1_gradient(SQUARE16, _harmonic_extension(SQUARE16, bc, LORENTZ))
+    bc *= 1.03 / np.linalg.norm(g, axis=1).max()
+    gradients = count_calls(monkeypatch, "p1_gradient")
+    guess = _spacelike_initial_guess(SQUARE16, bc, LORENTZ)
+    ladder = len(gradients)
+    assert ladder > 2  # the zero field, the harmonic start and some rungs
+    assert guess.max_norm <= 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
+    gradients.clear()
+    _, report = solve(SQUARE16, bc)
+    assert report.converged
+    assert report.steps[0].margin == 1.0 - guess.max_norm
+    candidates = sum(1 + row.backtracks for row in report.steps[1:])
+    assert len(gradients) == ladder + candidates
+
+
+def test_step_margins_are_the_iterates_gradient_margins():
+    mesh, bc, config = catenoid_case()
+    v, report = solve(mesh, bc, config)
+    assert report.converged
+    margins = [row.margin for row in report.steps]
+    assert margins[-1] == report.margin == gradient_margin(mesh, v)
+    # the maximal solution is flatter than the harmonic start
+    assert margins[0] < margins[-1] < 1.0
 
 
 @pytest.mark.parametrize("case", [catenoid_case, saddle_case])

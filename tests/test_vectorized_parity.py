@@ -11,7 +11,11 @@ the largest (they are now summed per edge by ``bincount``, with each
 diagonal entry minus its row's off-diagonal sum), also for fields within
 0.05 of the light cone.  The flux scan's exact circle arcs replaced
 inscribed polygons clipped with a k-d tree; they must match that scan
-within its chord error (``assert_scan_matches_polygon``).
+within its chord error (``assert_scan_matches_polygon``).  The solver's
+column-layout kernels (gradient, energy, residual, Newton matrix and the
+basis gradients) do the arithmetic of the einsum kernels they replaced in
+the same order, corners 0, 1, 2 from the left, and must match them bit for
+bit.
 """
 
 import math
@@ -22,9 +26,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxsurf import (Mesh, SolverConfig, TopologyError, build_annulus,
-                     build_rectangle, conjugate_pair_coeffs, flux_form,
-                     integrate_potential, load_mesh, p1_gradient,
-                     polyline_pieces, save_mesh, solve, tangent_matrix)
+                     build_rectangle, conjugate_pair_coeffs, energy,
+                     flux_form, integrate_potential, load_mesh, p1_gradient,
+                     polyline_pieces, residual, save_mesh, solve,
+                     tangent_matrix)
 from maxsurf.mesh import _edge_connected
 from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
 from maxsurf.uniqueness import _circle_sums
@@ -730,7 +735,7 @@ def coo_tangent(mesh, values, config, full=False):
     else:
         w3 = (1.0 + norm2) ** 1.5
         dmat = (eye[None, :, :] * (1.0 + norm2)[:, None, None] - outer) / w3[:, None, None]
-    basis = mesh.basis_gradients
+    basis = einsum_basis(mesh)
     local = np.einsum("tid,tde,tje->tij", basis, dmat, basis)
     local *= mesh.areas[:, None, None]
     t = mesh.triangles
@@ -760,3 +765,101 @@ def test_tangent_refill_matches_coo(mesh, metric, full, seed, steepest):
     scale = float(np.abs(ref.data).max(initial=0.0))
     np.testing.assert_allclose(got.data, ref.data, rtol=1e-14,
                                atol=1e-14 * scale)
+
+
+# ----------------------------------------------------------------------
+# column-layout P1 kernels: parity with the einsum kernels they replaced
+# ----------------------------------------------------------------------
+
+
+def einsum_basis(mesh):
+    """Former (T, 3, 2) basis gradients, built corner by corner."""
+    p = mesh.vertices[mesh.triangles]
+    out = np.empty((len(mesh.triangles), 3, 2))
+    for i in range(3):
+        d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        out[:, i, 0] = -d[:, 1]
+        out[:, i, 1] = d[:, 0]
+    out /= (2.0 * mesh.signed_areas)[:, None, None]
+    return out
+
+
+def einsum_gradient(mesh, values):
+    return np.einsum("ti,tid->td", values[mesh.triangles], einsum_basis(mesh))
+
+
+def einsum_density(g, metric):
+    norm2 = np.sum(g * g, axis=-1)
+    if metric == "lorentz":
+        assert np.all(norm2 < (1.0 - SIGMA_MIN) ** 2)
+        return np.sqrt(1.0 - norm2)
+    return np.sqrt(1.0 + norm2)
+
+
+def einsum_energy(mesh, values, config):
+    g = einsum_gradient(mesh, values)
+    return float(np.dot(mesh.areas, einsum_density(g, config.metric)))
+
+
+def einsum_residual(mesh, values, config):
+    g = einsum_gradient(mesh, values)
+    dens = einsum_density(g, config.metric)
+    weighted = mesh.areas[:, None] * (g / dens[:, None])
+    local = np.einsum("tid,td->ti", einsum_basis(mesh), weighted)
+    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.vertex_count)
+    return full[mesh.interior_vertices]
+
+
+def einsum_tangent(mesh, values, config, full=False):
+    """Former edge-based fill: corner pairs gathered with fancy indices."""
+    g = einsum_gradient(mesh, values)
+    dens = einsum_density(g, config.metric)
+    c1 = mesh.areas / dens
+    c2 = c1 / (dens * dens)
+    if config.metric == "euclid":
+        c2 = -c2
+    basis = einsum_basis(mesh)
+    bx, by = basis[..., 0], basis[..., 1]
+    bg = np.einsum("tid,td->ti", basis, g)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    pair = (c1[:, None] * (bx[:, nxt] * bx[:, prv] + by[:, nxt] * by[:, prv])
+            + c2[:, None] * bg[:, nxt] * bg[:, prv])
+    edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
+                       minlength=len(mesh.edges))
+    lo, hi = mesh.edges.T
+    n = mesh.vertex_count
+    diag = -(np.bincount(lo, weights=edge, minlength=n)
+             + np.bincount(hi, weights=edge, minlength=n))
+    k = coo_matrix((np.concatenate([diag, edge, edge]),
+                    (np.concatenate([np.arange(n), lo, hi]),
+                     np.concatenate([np.arange(n), hi, lo]))),
+                   shape=(n, n)).tocsr()
+    k.sort_indices()
+    if full:
+        return k
+    free = mesh.interior_vertices
+    return k[free][:, free]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       metric=st.sampled_from(["lorentz", "euclid"]), full=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       steepest=st.one_of(st.just(0.5), st.floats(0.95, 0.999)))
+def test_column_kernels_match_einsum(mesh, metric, full, seed, steepest):
+    config = SolverConfig(metric=metric)
+    v = spacelike_field(mesh, seed, steepest) + 3.0
+    assert mesh.basis_columns.shape == (2, 3, mesh.triangle_count)
+    np.testing.assert_array_equal(mesh.basis_columns.transpose(2, 1, 0),
+                                  einsum_basis(mesh))
+    np.testing.assert_array_equal(p1_gradient(mesh, v),
+                                  einsum_gradient(mesh, v))
+    assert energy(mesh, v, config) == einsum_energy(mesh, v, config)
+    np.testing.assert_array_equal(residual(mesh, v, config),
+                                  einsum_residual(mesh, v, config))
+    got = tangent_matrix(mesh, v, config, full=full)
+    ref = einsum_tangent(mesh, v, config, full=full)
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_array_equal(got.data, ref.data)
