@@ -21,7 +21,11 @@ norm and area density are kept in one ``_Evaluation``, made for each
 line-search candidate and for the initial guess, and read by the
 spacelike test, the residual, the energy, the next Newton matrix and the
 reported margins.  The pointwise kernels work on the contiguous (T,)
-rows of ``Mesh.basis_columns`` and of the gradient.
+rows of ``Mesh.basis_columns`` and of the gradient.  The vector
+reductions (PCG inner products and norms, the energy sum and the residual
+norm) are summed by numpy's own loop, not by BLAS: a threaded BLAS splits
+long dot products over its worker threads, which then spin between calls
+through the whole solve, spending CPU time that buys no speed.
 
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
@@ -238,7 +242,7 @@ def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
     of recomputing.
     """
     ev = _evaluation(mesh, values, config, at)
-    return float(np.dot(mesh.areas, ev.density))
+    return _dot(mesh.areas, ev.density)
 
 
 def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
@@ -268,7 +272,16 @@ def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float
 
 
 def _area_norm(mesh: Mesh, r: np.ndarray) -> float:
-    return float(np.linalg.norm(r) / mesh.total_area)
+    return _norm(r) / mesh.total_area
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors, summed without BLAS (module docstring)."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
 
 
 def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
@@ -550,7 +563,7 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
-    bnorm = float(np.linalg.norm(rhs))
+    bnorm = _norm(rhs)
     if bnorm == 0.0:
         return (np.zeros(n), 0, 0.0) if full_output else np.zeros(n)
     if max_iter is None:
@@ -567,29 +580,27 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
     r = rhs.copy()
     z = preconditioner(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     for matvecs in range(1, max_iter + 1):
         if rz <= 0.0:
             raise NonConvergenceError(
-                "preconditioner is not positive definite",
-                np.linalg.norm(r) / bnorm)
+                "preconditioner is not positive definite", _norm(r) / bnorm)
         ap = operator @ p
-        pap = float(p @ ap)
+        pap = _dot(p, ap)
         if pap <= 0.0:
             raise NonConvergenceError(
-                "operator is not positive definite", np.linalg.norm(r) / bnorm
-            )
+                "operator is not positive definite", _norm(r) / bnorm)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = _norm(r)
         if rnorm <= linear_tol * bnorm:
             return (x, matvecs, rnorm / bnorm) if full_output else x
         z = preconditioner(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise NonConvergenceError("iteration cap reached", np.linalg.norm(r) / bnorm)
+    raise NonConvergenceError("iteration cap reached", _norm(r) / bnorm)
 
 
 # ----------------------------------------------------------------------

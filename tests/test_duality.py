@@ -15,9 +15,12 @@ from maxsurf import (
     residual,
     return_trip_error,
     round_trip_error,
+    save_field,
     solve,
 )
 from conftest import affine_field
+from maxsurf import forms
+from maxsurf.cli import main
 from maxsurf.forms import circulations
 
 
@@ -147,6 +150,31 @@ def test_return_trip_reuses_the_forward_conjugate(mse_solution, direction):
             else minimal_conjugate(mesh, field, tol))
     assert return_trip_error(mesh, field, conj, tol, direction) == \
         round_trip_error(mesh, field, tol, direction)
+
+
+def test_dualize_measures_closedness_once_per_leg(mse_solution, tmp_path,
+                                                 monkeypatch):
+    mesh, u = mse_solution
+    path = tmp_path / "u.csv"
+    save_field(mesh, u, path)
+    calls = []
+    real = forms.circulations
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(forms, "circulations", counting)
+    assert main(["dualize", "--shape", "rect:1x1", "--h", "0.0625",
+                 "--in", str(path), "--direction", "min2max",
+                 "--out", str(tmp_path / "d")]) == 0
+    # the forward leg's gate, then the return leg's
+    assert len(calls) == 2
+    calls.clear()
+    x, y = mesh.vertices.T
+    with pytest.raises(ClosednessError):
+        maximal_conjugate(mesh, 0.2 * np.sin(3.0 * x) * np.cos(2.0 * y))
+    assert len(calls) == 1
 
 
 def test_round_trip_error_shrinks_with_mesh(mse_solution):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -437,6 +441,65 @@ def test_cg_full_output_reports_matvecs_and_achieved_residual():
     assert achieved == pytest.approx(true, rel=1e-6)
     x, matvecs, achieved = cg_solve(a, np.zeros(30), 1e-6, full_output=True)
     assert not x.any() and matvecs == 0 and achieved == 0.0
+
+
+# CPU clock ticks of the main thread and of all other threads over eight
+# Laplace PCG solves and a few energies and residual norms at 16,129 free
+# vertices, above the length at which OpenBLAS splits a dot product
+# (10,000 entries)
+THREAD_PROBE = """
+import glob, os, time
+import numpy as np
+from maxsurf import (SolverConfig, build_rectangle, cg_solve, energy,
+                     residual_norm, tangent_matrix)
+from maxsurf.solver import _VCycle
+
+def cpu_ticks():
+    main = other = 0
+    for path in glob.glob("/proc/self/task/*/stat"):
+        fields = open(path).read().rsplit(")", 1)[1].split()
+        ticks = int(fields[11]) + int(fields[12])  # utime + stime
+        if int(path.split("/")[-2]) == os.getpid():
+            main += ticks
+        else:
+            other += ticks
+    return main, other
+
+mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
+k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
+                   SolverConfig(metric="euclid"))
+cycle = _VCycle(k)
+rhs = np.random.default_rng(0).standard_normal(k.shape[0])
+x, y = mesh.vertices.T
+field = 0.3 * x * y
+config = SolverConfig()
+time.sleep(0.5)  # let threads woken by the import and the cycle's build idle
+main0, other0 = cpu_ticks()
+for _ in range(8):
+    cg_solve(k, rhs, 1e-12, preconditioner=cycle)
+for _ in range(4):
+    energy(mesh, field, config)
+    residual_norm(mesh, field, config)
+main1, other1 = cpu_ticks()
+print(k.shape[0], main1 - main0, other1 - other0)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="per-thread CPU times need /proc/self/task")
+def test_krylov_loop_does_not_wake_blas_threads():
+    src = str(Path(solver_module.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    free, main, other = map(int, out.stdout.split())
+    assert free == 127 * 127
+    # a thread spinning beside the solve would cost as much CPU as the solve
+    assert other <= 0.1 * main + 1, (
+        f"other threads used {other} ticks while the main thread used {main}")
 
 
 def catenoid_case():
