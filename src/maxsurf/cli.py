@@ -200,8 +200,7 @@ def cmd_dualize(args) -> int:
         conj = maximal_conjugate(mesh, field, args.closedness_tol)
     else:
         conj = minimal_conjugate(mesh, field, args.closedness_tol)
-    err = return_trip_error(mesh, field, conj, args.closedness_tol,
-                            args.direction)
+    err = return_trip_error(mesh, field, conj, args.direction)
     save_field(mesh, conj, f"{args.out}_conjugate.csv")
     _emit([("direction", args.direction),
            ("round_trip_error", err),

@@ -88,18 +88,16 @@ def round_trip_error(mesh: Mesh, field: np.ndarray,
         mid = minimal_conjugate(mesh, field, closedness_tol)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return return_trip_error(mesh, field, mid, closedness_tol, direction)
+    return return_trip_error(mesh, field, mid, direction)
 
 
 def return_trip_error(mesh: Mesh, field: np.ndarray, conjugate: np.ndarray,
-                      closedness_tol: float = 1e-9,
                       direction: str = "min2max") -> float:
     """round_trip_error given the field's forward conjugate, already built.
 
     ``conjugate`` is what maximal_conjugate (min2max) or minimal_conjugate
     (max2min) returned for the field; only the return leg is integrated,
-    and it is not gated, so ``closedness_tol`` (the forward leg's) is not
-    read.
+    and it is not gated.
     """
     field = _check_field(mesh, field)
     mid = _check_field(mesh, conjugate)

@@ -1,14 +1,19 @@
 """Arithmetic expressions for boundary data.
 
-Supports +, -, *, /, ^ (also **), parentheses, numeric literals, the
-variables x, y, and r = sqrt(x^2 + y^2), and the functions sin, cos, exp,
-asinh, sqrt, abs.  Parsed by recursive descent into a closure evaluating
-on numpy arrays.  Exponentiation binds right, so x^-2 and 2^3^2 read the
-usual way.
+Accepts + - * / ^ (also **), unary + and -, parentheses, decimal literals
+(2, 1., .5, 1e-3, 2E+2), the variables x, y and r = sqrt(x^2 + y^2), and
+one-argument calls of sin, cos, exp, asinh, sqrt and abs.  Python's parser
+reads the text with ^ as **, so powers bind right and tighter than unary
+minus (x^-2, 2^3^2, -x^2).  Anything else is rejected, as are literals other
+than plain decimals (1_000, 0x10, 1j, True) and trees deeper than MAX_DEPTH.
+Constants are np.float64 and the arithmetic is IEEE: 1/0 is inf and
+(-8)^(1/3) is nan, never an exception or a complex number.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 
 import numpy as np
@@ -22,40 +27,46 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 VARIABLES = ("x", "y", "r")
+MAX_DEPTH = 200  # well inside the recursion limit: one frame per level
 
-_TOKEN = re.compile(r"""
-    \s*(?:
-        (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>\*\*|[-+*/^()])
-    )
-""", re.VERBOSE)
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
 
 
 class ExpressionError(ValueError):
     """Malformed boundary expression."""
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ExpressionError(
-                f"unexpected character {rest[0]!r} at position {pos}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
+def _compile(node, source: str, depth: int):
+    """Closure env -> value of the tree at node; raises outside the grammar."""
+    if depth >= MAX_DEPTH:
+        raise ExpressionError(f"nested deeper than {MAX_DEPTH} levels")
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a = _compile(node.left, source, depth + 1)
+        b = _compile(node.right, source, depth + 1)
+        return lambda env: op(a(env), b(env))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.USub, ast.UAdd):
+        a = _compile(node.operand, source, depth + 1)
+        return (lambda env: -a(env)) if isinstance(node.op, ast.USub) else a
+    # the source text, not the node, decides: Python reads 1_000, 0x10 and
+    # True as numbers, and NFKC-normalises names (a fullwidth x is x)
+    text = ast.get_source_segment(source, node)
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
+        value = np.float64(float(text))
+        return lambda env: value
+    if isinstance(node, ast.Name) and text == node.id and text in VARIABLES:
+        return lambda env: env[text]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and ast.get_source_segment(source, node.func) == node.func.id
+            and node.func.id in FUNCTIONS
+            and len(node.args) == 1 and not node.keywords):
+        fn = FUNCTIONS[node.func.id]
+        a = _compile(node.args[0], source, depth + 1)
+        return lambda env: fn(a(env))
+    raise ExpressionError(f"not allowed: {text!r}")
 
 
 class Expression:
@@ -63,13 +74,16 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._fn = self._parse_sum()
-        kind, value = self._peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected trailing {value!r}")
-        del self._tokens, self._pos
+        source = text.replace("^", "**").strip()
+        try:
+            tree = ast.parse(source, mode="eval")
+        except SyntaxError as exc:
+            raise ExpressionError(exc.msg) from None
+        except (RecursionError, MemoryError):
+            # how the parser reports running out of its own stack
+            raise ExpressionError(
+                f"nested deeper than {MAX_DEPTH} levels") from None
+        self._fn = _compile(tree.body, source, 0)
 
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -78,83 +92,3 @@ class Expression:
         with np.errstate(all="ignore"):
             out = self._fn(env)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
-
-    # one method per grammar rule, standard recursive descent
-
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expect(self, op: str):
-        kind, value = self._next()
-        if kind != "op" or value != op:
-            raise ExpressionError(f"expected {op!r}, found {value!r}")
-
-    def _parse_sum(self):
-        fn = self._parse_product()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            _, op = self._next()
-            rhs = self._parse_product()
-            if op == "+":
-                fn = (lambda a, b: lambda env: a(env) + b(env))(fn, rhs)
-            else:
-                fn = (lambda a, b: lambda env: a(env) - b(env))(fn, rhs)
-        return fn
-
-    def _parse_product(self):
-        fn = self._parse_unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            _, op = self._next()
-            rhs = self._parse_unary()
-            if op == "*":
-                fn = (lambda a, b: lambda env: a(env) * b(env))(fn, rhs)
-            else:
-                fn = (lambda a, b: lambda env: a(env) / b(env))(fn, rhs)
-        return fn
-
-    def _parse_unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            inner = self._parse_unary()
-            return lambda env: -inner(env)
-        if self._peek() == ("op", "+"):
-            self._next()
-            return self._parse_unary()
-        return self._parse_power()
-
-    def _parse_power(self):
-        base = self._parse_atom()
-        kind, value = self._peek()
-        if kind == "op" and value in ("^", "**"):
-            self._next()
-            expo = self._parse_unary()
-            return lambda env: base(env) ** expo(env)
-        return base
-
-    def _parse_atom(self):
-        kind, value = self._next()
-        if kind == "num":
-            const = float(value)
-            return lambda env: const
-        if kind == "name":
-            if value in FUNCTIONS:
-                fn = FUNCTIONS[value]
-                self._expect("(")
-                arg = self._parse_sum()
-                self._expect(")")
-                return lambda env: fn(arg(env))
-            if value in VARIABLES:
-                name = value
-                return lambda env: env[name]
-            raise ExpressionError(f"unknown name {value!r}")
-        if kind == "op" and value == "(":
-            inner = self._parse_sum()
-            self._expect(")")
-            return inner
-        raise ExpressionError(f"unexpected {value!r}" if value
-                              else "unexpected end of expression")
-

@@ -154,10 +154,6 @@ class Mesh:
         return self._edge_data[0]
 
     @property
-    def edge_counts(self) -> np.ndarray:
-        return self._edge_data[1]
-
-    @property
     def triangle_edges(self) -> np.ndarray:
         return self._edge_data[2]
 

@@ -38,18 +38,6 @@ def write_record(path, items) -> None:
         fh.write("\n".join(record_lines(items)) + "\n")
 
 
-def read_record(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
-
-
 def write_rows(fh, columns, sep: str = ",") -> None:
     """Write parallel columns to an open text file, one line per row.
 

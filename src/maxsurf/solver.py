@@ -153,10 +153,6 @@ class SolveReport:
     reason: str = ""
     steps: list = field(default_factory=list)
 
-    @property
-    def energy_history(self) -> list:
-        return [row.energy for row in self.steps]
-
     def record_items(self):
         return [
             ("iterations", self.iterations),

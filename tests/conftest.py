@@ -22,6 +22,13 @@ def annulus_coarse():
     return build_annulus(1.0, 2.0, 0.1)
 
 
+def read_record(path):
+    """The key=value pairs of a record file, values as strings."""
+    with open(path) as fh:
+        pairs = [line.strip().partition("=") for line in fh if line.strip()]
+    return {key: value for key, _, value in pairs}
+
+
 def affine_field(mesh, a, b, c=0.0):
     return a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
 

@@ -20,8 +20,11 @@ from maxsurf import (
     solve,
 )
 from maxsurf.cli import main
-from maxsurf.records import fmt, read_record
+from maxsurf.expressions import MAX_DEPTH
+from maxsurf.records import fmt
 from maxsurf.solver import TRACE_HEADER
+
+from conftest import read_record
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +94,33 @@ def test_solve_rejects_bad_expressions(capsys):
     # 1/x blows up on the x = 0 edge
     assert main(base + ["--bc", "1/x"]) == 1
     assert "not finite" in capsys.readouterr().err
+
+
+SOLVE_SQUARE = ["solve", "--shape", "rect:1x1", "--h", "0.25"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SOLVE_SQUARE + ["--bc=2^2^2^2^2"], "not finite on the boundary"),
+    (SOLVE_SQUARE + ["--bc=1/0"], "not finite on the boundary"),
+    (SOLVE_SQUARE + ["--bc=(-8)^(1/3)+0*x"], "not finite on the boundary"),
+    (SOLVE_SQUARE + ["--bc=" + "+".join(["x"] * 5000)], "nested deeper"),
+    (SOLVE_SQUARE + ["--bc=" + "-" * 3000 + "x"], "nested deeper"),
+    (["decay", "--lengths", "2,4", "--s", "1", "--h", "0.5", "--phi", "1/0"],
+     "non-finite"),
+], ids=["overflow", "division-by-zero", "complex-power", "long-sum",
+        "unary-chain", "decay-phi-division-by-zero"])
+def test_expression_failures_are_one_line_errors(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert message in err
+
+
+def test_expression_depth_bound(capsys):
+    zeros = "+".join(["0"] * MAX_DEPTH)
+    assert main(SOLVE_SQUARE + ["--bc", zeros]) == 0
+    assert main(SOLVE_SQUARE + ["--bc", zeros + "+0"]) == 1
+    assert "nested deeper" in capsys.readouterr().err
 
 
 def test_solve_nonconvergence_exit(capsys, tmp_path):

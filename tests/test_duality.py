@@ -148,7 +148,7 @@ def test_return_trip_reuses_the_forward_conjugate(mse_solution, direction):
     tol = 1e-9 if direction == "min2max" else 1e-2
     conj = (maximal_conjugate(mesh, field, tol) if direction == "min2max"
             else minimal_conjugate(mesh, field, tol))
-    assert return_trip_error(mesh, field, conj, tol, direction) == \
+    assert return_trip_error(mesh, field, conj, direction) == \
         round_trip_error(mesh, field, tol, direction)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from maxsurf.records import fmt, read_csv, read_record, record_lines, write_csv, write_record
+from maxsurf.records import fmt, read_csv, record_lines, write_csv, write_record
+
+from conftest import read_record
 
 
 def test_fmt_ints_and_bools():

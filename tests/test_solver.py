@@ -747,13 +747,13 @@ def test_energy_history_monotone():
     m = build_annulus(1.0, 2.0, 0.2)
     bc = np.arcsinh(np.linalg.norm(m.vertices, axis=1))
     v, rep = solve(m, bc)
-    hist = np.asarray(rep.energy_history)
+    hist = np.asarray([s.energy for s in rep.steps])
     scale = np.abs(hist).max()
     # Lorentzian area is maximized along accepted steps
     assert np.all(np.diff(hist) >= -1e-12 * scale)
     x, y = m.vertices.T
     u, rep_e = solve(m, 0.5 * x * y, EUCLID)
-    hist_e = np.asarray(rep_e.energy_history)
+    hist_e = np.asarray([s.energy for s in rep_e.steps])
     # Euclidean area is minimized
     assert np.all(np.diff(hist_e) <= 1e-12 * np.abs(hist_e).max())
 

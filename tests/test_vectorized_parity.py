@@ -20,9 +20,14 @@ whose inner products and norms are no longer summed by BLAS, must take the
 matvecs of the former loop and match its achieved residual and solution to
 within the rounding that finite-precision CG carries forward, unless the
 two meet a tie at the stopping test (``test_pcg_matches_blas_summed_loop``).
+Boundary expressions, now parsed by Python's ``ast`` with float64
+constants, must match the former recursive-descent parser bit for bit
+wherever that parser returned a real array, and reject what it rejected.
 """
 
 import math
+import re
+import warnings
 from collections import deque
 from functools import partial
 
@@ -36,6 +41,8 @@ from maxsurf import (Mesh, NonConvergenceError, SolverConfig, TopologyError,
                      flux_form, integrate_potential, load_mesh, p1_gradient,
                      polyline_pieces, residual, save_mesh, solve,
                      tangent_matrix)
+from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
+                                 ExpressionError)
 from maxsurf.mesh import _edge_connected
 from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
 from maxsurf.uniqueness import _circle_sums
@@ -684,7 +691,7 @@ def test_annulus_triangles_match_loop(n_r, n_theta, r_inner):
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
 def test_edge_data_matches_sorted_rows(mesh):
     ref = sorted_rows_edge_data(mesh.triangles)
-    got = (mesh.edges, mesh.edge_counts, mesh.triangle_edges, mesh.neighbors)
+    got = mesh._edge_data
     for g, r in zip(got, ref):
         np.testing.assert_array_equal(g, r)
         assert g.shape == r.shape
@@ -967,3 +974,188 @@ def test_pcg_matches_blas_summed_loop(mesh, matrix, vcycle, linear_tol, seed):
     got, want = achieved_after(pcg, first), achieved_after(ref, first)
     assert abs(got - want) <= scale
     assert min(got, want) <= linear_tol < max(got, want)
+
+
+# ----------------------------------------------------------------------
+# boundary expressions: parity with the recursive-descent parser
+# ----------------------------------------------------------------------
+
+_OLD_TOKEN = re.compile(r"""
+    \s*(?:
+        (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>\*\*|[-+*/^()])
+    )
+""", re.VERBOSE)
+
+
+class DescentExpression:
+    """The former tokenizer and recursive-descent parser, constants as
+    Python floats."""
+
+    def __init__(self, text):
+        self.tokens, pos = [], 0
+        while pos < len(text):
+            m = _OLD_TOKEN.match(text, pos)
+            if m is None or m.end() == pos:
+                if not text[pos:].lstrip():
+                    break
+                raise ExpressionError(f"unexpected character at {pos}")
+            kind = m.lastgroup
+            value = float(m.group(kind)) if kind == "num" else m.group(kind)
+            self.tokens.append((kind, value))
+            pos = m.end()
+        self.tokens.append(("end", ""))
+        self.pos = 0
+        self.fn = self.parse_sum()
+        if self.peek()[0] != "end":
+            raise ExpressionError("unexpected trailing token")
+
+    def __call__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        env = {"x": x, "y": y, "r": np.hypot(x, y)}
+        with np.errstate(all="ignore"):
+            out = self.fn(env)
+        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, op):
+        if self.next() != ("op", op):
+            raise ExpressionError(f"expected {op!r}")
+
+    def parse_sum(self):
+        fn = self.parse_product()
+        while self.peek() in (("op", "+"), ("op", "-")):
+            op = self.next()[1]
+            rhs = self.parse_product()
+            if op == "+":
+                fn = (lambda a, b: lambda env: a(env) + b(env))(fn, rhs)
+            else:
+                fn = (lambda a, b: lambda env: a(env) - b(env))(fn, rhs)
+        return fn
+
+    def parse_product(self):
+        fn = self.parse_unary()
+        while self.peek() in (("op", "*"), ("op", "/")):
+            op = self.next()[1]
+            rhs = self.parse_unary()
+            if op == "*":
+                fn = (lambda a, b: lambda env: a(env) * b(env))(fn, rhs)
+            else:
+                fn = (lambda a, b: lambda env: a(env) / b(env))(fn, rhs)
+        return fn
+
+    def parse_unary(self):
+        if self.peek() == ("op", "-"):
+            self.next()
+            inner = self.parse_unary()
+            return lambda env: -inner(env)
+        if self.peek() == ("op", "+"):
+            self.next()
+            return self.parse_unary()
+        return self.parse_power()
+
+    def parse_power(self):
+        base = self.parse_atom()
+        if self.peek() in (("op", "^"), ("op", "**")):
+            self.next()
+            expo = self.parse_unary()
+            return lambda env: base(env) ** expo(env)
+        return base
+
+    def parse_atom(self):
+        kind, value = self.next()
+        if kind == "num":
+            return lambda env: value
+        if kind == "name" and value in FUNCTIONS:
+            fn = FUNCTIONS[value]
+            self.expect("(")
+            arg = self.parse_sum()
+            self.expect(")")
+            return lambda env: fn(arg(env))
+        if kind == "name" and value in VARIABLES:
+            return lambda env: env[value]
+        if (kind, value) == ("op", "("):
+            inner = self.parse_sum()
+            self.expect(")")
+            return inner
+        raise ExpressionError(f"unexpected {value!r}")
+
+
+_WS = st.sampled_from(["", "", " ", "  ", "\t"])
+_EXPONENT = st.builds(lambda e, sign, k: f"{e}{sign}{k}",
+                      st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                      st.integers(0, 40))
+_LITERALS = st.builds(
+    lambda mantissa, exponent: mantissa + exponent,
+    st.one_of(st.integers(0, 99).map(str),                 # 2
+              st.integers(0, 99).map("{}.".format),        # 1.
+              st.from_regex(r"\.[0-9]{1,3}", fullmatch=True),  # .5
+              st.from_regex(r"[1-9]?[0-9]\.[0-9]{1,3}", fullmatch=True)),
+    st.one_of(st.just(""), _EXPONENT))                     # 1e-3, 2E+2
+
+
+def _spaced(*parts):
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts)).map("".join)
+
+
+def _extend(inner):
+    unary = st.lists(_spaced(st.sampled_from("-+"), _WS), min_size=1,
+                     max_size=4).map("".join)
+    return st.one_of(
+        _spaced(inner, _WS, st.sampled_from(["+", "-", "*", "/", "^", "**"]),
+                _WS, inner),
+        _spaced(unary, inner),
+        _spaced("(", _WS, inner, _WS, ")"),
+        _spaced(st.sampled_from(sorted(FUNCTIONS)), _WS, "(", _WS, inner, _WS,
+                ")"),
+        # a power chain, which binds to the right
+        st.lists(inner, min_size=3, max_size=5).map("^".join))
+
+
+_GRAMMAR = st.recursive(st.one_of(_LITERALS, st.sampled_from(VARIABLES)),
+                        _extend, max_leaves=12)
+_POINTS = (np.array([-2.0, -1.0, -0.5, 0.0, 0.0, 0.3, 1.0, 1.5, 4.0]),
+           np.array([0.0, 1.0, -0.25, 0.0, 2.0, -3.0, 0.5, 1.5, 0.1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_spaced(_WS, _GRAMMAR, _WS))
+@example(text="2^3^2 - -x^2 * .5e1 / 2E+2 + 1.*y**-r")
+@example(text="(-8)^(1/3) + 0*x")
+@example(text="0.934^5.357 + 6.571**2.321*x")  # np.power would round these
+@example(text="2^2^2^2^2 + 1/0 - 1e400")
+def test_expression_matches_recursive_descent(text):
+    got = Expression(text)(*_POINTS)  # never raises on the grammar
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = DescentExpression(text)(*_POINTS)
+    except (ArithmeticError, TypeError, Warning):
+        # the former parser's defects: float overflow, division by zero and
+        # complex powers (their real part, or float() of a complex)
+        return
+    assert np.array_equal(got, want, equal_nan=True), text
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+@pytest.mark.parametrize("text", [
+    "x y", "sin x", "x < y", "x if y else 1", "x.real", "1j", "True",
+    '__import__("os")', "1_000", "0x10", "ｘ", "sin(", "q*x",
+    "sin(x, y)", "sin(x=1)", "", "x +", "x % y", "x // y", "(x", "x)",
+    "sin", "ｓin(x)", "lambda: x", "[x]", "x; y",
+])
+def test_both_parsers_reject(text):
+    with pytest.raises(ExpressionError):
+        DescentExpression(text)
+    with pytest.raises(ExpressionError):
+        Expression(text)
