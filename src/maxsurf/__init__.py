@@ -16,8 +16,8 @@ from .lorentz import (CoercivityConstants, CoercivityReport, SpacelikeError,
                       unit_normal)
 from .solver import (NonConvergenceError, SolveReport, SolverConfig,
                      cg_solve, energy, gradient_margin, load_field,
-                     p1_gradient, residual, residual_norm, save_field,
-                     solve, tangent_matrix)
+                     p1_divergence, p1_gradient, residual, residual_norm,
+                     save_field, solve, tangent_matrix)
 from .forms import (ClosednessError, TopologyError, circulations,
                     flux_form, integrate_potential, max_interior_circulation,
                     polyline_pieces)

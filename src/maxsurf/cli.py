@@ -122,17 +122,11 @@ def _build_mesh(args) -> Mesh:
                 raise UsageError("strip ends are always artificial; "
                                  "--artificial does not apply")
             return build_strip(length, height, h)
-        bad = set(sides) - {"left", "right", "bottom", "top"}
-        if bad:
-            raise UsageError(f"unknown rectangle side(s): {sorted(bad)}")
         return build_rectangle(length, height, h, artificial_sides=sides)
     if kind == "annulus":
         radii = rest.split(":")
         if len(radii) != 2:
             raise UsageError(f"expected annulus:RIN:ROUT, got {spec!r}")
-        bad = set(sides) - {"inner", "outer"}
-        if bad:
-            raise UsageError(f"unknown annulus ring(s): {sorted(bad)}")
         return build_annulus(_positive(radii[0], "inner radius"),
                              _positive(radii[1], "outer radius"),
                              h, artificial_rings=sides)
@@ -140,22 +134,17 @@ def _build_mesh(args) -> Mesh:
                      "(expected rect, strip, or annulus)")
 
 
-def _eval_expression(text: str, mesh: Mesh) -> np.ndarray:
+def _expression(text: str) -> Expression:
     try:
-        vals = Expression(text)(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        return Expression(text)
     except ExpressionError as exc:
         raise UsageError(f"bad expression {text!r}: {exc}") from None
-    bad = ~np.isfinite(vals[mesh.constrained_vertices])
-    if np.any(bad):
-        raise UsageError(
-            f"expression {text!r} is not finite on the boundary")
-    return vals
 
 
 def _boundary_values(spec: str, mesh: Mesh) -> np.ndarray:
     if spec.startswith("@"):
         return load_field(mesh, spec[1:])
-    return _eval_expression(spec, mesh)
+    return _expression(spec).boundary_data(mesh)
 
 
 def _emit(items, path) -> None:
@@ -223,9 +212,9 @@ def cmd_uniqueness(args) -> int:
         ends = mesh.vertex_class == ARTIFICIAL
         bc0, bc1 = base.copy(), base.copy()
         if args.art0 is not None:
-            bc0[ends] = _eval_expression(args.art0, mesh)[ends]
+            bc0[ends] = _expression(args.art0).boundary_data(mesh)[ends]
         if args.art1 is not None:
-            bc1[ends] = _eval_expression(args.art1, mesh)[ends]
+            bc1[ends] = _expression(args.art1).boundary_data(mesh)[ends]
         config = SolverConfig(metric="lorentz", residual_tol=args.tol)
         v, rep0 = solve(mesh, bc0, config)
         vp, rep1 = solve(mesh, bc1, config)
@@ -263,12 +252,7 @@ def cmd_uniqueness(args) -> int:
 
 def cmd_decay(args) -> int:
     lengths = [_positive(tok, "length") for tok in args.lengths.split(",")]
-    phi = None
-    if args.phi is not None:
-        try:
-            phi = Expression(args.phi)
-        except ExpressionError as exc:
-            raise UsageError(f"bad expression {args.phi!r}: {exc}") from None
+    phi = None if args.phi is None else _expression(args.phi)
     table = perturbation_decay(lengths, s=args.s, phi=phi,
                                height=_positive(str(args.height), "--height"),
                                h=_positive(str(args.h), "--h"),

@@ -92,3 +92,11 @@ class Expression:
         with np.errstate(all="ignore"):
             out = self._fn(env)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+
+    def boundary_data(self, mesh) -> np.ndarray:
+        """Values at the mesh's vertices, finite at its constrained ones."""
+        values = self(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        if not np.isfinite(values[mesh.constrained_vertices]).all():
+            raise ValueError(
+                f"expression {self.text!r} is not finite on the boundary")
+        return values

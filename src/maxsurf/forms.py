@@ -6,6 +6,10 @@ field, circulation around vertices (the discrete closedness test), the
 exact arcs in which origin-centred circles cross the triangles (on which
 the flux scan integrates forms in closed form), and integration of a
 closed form to a vertex potential.
+
+The circulations of p dx + q dy are the solver's weak divergence
+``p1_divergence`` of (-q, p); for the flux form they are minus the
+solver's residual, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .lorentz import flux_coeffs
 from .mesh import Mesh
-from .solver import p1_gradient
+from .solver import p1_divergence, p1_gradient
 
 ROOT_TOL = 1e-9
 
@@ -54,19 +58,12 @@ def circulations(mesh: Mesh, form) -> np.ndarray:
 
     The loop passes through the midpoints of the edges incident to the
     vertex; inside each incident triangle the path contributes the form
-    dotted with half the opposite-edge vector.  Only interior entries are
-    geometrically meaningful loops; boundary entries are partial fans.
+    dotted with half the opposite-edge vector, which is area_T
+    grad(phi_i) . (-q, p).  Only interior entries are geometrically
+    meaningful loops; boundary entries are partial fans.
     """
     form = _check_form(mesh, form)
-    t = mesh.triangles
-    pts = mesh.vertices[t]
-    # corner i's loop crosses the triangle along half the edge from
-    # corner i + 1 to corner i + 2; summed per vertex in the same order as
-    # the solver's residual
-    delta = 0.5 * (np.roll(pts, -2, axis=1) - np.roll(pts, -1, axis=1))
-    local = np.sum(form[:, None, :] * delta, axis=2)
-    return np.bincount(t.ravel(), weights=local.ravel(),
-                       minlength=mesh.vertex_count)
+    return p1_divergence(mesh, -form[:, 1], form[:, 0])
 
 
 def max_interior_circulation(mesh: Mesh, form) -> float:
@@ -242,8 +239,9 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     per-incident-triangle extrapolations; boundary vertices are then
     re-derived from their interior neighbors by exact edge integration,
     which keeps the reconstruction second order where one-sided fans would
-    otherwise degrade it.  Normalized to u[0] = 0; deterministic for a
-    fixed mesh; path independent up to closedness_tol times path length.
+    otherwise degrade it.  Each average is one ``bincount``.  Normalized
+    to u[0] = 0; deterministic for a fixed mesh; path independent up to
+    closedness_tol times path length.
     """
     form = _check_form(mesh, form)
     # false for nan as well, which would switch the closedness gate off
@@ -265,8 +263,6 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     cent = mesh.centroids
     pts = mesh.vertices
     order, pred = _bfs_tree(mesh)
-    if len(order) != mesh.triangle_count:
-        raise TopologyError("mesh is not edge-connected")
     # tree edges in BFS order; the shared edge is the parent's slot
     # holding the child
     child = order[1:]
@@ -290,32 +286,25 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
         phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
         start = stop
 
-    sums = np.zeros(mesh.vertex_count)
-    counts = np.zeros(mesh.vertex_count)
-    for i in range(3):
-        verts = t[:, i]
-        est = phi + np.sum(form * (pts[verts] - cent), axis=1)
-        np.add.at(sums, verts, est)
-        np.add.at(counts, verts, 1.0)
-    u = sums / counts
+    # each vertex averages its triangles' extrapolations, summed corner by
+    # corner: corner 0 of every triangle, then corners 1 and 2
+    corner = t.T.ravel()
+    est = phi + np.sum(form * (pts[t.T] - cent), axis=2)
+    counts = np.bincount(corner, minlength=mesh.vertex_count)
+    u = np.bincount(corner, weights=est.ravel(),
+                    minlength=mesh.vertex_count) / counts
 
+    # then each boundary vertex averages its interior neighbours' edge
+    # integrals, summed corner pair by corner pair
+    vb, vn = t.T[[0, 0, 1, 1, 2, 2]], t.T[[1, 2, 0, 2, 0, 1]]
     boundary = mesh.boundary_vertex_mask
-    sums2 = np.zeros(mesh.vertex_count)
-    counts2 = np.zeros(mesh.vertex_count)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            vb = t[:, i]
-            vn = t[:, j]
-            sel = boundary[vb] & ~boundary[vn]
-            if not sel.any():
-                continue
-            est = u[vn[sel]] + np.sum(
-                form[sel] * (pts[vb[sel]] - pts[vn[sel]]), axis=1)
-            np.add.at(sums2, vb[sel], est)
-            np.add.at(counts2, vb[sel], 1.0)
-    reachable = counts2 > 0
-    u[reachable] = sums2[reachable] / counts2[reachable]
+    sel = boundary[vb] & ~boundary[vn]
+    tri = np.nonzero(sel)[1]
+    vb, vn = vb[sel], vn[sel]
+    est = u[vn] + np.sum(form[tri] * (pts[vb] - pts[vn]), axis=1)
+    sums = np.bincount(vb, weights=est, minlength=mesh.vertex_count)
+    counts = np.bincount(vb, minlength=mesh.vertex_count)
+    reachable = counts > 0
+    u[reachable] = sums[reachable] / counts[reachable]
     return u - u[0]
 

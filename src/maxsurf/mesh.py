@@ -314,16 +314,14 @@ def build_rectangle(length: float, height: float, h: float,
     return Mesh(vertices, triangles, cls, float(h), shape_tag="rectangle")
 
 
-def build_strip(length: float, height: float, h: float,
-                ends_artificial: bool = True) -> Mesh:
+def build_strip(length: float, height: float, h: float) -> Mesh:
     """Rectangle whose long sides are the true boundary.
 
-    With ``ends_artificial`` the short ends x=0 and x=length are classed
-    artificial, standing in for the truncation of an infinite strip; the
-    four corners stay dirichlet because they lie on the long sides.
+    The short ends x=0 and x=length are classed artificial, standing in
+    for the truncation of an infinite strip; the four corners stay
+    dirichlet because they lie on the long sides.
     """
-    sides = ("left", "right") if ends_artificial else ()
-    m = build_rectangle(length, height, h, artificial_sides=sides)
+    m = build_rectangle(length, height, h, artificial_sides=("left", "right"))
     return Mesh(m.vertices, m.triangles, m.vertex_class, m.h, shape_tag="strip")
 
 

@@ -10,11 +10,15 @@ nonlinear residual falls (Eisenstat & Walker, SIAM J. Sci. Comput. 17
 smoothed-aggregation multigrid V-cycle (Vanek, Mandel & Brezina, Computing
 56 (1996) 179-196).  The Newton matrix is filled edge by edge: one value
 per mesh edge, the diagonal from the zero row sums of the P1 basis.  Each
-mesh gets, on first use, an assembly plan: the P1 sparsity pattern, the
-order that gathers diagonal and edge values into it, the free-vertex block
-inside it, and the aggregates of the multigrid hierarchy.  In the
+mesh gets, on first use, an assembly plan: the P1 sparsity pattern of the
+free-vertex block, the order that gathers the free-free diagonal and edge
+values into it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
 |grad v| never reaches 1 - SIGMA_MIN.
+
+The residual, ``forms.circulations`` and the harmonic extension's
+right-hand side are one weak divergence, ``p1_divergence``, the
+area-weighted transpose of ``p1_gradient``.
 
 Each iterate is evaluated once: its P1 gradient, squared norms, largest
 norm and area density are kept in one ``_Evaluation``, made for each
@@ -184,11 +188,30 @@ def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return g.T
 
 
-def _check_field(mesh: Mesh, values) -> np.ndarray:
+def p1_divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """(V,) weak divergence of the piecewise-constant field (fx, fy).
+
+    Component i is sum_T area_T grad(phi_i) . f_T, the area-weighted
+    transpose of ``p1_gradient``.  Computed from the (T,) rows of
+    ``mesh.basis_columns`` and summed per vertex by one ``bincount``,
+    triangle by triangle and corners 0, 1, 2 within each triangle.
+    """
+    wx = mesh.areas * fx
+    wy = mesh.areas * fy
+    bx, by = mesh.basis_columns
+    local = np.empty((mesh.triangle_count, 3))
+    for i in range(3):
+        local[:, i] = bx[i] * wx + by[i] * wy
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.vertex_count)
+
+
+def _check_field(mesh: Mesh, values, where=slice(None)) -> np.ndarray:
+    """``values`` as a (V,) float array, finite at the vertices ``where``."""
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.vertex_count,):
         raise ValueError("field length does not match the mesh")
-    if not np.isfinite(values).all():
+    if not np.isfinite(values[where]).all():
         raise ValueError("field contains non-finite values")
     return values
 
@@ -245,21 +268,14 @@ def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
              at: _Evaluation | None = None) -> np.ndarray:
     """Weak-form residual at the free (interior) vertices.
 
-    Component for vertex i is sum_T area_T grad(phi_i) . sigma(grad v),
-    summed per vertex triangle by triangle, in the order that
-    ``forms.circulations`` follows.  ``at`` as in ``energy``.
+    Component for vertex i is sum_T area_T grad(phi_i) . sigma(grad v):
+    the ``p1_divergence`` of the flux, which ``forms.circulations`` also
+    computes.  ``at`` as in ``energy``.
     """
     ev = _evaluation(mesh, values, config, at)
     dens = ev.density
-    wx = mesh.areas * (ev.gx / dens)
-    wy = mesh.areas * (ev.gy / dens)
-    bx, by = mesh.basis_columns
-    local = np.empty((mesh.triangle_count, 3))
-    for i in range(3):
-        local[:, i] = bx[i] * wx + by[i] * wy
-    full = np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.vertex_count)
-    return full[mesh.interior_vertices]
+    div = p1_divergence(mesh, ev.gx / dens, ev.gy / dens)
+    return div[mesh.interior_vertices]
 
 
 def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
@@ -280,21 +296,19 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
-                   full: bool = False, *,
+def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
                    at: _Evaluation | None = None) -> csr_matrix:
     """Sparse symmetric Newton matrix K_ij = sum_T area_T grad(phi_i) . D . grad(phi_j).
 
     D = c1 I + c2 g g^T is the flux Jacobian at the triangle gradient g,
     with c1 = 1 / density and c2 = +-c1 / density^2 (Lorentz +, Euclid -);
     it is positive definite in both metrics while the field is admissible,
-    so K restricted to the free vertices is SPD.  Returns the free-vertex
-    block unless ``full`` is set.  The entries of the corner pair opposite
-    each corner are summed per edge by one ``bincount``; each diagonal
-    entry is minus its row's off-diagonal sum, since the P1 basis gradients
-    of a triangle sum to zero.  The pattern is the mesh's assembly plan: it
-    keeps structural zeros and sorts columns within each row.  ``at`` as
-    in ``energy``.
+    so K restricted to the free vertices is SPD; that free-vertex block is
+    returned.  The entries of the corner pair opposite each corner are
+    summed per edge by one ``bincount``; each diagonal entry is minus its
+    row's off-diagonal sum, since the P1 basis gradients of a triangle sum
+    to zero.  The pattern is the mesh's assembly plan: it keeps structural
+    zeros and sorts columns within each row.  ``at`` as in ``energy``.
     """
     ev = _evaluation(mesh, values, config, at)
     dens = ev.density
@@ -309,17 +323,13 @@ def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig,
         # corners (k + 1, k + 2) of the edge opposite corner k
         a, b = (k + 1) % 3, (k + 2) % 3
         pair[:, k] = c1 * (bx[a] * bx[b] + by[a] * by[b]) + c2 * bg[a] * bg[b]
-    plan = _plan(mesh)
     edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
                        minlength=len(mesh.edges))
     lo, hi = mesh.edges.T
     n = mesh.vertex_count
     diag = -(np.bincount(lo, weights=edge, minlength=n)
              + np.bincount(hi, weights=edge, minlength=n))
-    data = np.concatenate([diag, edge, edge])[plan.order]
-    if full:
-        return _csr(data, plan.indices, plan.indptr, (n, n))
-    return plan.free_block(data)
+    return _plan(mesh).free_block(np.concatenate([diag, edge, edge]))
 
 
 # ----------------------------------------------------------------------
@@ -340,47 +350,39 @@ def _csr(data, indices, indptr, shape) -> csr_matrix:
 
 
 class _AssemblyPlan:
-    """The P1 sparsity of one mesh, built on first use.
+    """The free-vertex P1 sparsity of one mesh, built on first use.
 
-    The full-vertex CSR pattern (``indptr``, ``indices``) holds each
-    vertex's diagonal entry and both directions of each edge, columns
-    sorted within each row.  Its entries, listed as the V diagonal values,
-    then the E edge values for (lo, hi), then the same for (hi, lo), come
-    in CSR order when gathered by ``order``; ``free_pos`` lists the places
-    of the free-free block, row by row.  The matrices built from the plan
-    share its index arrays, which are therefore read-only.  ``tentatives``
-    holds the multigrid aggregates once the first V-cycle on the mesh has
-    chosen them.
+    Of the P1 entries, listed as the V diagonal values, then the E edge
+    values for (lo, hi), then the same for (hi, lo), ``order`` gathers the
+    free-free ones in the CSR order of the free-vertex block's pattern
+    (``indptr``, ``indices``), columns sorted within each row.  The
+    matrices built from the plan share its index arrays, which are
+    therefore read-only.  ``tentatives`` holds the multigrid aggregates
+    once the first V-cycle on the mesh has chosen them.
     """
 
     def __init__(self, mesh: Mesh):
         n = mesh.vertex_count
         lo, hi = mesh.edges.T
-        rows = np.concatenate([np.arange(n), lo, hi])
-        cols = np.concatenate([np.arange(n), hi, lo])
-        index = np.int32 if len(rows) < 2**31 else np.int64
-        order = np.argsort(rows * n + cols)
-        rows, cols = rows[order], cols[order]
         free = mesh.interior_vertices
         renumber = np.full(n, -1, dtype=np.int64)
         renumber[free] = np.arange(len(free))
-        keep = (renumber[rows] >= 0) & (renumber[cols] >= 0)
+        rows = renumber[np.concatenate([np.arange(n), lo, hi])]
+        cols = renumber[np.concatenate([np.arange(n), hi, lo])]
+        index = np.int32 if len(rows) < 2**31 else np.int64
+        keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        order = keep[np.argsort(rows[keep] * n + cols[keep])]
         self.order = order.astype(index)
-        self.indptr = _indptr(rows, n).astype(index)
-        self.indices = cols.astype(index)
-        self.free_pos = np.flatnonzero(keep).astype(index)
-        self.free_indptr = _indptr(renumber[rows[keep]], len(free)).astype(index)
-        self.free_indices = renumber[cols[keep]].astype(index)
-        for arr in (self.order, self.indptr, self.indices, self.free_pos,
-                    self.free_indptr, self.free_indices):
+        self.indptr = _indptr(rows[order], len(free)).astype(index)
+        self.indices = cols[order].astype(index)
+        for arr in (self.order, self.indptr, self.indices):
             arr.setflags(write=False)
         self.tentatives = None
 
-    def free_block(self, data: np.ndarray) -> csr_matrix:
-        """Free-vertex block of the full-pattern matrix with these entries."""
-        n = len(self.free_indptr) - 1
-        return _csr(data[self.free_pos], self.free_indices, self.free_indptr,
-                    (n, n))
+    def free_block(self, entries: np.ndarray) -> csr_matrix:
+        """Free-vertex block of the matrix with these P1 entries."""
+        n = len(self.indptr) - 1
+        return _csr(entries[self.order], self.indices, self.indptr, (n, n))
 
 
 def _plan(mesh: Mesh) -> _AssemblyPlan:
@@ -607,24 +609,23 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
 def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Solve the Laplace equation with the given constrained values.
 
-    Solved to LINEAR_TOL, so affine data comes back exact; with a zero
-    right-hand side (zero data) the constrained data is returned at once,
-    without a V-cycle.
+    The right-hand side is minus the weak divergence of the gradient of the
+    constrained data extended by zero.  Solved to LINEAR_TOL, so affine
+    data comes back exact; with a zero right-hand side (zero data) the
+    constrained data is returned at once, without a matrix or a V-cycle.
     """
-    laplace_cfg = replace(config, metric="euclid")
-    zero = np.zeros(mesh.vertex_count)
-    k_full = tangent_matrix(mesh, zero, laplace_cfg, full=True)
     free = mesh.interior_vertices
     fixed = mesh.constrained_vertices
     out = np.zeros(mesh.vertex_count)
     out[fixed] = bc[fixed]
-    rhs = -(k_full @ out)[free]  # out is zero at the free vertices
+    gx, gy = p1_gradient(mesh, out).T
+    rhs = -p1_divergence(mesh, gx, gy)[free]
     if not rhs.any():
         return out
-    plan = _plan(mesh)
-    k = plan.free_block(k_full.data)
+    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
+                       replace(config, metric="euclid"))
     out[free] = cg_solve(k, rhs, LINEAR_TOL,
-                         preconditioner=_vcycle(plan, k))
+                         preconditioner=_vcycle(_plan(mesh), k))
     return out
 
 
@@ -704,7 +705,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     Parameters
     ----------
     boundary_values : (V,) array; only entries at dirichlet and artificial
-        vertices are read, interior entries are ignored.
+        vertices are read, and they must be finite; interior entries are
+        ignored.
     config : SolverConfig; defaults to the Lorentzian metric.
 
     Returns
@@ -723,7 +725,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     """
     if config is None:
         config = SolverConfig()
-    bc = _check_field(mesh, boundary_values)
+    bc = _check_field(mesh, boundary_values, mesh.constrained_vertices)
     if len(mesh.interior_vertices) == 0:
         raise ValueError("mesh has no free vertices")
 

@@ -14,7 +14,6 @@ built origin-centered.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -540,16 +539,16 @@ def _end_taper(mesh: Mesh, height: float) -> np.ndarray:
 
 
 def perturbation_decay(lengths, s: float, phi=None, height: float = 4.0,
-                       h: float = 0.25, metric: str = "lorentz",
-                       config: SolverConfig | None = None) -> DecayTable:
+                       h: float = 0.25, metric: str = "lorentz") -> DecayTable:
     """Far-field influence of artificial end data on truncated strips.
 
     For each length L solves twice on the strip [0, L] x [0, height]: both
-    solves share the data phi(x, y) on the long sides (the true boundary),
-    while the artificial ends carry phi plus and minus (s/2) times a hat
-    taper that vanishes at the strip corners (a constant offset would break
-    the gradient constraint where the ends meet the long sides).  The end
-    data of the two solves therefore differ by s at the end midpoints.
+    solves share the data phi(x, y), an ``Expression`` (zero when None), on
+    the long sides (the true boundary), while the artificial ends carry phi
+    plus and minus (s/2) times a hat taper that vanishes at the strip
+    corners (a constant offset would break the gradient constraint where
+    the ends meet the long sides).  The end data of the two solves
+    therefore differ by s at the end midpoints.
     Reported per length: the maximum |v - v'| over the center cross
     section.  Lengths must be strictly increasing; uniqueness on the
     unbounded strip predicts the differences decrease.
@@ -561,16 +560,13 @@ def perturbation_decay(lengths, s: float, phi=None, height: float = 4.0,
         raise ValueError("lengths must be positive and strictly increasing")
     if not 0.0 <= s < np.inf:
         raise ValueError("offset s must be finite and nonnegative")
-    config = config or SolverConfig(metric=metric)
-    if config.metric != metric:
-        config = dataclasses.replace(config, metric=metric)
+    config = SolverConfig(metric=metric)
 
     def run(length: float):
         mesh = build_strip(length, height, h)
         base = np.zeros(mesh.vertex_count)
         if phi is not None:
-            base = np.asarray(
-                phi(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
+            base = phi.boundary_data(mesh)
         taper = _end_taper(mesh, height)
         v, rep = solve(mesh, base + 0.5 * s * taper, config)
         vp, rep_p = solve(mesh, base - 0.5 * s * taper, config)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from maxsurf import (Mesh, SolverConfig, build_annulus, build_rectangle,
                      p1_gradient, solve)
@@ -48,6 +49,28 @@ def jittered(mesh, seed):
     pts[inner] += rng.uniform(-step, step, size=(len(inner), 2))
     return Mesh(pts, mesh.triangles, mesh.vertex_class, mesh.h,
                 shape_tag="jittered")
+
+
+def cotan_laplacian(mesh):
+    """Full (V, V) sparse P1 stiffness matrix from the cotangent formula.
+
+    Each triangle adds cot(theta) / 2 to the Laplacian of the edge facing
+    its corner angle theta; built independently of the solver's kernels.
+    """
+    rows, cols, vals = [], [], []
+    for loc in range(3):
+        opp, i, j = (mesh.triangles[:, (loc + k) % 3] for k in range(3))
+        e1 = mesh.vertices[i] - mesh.vertices[opp]
+        e2 = mesh.vertices[j] - mesh.vertices[opp]
+        half_cot = 0.5 * np.sum(e1 * e2, axis=1) / np.abs(
+            e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-half_cot, -half_cot, half_cot, half_cot]
+    n = mesh.vertex_count
+    return coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
 
 
 def spacelike_field(mesh, seed, steepest=0.5):

@@ -106,7 +106,7 @@ SOLVE_SQUARE = ["solve", "--shape", "rect:1x1", "--h", "0.25"]
     (SOLVE_SQUARE + ["--bc=" + "+".join(["x"] * 5000)], "nested deeper"),
     (SOLVE_SQUARE + ["--bc=" + "-" * 3000 + "x"], "nested deeper"),
     (["decay", "--lengths", "2,4", "--s", "1", "--h", "0.5", "--phi", "1/0"],
-     "non-finite"),
+     "expression '1/0' is not finite on the boundary"),
 ], ids=["overflow", "division-by-zero", "complex-power", "long-sum",
         "unary-chain", "decay-phi-division-by-zero"])
 def test_expression_failures_are_one_line_errors(capsys, argv, message):
@@ -114,6 +114,23 @@ def test_expression_failures_are_one_line_errors(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:"), err
     assert message in err
+
+
+def test_solve_ignores_the_bc_at_interior_vertices(tmp_path):
+    # the expression is infinite only at the interior vertex (0.5, 0.5)
+    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.1", "--metric",
+               "euclid", "--bc", "1/((x-0.5)^2+(y-0.5)^2)", "--out", "pole"])
+    assert rc == 0
+    assert read_record(tmp_path / "pole_report.txt")["converged"] == "1"
+
+
+@pytest.mark.parametrize("shape", ["rect:1x1", "annulus:1:2"])
+def test_unknown_artificial_part_is_one_line_error(capsys, shape):
+    assert main(["solve", "--shape", shape, "--h", "0.25", "--bc", "0",
+                 "--artificial", "foo"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert "'foo'" in err
 
 
 def test_expression_depth_bound(capsys):

@@ -121,15 +121,14 @@ def test_flux_form_rejects_steep_field(square4):
 
 def test_circulation_matches_residual(solved_pair):
     # The loop integral of the flux form around an interior vertex is the
-    # negated equation residual at that vertex, identically in exact
-    # arithmetic; here they are assembled by different code paths.
+    # negated equation residual at that vertex; both are the solver's weak
+    # divergence of the same flux, so they agree bit for bit.
     mesh, v, vp = solved_pair
     config = SolverConfig()
     for field in (v, vp):
         circ = circulations(mesh, flux_form(mesh, field))
         res = residual(mesh, field, config)
-        np.testing.assert_allclose(
-            circ[mesh.interior_vertices], -res, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(circ[mesh.interior_vertices], -res)
 
 
 def test_rotational_circulation_is_two_thirds_star_area(square4):

@@ -73,11 +73,6 @@ def test_strip_end_classing():
     assert m.vertex_class[vertex_at(m, 8.0, 1.0)] == DIRICHLET
 
 
-def test_strip_without_artificial_ends():
-    m = build_strip(8.0, 1.0, 0.25, ends_artificial=False)
-    assert not np.any(m.vertex_class == ARTIFICIAL)
-
-
 def test_strip_h_too_large():
     with pytest.raises(ValueError):
         build_strip(8.0, 1.0, 9.0)

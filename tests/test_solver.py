@@ -34,29 +34,11 @@ from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             _forcing_term, _harmonic_extension,
                             _spacelike_initial_guess, _VCycle)
 
-from conftest import affine_field, jittered, spacelike_field
+from conftest import (affine_field, cotan_laplacian, jittered,
+                      spacelike_field)
 
 LORENTZ = SolverConfig()
 EUCLID = SolverConfig(metric="euclid")
-
-
-def cotan_laplacian(mesh):
-    """Independent stiffness assembly from the cotangent formula."""
-    n = mesh.vertex_count
-    k = np.zeros((n, n))
-    for tri in mesh.triangles:
-        pts = mesh.vertices[tri]
-        for loc in range(3):
-            i, j, opp = tri[(loc + 1) % 3], tri[(loc + 2) % 3], tri[loc]
-            e1 = mesh.vertices[i] - mesh.vertices[opp]
-            e2 = mesh.vertices[j] - mesh.vertices[opp]
-            cot = float(e1 @ e2) / abs(e1[0] * e2[1] - e1[1] * e2[0])
-            k[i, j] -= 0.5 * cot
-            k[j, i] -= 0.5 * cot
-            k[i, i] += 0.5 * cot
-            k[j, j] += 0.5 * cot
-        del pts
-    return k
 
 
 # ----------------------------------------------------------------------
@@ -152,14 +134,16 @@ def test_residual_is_energy_gradient(square4):
 
 def test_tangent_at_zero_is_cotan_laplacian(square4):
     v = np.zeros(square4.vertex_count)
-    k = tangent_matrix(square4, v, LORENTZ, full=True).toarray()
-    np.testing.assert_allclose(k, cotan_laplacian(square4), rtol=0, atol=1e-12)
+    free = square4.interior_vertices
+    k = tangent_matrix(square4, v, LORENTZ).toarray()
+    ref = cotan_laplacian(square4)[free][:, free].toarray()
+    np.testing.assert_allclose(k, ref, rtol=0, atol=1e-12)
 
 
 def test_metrics_agree_at_zero_gradient(square4):
     v = np.full(square4.vertex_count, 2.0)
-    kl = tangent_matrix(square4, v, LORENTZ, full=True).toarray()
-    ke = tangent_matrix(square4, v, EUCLID, full=True).toarray()
+    kl = tangent_matrix(square4, v, LORENTZ).toarray()
+    ke = tangent_matrix(square4, v, EUCLID).toarray()
     np.testing.assert_array_equal(kl, ke)
 
 
@@ -309,9 +293,10 @@ def test_harmonic_extension_matches_sliced_jacobi_cg(mesh, seed):
     bc = np.random.default_rng(seed).standard_normal(mesh.vertex_count)
     with mock.patch.object(solver_module, "LINEAR_TOL", 1e-14):
         got = _harmonic_extension(mesh, bc, config)
-    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count), config, full=True)
+    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count), config)
     free, fixed = mesh.interior_vertices, mesh.constrained_vertices
-    ref = cg_solve(k[free][:, free], -k[free][:, fixed] @ bc[fixed], 1e-14)
+    coupling = cotan_laplacian(mesh)[free][:, fixed]
+    ref = cg_solve(k, -coupling @ bc[fixed], 1e-14)
     np.testing.assert_array_equal(got[fixed], bc[fixed])
     assert np.linalg.norm(got[free] - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -417,10 +402,10 @@ def test_line_search_residual_is_the_next_right_hand_side(monkeypatch):
     candidates = sum(1 + row.backtracks for row in report.steps[1:])
     assert candidates > report.iterations  # some steps were halved
     assert len(calls) == 1 + candidates
-    # one gradient per field: the harmonic extension's zero field, the
-    # initial guess and every candidate; the Newton matrices, energies and
-    # margins reuse them
-    assert len(gradients) == 2 + candidates
+    # one gradient per field: the harmonic extension's zero field and its
+    # data (for the right-hand side), the initial guess and every
+    # candidate; the Newton matrices, energies and margins reuse them
+    assert len(gradients) == 3 + candidates
     assert report.residual == residual_norm(mesh, v, EUCLID)
     assert report.steps[-1].residual == report.residual
 
@@ -543,8 +528,9 @@ def test_one_gradient_per_lorentz_iterate(monkeypatch):
     candidates = sum(1 + row.backtracks for row in report.steps[1:])
     # a candidate that is not spacelike is rejected without a residual
     assert len(residuals) <= 1 + candidates
-    # the harmonic extension's zero field, the start and every candidate
-    assert len(gradients) == 2 + candidates
+    # the harmonic extension's zero field and its data (for the right-hand
+    # side), the start and every candidate
+    assert len(gradients) == 3 + candidates
     assert report.residual == residual_norm(mesh, v, LORENTZ)
 
 
@@ -568,7 +554,8 @@ def test_initial_guess_ladder_evaluation_is_the_newton_start(monkeypatch):
     gradients = count_calls(monkeypatch, "p1_gradient")
     guess = _spacelike_initial_guess(SQUARE16, bc, LORENTZ)
     ladder = len(gradients)
-    assert ladder > 2  # the zero field, the harmonic start and some rungs
+    # the zero field, the data, the harmonic start and some rungs
+    assert ladder > 3
     assert guess.max_norm <= 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
     gradients.clear()
     _, report = solve(SQUARE16, bc)
@@ -789,6 +776,24 @@ def test_solve_requires_free_vertices():
     m = build_rectangle(1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="free"):
         solve(m, np.zeros(m.vertex_count))
+
+
+@pytest.mark.parametrize("metric", ["lorentz", "euclid"])
+def test_solve_reads_only_the_constrained_entries(square4, metric):
+    config = SolverConfig(metric=metric)
+    bc = affine_field(square4, 0.3, 0.4)
+    ref, rep = solve(square4, bc, config)
+    assert rep.converged
+    noisy = bc.copy()
+    noisy[square4.interior_vertices] = [np.nan, np.inf, -np.inf] * 3
+    got, rep = solve(square4, noisy, config)
+    assert rep.converged
+    np.testing.assert_array_equal(got, ref)
+    for bad in (np.nan, np.inf):
+        noisy = bc.copy()
+        noisy[square4.constrained_vertices[5]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(square4, noisy, config)
 
 
 def test_solve_deterministic(square16):

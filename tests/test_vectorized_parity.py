@@ -23,6 +23,12 @@ two meet a tie at the stopping test (``test_pcg_matches_blas_summed_loop``).
 Boundary expressions, now parsed by Python's ``ast`` with float64
 constants, must match the former recursive-descent parser bit for bit
 wherever that parser returned a real array, and reject what it rejected.
+The potential's vertex averages, now one ``bincount`` each, must match
+the former ``np.add.at`` loops bit for bit on the same triangle
+potential.  The circulations, now the solver's weak divergence of the
+rotated form, must match the former ``np.roll`` edge vectors within
+CIRCULATION_ULPS of the per-vertex sum of |p dx| + |q dy|, and the weak
+divergence must be the adjoint of the P1 gradient to rounding.
 """
 
 import math
@@ -36,10 +42,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from maxsurf import (Mesh, NonConvergenceError, SolverConfig, TopologyError,
-                     build_annulus, build_rectangle, cg_solve,
+                     build_annulus, build_rectangle, cg_solve, circulations,
                      conjugate_pair_coeffs, energy,
-                     flux_form, integrate_potential, load_mesh, p1_gradient,
-                     polyline_pieces, residual, save_mesh, solve,
+                     flux_form, integrate_potential, load_mesh, p1_divergence,
+                     p1_gradient, polyline_pieces, residual, save_mesh, solve,
                      tangent_matrix)
 from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
                                  ExpressionError)
@@ -55,6 +61,9 @@ from conftest import jittered, spacelike_field
 # the former polyline clipper's tolerances
 BARY_TOL = 1e-9
 PARAM_MERGE_TOL = 1e-12
+EPS = np.finfo(float).eps
+CIRCULATION_ULPS = 8  # of the per-vertex sum of |p dx| + |q dy|
+ADJOINT_TOL = 1e-13   # of the sum of the magnitudes of the products
 
 # ----------------------------------------------------------------------
 # reference implementations
@@ -110,6 +119,15 @@ def loop_potential(mesh, form, closedness_tol=1e-9):
                 + float(form[nxt] @ (cent[nxt] - m))
             seen[nxt] = True
             queue.append(nxt)
+    return add_at_vertex_potential(mesh, form, phi)
+
+
+def add_at_vertex_potential(mesh, form, phi):
+    """Former vertex averages of the triangle potential ``phi``: np.add.at
+    over the corners, then over the boundary-interior corner pairs."""
+    t = mesh.triangles
+    cent = mesh.centroids
+    pts = mesh.vertices
     sums = np.zeros(mesh.vertex_count)
     counts = np.zeros(mesh.vertex_count)
     for i in range(3):
@@ -137,6 +155,46 @@ def loop_potential(mesh, form, closedness_tol=1e-9):
     reachable = counts2 > 0
     u[reachable] = sums2[reachable] / counts2[reachable]
     return u - u[0]
+
+
+def sliced_tree_potential(mesh, form):
+    """Triangle potential as ``integrate_potential`` sums it, one
+    breadth-first level at a time."""
+    t = mesh.triangles
+    cent = mesh.centroids
+    pts = mesh.vertices
+    order, pred = _bfs_tree(mesh)
+    child = order[1:]
+    parent = pred[child]
+    slot = np.argmax(mesh.neighbors[parent] == child[:, None], axis=1)
+    m = 0.5 * (pts[t[parent, (slot + 1) % 3]] + pts[t[parent, (slot + 2) % 3]])
+    inc1 = np.sum(form[parent] * (m - cent[parent]), axis=1)
+    inc2 = np.sum(form[child] * (cent[child] - m), axis=1)
+    pos = np.empty(mesh.triangle_count, dtype=np.int64)
+    pos[order] = np.arange(mesh.triangle_count)
+    parent_pos = pos[parent]
+    phi = np.zeros(mesh.triangle_count)
+    start = 0
+    while start < len(child):
+        stop = int(np.searchsorted(parent_pos, start + 1))
+        sel = slice(start, stop)
+        phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
+        start = stop
+    return phi
+
+
+def roll_circulations(mesh, form):
+    """Former circulations, the form dotted with half the opposite-edge
+    vector from ``np.roll``, and per vertex the sum of the magnitudes of
+    the products p dx and q dy that make them."""
+    t = mesh.triangles
+    pts = mesh.vertices[t]
+    delta = 0.5 * (np.roll(pts, -2, axis=1) - np.roll(pts, -1, axis=1))
+    products = form[:, None, :] * delta
+    return [np.bincount(t.ravel(), weights=w.ravel(),
+                        minlength=mesh.vertex_count)
+            for w in (np.sum(products, axis=2),
+                      np.sum(np.abs(products), axis=2))]
 
 
 def loop_write_csv(path, header, columns):
@@ -733,7 +791,7 @@ def test_edge_connected_matches_csgraph(sizes, seed):
 # ----------------------------------------------------------------------
 
 
-def coo_tangent(mesh, values, config, full=False):
+def coo_tangent(mesh, values, config):
     """Former assembly: 3x3 local matrices of the (T, 2, 2) flux Jacobian,
     COO triplets to CSR, then free rows and columns sliced."""
     g = p1_gradient(mesh, values)
@@ -756,22 +814,20 @@ def coo_tangent(mesh, values, config, full=False):
     cols = np.tile(t, (1, 3)).ravel()
     n = mesh.vertex_count
     k = coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    if full:
-        return k
     free = mesh.interior_vertices
     return k[free][:, free]
 
 
 @settings(max_examples=80, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())),
-       metric=st.sampled_from(["lorentz", "euclid"]), full=st.booleans(),
+       metric=st.sampled_from(["lorentz", "euclid"]),
        seed=st.integers(0, 2**32 - 1),
        steepest=st.one_of(st.just(0.5), st.floats(0.95, 0.999)))
-def test_tangent_refill_matches_coo(mesh, metric, full, seed, steepest):
+def test_tangent_refill_matches_coo(mesh, metric, seed, steepest):
     config = SolverConfig(metric=metric)
     v = spacelike_field(mesh, seed, steepest)
-    got = tangent_matrix(mesh, v, config, full=full)
-    ref = coo_tangent(mesh, v, config, full=full)
+    got = tangent_matrix(mesh, v, config)
+    ref = coo_tangent(mesh, v, config)
     assert got.shape == ref.shape
     np.testing.assert_array_equal(got.indptr, ref.indptr)
     np.testing.assert_array_equal(got.indices, ref.indices)
@@ -825,7 +881,7 @@ def einsum_residual(mesh, values, config):
     return full[mesh.interior_vertices]
 
 
-def einsum_tangent(mesh, values, config, full=False):
+def einsum_tangent(mesh, values, config):
     """Former edge-based fill: corner pairs gathered with fancy indices."""
     g = einsum_gradient(mesh, values)
     dens = einsum_density(g, config.metric)
@@ -850,18 +906,16 @@ def einsum_tangent(mesh, values, config, full=False):
                      np.concatenate([np.arange(n), hi, lo]))),
                    shape=(n, n)).tocsr()
     k.sort_indices()
-    if full:
-        return k
     free = mesh.interior_vertices
     return k[free][:, free]
 
 
 @settings(max_examples=60, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())),
-       metric=st.sampled_from(["lorentz", "euclid"]), full=st.booleans(),
+       metric=st.sampled_from(["lorentz", "euclid"]),
        seed=st.integers(0, 2**32 - 1),
        steepest=st.one_of(st.just(0.5), st.floats(0.95, 0.999)))
-def test_column_kernels_match_einsum(mesh, metric, full, seed, steepest):
+def test_column_kernels_match_einsum(mesh, metric, seed, steepest):
     config = SolverConfig(metric=metric)
     v = spacelike_field(mesh, seed, steepest) + 3.0
     assert mesh.basis_columns.shape == (2, 3, mesh.triangle_count)
@@ -875,11 +929,55 @@ def test_column_kernels_match_einsum(mesh, metric, full, seed, steepest):
     assert energy(mesh, v, config) == einsum_energy(mesh, v, config)
     np.testing.assert_array_equal(residual(mesh, v, config),
                                   einsum_residual(mesh, v, config))
-    got = tangent_matrix(mesh, v, config, full=full)
-    ref = einsum_tangent(mesh, v, config, full=full)
+    got = tangent_matrix(mesh, v, config)
+    ref = einsum_tangent(mesh, v, config)
     np.testing.assert_array_equal(got.indptr, ref.indptr)
     np.testing.assert_array_equal(got.indices, ref.indices)
     np.testing.assert_array_equal(got.data, ref.data)
+
+
+# ----------------------------------------------------------------------
+# potential averages and weak divergence: parity
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(rectangles(), relabelled(rectangles())),
+       kind=st.sampled_from(["gradient", "conjugate"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_potential_averages_match_add_at(mesh, kind, seed):
+    form = closed_form(mesh, kind, seed)
+    ref = add_at_vertex_potential(mesh, form,
+                                  sliced_tree_potential(mesh, form))
+    np.testing.assert_array_equal(integrate_potential(mesh, form, 1e-6), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       seed=st.integers(0, 2**32 - 1))
+def test_circulations_match_roll(mesh, seed):
+    form = np.random.default_rng(seed).standard_normal((mesh.triangle_count, 2))
+    ref, magnitude = roll_circulations(mesh, form)
+    got = circulations(mesh, form)
+    assert np.all(np.abs(got - ref) <= CIRCULATION_ULPS * EPS * magnitude)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       seed=st.integers(0, 2**32 - 1))
+def test_divergence_is_adjoint_of_gradient(mesh, seed):
+    # sum_T area_T grad(u) . f = u . div(f), with rounding measured against
+    # the sum of the magnitudes of the products u_i area_T grad(phi_i) . f
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(mesh.vertex_count)
+    fx, fy = rng.standard_normal((2, mesh.triangle_count))
+    gx, gy = p1_gradient(mesh, u).T
+    lhs = float(np.sum(mesh.areas * (gx * fx + gy * fy)))
+    rhs = float(u @ p1_divergence(mesh, fx, fy))
+    bx, by = mesh.basis_columns
+    scale = np.sum(mesh.areas * np.abs(u[mesh.triangles.T])
+                   * (np.abs(bx * fx) + np.abs(by * fy)))
+    assert abs(lhs - rhs) <= ADJOINT_TOL * scale
 
 
 # ----------------------------------------------------------------------
