@@ -22,8 +22,8 @@ import numpy as np
 from .duality import maximal_conjugate, minimal_conjugate, return_trip_error
 from .expressions import Expression, ExpressionError
 from .lorentz import coercivity_constants, sample_coercivity
-from .mesh import (ARTIFICIAL, Mesh, build_annulus, build_rectangle,
-                   build_strip, load_mesh)
+from .mesh import (ARTIFICIAL, DIRICHLET, Mesh, build_annulus,
+                   build_rectangle, build_strip, load_mesh)
 from .records import record_lines, write_record, write_csv
 from .solver import (NonConvergenceError, SolverConfig, load_field,
                      save_field, save_trace, solve)
@@ -141,10 +141,10 @@ def _expression(text: str) -> Expression:
         raise UsageError(f"bad expression {text!r}: {exc}") from None
 
 
-def _boundary_values(spec: str, mesh: Mesh) -> np.ndarray:
+def _boundary_values(spec: str, mesh: Mesh, where=None) -> np.ndarray:
     if spec.startswith("@"):
         return load_field(mesh, spec[1:])
-    return _expression(spec).boundary_data(mesh)
+    return _expression(spec).boundary_data(mesh, where)
 
 
 def _emit(items, path) -> None:
@@ -208,13 +208,16 @@ def cmd_uniqueness(args) -> int:
     else:
         if not args.bc:
             raise UsageError("inline solves need --bc (plus --art0/--art1)")
-        base = _boundary_values(args.bc, mesh)
+        # each expression is checked only where a solve reads it: --bc at
+        # the artificial vertices only if --art0 or --art1 leaves them to it
         ends = mesh.vertex_class == ARTIFICIAL
+        arts = (args.art0, args.art1)
+        used = None if None in arts else mesh.vertex_class == DIRICHLET
+        base = _boundary_values(args.bc, mesh, used)
         bc0, bc1 = base.copy(), base.copy()
-        if args.art0 is not None:
-            bc0[ends] = _expression(args.art0).boundary_data(mesh)[ends]
-        if args.art1 is not None:
-            bc1[ends] = _expression(args.art1).boundary_data(mesh)[ends]
+        for bc, art in zip((bc0, bc1), arts):
+            if art is not None:
+                bc[ends] = _expression(art).boundary_data(mesh, ends)[ends]
         config = SolverConfig(metric="lorentz", residual_tol=args.tol)
         v, rep0 = solve(mesh, bc0, config)
         vp, rep1 = solve(mesh, bc1, config)

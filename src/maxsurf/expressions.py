@@ -93,10 +93,16 @@ class Expression:
             out = self._fn(env)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
-    def boundary_data(self, mesh) -> np.ndarray:
-        """Values at the mesh's vertices, finite at its constrained ones."""
+    def boundary_data(self, mesh, where=None) -> np.ndarray:
+        """Values at the mesh's vertices, finite at the vertices ``where``.
+
+        ``where`` indexes the vertices whose values are used; it defaults
+        to the mesh's constrained vertices.
+        """
         values = self(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        if not np.isfinite(values[mesh.constrained_vertices]).all():
+        if where is None:
+            where = mesh.constrained_vertices
+        if not np.isfinite(values[where]).all():
             raise ValueError(
                 f"expression {self.text!r} is not finite on the boundary")
         return values

@@ -228,6 +228,51 @@ def _bfs_tree(mesh: Mesh):
     return np.concatenate(levels), pred
 
 
+class _PotentialTree:
+    """The BFS tree edges of one mesh, as ``integrate_potential`` walks them.
+
+    ``child`` and ``parent`` list the tree edges in BFS order; the path
+    between their centroids crosses the midpoint of their shared edge, the
+    parent's slot holding the child, with offsets ``to_mid`` from the
+    parent's centroid and ``from_mid`` to the child's.  BFS order lists the
+    tree level by level and the parents' positions never decrease, so each
+    level is one slice of the tree edges, in ``levels``.
+    """
+
+    def __init__(self, mesh: Mesh):
+        t = mesh.triangles
+        pts = mesh.vertices
+        cent = mesh.centroids
+        order, pred = _bfs_tree(mesh)
+        self.child = order[1:]
+        self.parent = pred[self.child]
+        slot = np.argmax(mesh.neighbors[self.parent] == self.child[:, None],
+                         axis=1)
+        a = t[self.parent, (slot + 1) % 3]
+        b = t[self.parent, (slot + 2) % 3]
+        m = 0.5 * (pts[a] + pts[b])
+        self.to_mid = m - cent[self.parent]
+        self.from_mid = cent[self.child] - m
+        pos = np.empty(mesh.triangle_count, dtype=np.int64)
+        pos[order] = np.arange(mesh.triangle_count)
+        parent_pos = pos[self.parent]
+        self.levels = []
+        start = 0
+        while start < len(self.child):
+            stop = int(np.searchsorted(parent_pos, start + 1))
+            self.levels.append(slice(start, stop))
+            start = stop
+
+
+def _potential_tree(mesh: Mesh) -> _PotentialTree:
+    # kept in the instance dict, as the solver keeps its assembly plan: the
+    # forward and the return leg of a round trip integrate on one mesh
+    tree = mesh.__dict__.get("_potential_tree")
+    if tree is None:
+        tree = mesh.__dict__["_potential_tree"] = _PotentialTree(mesh)
+    return tree
+
+
 def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.ndarray:
     """Vertex potential u with du approximating the given closed form.
 
@@ -235,7 +280,8 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     interior circulation at or below ``closedness_tol``.  The potential is
     built by breadth-first traversal of the triangle adjacency tree rooted
     at triangle 0, integrating the form exactly along centroid-to-centroid
-    paths through shared-edge midpoints.  Vertex values average the
+    paths through shared-edge midpoints; the tree and its paths are built
+    once per mesh.  Vertex values average the
     per-incident-triangle extrapolations; boundary vertices are then
     re-derived from their interior neighbors by exact edge integration,
     which keeps the reconstruction second order where one-sided fans would
@@ -262,29 +308,13 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     t = mesh.triangles
     cent = mesh.centroids
     pts = mesh.vertices
-    order, pred = _bfs_tree(mesh)
-    # tree edges in BFS order; the shared edge is the parent's slot
-    # holding the child
-    child = order[1:]
-    parent = pred[child]
-    slot = np.argmax(mesh.neighbors[parent] == child[:, None], axis=1)
-    a = t[parent, (slot + 1) % 3]
-    b = t[parent, (slot + 2) % 3]
-    m = 0.5 * (pts[a] + pts[b])
-    inc1 = np.sum(form[parent] * (m - cent[parent]), axis=1)
-    inc2 = np.sum(form[child] * (cent[child] - m), axis=1)
-    # BFS order lists the tree level by level and the parents' positions
-    # never decrease, so each level is one slice of the tree edges
-    pos = np.empty(mesh.triangle_count, dtype=np.int64)
-    pos[order] = np.arange(mesh.triangle_count)
-    parent_pos = pos[parent]
+    tree = _potential_tree(mesh)
+    child, parent = tree.child, tree.parent
+    inc1 = np.sum(form[parent] * tree.to_mid, axis=1)
+    inc2 = np.sum(form[child] * tree.from_mid, axis=1)
     phi = np.zeros(mesh.triangle_count)
-    start = 0
-    while start < len(child):
-        stop = int(np.searchsorted(parent_pos, start + 1))
-        sel = slice(start, stop)
+    for sel in tree.levels:
         phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
-        start = stop
 
     # each vertex averages its triangles' extrapolations, summed corner by
     # corner: corner 0 of every triangle, then corners 1 and 2

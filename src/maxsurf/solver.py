@@ -29,7 +29,9 @@ rows of ``Mesh.basis_columns`` and of the gradient.  The vector
 reductions (PCG inner products and norms, the energy sum and the residual
 norm) are summed by numpy's own loop, not by BLAS: a threaded BLAS splits
 long dot products over its worker threads, which then spin between calls
-through the whole solve, spending CPU time that buys no speed.
+through the whole solve, spending CPU time that buys no speed.  The
+V-cycle build makes no dense BLAS call either: its products are sparse,
+and the bottom level's inverse is an elimination in numpy's own loops.
 
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
@@ -81,7 +83,7 @@ STRENGTH_THETA = 0.1      # strong link: |a_ij| >= theta sqrt(a_ii a_jj)
 STALL_FRACTION = 0.5      # coarsening stalls above this size ratio; retry at theta 0
 COARSE_SIZE = 300         # levels this small are solved densely
 JACOBI_WEIGHT = 4.0 / 3.0  # over the Gershgorin bound of D^-1 A
-COARSE_RCOND = 1e-13      # coarse eigenvalues below this fraction of the largest are dropped
+COARSE_RCOND = 1e-13      # bottom pivots up to this fraction of the largest diagonal are dropped
 
 # lagged hierarchy: rebuild after a lagged system this much slower per decade
 LAG_RATE_FACTOR = 2.0
@@ -424,20 +426,24 @@ def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
     strong = np.abs(a.data) >= theta * np.sqrt(d[rows] * d[a.indices])
     rows = rows[strong]
     cols = a.indices[strong]
-    s = _csr(np.ones(len(cols)), cols, _indptr(rows, n), (n, n))
-    s2 = s @ s
+    start = _indptr(rows, n)[:-1]
+
+    def two_links(reduce, values):
+        # every row links to itself, so the rows within two links of i are
+        # those within one link of a row within one link of i
+        return reduce.reduceat(reduce.reduceat(values[cols], start)[cols],
+                               start)
+
     # odd multiplier: distinct priorities for n < 2**32, no random state
     priority = np.arange(n, dtype=np.int64) * 2654435761 % (1 << 32)
     state = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 root, -1 not a root
-    near, start = s2.indices, s2.indptr[:-1]
     while True:
         open_ = state == 0
         if not open_.any():
             break
-        best = np.maximum.reduceat(np.where(open_[near], priority[near], -1),
-                                   start)
+        best = two_links(np.maximum, np.where(open_, priority, -1))
         root = open_ & (best == priority)
-        reached = np.logical_or.reduceat(root[near], start)
+        reached = two_links(np.logical_or, root)
         state[root] = 1
         state[open_ & reached & ~root] = -1
     agg = np.full(n, -1, dtype=np.int64)
@@ -469,6 +475,54 @@ def _tentative(a: csr_matrix):
     return _csr(np.ones(n), agg, np.arange(n + 1), (n, coarse))
 
 
+def _dense_inverse(a: np.ndarray) -> np.ndarray:
+    """Symmetric (generalized) inverse of a dense positive semidefinite matrix.
+
+    A = P L D L^T P^T by left-looking elimination with diagonal pivoting
+    (the largest remaining Schur diagonal first); it stops once that is at
+    most COARSE_RCOND times the largest diagonal entry of ``a``, and the
+    remaining pivots are dropped.  The inverse of the kept factor comes from
+    the recurrence Z = D^-1 L^-1 + (I - L^T) Z, one row from the last
+    (Takahashi, Fagan & Chen, 8th PICA Conference, 1973), each row written
+    to its column too.  The result is symmetric by construction, positive
+    semidefinite, and for a singular ``a`` satisfies A Z A = A up to the
+    dropped Schur complement.  The matrix-vector products are einsum
+    contractions, numpy's own loop: a threaded BLAS call would wake worker
+    threads that then spin after it returns (module docstring).
+    """
+    n = a.shape[0]
+    perm = np.arange(n)
+    lower = np.zeros((n, n))  # unit lower factor in pivot order, diagonal not stored
+    d = np.zeros(n)
+    schur = a.diagonal().copy()  # diagonal of the remaining Schur complement
+    tol = COARSE_RCOND * float(schur.max())
+    rank = n
+    for j in range(n):
+        p = j + int(np.argmax(schur[j:]))
+        if not schur[p] > tol:
+            rank = j
+            break
+        if p != j:
+            perm[[j, p]] = perm[[p, j]]
+            schur[[j, p]] = schur[[p, j]]
+            lower[[j, p], :j] = lower[[p, j], :j]
+        pivot = d[j] = schur[j]
+        col = a[perm[j], perm[j + 1:]] - np.einsum(
+            "ij,j->i", lower[j + 1:, :j], d[:j] * lower[j, :j])
+        col /= pivot
+        lower[j + 1:, j] = col
+        schur[j + 1:] -= pivot * col * col
+    z = np.zeros((n, n))
+    for j in range(rank - 1, -1, -1):
+        col = lower[j + 1:rank, j]
+        row = -np.einsum("i,ij->j", col, z[j + 1:rank, j + 1:rank])
+        z[j, j + 1:rank] = row
+        z[j + 1:rank, j] = row
+        z[j, j] = 1.0 / d[j] - np.einsum("i,i->", row, col)
+    back = np.argsort(perm)
+    return z[np.ix_(back, back)]
+
+
 class _VCycle:
     """Symmetric V(1,1) smoothed-aggregation cycle for one SPD matrix.
 
@@ -477,9 +531,11 @@ class _VCycle:
     Jacobi weights S, and passes the Galerkin product P^T A P down.  Without
     ``tentatives`` the aggregates are chosen here from the matrix, level
     by level, and kept in ``self.tentatives``.  The last level is inverted
-    densely (its positive eigenpairs) when it has at most COARSE_SIZE rows,
-    and smoothed once otherwise.  Calling the cycle maps a residual r to z;
-    the map is symmetric and positive definite.
+    densely by ``_dense_inverse`` when it has at most COARSE_SIZE rows, and
+    smoothed once otherwise.  The build makes no dense matrix product: the
+    sparse products run in scipy's own loops and the bottom inverse in
+    numpy's.  Calling the cycle maps a residual r to z; the map is
+    symmetric and positive definite.
     """
 
     def __init__(self, matrix: csr_matrix, tentatives=None):
@@ -503,10 +559,7 @@ class _VCycle:
             self.levels.append((a, scale, p, r))
             a = r @ (a @ p)
         if a.shape[0] <= COARSE_SIZE:
-            lam, q = np.linalg.eigh(a.toarray())
-            keep = lam > COARSE_RCOND * lam[-1]
-            inv = (q[:, keep] / lam[keep]) @ q[:, keep].T
-            self.bottom = 0.5 * (inv + inv.T)
+            self.bottom = _dense_inverse(a.toarray())
         else:
             n = a.shape[0]
             self.bottom = _csr(scale, np.arange(n), np.arange(n + 1), (n, n))

@@ -282,6 +282,40 @@ def test_uniqueness_steep_artificial_data(capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+# an annulus 1 < r < 2 with an artificial outer ring at r = 2
+ART_OUTER = ["uniqueness", "--shape", "annulus:1:2", "--h", "0.25",
+             "--artificial", "outer"]
+
+
+def test_uniqueness_reads_artificial_data_only_on_the_artificial_ring(
+        capsys, tmp_path):
+    # --art1 is infinite on the inner (dirichlet) ring, which it never sets
+    rc = main(ART_OUTER + ["--bc", "0", "--art0", "0",
+                           "--art1", "0.1/(r-1)", "--out", "pole"])
+    # both solves converged; on this coarse mesh the level region is empty
+    assert rc == 3, capsys.readouterr().err
+    assert read_record(tmp_path / "pole_verdict.txt")["empty_region"] == "1"
+
+
+@pytest.mark.parametrize("arts, used", [
+    (["--art0", "0", "--art1", "-1"], False),
+    (["--art0", "0"], True),
+    (["--art1", "-1"], True),
+], ids=["both", "art0-only", "art1-only"])
+def test_uniqueness_reads_bc_on_the_artificial_ring_only_when_kept(
+        capsys, tmp_path, arts, used):
+    # --bc is infinite only on the artificial ring r = 4
+    bc = "0.1/(r-4)"
+    rc = main(UNIQ + ["--bc", bc, *arts, "--out", "bc"])
+    err = capsys.readouterr().err
+    if used:
+        assert rc == 1
+        assert err == f"error: expression {bc!r} is not finite on the boundary\n"
+    else:
+        assert rc == 0, err
+        assert read_record(tmp_path / "bc_verdict.txt")["n_flagged"] == "0"
+
+
 def test_uniqueness_field_file_route(capsys, tmp_path):
     # solving outside and passing the fields in reproduces the inline scan
     assert main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1",

@@ -177,6 +177,31 @@ def test_dualize_measures_closedness_once_per_leg(mse_solution, tmp_path,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("direction", ["min2max", "max2min"])
+def test_dualize_builds_one_potential_tree_per_mesh(tmp_path, monkeypatch,
+                                                    direction):
+    mesh = build_rectangle(1.0, 1.0, 0.125)
+    field = affine_field(mesh, 0.3, -0.2)
+    path = tmp_path / "u.csv"
+    save_field(mesh, field, path)
+    trees = []
+    real = forms._bfs_tree
+
+    def counting(mesh):
+        trees.append(mesh)
+        return real(mesh)
+
+    monkeypatch.setattr(forms, "_bfs_tree", counting)
+    assert main(["dualize", "--shape", "rect:1x1", "--h", "0.125",
+                 "--in", str(path), "--direction", direction,
+                 "--out", str(tmp_path / "d")]) == 0
+    # the forward and the return leg share the CLI's mesh and its tree
+    assert len(trees) == 1
+    round_trip_error(mesh, field, direction=direction)
+    round_trip_error(mesh, field, direction=direction)
+    assert len(trees) == 2 and trees[1] is mesh
+
+
 def test_round_trip_error_shrinks_with_mesh(mse_solution):
     # second-order reconstruction: halving h divides the error by about 4
     mesh16, u16 = mse_solution

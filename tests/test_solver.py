@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -428,11 +429,10 @@ def test_cg_full_output_reports_matvecs_and_achieved_residual():
     assert not x.any() and matvecs == 0 and achieved == 0.0
 
 
-# CPU clock ticks of the main thread and of all other threads over eight
-# Laplace PCG solves and a few energies and residual norms at 16,129 free
-# vertices, above the length at which OpenBLAS splits a dot product
-# (10,000 entries)
-THREAD_PROBE = """
+# CPU clock ticks of the main thread and of all other threads, summed over
+# this process's tasks in /proc; each probe prints those of one window,
+# opened once the threads woken by the import and the set-up have idled
+TICKS = """
 import glob, os, time
 import numpy as np
 from maxsurf import (SolverConfig, build_rectangle, cg_solve, energy,
@@ -450,15 +450,23 @@ def cpu_ticks():
             other += ticks
     return main, other
 
-mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
-k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
-                   SolverConfig(metric="euclid"))
+def laplace(n):
+    mesh = build_rectangle(1.0, 1.0, 1.0 / n)
+    return mesh, tangent_matrix(mesh, np.zeros(mesh.vertex_count),
+                                SolverConfig(metric="euclid"))
+"""
+
+# eight Laplace PCG solves and a few energies and residual norms at 16,129
+# free vertices, above the length at which OpenBLAS splits a dot product
+# (10,000 entries)
+KRYLOV_PROBE = TICKS + """
+mesh, k = laplace(128)
 cycle = _VCycle(k)
 rhs = np.random.default_rng(0).standard_normal(k.shape[0])
 x, y = mesh.vertices.T
 field = 0.3 * x * y
 config = SolverConfig()
-time.sleep(0.5)  # let threads woken by the import and the cycle's build idle
+time.sleep(0.5)
 main0, other0 = cpu_ticks()
 for _ in range(8):
     cg_solve(k, rhs, 1e-12, preconditioner=cycle)
@@ -469,22 +477,130 @@ main1, other1 = cpu_ticks()
 print(k.shape[0], main1 - main0, other1 - other0)
 """
 
+# V-cycle builds, choosing the aggregates and reusing them, on Laplace
+# matrices whose bottom levels have 111 and 299 rows: near the annulus
+# benchmark's 109 and at COARSE_SIZE
+BUILD_PROBE = TICKS + """
+matrices = [laplace(n)[1] for n in (67, 132)]
+time.sleep(0.5)
+main0, other0 = cpu_ticks()
+bottoms = set()
+for k in matrices:
+    for _ in range(2):
+        fresh = _VCycle(k)
+        again = _VCycle(k, fresh.tentatives)
+        bottoms |= {fresh.bottom.shape[0], again.bottom.shape[0]}
+main1, other1 = cpu_ticks()
+print(",".join(map(str, sorted(bottoms))), main1 - main0, other1 - other0)
+"""
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
-                    reason="per-thread CPU times need /proc/self/task")
-def test_krylov_loop_does_not_wake_blas_threads():
+
+def run_probe(probe):
     src = str(Path(solver_module.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    free, main, other = map(int, out.stdout.split())
-    assert free == 127 * 127
-    # a thread spinning beside the solve would cost as much CPU as the solve
-    assert other <= 0.1 * main + 1, (
+    size, main, other = out.stdout.split()
+    # a thread spinning beside the main one would cost as much CPU as it
+    assert int(other) <= 0.1 * int(main) + 1, (
         f"other threads used {other} ticks while the main thread used {main}")
+    return size
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(),
+    reason="per-thread CPU times need /proc/self/task")
+
+
+@needs_proc
+def test_krylov_loop_does_not_wake_blas_threads():
+    assert run_probe(KRYLOV_PROBE) == str(127 * 127)
+
+
+@needs_proc
+def test_vcycle_build_does_not_wake_blas_threads():
+    assert run_probe(BUILD_PROBE) == "111,299"
+
+
+# Every ``@`` in the solver, by enclosing function; each operand pair named
+# is either sparse (scipy's own loop) or a dense product measured not to
+# wake a threaded BLAS's workers
+MATMUL_ALLOWED = {
+    # the operator's product; the solver passes CSR matrices only
+    "cg_solve": 1,
+    # a @ t, r @ (a @ p): CSR products, the Galerkin coarse operators
+    "_VCycle.__init__": 3,
+    # p, r and a are CSR; self.bottom @ b is a gemv of at most COARSE_SIZE
+    # rows, which did not wake the worker in the build probe's window
+    "_VCycle._cycle": 5,
+}
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def hidden_blas(tree):
+    """(matmuls per function, calls that reach BLAS) in a module's tree."""
+    matmuls, calls = {}, []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        name = ".".join(scope) or "<module>"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            matmuls[name] = matmuls.get(name, 0) + 1
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{m}" for m in modules]
+            calls.extend(f"{name}: import {m}" for m in modules
+                         if "linalg" in m)
+        if isinstance(node, ast.Call):
+            text = ast.unparse(node.func)
+            if "linalg" in text.split(".") or (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr in BLAS_NAMES):
+                calls.append(f"{name}: {text}")
+            # einsum's optimize path contracts through tensordot
+            if text.endswith("einsum") and any(
+                    k.arg == "optimize" for k in node.keywords):
+                calls.append(f"{name}: {text}(optimize=...)")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return matmuls, calls
+
+
+def test_solver_source_makes_no_dense_blas_call():
+    # a threaded BLAS call leaves its workers spinning for about 0.13 s of
+    # CPU; the probes above measure that, this catches it before a run
+    source = Path(solver_module.__file__).read_text()
+    matmuls, calls = hidden_blas(ast.parse(source))
+    assert calls == []
+    assert matmuls == MATMUL_ALLOWED
+
+
+def test_hidden_blas_finds_each_kind():
+    source = """
+import numpy.linalg
+from scipy import linalg
+def f(a, b):
+    a @= b
+    return np.linalg.eigh(a), np.dot(a, b), a.dot(b), np.tensordot(a, b), \
+        np.einsum("ij,jk->ik", a, b, optimize=True)
+class C:
+    def g(self, a, b):
+        return a @ b @ b
+"""
+    matmuls, calls = hidden_blas(ast.parse(source))
+    assert matmuls == {"f": 1, "C.g": 2}
+    assert calls == ["<module>: import numpy.linalg",
+                     "<module>: import scipy.linalg",
+                     "f: np.linalg.eigh", "f: np.dot", "f: a.dot",
+                     "f: np.tensordot", "f: np.einsum(optimize=...)"]
 
 
 def catenoid_case():

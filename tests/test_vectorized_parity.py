@@ -29,6 +29,14 @@ potential.  The circulations, now the solver's weak divergence of the
 rotated form, must match the former ``np.roll`` edge vectors within
 CIRCULATION_ULPS of the per-vertex sum of |p dx| + |q dy|, and the weak
 divergence must be the adjoint of the P1 gradient to rounding.
+The multigrid aggregates, now chosen from two one-link passes over the
+strength graph, must match those of its squared graph exactly.  The
+bottom level's inverse, now an elimination in numpy's own loops, must
+match the former positive-eigenpair pseudo-inverse to 1e-9 of its largest
+entry plus the condition number times 1e-15 (either inverse carries an
+error of about the condition number times the rounding unit), and on a
+singular positive semidefinite matrix be a symmetric positive
+semidefinite generalized inverse.
 """
 
 import math
@@ -53,8 +61,10 @@ from maxsurf.mesh import _edge_connected
 from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
 from maxsurf.uniqueness import _circle_sums
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
-from maxsurf.solver import SIGMA_MIN, _dot, _Evaluation, _VCycle
-from scipy.sparse import coo_matrix
+from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA,
+                            _aggregates, _dense_inverse, _dot, _Evaluation,
+                            _VCycle)
+from scipy.sparse import coo_matrix, csr_matrix
 
 from conftest import jittered, spacelike_field
 
@@ -1257,3 +1267,128 @@ def test_both_parsers_reject(text):
         DescentExpression(text)
     with pytest.raises(ExpressionError):
         Expression(text)
+
+
+# ----------------------------------------------------------------------
+# multigrid aggregates and the bottom inverse
+# ----------------------------------------------------------------------
+
+
+def squared_graph_aggregates(a, theta):
+    """The aggregates chosen over the squared strength graph s @ s."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    d = a.diagonal()
+    strong = np.abs(a.data) >= theta * np.sqrt(d[rows] * d[a.indices])
+    rows = rows[strong]
+    cols = a.indices[strong]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    s = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
+    s2 = s @ s
+    priority = np.arange(n, dtype=np.int64) * 2654435761 % (1 << 32)
+    state = np.zeros(n, dtype=np.int8)
+    near, start = s2.indices, s2.indptr[:-1]
+    while True:
+        open_ = state == 0
+        if not open_.any():
+            break
+        best = np.maximum.reduceat(np.where(open_[near], priority[near], -1),
+                                   start)
+        root = open_ & (best == priority)
+        reached = np.logical_or.reduceat(root[near], start)
+        state[root] = 1
+        state[open_ & reached & ~root] = -1
+    agg = np.full(n, -1, dtype=np.int64)
+    roots = np.flatnonzero(state == 1)
+    agg[roots] = np.arange(len(roots))
+    for _ in range(2):
+        link = (agg[rows] < 0) & (agg[cols] >= 0)
+        joiner, first = np.unique(rows[link], return_index=True)
+        agg[joiner] = agg[cols[link][first]]
+    left = np.flatnonzero(agg < 0)
+    agg[left] = len(roots) + np.arange(len(left))
+    return agg
+
+
+@st.composite
+def strength_matrices(draw):
+    """Sparse diagonally dominant SPD matrices, links over three decades.
+
+    With ``asymmetric`` one stored link loses its mirror entry, so the
+    strength graph is asymmetric at either theta.
+    """
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    links = np.triu(rng.random((n, n)) < draw(st.floats(0.02, 0.4)), 1)
+    sign = np.where(rng.random((n, n)) < 0.2, 1.0, -1.0)
+    off = links * sign * 10.0 ** rng.uniform(-3.0, 0.0, (n, n))
+    off = off + off.T
+    a = off + np.diag(np.abs(off).sum(axis=1) + 10.0 ** rng.uniform(-3, 0, n))
+    if draw(st.booleans()) and links.any():
+        i, j = np.argwhere(links)[draw(st.integers(0, int(links.sum()) - 1))]
+        a[i, j] = 0.0
+    return csr_matrix(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=strength_matrices(), theta=st.sampled_from([STRENGTH_THETA, 0.0]))
+def test_aggregates_match_squared_graph(a, theta):
+    np.testing.assert_array_equal(_aggregates(a, theta),
+                                  squared_graph_aggregates(a, theta))
+
+
+def test_aggregates_match_squared_graph_down_a_hierarchy():
+    mesh = build_annulus(1.0, 2.0, 0.03)
+    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
+                       SolverConfig(metric="euclid"))
+    cycle = _VCycle(k)
+    assert len(cycle.levels) >= 2
+    for a, *_ in cycle.levels:
+        for theta in (STRENGTH_THETA, 0.0):
+            np.testing.assert_array_equal(_aggregates(a, theta),
+                                          squared_graph_aggregates(a, theta))
+
+
+def eigenpair_inverse(a):
+    """The former bottom inverse: the pseudo-inverse on the eigenvalues
+    above COARSE_RCOND times the largest."""
+    lam, q = np.linalg.eigh(a)
+    keep = lam > COARSE_RCOND * lam[-1]
+    inv = (q[:, keep] / lam[keep]) @ q[:, keep].T
+    return 0.5 * (inv + inv.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), log_cond=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=300, log_cond=10.0, seed=0)
+@example(n=109, log_cond=4.0, seed=1)
+def test_dense_inverse_matches_eigenpair_inverse(n, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** -rng.uniform(0.0, log_cond, n)
+    lam[[0, -1]] = 1.0, 10.0 ** -log_cond
+    a = (q * lam) @ q.T
+    a = 0.5 * (a + a.T)
+    got = _dense_inverse(a)
+    want = eigenpair_inverse(a)
+    np.testing.assert_array_equal(got, got.T)
+    rtol = 1e-9 + 1e-15 * 10.0 ** log_cond
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@example(n=1, data=None, seed=0)
+def test_dense_inverse_of_singular_matrix(n, data, seed):
+    rng = np.random.default_rng(seed)
+    rank = 0 if data is None else data.draw(st.integers(0, n - 1))
+    g = rng.standard_normal((n, rank))
+    g[rng.random(n) < 0.1] = 0.0  # rows and columns of zeros
+    a = g @ g.T
+    b = _dense_inverse(a)
+    np.testing.assert_array_equal(b, b.T)
+    lam = np.linalg.eigvalsh(b)
+    assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
+    scale = max(np.abs(a).max(), 1.0)
+    assert np.abs(a @ b @ a - a).max() <= 1e-10 * scale
