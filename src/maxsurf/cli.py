@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .duality import maximal_conjugate, minimal_conjugate, return_trip_error
+from .duality import DIRECTIONS, conjugates, return_trip_error
 from .expressions import Expression, ExpressionError
 from .lorentz import coercivity_constants, sample_coercivity
 from .mesh import (ARTIFICIAL, DIRICHLET, Mesh, build_annulus,
@@ -185,10 +185,8 @@ def cmd_lemma(args) -> int:
 def cmd_dualize(args) -> int:
     mesh = _build_mesh(args)
     field = load_field(mesh, args.infile)
-    if args.direction == "min2max":
-        conj = maximal_conjugate(mesh, field, args.closedness_tol)
-    else:
-        conj = minimal_conjugate(mesh, field, args.closedness_tol)
+    forward, _ = conjugates(args.direction)
+    conj = forward(mesh, field, args.closedness_tol)
     err = return_trip_error(mesh, field, conj, args.direction)
     save_field(mesh, conj, f"{args.out}_conjugate.csv")
     _emit([("direction", args.direction),
@@ -322,7 +320,7 @@ def build_parser() -> _Parser:
     _add_mesh_flags(sub, "rect:LxH (must be simply connected)")
     sub.add_argument("--in", dest="infile", required=True,
                      help="solution field CSV")
-    sub.add_argument("--direction", choices=("min2max", "max2min"),
+    sub.add_argument("--direction", choices=tuple(DIRECTIONS),
                      required=True)
     sub.add_argument("--closedness-tol", type=float, default=1e-9)
     _add_common(sub)

@@ -16,7 +16,9 @@ from .mesh import Mesh
 from .solver import _check_field, p1_gradient
 
 __all__ = [
+    "DIRECTIONS",
     "conjugate_pair_coeffs",
+    "conjugates",
     "maximal_conjugate",
     "minimal_conjugate",
     "return_trip_error",
@@ -67,6 +69,17 @@ def minimal_conjugate(mesh: Mesh, v: np.ndarray,
 # measurement of the defect is the gate's own
 UNGATED = float(np.finfo(float).max)
 
+# direction -> (forward conjugate, return conjugate), by name
+DIRECTIONS = {"min2max": ("maximal_conjugate", "minimal_conjugate"),
+              "max2min": ("minimal_conjugate", "maximal_conjugate")}
+
+
+def conjugates(direction: str) -> list:
+    """The direction's conjugates, looked up per call so wrappers apply."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    return [globals()[name] for name in DIRECTIONS[direction]]
+
 
 def round_trip_error(mesh: Mesh, field: np.ndarray,
                      closedness_tol: float = 1e-9,
@@ -81,13 +94,8 @@ def round_trip_error(mesh: Mesh, field: np.ndarray,
     not gated.  Zero for affine fields; O(h^2) for smooth solutions,
     halving the mesh divides the error by about 4.
     """
-    field = _check_field(mesh, field)
-    if direction == "min2max":
-        mid = maximal_conjugate(mesh, field, closedness_tol)
-    elif direction == "max2min":
-        mid = minimal_conjugate(mesh, field, closedness_tol)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    forward, _ = conjugates(direction)
+    mid = forward(mesh, field, closedness_tol)
     return return_trip_error(mesh, field, mid, direction)
 
 
@@ -95,21 +103,11 @@ def return_trip_error(mesh: Mesh, field: np.ndarray, conjugate: np.ndarray,
                       direction: str = "min2max") -> float:
     """round_trip_error given the field's forward conjugate, already built.
 
-    ``conjugate`` is what maximal_conjugate (min2max) or minimal_conjugate
-    (max2min) returned for the field; only the return leg is integrated,
-    and it is not gated.
+    ``conjugate`` is what the direction's forward conjugate returned for the
+    field; only the return leg is integrated, and it is not gated.
     """
     field = _check_field(mesh, field)
-    mid = _check_field(mesh, conjugate)
-    if direction == "min2max":
-        back = integrate_potential(mesh, flux_form(mesh, mid),
-                                   closedness_tol=UNGATED)
-    elif direction == "max2min":
-        back = integrate_potential(
-            mesh, conjugate_pair_coeffs(p1_gradient(mesh, mid)),
-            closedness_tol=UNGATED)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    diff = back - field
+    _, back = conjugates(direction)
+    diff = back(mesh, conjugate, UNGATED) - field
     diff -= diff.mean()
     return float(np.abs(diff).max())

@@ -38,15 +38,12 @@ class Mesh:
     vertex_class : (V,) int8 array with values INTERIOR/DIRICHLET/ARTIFICIAL
     h : float
         Nominal edge length used by the generator.
-    shape_tag : str
-        Informal label of the generator ("rectangle", "annulus", ...).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     vertex_class: np.ndarray
     h: float
-    shape_tag: str = "custom"
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
@@ -311,7 +308,7 @@ def build_rectangle(length: float, height: float, h: float,
     cls = np.zeros(len(vertices), dtype=np.int8)
     cls[on_boundary] = ARTIFICIAL
     cls[on_boundary & on_true] = DIRICHLET
-    return Mesh(vertices, triangles, cls, float(h), shape_tag="rectangle")
+    return Mesh(vertices, triangles, cls, float(h))
 
 
 def build_strip(length: float, height: float, h: float) -> Mesh:
@@ -321,8 +318,7 @@ def build_strip(length: float, height: float, h: float) -> Mesh:
     for the truncation of an infinite strip; the four corners stay
     dirichlet because they lie on the long sides.
     """
-    m = build_rectangle(length, height, h, artificial_sides=("left", "right"))
-    return Mesh(m.vertices, m.triangles, m.vertex_class, m.h, shape_tag="strip")
+    return build_rectangle(length, height, h, artificial_sides=("left", "right"))
 
 
 def build_annulus(r_inner: float, r_outer: float, h: float,
@@ -372,7 +368,7 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
     outer_cls = ARTIFICIAL if "outer" in rings else DIRICHLET
     cls[:n_theta] = inner_cls
     cls[n_r * n_theta:] = outer_cls
-    return Mesh(vertices, triangles, cls, float(h), shape_tag="annulus")
+    return Mesh(vertices, triangles, cls, float(h))
 
 
 # ----------------------------------------------------------------------
@@ -408,4 +404,4 @@ def load_mesh(path) -> Mesh:
         raise ValueError("mesh vertex lines: non-finite value")
     if not np.isin(vert[:, 2], (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
         raise ValueError("mesh vertex lines: unknown vertex class")
-    return Mesh(vert[:, :2], tris, vert[:, 2], h, shape_tag="file")
+    return Mesh(vert[:, :2], tris, vert[:, 2], h)

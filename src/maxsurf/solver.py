@@ -31,7 +31,7 @@ norm) are summed by numpy's own loop, not by BLAS: a threaded BLAS splits
 long dot products over its worker threads, which then spin between calls
 through the whole solve, spending CPU time that buys no speed.  The
 V-cycle build makes no dense BLAS call either: its products are sparse,
-and the bottom level's inverse is an elimination in numpy's own loops.
+and the bottom level's inverse is a symmetric sweep in numpy's loops.
 
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
@@ -478,49 +478,32 @@ def _tentative(a: csr_matrix):
 def _dense_inverse(a: np.ndarray) -> np.ndarray:
     """Symmetric (generalized) inverse of a dense positive semidefinite matrix.
 
-    A = P L D L^T P^T by left-looking elimination with diagonal pivoting
-    (the largest remaining Schur diagonal first); it stops once that is at
-    most COARSE_RCOND times the largest diagonal entry of ``a``, and the
-    remaining pivots are dropped.  The inverse of the kept factor comes from
-    the recurrence Z = D^-1 L^-1 + (I - L^T) Z, one row from the last
-    (Takahashi, Fagan & Chen, 8th PICA Conference, 1973), each row written
-    to its column too.  The result is symmetric by construction, positive
-    semidefinite, and for a singular ``a`` satisfies A Z A = A up to the
-    dropped Schur complement.  The matrix-vector products are einsum
-    contractions, numpy's own loop: a threaded BLAS call would wake worker
-    threads that then spin after it returns (module docstring).
+    One symmetric sweep (Goodnight, Amer. Statist. 33 (1979) 149-158):
+    sweeping pivot k of S, d = S[k, k], subtracts S[:, k] S[k] / d from S,
+    then sets S[k] = S[:, k] = S[k] / d and S[k, k] = -1 / d.  Pivots go
+    largest remaining (Schur complement) diagonal first; those at or below
+    COARSE_RCOND times the largest diagonal entry of ``a`` are dropped, and
+    their rows and columns zeroed.  Each update is a row's outer product
+    with itself and each swept row is copied to its column, so Z, the kept
+    part of -S, is symmetric even for an ``a`` symmetric only to rounding.
+    Z inverts the kept principal block; A Z A = A up to the dropped Schur
+    complement.  No BLAS call: its threads would spin after it.
     """
-    n = a.shape[0]
-    perm = np.arange(n)
-    lower = np.zeros((n, n))  # unit lower factor in pivot order, diagonal not stored
-    d = np.zeros(n)
-    schur = a.diagonal().copy()  # diagonal of the remaining Schur complement
-    tol = COARSE_RCOND * float(schur.max())
-    rank = n
-    for j in range(n):
-        p = j + int(np.argmax(schur[j:]))
-        if not schur[p] > tol:
-            rank = j
+    s = a.copy()
+    diagonal = s.diagonal()  # a view: follows the sweep
+    tol = COARSE_RCOND * float(diagonal.max())
+    swept = np.zeros(len(a), dtype=bool)
+    for _ in range(len(a)):
+        k = int(np.argmax(diagonal))  # swept entries are negative
+        pivot = float(diagonal[k])
+        if not pivot > tol:
             break
-        if p != j:
-            perm[[j, p]] = perm[[p, j]]
-            schur[[j, p]] = schur[[p, j]]
-            lower[[j, p], :j] = lower[[p, j], :j]
-        pivot = d[j] = schur[j]
-        col = a[perm[j], perm[j + 1:]] - np.einsum(
-            "ij,j->i", lower[j + 1:, :j], d[:j] * lower[j, :j])
-        col /= pivot
-        lower[j + 1:, j] = col
-        schur[j + 1:] -= pivot * col * col
-    z = np.zeros((n, n))
-    for j in range(rank - 1, -1, -1):
-        col = lower[j + 1:rank, j]
-        row = -np.einsum("i,ij->j", col, z[j + 1:rank, j + 1:rank])
-        z[j, j + 1:rank] = row
-        z[j + 1:rank, j] = row
-        z[j, j] = 1.0 / d[j] - np.einsum("i,i->", row, col)
-    back = np.argsort(perm)
-    return z[np.ix_(back, back)]
+        root = s[k] / math.sqrt(pivot)
+        s -= np.multiply.outer(root, root)
+        s[k] = s[:, k] = root / math.sqrt(pivot)
+        s[k, k] = -1.0 / pivot
+        swept[k] = True
+    return np.where(np.multiply.outer(swept, swept), -s, 0.0)
 
 
 class _VCycle:
@@ -531,11 +514,11 @@ class _VCycle:
     Jacobi weights S, and passes the Galerkin product P^T A P down.  Without
     ``tentatives`` the aggregates are chosen here from the matrix, level
     by level, and kept in ``self.tentatives``.  The last level is inverted
-    densely by ``_dense_inverse`` when it has at most COARSE_SIZE rows, and
-    smoothed once otherwise.  The build makes no dense matrix product: the
-    sparse products run in scipy's own loops and the bottom inverse in
-    numpy's.  Calling the cycle maps a residual r to z; the map is
-    symmetric and positive definite.
+    by the symmetric sweep of ``_dense_inverse`` when it has at most
+    COARSE_SIZE rows, and smoothed once otherwise.  No dense matrix product
+    is made: the sparse ones run in scipy's own loops, the sweep in numpy's.
+    Calling the cycle maps a residual r to z; the map is symmetric and
+    positive definite.
     """
 
     def __init__(self, matrix: csr_matrix, tentatives=None):

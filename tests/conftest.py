@@ -47,8 +47,7 @@ def jittered(mesh, seed):
     pts = mesh.vertices.copy()
     inner = mesh.interior_vertices
     pts[inner] += rng.uniform(-step, step, size=(len(inner), 2))
-    return Mesh(pts, mesh.triangles, mesh.vertex_class, mesh.h,
-                shape_tag="jittered")
+    return Mesh(pts, mesh.triangles, mesh.vertex_class, mesh.h)
 
 
 def cotan_laplacian(mesh):

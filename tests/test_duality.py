@@ -19,7 +19,7 @@ from maxsurf import (
     solve,
 )
 from conftest import affine_field
-from maxsurf import forms
+from maxsurf import duality, forms
 from maxsurf.cli import main
 from maxsurf.forms import circulations
 
@@ -200,6 +200,29 @@ def test_dualize_builds_one_potential_tree_per_mesh(tmp_path, monkeypatch,
     round_trip_error(mesh, field, direction=direction)
     round_trip_error(mesh, field, direction=direction)
     assert len(trees) == 2 and trees[1] is mesh
+
+
+@pytest.mark.parametrize("direction", ["min2max", "max2min"])
+def test_directions_run_the_conjugates_the_module_holds(tmp_path, monkeypatch,
+                                                        direction):
+    mesh = build_rectangle(1.0, 1.0, 0.125)
+    field = affine_field(mesh, 0.3, -0.2)
+    path = tmp_path / "u.csv"
+    save_field(mesh, field, path)
+    calls = []
+    for name in ("maximal_conjugate", "minimal_conjugate"):
+        def recording(*args, name=name, real=getattr(duality, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(duality, name, recording)
+    forward, back = (("maximal_conjugate", "minimal_conjugate")
+                     if direction == "min2max" else
+                     ("minimal_conjugate", "maximal_conjugate"))
+    assert main(["dualize", "--shape", "rect:1x1", "--h", "0.125",
+                 "--in", str(path), "--direction", direction,
+                 "--out", str(tmp_path / "d")]) == 0
+    round_trip_error(mesh, field, direction=direction)
+    assert calls == [forward, back, forward, back]
 
 
 def test_round_trip_error_shrinks_with_mesh(mse_solution):

@@ -65,7 +65,6 @@ def test_rectangle_artificial_side_keeps_corners_dirichlet():
 
 def test_strip_end_classing():
     m = build_strip(8.0, 1.0, 0.25)
-    assert m.shape_tag == "strip"
     assert m.vertex_class[vertex_at(m, 0.0, 0.5)] == ARTIFICIAL
     assert m.vertex_class[vertex_at(m, 8.0, 0.5)] == ARTIFICIAL
     # corners sit on the long sides, which are the true boundary

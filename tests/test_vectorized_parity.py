@@ -31,12 +31,15 @@ CIRCULATION_ULPS of the per-vertex sum of |p dx| + |q dy|, and the weak
 divergence must be the adjoint of the P1 gradient to rounding.
 The multigrid aggregates, now chosen from two one-link passes over the
 strength graph, must match those of its squared graph exactly.  The
-bottom level's inverse, now an elimination in numpy's own loops, must
-match the former positive-eigenpair pseudo-inverse to 1e-9 of its largest
-entry plus the condition number times 1e-15 (either inverse carries an
-error of about the condition number times the rounding unit), and on a
-singular positive semidefinite matrix be a symmetric positive
-semidefinite generalized inverse.
+bottom level's inverse, now one symmetric sweep in numpy's own loops,
+must match both former inverses, the positive-eigenpair pseudo-inverse
+and the pivoted LDL^T elimination with the Takahashi recurrence, to 1e-9
+of its largest entry plus the condition number times 1e-15 (either
+inverse carries an error of about the condition number times the rounding
+unit), drop the pivots the elimination dropped, be bitwise symmetric also
+for a matrix symmetric only to rounding, and on a singular positive
+semidefinite matrix be a symmetric positive semidefinite generalized
+inverse.
 """
 
 import math
@@ -254,7 +257,7 @@ def loop_load_mesh(path):
         triangles = np.empty((nt, 3), dtype=np.int64)
         for i in range(nt):
             triangles[i] = [int(p) for p in fh.readline().split()]
-    return Mesh(vertices, triangles, cls, h, shape_tag="file")
+    return Mesh(vertices, triangles, cls, h)
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +282,7 @@ def rectangles(draw):
     pts = mesh.vertices.copy()
     inner = mesh.interior_vertices
     pts[inner] += rng.uniform(-0.15 * h, 0.15 * h, size=(len(inner), 2))
-    return Mesh(pts, mesh.triangles, mesh.vertex_class, h, shape_tag="jittered")
+    return Mesh(pts, mesh.triangles, mesh.vertex_class, h)
 
 
 def closed_form(mesh, kind, seed):
@@ -1350,8 +1353,8 @@ def test_aggregates_match_squared_graph_down_a_hierarchy():
 
 
 def eigenpair_inverse(a):
-    """The former bottom inverse: the pseudo-inverse on the eigenvalues
-    above COARSE_RCOND times the largest."""
+    """The first former bottom inverse: the pseudo-inverse on the
+    eigenvalues above COARSE_RCOND times the largest."""
     lam, q = np.linalg.eigh(a)
     keep = lam > COARSE_RCOND * lam[-1]
     inv = (q[:, keep] / lam[keep]) @ q[:, keep].T
@@ -1392,3 +1395,97 @@ def test_dense_inverse_of_singular_matrix(n, data, seed):
     assert lam.min() >= -1e-12 * max(lam.max(), 1.0)
     scale = max(np.abs(a).max(), 1.0)
     assert np.abs(a @ b @ a - a).max() <= 1e-10 * scale
+
+
+def former_bottom_inverse(a):
+    """The second former bottom inverse: pivoted left-looking LDL^T
+    elimination, then the Takahashi recurrence Z = D^-1 L^-1 + (I - L^T) Z
+    (Takahashi, Fagan & Chen, 8th PICA Conference, 1973)."""
+    n = a.shape[0]
+    perm = np.arange(n)
+    lower = np.zeros((n, n))
+    d = np.zeros(n)
+    schur = a.diagonal().copy()
+    tol = COARSE_RCOND * float(schur.max())
+    rank = n
+    for j in range(n):
+        p = j + int(np.argmax(schur[j:]))
+        if not schur[p] > tol:
+            rank = j
+            break
+        if p != j:
+            perm[[j, p]] = perm[[p, j]]
+            schur[[j, p]] = schur[[p, j]]
+            lower[[j, p], :j] = lower[[p, j], :j]
+        pivot = d[j] = schur[j]
+        col = a[perm[j], perm[j + 1:]] - np.einsum(
+            "ij,j->i", lower[j + 1:, :j], d[:j] * lower[j, :j])
+        col /= pivot
+        lower[j + 1:, j] = col
+        schur[j + 1:] -= pivot * col * col
+    z = np.zeros((n, n))
+    for j in range(rank - 1, -1, -1):
+        col = lower[j + 1:rank, j]
+        row = -np.einsum("i,ij->j", col, z[j + 1:rank, j + 1:rank])
+        z[j, j + 1:rank] = row
+        z[j + 1:rank, j] = row
+        z[j, j] = 1.0 / d[j] - np.einsum("i,i->", row, col)
+    back = np.argsort(perm)
+    return z[np.ix_(back, back)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), log_cond=st.floats(0.0, 10.0),
+       singular=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=300, log_cond=10.0, singular=False, data=None, seed=0)
+@example(n=40, log_cond=0.0, singular=True, data=None, seed=0)
+def test_dense_inverse_matches_former_bottom_inverse(n, log_cond, singular,
+                                                     data, seed):
+    rng = np.random.default_rng(seed)
+    if singular:
+        rank = 0 if data is None else data.draw(st.integers(0, n - 1))
+        g = rng.standard_normal((n, rank))
+        g[rng.random(n) < 0.1] = 0.0  # rows and columns of zeros
+        a = g @ g.T
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = 10.0 ** -rng.uniform(0.0, log_cond, n)
+        lam[[0, -1]] = 1.0, 10.0 ** -log_cond
+        a = (q * lam) @ q.T
+        a = 0.5 * (a + a.T)
+    got = _dense_inverse(a)
+    want = former_bottom_inverse(a)
+    kept = want.diagonal() != 0.0
+    np.testing.assert_array_equal(got.diagonal() != 0.0, kept)
+    if not kept.any():
+        np.testing.assert_array_equal(got, 0.0)
+        return
+    cond = np.linalg.cond(a[np.ix_(kept, kept)])
+    rtol = 1e-9 + 1e-15 * cond
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def assert_symmetric_inverse_of_asymmetric(a):
+    assert not np.array_equal(a, a.T)  # symmetric only to rounding
+    b = _dense_inverse(a)
+    np.testing.assert_array_equal(b, b.T)
+
+
+def test_dense_inverse_is_symmetric_on_a_galerkin_bottom():
+    mesh = build_annulus(1.0, 4.0, 0.025)
+    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
+                       SolverConfig(metric="euclid"))
+    a, _, p, r = _VCycle(k).levels[-1]
+    assert_symmetric_inverse_of_asymmetric((r @ (a @ p)).toarray())
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
+def test_dense_inverse_is_symmetric_with_one_triangle_an_ulp_off(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    a = g @ g.T + n * np.eye(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    a[upper] = np.nextafter(a[upper], np.inf)
+    assert_symmetric_inverse_of_asymmetric(a)
