@@ -7,6 +7,14 @@ equations, and the quantitative comparison machinery behind uniqueness
 on unbounded domains.
 """
 
+import os
+import sys
+
+# one OpenBLAS thread, unless numpy is already loaded or the user chose: a
+# second speeds up no call made here and spins for 0.1 s of CPU when idle
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .mesh import (ARTIFICIAL, DIRICHLET, INTERIOR, Mesh, build_annulus,
                    build_rectangle, build_strip, load_mesh, save_mesh)
 from .lorentz import (CoercivityConstants, CoercivityReport, SpacelikeError,

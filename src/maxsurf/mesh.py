@@ -78,10 +78,11 @@ class Mesh:
 
     @cached_property
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        corners = self.triangles.T
+        x = self.vertices[:, 0][corners]
+        y = self.vertices[:, 1][corners]
+        return 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
+                      - (y[1] - y[0]) * (x[2] - x[0]))
 
     @cached_property
     def areas(self) -> np.ndarray:
@@ -118,7 +119,8 @@ class Mesh:
 
     @cached_property
     def _edge_data(self):
-        """Unique edges plus per-triangle edge ids and neighbor triangles."""
+        """Unique edges, their counts, per-triangle edge ids and neighbor
+        triangles, all from one stable sort of the 3T edge slots by key."""
         t = self.triangles
         # edge slot i is opposite corner i
         a = t[:, [1, 2, 0]].ravel()
@@ -126,22 +128,21 @@ class Mesh:
         # one int64 key lo * V + hi per edge sorts like its (lo, hi) row;
         # exact for V below about 3e9
         nv = self.vertex_count
-        keys, inverse, counts = np.unique(
-            np.minimum(a, b) * nv + np.maximum(a, b),
-            return_inverse=True, return_counts=True,
-        )
-        edges = np.column_stack([keys // nv, keys % nv])
+        keys = np.minimum(a, b) * nv + np.maximum(a, b)
+        order = np.argsort(keys, kind="stable")
+        new = np.diff(keys[order], prepend=-1) != 0  # keys are nonnegative
+        first = np.flatnonzero(new)
+        counts = np.diff(first, append=len(keys))
         if counts.max(initial=0) > 2:
             raise ValueError("an edge is shared by more than two triangles")
-        tri_edges = inverse.reshape(-1, 3)
+        edges = np.column_stack(np.divmod(keys[order[first]], nv))
+        tri_edges = np.empty((len(t), 3), dtype=np.int64)
+        tri_edges.reshape(-1)[order] = np.cumsum(new) - 1
         neighbors = np.full((len(t), 3), -1, dtype=np.int64)
-        order = np.argsort(inverse, kind="stable")
-        slot_tri = order // 3
-        slot_loc = order % 3
-        eid = inverse[order]
-        pair = np.where(eid[:-1] == eid[1:])[0]
-        neighbors[slot_tri[pair], slot_loc[pair]] = slot_tri[pair + 1]
-        neighbors[slot_tri[pair + 1], slot_loc[pair + 1]] = slot_tri[pair]
+        pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
+        lower, upper = order[pair], order[pair + 1]  # slot = 3 tri + corner
+        neighbors.reshape(-1)[lower] = upper // 3
+        neighbors.reshape(-1)[upper] = lower // 3
         for arr in (edges, tri_edges, neighbors):
             arr.setflags(write=False)
         return edges, counts, tri_edges, neighbors
@@ -397,9 +398,10 @@ def load_mesh(path) -> Mesh:
         vert = read_rows(fh, 3, "mesh vertex lines", max_rows=nv)
         tris = read_rows(fh, 3, "mesh triangle lines", max_rows=nt,
                          dtype=np.int64)
-    if len(vert) != nv or len(tris) != nt:
-        raise ValueError(f"mesh file is truncated: its header says {nv} "
-                         f"vertex and {nt} triangle lines")
+        trailing = fh.read().strip()
+    if len(vert) != nv or len(tris) != nt or trailing:
+        raise ValueError(f"mesh file is truncated or too long: its header "
+                         f"says {nv} vertex and {nt} triangle lines")
     if not np.isfinite(vert).all():
         raise ValueError("mesh vertex lines: non-finite value")
     if not np.isin(vert[:, 2], (INTERIOR, DIRICHLET, ARTIFICIAL)).all():

@@ -29,9 +29,11 @@ rows of ``Mesh.basis_columns`` and of the gradient.  The vector
 reductions (PCG inner products and norms, the energy sum and the residual
 norm) are summed by numpy's own loop, not by BLAS: a threaded BLAS splits
 long dot products over its worker threads, which then spin between calls
-through the whole solve, spending CPU time that buys no speed.  The
-V-cycle build makes no dense BLAS call either: its products are sparse,
-and the bottom level's inverse is a symmetric sweep in numpy's loops.
+through the whole solve, spending CPU time that buys no speed; a CLI
+process, which imports maxsurf before numpy, runs one OpenBLAS thread.
+The V-cycle build makes no dense BLAS call either: the aggregates reduce
+over a padded link table (``reduceat`` for a hub row), its products are
+sparse, and the bottom inverse is a symmetric sweep in numpy's loops.
 
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
@@ -373,7 +375,8 @@ class _AssemblyPlan:
         cols = renumber[np.concatenate([np.arange(n), hi, lo])]
         index = np.int32 if len(rows) < 2**31 else np.int64
         keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-        order = keep[np.argsort(rows[keep] * n + cols[keep])]
+        # unique keys in long presorted runs, which timsort merges fastest
+        order = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
         self.order = order.astype(index)
         self.indptr = _indptr(rows[order], len(free)).astype(index)
         self.indices = cols[order].astype(index)
@@ -413,12 +416,17 @@ def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
     """Aggregate number of each row of ``a`` from its strength graph.
 
     Roots are a maximal set of rows at least three strong links apart: a
-    maximal independent set of the squared graph, grown in rounds where an
+    maximal independent set of the squared graph (Bell, Dalton & Olson,
+    SIAM J. Sci. Comput. 34 (2012) C123-C152), grown in rounds where an
     undecided row whose fixed hashed priority beats every undecided row
     within two links becomes a root.  Each root's strong neighbours join
     it, then the remaining rows join a strongly linked aggregate; a row
     left over (possible only if rounding made the graph asymmetric) gets
     an aggregate of its own.
+
+    One-link reductions run over a (width, n) table of each row's strong
+    links padded with the row itself, or by ``reduceat`` where a hub row
+    would make the table more than twice the links.
     """
     n = a.shape[0]
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
@@ -427,12 +435,19 @@ def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
     rows = rows[strong]
     cols = a.indices[strong]
     start = _indptr(rows, n)[:-1]
+    width = int(np.diff(start, append=len(rows)).max(initial=0))
+    table = None
+    if width * n <= 2 * len(rows):
+        table = np.tile(np.arange(n), (width, 1))  # pad: the row's self-link
+        table[np.arange(len(rows)) - start[rows], rows] = cols
 
     def two_links(reduce, values):
         # every row links to itself, so the rows within two links of i are
         # those within one link of a row within one link of i
-        return reduce.reduceat(reduce.reduceat(values[cols], start)[cols],
-                               start)
+        for _ in range(2):
+            values = (reduce.reduceat(values[cols], start) if table is None
+                      else reduce.reduce(values[table], axis=0))
+        return values
 
     # odd multiplier: distinct priorities for n < 2**32, no random state
     priority = np.arange(n, dtype=np.int64) * 2654435761 % (1 << 32)
@@ -906,9 +921,8 @@ def load_field(mesh: Mesh, path) -> np.ndarray:
     data = read_csv(path, FIELD_HEADER)
     if len(data) != mesh.vertex_count:
         raise ValueError("field file does not match the mesh size")
-    idx = data[:, 0].astype(np.int64)
-    if not np.array_equal(idx, np.arange(mesh.vertex_count)):
-        raise ValueError("field file has out-of-order vertex ids")
+    if not np.array_equal(data[:, 0], np.arange(mesh.vertex_count)):
+        raise ValueError("field file vertex ids are not 0, 1, ... in order")
     coords = data[:, 1:3]
     scale = max(1.0, float(np.abs(mesh.vertices).max()))
     if np.abs(coords - mesh.vertices).max() > 1e-9 * scale:

@@ -246,6 +246,21 @@ def test_dualize_truncated_mesh_is_one_error_line(capsys, tmp_path, square4):
     assert "Traceback" not in err
 
 
+def test_dualize_fractional_vertex_ids_is_one_error_line(capsys, tmp_path,
+                                                         square4):
+    save_field(square4, 0.1 * square4.vertices[:, 0], tmp_path / "f.csv")
+    header, *lines = read_lines(tmp_path / "f.csv")
+    (tmp_path / "f.csv").write_text("\n".join(
+        [header] + [f"{k}.7,{line.split(',', 1)[1]}"
+                    for k, line in enumerate(lines)]) + "\n")
+    rc = main(["dualize", "--shape", "rect:1x1", "--h", "0.25",
+               "--in", "f.csv", "--direction", "max2min"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "vertex ids" in err
+
+
 # ---------------------------------------------------------------------------
 # uniqueness
 
@@ -549,6 +564,15 @@ def test_config_errors(tmp_path, capsys):
 # start-up cost
 
 
+def probe_env():
+    """This process's environment with maxsurf's source on PYTHONPATH."""
+    src = str(Path(maxsurf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 IMPORT_PROBE = """
 import sys
 import maxsurf.cli
@@ -566,12 +590,9 @@ print(sorted(name for name in sys.modules
 
 def test_solve_and_conjugate_import_no_scipy_solver_packages():
     # each of these costs a tenth of a second or more of interpreter start-up
-    src = str(Path(maxsurf.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                         capture_output=True, text=True, timeout=300)
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                         env=probe_env(), capture_output=True, text=True,
+                         timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -596,12 +617,9 @@ print(sorted(name for name in sys.modules
 
 def test_field_io_and_conjugation_import_no_scipy_sparse(tmp_path):
     # scipy.sparse is imported only where the solver builds a matrix
-    src = str(Path(maxsurf.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", FIELD_PROBE, str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=300)
+                         env=probe_env(), capture_output=True, text=True,
+                         timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -620,17 +638,65 @@ print(sorted(name for name in sys.modules
 
 def test_uniqueness_imports_no_scipy_spatial_or_linalg(tmp_path):
     # the flux scan's circle arcs need no k-d tree
-    src = str(Path(maxsurf.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", UNIQUENESS_PROBE],
-                         cwd=tmp_path, env=env, capture_output=True,
+                         cwd=tmp_path, env=probe_env(), capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     # the verdict record comes first
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "u_scan.csv").exists()
+
+
+# A CLI process run as ``python -m maxsurf.cli`` imports the package before
+# numpy: OpenBLAS then starts no worker thread, which would spin after the
+# import and after dense calls.  It prints the setting and the CPU ticks of
+# its threads other than the main one, after a pause in which a spinning
+# worker would have spent some.
+CLI_THREADS_PROBE = """
+import glob, os, runpy, sys, time
+sys.argv = ["maxsurf", "solve", "--shape", "rect:1x1", "--h", "0.0625",
+            "--bc", "0.3*x*y", "--out", "u"]
+try:
+    runpy.run_module("maxsurf.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+time.sleep(0.3)
+other = 0
+for path in glob.glob("/proc/self/task/*/stat"):
+    if int(path.split("/")[-2]) != os.getpid():
+        fields = open(path).read().rsplit(")", 1)[1].split()
+        other += int(fields[11]) + int(fields[12])  # utime + stime
+print(os.environ["OPENBLAS_NUM_THREADS"], other)
+"""
+
+
+def run_without_blas_setting(code, cwd, **extra):
+    env = probe_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(extra)
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="per-thread CPU times need /proc/self/task")
+def test_cli_process_runs_one_blas_thread(tmp_path):
+    assert run_without_blas_setting(CLI_THREADS_PROBE, tmp_path) == "1 0"
+    assert (tmp_path / "u_solution.csv").exists()
+
+
+def test_explicit_blas_thread_setting_wins(tmp_path):
+    probe = "import os, maxsurf; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_without_blas_setting(probe, tmp_path,
+                                    OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_host_that_loaded_numpy_first_keeps_its_blas(tmp_path):
+    probe = ("import os, numpy, maxsurf; "
+             "print('OPENBLAS_NUM_THREADS' in os.environ)")
+    assert run_without_blas_setting(probe, tmp_path) == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -216,12 +216,20 @@ def test_load_mesh_small_text(tmp_path):
     "4 2 1\n0 0 1\n1 0 1\n1 1 1\n0 1 2\n0 2 3\n",   # a vertex short
     "4 2 1\n0 0 1\n1 0 1\n",                         # cut in the vertices
     "4 2 1\n",                                        # header only
+    MESH_TEXT + "0 1 3\n",                           # a triangle uncounted
+    MESH_TEXT + "garbage\n",                         # text after the lines
 ])
 def test_load_mesh_truncated(tmp_path, text):
     path = tmp_path / "m.txt"
     path.write_text(text)
     with pytest.raises(ValueError):
         load_mesh(path)
+
+
+def test_load_mesh_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT + "\n  \n\n")
+    assert load_mesh(path).triangle_count == 2
 
 
 @pytest.mark.parametrize("old,new", [

@@ -949,3 +949,14 @@ def test_field_load_rejects_other_mesh(tmp_path, square4, square16):
     save_field(square4, affine_field(square4, 0.1, 0.0), path)
     with pytest.raises(ValueError):
         load_field(square16, path)
+
+
+def test_field_load_rejects_fractional_ids(tmp_path, square4):
+    # ids 0.7, 1.7, ... would truncate to 0, 1, ...
+    path = tmp_path / "f.csv"
+    save_field(square4, affine_field(square4, 0.1, 0.0), path)
+    header, *lines = path.read_text().splitlines()
+    shifted = [f"{k}.7,{line.split(',', 1)[1]}" for k, line in enumerate(lines)]
+    path.write_text("\n".join([header, *shifted]) + "\n")
+    with pytest.raises(ValueError, match="vertex ids"):
+        load_field(square4, path)

@@ -768,6 +768,20 @@ def test_edge_data_matches_sorted_rows(mesh):
         assert g.shape == r.shape
 
 
+def gather_signed_areas(mesh):
+    """Signed areas from the (T, 3, 2) gather of the corner coordinates."""
+    p = mesh.vertices[mesh.triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())))
+def test_signed_areas_match_corner_gather(mesh):
+    np.testing.assert_array_equal(mesh.signed_areas, gather_signed_areas(mesh))
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
                       min_size=1, max_size=4),
@@ -1350,6 +1364,26 @@ def test_aggregates_match_squared_graph_down_a_hierarchy():
         for theta in (STRENGTH_THETA, 0.0):
             np.testing.assert_array_equal(_aggregates(a, theta),
                                           squared_graph_aggregates(a, theta))
+
+
+def test_aggregates_with_a_hub_row_match_squared_graph():
+    """A wheel: one hub linked to 200 rim rows, each linked to its two
+    rim neighbours.  At theta 0 every link is strong, and the hub's 201
+    links would make a (width, n) table fifty times the links, so those
+    aggregates come from reduceat; at STRENGTH_THETA the hub's links are
+    weak and the table is used."""
+    rim = 200
+    i = np.arange(1, rim + 1)
+    rows = np.concatenate([np.zeros(rim, dtype=np.int64), i])
+    cols = np.concatenate([i, i % rim + 1])
+    off = coo_matrix((-np.ones(2 * rim), (rows, cols)),
+                     shape=(rim + 1, rim + 1)).toarray()
+    off = off + off.T
+    a = csr_matrix(off + np.diag(1.0 - off.sum(axis=1)))
+    assert np.diff(a.indptr).max() * a.shape[0] > 2 * a.nnz
+    for theta in (STRENGTH_THETA, 0.0):
+        np.testing.assert_array_equal(_aggregates(a, theta),
+                                      squared_graph_aggregates(a, theta))
 
 
 def eigenpair_inverse(a):
