@@ -18,10 +18,9 @@ if "numpy" not in sys.modules:
 from .mesh import (ARTIFICIAL, DIRICHLET, INTERIOR, Mesh, build_annulus,
                    build_rectangle, build_strip, load_mesh, save_mesh)
 from .lorentz import (CoercivityConstants, CoercivityReport, SpacelikeError,
-                      area_density, coercivity_constants, flux_coeffs,
-                      flux_gap_sq, flux_monotonicity, minkowski_inner,
-                      normal_gap_sq, normalized_gradient, sample_coercivity,
-                      unit_normal)
+                      coercivity_constants, flux_coeffs, flux_gap_sq,
+                      flux_monotonicity, normalized_gradient,
+                      sample_coercivity)
 from .solver import (NonConvergenceError, SolveReport, SolverConfig,
                      cg_solve, energy, gradient_margin, load_field,
                      p1_divergence, p1_gradient, residual, residual_norm,
@@ -35,7 +34,7 @@ from .uniqueness import (ComparisonVerdict, DecayTable, FluxScan,
                          LevelRegion, OdeComparison, blowup_radius,
                          comparison_verdict, flux_scan, level_region,
                          perturbation_decay, radial_grid,
-                         riccati_comparison, riccati_rk4, save_scan)
+                         riccati_comparison, save_scan)
 from .expressions import Expression, ExpressionError
 
 __version__ = "0.1.0"

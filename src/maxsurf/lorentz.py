@@ -3,7 +3,7 @@
 A gradient g in the open unit disk describes a spacelike graph element in
 Minkowski 3-space.  This module collects the scalar identities used
 everywhere else: the area density w = sqrt(1 - |g|^2), the flux vector
-g/w, the upward unit normal, and the coercivity inequality
+g/w, and the coercivity inequality
 
     (g - g') . (g/w - g'/w') >= c(eps) |g/w - g'/w'|^2
 
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LIGHTLIKE_GUARD = 1e-14
-
-MINKOWSKI_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
 class SpacelikeError(ValueError):
@@ -50,11 +48,6 @@ def _density(g: np.ndarray) -> np.ndarray:
     return _spacelike_density(np.sum(g * g, axis=-1), LIGHTLIKE_GUARD)
 
 
-def area_density(g) -> np.ndarray:
-    """w = sqrt(1 - |g|^2), the Lorentzian area integrand."""
-    return _density(np.asarray(g, dtype=float))
-
-
 def flux_coeffs(g) -> np.ndarray:
     """Coefficients (p, q) of the conserved-flux form (g_x/w) dy - (g_y/w) dx.
 
@@ -73,20 +66,6 @@ def normalized_gradient(g) -> np.ndarray:
     return g / _density(g)[..., None]
 
 
-def unit_normal(g) -> np.ndarray:
-    """Upward unit normal n = (-g, 1)/w with <n, n> = -1 in the Minkowski metric."""
-    g = np.asarray(g, dtype=float)
-    w = _density(g)
-    return np.stack([-g[..., 0] / w, -g[..., 1] / w, 1.0 / w], axis=-1)
-
-
-def minkowski_inner(u, v) -> np.ndarray:
-    """Signature (+, +, -) inner product on (..., 3) arrays."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.sum(u * v * MINKOWSKI_SIGNS, axis=-1)
-
-
 def flux_monotonicity(g, g2) -> np.ndarray:
     """Pairing (g - g') . (g/w - g'/w'), the left side of the coercivity bound."""
     g = np.asarray(g, dtype=float)
@@ -100,35 +79,17 @@ def flux_gap_sq(g, g2) -> np.ndarray:
     return np.sum(d * d, axis=-1)
 
 
-def normal_gap_sq(g, g2) -> np.ndarray:
-    """Minkowski gap |n' - n|^2 = |g/w - g'/w'|^2 - (1/w - 1/w')^2.
-
-    Positive for distinct spacelike normals even though the metric is
-    indefinite, because both normals lie on the unit timelike hyperboloid.
-    """
-    g = np.asarray(g, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    w = _density(g)
-    w2 = _density(g2)
-    d = g / w[..., None] - g2 / w2[..., None]
-    return np.sum(d * d, axis=-1) - (1.0 / w - 1.0 / w2) ** 2
-
-
 @dataclass(frozen=True)
 class CoercivityConstants:
-    """Closed-form constants of the coercivity inequality at margin eps.
+    """Closed-form constant of the coercivity inequality at margin eps.
 
-    c1: min of (w + w')/2 over the admissible gradients, sqrt(eps (2-eps)).
-    c2: min of the Minkowski-to-Euclidean gap ratio, eps (2-eps).
-    c:  product c1 * c2 = (eps (2-eps))^(3/2), the certified constant.
-    r_max: largest normalized gradient |g/w|, (1-eps)/sqrt(eps (2-eps)).
+    c = (eps (2-eps))^(3/2), the product of the smallest mean area density
+    sqrt(eps (2-eps)) and the smallest Minkowski-to-Euclidean gap ratio
+    eps (2-eps) over the admissible gradients.
     """
 
     eps: float
-    c1: float
-    c2: float
     c: float
-    r_max: float
 
 
 def coercivity_constants(eps: float) -> CoercivityConstants:
@@ -136,15 +97,7 @@ def coercivity_constants(eps: float) -> CoercivityConstants:
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     s = eps * (2.0 - eps)
-    c1 = float(np.sqrt(s))
-    c2 = float(s)
-    return CoercivityConstants(
-        eps=float(eps),
-        c1=c1,
-        c2=c2,
-        c=float(s ** 1.5),
-        r_max=float((1.0 - eps) / np.sqrt(s)),
-    )
+    return CoercivityConstants(eps=float(eps), c=float(s ** 1.5))
 
 
 @dataclass(frozen=True)
@@ -189,12 +142,8 @@ def sample_coercivity(eps: float, n_samples: int, seed: int) -> CoercivityReport
     radius = 1.0 - eps
     g = _sample_disk(rng, radius, n_samples)
     g2 = _sample_disk(rng, radius, n_samples)
-    if radius > 0:
-        lhs = flux_monotonicity(g, g2)
-        rhs = flux_gap_sq(g, g2)
-    else:
-        lhs = np.zeros(n_samples)
-        rhs = np.zeros(n_samples)
+    lhs = flux_monotonicity(g, g2)
+    rhs = flux_gap_sq(g, g2)
     valid = rhs >= RATIO_FLOOR
     if not np.any(valid):
         return CoercivityReport(eps=float(eps), c=consts.c, n_samples=n_samples,
@@ -212,8 +161,6 @@ def sample_coercivity(eps: float, n_samples: int, seed: int) -> CoercivityReport
 
 def _sample_disk(rng, radius: float, n: int) -> np.ndarray:
     """Uniform points in the closed disk via rejection from the square."""
-    if radius == 0.0:
-        return np.zeros((n, 2))
     out = np.empty((n, 2))
     filled = 0
     while filled < n:

@@ -94,7 +94,9 @@ class Mesh:
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        corners = self.triangles.T
+        return np.stack([self.vertices[:, d][corners].sum(axis=0) / 3.0
+                         for d in range(2)], axis=1)
 
     @cached_property
     def basis_columns(self) -> np.ndarray:

@@ -591,40 +591,29 @@ class _VCycle:
         return x
 
 
-def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
-             max_iter: int | None = None, preconditioner=None,
-             full_output: bool = False):
+def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
+             max_iter: int | None = None):
     """Preconditioned conjugate gradients for an SPD operator.
 
     ``preconditioner`` maps a residual r to z, approximately the operator's
-    inverse applied to r, and must be symmetric positive definite; without
-    it z is r scaled by the operator's diagonal when that is positive
-    (Jacobi), else r itself.  The operator is used only through ``@``, and
-    through ``diagonal()`` when no preconditioner is given.
+    inverse applied to r, and must be symmetric positive definite.  The
+    operator is used only through ``@``.
 
     Deterministic: fixed starting point (zero), fixed update order.  Stops
     when ||r|| <= linear_tol * ||b||; raises NonConvergenceError carrying
-    the achieved relative residual if the iteration cap is hit, or if
-    p.Ap <= 0 or r.z <= 0 reveals an operator or preconditioner that is
-    not positive definite.  Returns the solution x, or with ``full_output``
-    the tuple (x, matvecs, achieved): the operator products used and the
-    relative residual ||r|| / ||b|| reached.
+    the achieved relative residual if the iteration cap (10 n + 100 by
+    default) is hit, or if p.Ap <= 0 or r.z <= 0 reveals an operator or
+    preconditioner that is not positive definite.  Returns (x, matvecs,
+    achieved): the solution, the operator products used and the relative
+    residual ||r|| / ||b|| reached.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
     bnorm = _norm(rhs)
     if bnorm == 0.0:
-        return (np.zeros(n), 0, 0.0) if full_output else np.zeros(n)
+        return np.zeros(n), 0, 0.0
     if max_iter is None:
         max_iter = 10 * n + 100
-    if preconditioner is None:
-        diag = None
-        if hasattr(operator, "diagonal"):
-            d = np.asarray(operator.diagonal(), dtype=float)
-            if np.all(d > 0):
-                diag = d
-        preconditioner = (lambda r: r / diag) if diag is not None \
-            else (lambda r: r)
     x = np.zeros(n)
     r = rhs.copy()
     z = preconditioner(r)
@@ -644,7 +633,7 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float,
         r -= alpha * ap
         rnorm = _norm(r)
         if rnorm <= linear_tol * bnorm:
-            return (x, matvecs, rnorm / bnorm) if full_output else x
+            return x, matvecs, rnorm / bnorm
         z = preconditioner(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
@@ -675,8 +664,7 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.
         return out
     k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
                        replace(config, metric="euclid"))
-    out[free] = cg_solve(k, rhs, LINEAR_TOL,
-                         preconditioner=_vcycle(_plan(mesh), k))
+    out[free], _, _ = cg_solve(k, rhs, LINEAR_TOL, _vcycle(_plan(mesh), k))
     return out
 
 
@@ -828,8 +816,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         built = lagged is None
         cycle = _vcycle(_plan(mesh), k) if built else lagged.refreshed(k)
         try:
-            direction, matvecs, achieved = cg_solve(
-                k, -r, eta, preconditioner=cycle, full_output=True)
+            direction, matvecs, achieved = cg_solve(k, -r, eta, cycle)
         except NonConvergenceError as exc:
             return report_failure(ev, f"linear solve failed: {exc}", steps)
         rate = _matvec_rate(matvecs, achieved)

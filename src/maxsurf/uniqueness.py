@@ -24,7 +24,7 @@ from .lorentz import coercivity_constants
 from .mesh import ARTIFICIAL, Mesh, build_strip
 from .records import write_csv
 from .solver import (NonConvergenceError, SolverConfig, _check_field,
-                     gradient_margin, p1_gradient, solve)
+                     gradient_margin, solve)
 
 LEVEL_CANDIDATES = 33
 SCAN_HEADER = "r,eta,energy,lhs,rhs,flag"
@@ -111,9 +111,7 @@ class FluxScan:
     squared norm over the region inside radius r, lhs and rhs the two sides
     mu + c_eps*(energy - energy[0]) and 2*delta*eta.  length and sq_line
     (circle arclength inside the region, arclength integral of the squared
-    norm) support the Cauchy-Schwarz bound eta^2 <= length * sq_line;
-    level_flux is the circle integral of (v - v' - a) times the form, the
-    intermediate quantity between energy and flux in the inequality chain.
+    norm) support the Cauchy-Schwarz bound eta^2 <= length * sq_line.
     """
 
     r0: float
@@ -130,7 +128,6 @@ class FluxScan:
     flags: np.ndarray
     length: np.ndarray
     sq_line: np.ndarray
-    level_flux: np.ndarray
 
     @property
     def n_flagged(self) -> int:
@@ -183,10 +180,10 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     radius, flagging violations beyond the relative tolerance (finite and
     nonnegative).  The circles are cut into exact arcs at triangle edges
     (``forms.polyline_pieces``); on each arc the difference form is
-    constant and v - v' - a affine, so every line integral is in closed
-    form.  The anchor mu = c_eps * energy at the first radius must be
-    positive, otherwise the region is too small to support the comparison
-    and a ValueError is raised.  Radii must be strictly increasing.
+    constant, so every line integral is in closed form.  The anchor
+    mu = c_eps * energy at the first radius must be positive, otherwise
+    the region is too small to support the comparison and a ValueError is
+    raised.  Radii must be strictly increasing.
     """
     if region.empty:
         raise ValueError("flux scan needs a nonempty region")
@@ -204,7 +201,6 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
         raise ValueError("tol_rel must be finite and nonnegative")
 
     alpha = flux_form(mesh, v) - flux_form(mesh, vp)
-    shifted = v - vp - region.a
     c_eps = coercivity_constants(region.eps_hat).c
 
     tris = region.triangles
@@ -215,8 +211,7 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     energy = cum_energy[np.searchsorted(cent_rad[order], radii + 1e-12,
                                         side="right")]
 
-    length, eta, sq_line, level_flux = _circle_sums(mesh, alpha, shifted,
-                                                    radii, tris)
+    length, eta, sq_line = _circle_sums(mesh, alpha, radii, tris)
 
     mu = c_eps * float(energy[0])
     if mu <= 0.0:
@@ -231,45 +226,24 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
                     eps_hat=region.eps_hat, c_eps=c_eps, mu=mu,
                     tol_rel=tol_rel, radii=radii, eta=eta, energy=energy,
                     lhs=lhs, rhs=rhs, flags=flags, length=length,
-                    sq_line=sq_line, level_flux=level_flux)
+                    sq_line=sq_line)
 
 
-def _circle_sums(mesh: Mesh, alpha, shifted, radii, triangles):
+def _circle_sums(mesh: Mesh, alpha, radii, triangles):
     """Line integrals over the circles of the given radii, clipped to the
-    triangles: (length, eta, sq_line, level_flux), one entry per radius.
+    triangles: (length, eta, sq_line), one entry per radius.
 
-    On an arc of radius r from t0 to t1 the form alpha is constant and
-    the P1 field is c0 + g.x, so with x = r (cos t, sin t) the arc gives
-    r (t1 - t0) times 1, |alpha| and |alpha|^2, and the integral of
-    (c0 + g.x) alpha.dx is c0 r [a1 cos t + a2 sin t] plus
-    r^2 [(g2 a2 - g1 a1) sin^2(t) / 2 + (g1 a2 - g2 a1) t / 2
-    + (g1 a2 + g2 a1) sin(2t) / 4] between the two angles.  The
-    differences are written as products of sines, which keeps short arcs
-    accurate.
+    On an arc of radius r from t0 to t1 the form alpha is constant, so the
+    arc gives r (t1 - t0) times 1, |alpha| and |alpha|^2.
     """
     tri, k, t0, t1 = polyline_pieces(mesh, radii, triangles=triangles)
     n = len(radii)
-    r = radii[k]
-    span = t1 - t0
-    mid = 0.5 * (t0 + t1)
+    arc = radii[k] * (t1 - t0)
     a1, a2 = alpha[tri, 0], alpha[tri, 1]
     sq_norm = a1 * a1 + a2 * a2
-    corner_vals = shifted[mesh.triangles[tri]]
-    g = p1_gradient(mesh, shifted)[tri]
-    g1, g2 = g[:, 0], g[:, 1]
-    c0 = corner_vals[:, 0] - np.sum(
-        g * mesh.vertices[mesh.triangles[tri, 0]], axis=1)
-    affine = 2.0 * c0 * r * np.sin(0.5 * span) * (
-        a2 * np.cos(mid) - a1 * np.sin(mid))
-    linear = 0.5 * r * r * (
-        (g1 * a2 - g2 * a1) * span
-        + np.sin(span) * ((g2 * a2 - g1 * a1) * np.sin(2.0 * mid)
-                          + (g1 * a2 + g2 * a1) * np.cos(2.0 * mid)))
-    arc = r * span
     return (np.bincount(k, weights=arc, minlength=n),
             np.bincount(k, weights=np.sqrt(sq_norm) * arc, minlength=n),
-            np.bincount(k, weights=sq_norm * arc, minlength=n),
-            np.bincount(k, weights=affine + linear, minlength=n))
+            np.bincount(k, weights=sq_norm * arc, minlength=n))
 
 
 def save_scan(scan: FluxScan, path) -> None:
@@ -354,71 +328,6 @@ def riccati_comparison(r0: float, mu: float, delta: float, c: float,
     t[0] = r0
     return OdeComparison(r0=r0, mu=mu, delta=delta, c=c, r1=r1, t=t,
                          y=_riccati_y(t, r0, mu, delta, c))
-
-
-def riccati_rk4(r0: float, mu: float, delta: float, c: float, t_eval,
-                step_factor: float = 0.002, y_cap: float = 1e9,
-                max_steps: int = 2_000_000):
-    """Fourth-order integration of the Cauchy problem, independent of the
-    closed form.
-
-    Integrates in s = ln(t/r0), where the equation is autonomous, with an
-    adaptive step keeping y's relative growth per step near step_factor.
-    Returns (y at t_eval, blow-up radius): entries past the point where y
-    exceeds y_cap are inf, and the second element is the radius where the
-    cap was crossed (integration continues past the last t_eval until the
-    cap is reached).
-    """
-    if min(r0, mu, delta, c) <= 0.0:
-        raise ValueError("all comparison parameters must be positive")
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < r0 * (1.0 - 1e-12)):
-        raise ValueError("evaluation radii must be at or beyond r0")
-    if np.any(np.diff(t_eval) < 0.0):
-        raise ValueError("evaluation radii must be nondecreasing")
-    k = c / (FOUR_PI * delta)
-    y = mu / (4.0 * delta)
-    s = 0.0
-    s_lost = 0.0
-    targets = np.log(np.maximum(t_eval, r0) / r0)
-    out = np.full(len(t_eval), np.inf)
-    steps = 0
-    blown = False
-
-    def advance(limit: float) -> bool:
-        # steps until s reaches limit or y crosses the cap; s is accumulated
-        # with a carry term because a position error ds_err inflates y by a
-        # factor 1 + k*y*ds_err, ruinous near blow-up where k*y is huge
-        nonlocal y, s, s_lost, steps
-        while s < limit - 1e-15:
-            ds = min(step_factor / (k * y), limit - s)
-            k1 = k * y * y
-            y2 = y + 0.5 * ds * k1
-            k2 = k * y2 * y2
-            y3 = y + 0.5 * ds * k2
-            k3 = k * y3 * y3
-            y4 = y + ds * k3
-            k4 = k * y4 * y4
-            y = y + ds * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            inc = ds - s_lost
-            s_new = s + inc
-            s_lost = (s_new - s) - inc
-            s = s_new
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError("integration stalled before blow-up")
-            if y > y_cap:
-                return True
-        return False
-
-    for idx, tgt in enumerate(targets):
-        blown = advance(tgt)
-        if blown:
-            break
-        out[idx] = y
-    if not blown:
-        blown = advance(math.inf)
-    return out, r0 * math.exp(s)
 
 
 # ----------------------------------------------------------------------

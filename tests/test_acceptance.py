@@ -14,10 +14,11 @@ import pytest
 from mpmath import mp
 
 from conftest import affine_field
+from oracles import (area_density, minkowski_inner, normal_gap_sq,
+                     riccati_rk4, unit_normal)
 from maxsurf import (
     ARTIFICIAL,
     SolverConfig,
-    area_density,
     blowup_radius,
     build_annulus,
     build_rectangle,
@@ -29,18 +30,14 @@ from maxsurf import (
     gradient_margin,
     level_region,
     max_interior_circulation,
-    minkowski_inner,
-    normal_gap_sq,
     perturbation_decay,
     radial_grid,
     riccati_comparison,
-    riccati_rk4,
     round_trip_error,
     sample_coercivity,
     save_field,
     save_scan,
     solve,
-    unit_normal,
 )
 from maxsurf.cli import ODE_HEADER
 from maxsurf.records import write_csv, write_record

@@ -23,7 +23,6 @@ from maxsurf import (
 )
 from conftest import affine_field
 from maxsurf.forms import circulations, polyline_pieces
-from maxsurf.uniqueness import _circle_sums
 
 
 def centred_square(h, dx=0.0):
@@ -63,13 +62,6 @@ def norm_line_integral(mesh, form, radius, triangles=None):
     """Arclength integral of |(p, q)| over the circle, as the scan's eta."""
     tri, _, t0, t1 = polyline_pieces(mesh, [radius], triangles=triangles)
     return float(np.linalg.norm(form[tri], axis=1) @ (radius * (t1 - t0)))
-
-
-def weighted_line_integral(mesh, scalar, form, radius, triangles=None):
-    """Integral of the P1 scalar times the form, as the scan's level_flux."""
-    tris = np.arange(mesh.triangle_count) if triangles is None else triangles
-    return float(_circle_sums(mesh, form, scalar, np.array([radius]),
-                              tris)[3][0])
 
 
 def wedge(mesh, scalar, form, triangles=None):
@@ -280,26 +272,7 @@ def test_catenoid_flux_through_circle():
 
 
 # ---------------------------------------------------------------------------
-# weighted and norm line integrals over the arcs
-
-
-def test_weighted_line_integral_unit_weight(square8c):
-    rng = np.random.default_rng(11)
-    form = rng.standard_normal((square8c.triangle_count, 2))
-    ones = np.ones(square8c.vertex_count)
-    assert weighted_line_integral(square8c, ones, form, 0.7) == pytest.approx(
-        line_integral(square8c, form, 0.7), rel=1e-13)
-    assert weighted_line_integral(
-        square8c, np.zeros(square8c.vertex_count), form, 0.7) == 0.0
-
-
-def test_weighted_line_integral_linear_weight(square8c):
-    # weight y against dx along the upper semicircle: -pi r^2 / 2
-    form = np.tile([1.0, 0.0], (square8c.triangle_count, 1))
-    scalar = square8c.vertices[:, 1].copy()
-    got = weighted_line_integral(square8c, scalar, form, 0.6,
-                                 triangles=upper_half(square8c))
-    assert got == pytest.approx(-0.5 * np.pi * 0.36, rel=1e-12)
+# norm line integrals over the arcs
 
 
 def test_norm_line_integral_constant(square8c):

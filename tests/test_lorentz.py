@@ -9,21 +9,19 @@ from hypothesis import strategies as st
 from maxsurf import (
     SolverConfig,
     SpacelikeError,
-    area_density,
     build_rectangle,
     coercivity_constants,
     energy,
     flux_coeffs,
     flux_gap_sq,
     flux_monotonicity,
-    minkowski_inner,
-    normal_gap_sq,
     normalized_gradient,
     residual,
     sample_coercivity,
     tangent_matrix,
-    unit_normal,
 )
+from oracles import (area_density, c1, c2, minkowski_inner, normal_gap_sq,
+                     r_max, unit_normal)
 
 G1 = np.array([0.6, 0.0])
 G2 = np.array([0.0, 0.0])
@@ -190,24 +188,22 @@ def test_coercivity_pointwise(g, g2):
     rhs = flux_gap_sq(g, g2)
     assert lhs >= consts.c * rhs * (1.0 - 1e-9) - 1e-15
     # the two factors of the chain hold separately
-    assert 0.5 * (area_density(g) + area_density(g2)) >= consts.c1 * (1.0 - 1e-12)
-    assert normal_gap_sq(g, g2) >= consts.c2 * rhs * (1.0 - 1e-9) - 1e-15
+    assert 0.5 * (area_density(g) + area_density(g2)) >= c1(eps) * (1.0 - 1e-12)
+    assert normal_gap_sq(g, g2) >= c2(eps) * rhs * (1.0 - 1e-9) - 1e-15
 
 
 def test_normalized_gradient_bounded_by_r_max():
     eps = 0.25
-    consts = coercivity_constants(eps)
     rng = np.random.default_rng(3)
     for _ in range(200):
         g = polar(rng.uniform(0.0, 1.0 - eps), rng.uniform(0.0, 2.0 * math.pi))
-        assert np.linalg.norm(normalized_gradient(g)) <= consts.r_max + 1e-12
+        assert np.linalg.norm(normalized_gradient(g)) <= r_max(eps) + 1e-12
 
 
 def test_angle_factor_bounded_below():
     # 1 - ((|x|+|x'|)/(W+W'))^2 >= c2 whenever both normalized gradients
     # stay inside radius r_max, with equality in the limit |x|=|x'|=r_max
     eps = 0.25
-    consts = coercivity_constants(eps)
     rng = np.random.default_rng(9)
 
     def factor(nx, nxp):
@@ -215,10 +211,9 @@ def test_angle_factor_bounded_below():
         return 1.0 - ((nx + nxp) / ww) ** 2
 
     for _ in range(500):
-        nx, nxp = rng.uniform(0.0, consts.r_max, size=2)
-        assert factor(nx, nxp) >= consts.c2 * (1.0 - 1e-12)
-    assert factor(consts.r_max, consts.r_max) == pytest.approx(consts.c2,
-                                                               rel=1e-12)
+        nx, nxp = rng.uniform(0.0, r_max(eps), size=2)
+        assert factor(nx, nxp) >= c2(eps) * (1.0 - 1e-12)
+    assert factor(r_max(eps), r_max(eps)) == pytest.approx(c2(eps), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -227,18 +222,18 @@ def test_angle_factor_bounded_below():
 
 
 def test_constants_closed_forms():
-    c = coercivity_constants(0.4)
-    assert c.c1 == pytest.approx(0.8, rel=1e-14)
-    assert c.c2 == pytest.approx(0.64, rel=1e-14)
-    assert c.c == pytest.approx(0.512, rel=1e-14)
-    assert c.r_max == pytest.approx(0.75, rel=1e-14)
+    assert c1(0.4) == pytest.approx(0.8, rel=1e-14)
+    assert c2(0.4) == pytest.approx(0.64, rel=1e-14)
+    assert coercivity_constants(0.4).c == pytest.approx(0.512, rel=1e-14)
+    assert c1(0.4) * c2(0.4) == pytest.approx(0.512, rel=1e-14)
+    assert r_max(0.4) == pytest.approx(0.75, rel=1e-14)
     assert coercivity_constants(0.1).c == pytest.approx(0.0828, abs=5e-5)
     assert coercivity_constants(0.5).c == pytest.approx(0.6495, abs=5e-5)
 
 
 def test_constants_degenerate_margin():
-    c = coercivity_constants(1.0)
-    assert (c.c1, c.c2, c.c, c.r_max) == (1.0, 1.0, 1.0, 0.0)
+    assert (c1(1.0), c2(1.0), coercivity_constants(1.0).c, r_max(1.0)) \
+        == (1.0, 1.0, 1.0, 0.0)
 
 
 def test_constants_reject_bad_eps():
@@ -249,11 +244,10 @@ def test_constants_reject_bad_eps():
 
 def test_constants_monotone_in_eps():
     eps = np.linspace(0.01, 1.0, 60)
-    vals = [coercivity_constants(e) for e in eps]
-    for field in ("c1", "c2", "c"):
-        seq = [getattr(v, field) for v in vals]
+    for constant in (c1, c2, lambda e: coercivity_constants(e).c):
+        seq = [constant(e) for e in eps]
         assert all(a <= b + 1e-15 for a, b in zip(seq, seq[1:]))
-    r = [v.r_max for v in vals]
+    r = [r_max(e) for e in eps]
     assert all(a >= b - 1e-15 for a, b in zip(r, r[1:]))
 
 

@@ -25,7 +25,6 @@ from maxsurf import (
     perturbation_decay,
     radial_grid,
     riccati_comparison,
-    riccati_rk4,
     save_scan,
     solve,
 )
@@ -37,6 +36,8 @@ from maxsurf.uniqueness import (
     LevelRegion,
     SCAN_HEADER,
 )
+
+from oracles import riccati_rk4
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,8 @@ def test_flux_scan_constant_difference_form(annulus_coarse):
 
 
 def test_flux_scan_is_exact_for_affine_fields(annulus_coarse):
-    # affine v and v' over the whole annulus: alpha is constant and
-    # v - v' - a = c0 + g.x, so each full circle gives length 2 pi r,
-    # eta |alpha| 2 pi r and level_flux pi r^2 (g1 alpha2 - g2 alpha1)
+    # affine v and v' over the whole annulus: alpha is constant, so each
+    # full circle gives length 2 pi r and eta |alpha| 2 pi r
     x, y = annulus_coarse.vertices.T
     v = 0.5 * x - 0.2 * y + 0.3
     vp = -0.1 * x + 0.25 * y
@@ -222,13 +222,9 @@ def test_flux_scan_is_exact_for_affine_fields(annulus_coarse):
     radii = np.array([1.15, 1.5, 1.83])
     scan = flux_scan(annulus_coarse, v, vp, region, radii)
     alpha = (flux_form(annulus_coarse, v) - flux_form(annulus_coarse, vp))[0]
-    g = np.array([0.6, -0.45])
     np.testing.assert_allclose(scan.length, 2.0 * np.pi * radii, rtol=1e-12)
     np.testing.assert_allclose(
         scan.eta, np.hypot(*alpha) * 2.0 * np.pi * radii, rtol=1e-12)
-    np.testing.assert_allclose(
-        scan.level_flux,
-        np.pi * radii ** 2 * (g[0] * alpha[1] - g[1] * alpha[0]), rtol=1e-12)
 
 
 def test_flux_scan_energy_matches_area_integral(annulus_coarse):
@@ -398,7 +394,7 @@ def synthetic_scan(radii, eta, flags=None, delta=0.05, c=0.5, mu=0.4,
                     mu=mu, tol_rel=tol_rel, radii=radii, eta=eta,
                     energy=energy, lhs=lhs, rhs=rhs,
                     flags=np.asarray(flags, dtype=bool), length=zeros,
-                    sq_line=zeros, level_flux=zeros)
+                    sq_line=zeros)
 
 
 def test_verdict_consistent_past_blowup():

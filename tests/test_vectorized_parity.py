@@ -485,16 +485,14 @@ def barycentric(corners, point):
     return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
 
-def polygon_scan(mesh, alpha, shifted, radii, triangles):
+def polygon_scan(mesh, alpha, radii, triangles):
     """The flux scan's line sums as the inscribed-polygon scan took them.
 
     Each circle is its inscribed polygon with segments of at most h/2,
     clipped to the triangles one segment at a time with a k-d tree over
     the centroids (the former scan cut segments into chunks of at most h,
-    which leaves these segments whole).  Returns (length, eta, sq_line,
-    level_flux, level_scale) per radius: the field is taken at piece
-    midpoints, and level_scale sums (|field| + r |grad field|) |alpha|
-    over the pieces, the size against which level_flux is compared.
+    which leaves these segments whole).  Returns (length, eta, sq_line)
+    per radius.
     """
     from scipy.spatial import cKDTree
 
@@ -503,23 +501,16 @@ def polygon_scan(mesh, alpha, shifted, radii, triangles):
                float(np.sqrt((off ** 2).sum(axis=2).max())))
     mask = np.zeros(mesh.triangle_count, dtype=bool)
     mask[triangles] = True
-    grad = p1_gradient(mesh, shifted)
-    out = np.zeros((5, len(radii)))
+    out = np.zeros((3, len(radii)))
     for k, r in enumerate(radii):
         loop = circle_polyline(r, 0.5 * mesh.h)
         for p, q in zip(loop[:-1], loop[1:]):
-            for tri, piece, mid in segment_pieces(mesh, locator, p, q):
+            for tri, piece, _ in segment_pieces(mesh, locator, p, q):
                 if not mask[tri]:
                     continue
                 size = float(np.hypot(*piece))
                 norm = float(np.hypot(*alpha[tri]))
-                corners = mesh.triangles[tri]
-                lam = barycentric(mesh.vertices[corners][None], mid)[0]
-                val = float(lam @ shifted[corners])
-                out[:, k] += [size, norm * size, norm * norm * size,
-                              val * float(alpha[tri] @ piece),
-                              (abs(val) + r * float(np.hypot(*grad[tri])))
-                              * norm * size]
+                out[:, k] += [size, norm * size, norm * norm * size]
     return out
 
 
@@ -635,7 +626,7 @@ def scan_annuli(draw):
 @st.composite
 def scan_fields(draw, mesh):
     """Two fields, each affine plus a log|x| part a twentieth as steep, whose
-    gradients differ by 0.2 to 0.4, and a level offset.
+    gradients differ by 0.2 to 0.4.
 
     The inscribed polygon lies up to r (1 - cos(pi/n)) inside the circle,
     so it reads the weights |alpha| and |alpha|^2 that far in: where they
@@ -651,7 +642,7 @@ def scan_fields(draw, mesh):
     v = a * x + b * y + 0.05 * c * log_r
     vp = (a - size * math.cos(angle)) * x + (b - size * math.sin(angle)) * y \
         + 0.05 * cp * log_r
-    return v, vp, draw(st.floats(-0.5, 0.5))
+    return v, vp
 
 
 @st.composite
@@ -662,31 +653,27 @@ def scan_radii(draw, mesh):
     return np.unique(r_in + np.asarray(fracs) * (r_out - r_in))
 
 
-def assert_scan_matches_polygon(mesh, v, vp, level, radii, triangles):
+def assert_scan_matches_polygon(mesh, v, vp, radii, triangles):
     """The exact arcs agree with the polygon scan within its chord error.
 
     The polygon with segments of length seg = 2 r sin(pi/n) <= h/2 is
     shorter than its circle by (seg/r)^2/24; twice that bounds length, eta
-    and sq_line, and (seg/r)^2/8 of level_scale bounds level_flux.  Each
-    edge that can put the polygon and the circle on different sides
-    (``unsettled_edges``) may add up to one segment length times the
-    largest weight.
+    and sq_line.  Each edge that can put the polygon and the circle on
+    different sides (``unsettled_edges``) may add up to one segment length
+    times the largest weight.
     """
     alpha = flux_form(mesh, v) - flux_form(mesh, vp)
-    shifted = v - vp - level
-    got = _circle_sums(mesh, alpha, shifted, radii, triangles)
-    ref = polygon_scan(mesh, alpha, shifted, radii, triangles)
+    got = _circle_sums(mesh, alpha, radii, triangles)
+    ref = polygon_scan(mesh, alpha, radii, triangles)
     norm = float(np.linalg.norm(alpha[triangles], axis=1).max(initial=0.0))
-    weights = [1.0, norm, norm * norm,
-               norm * float(np.abs(shifted).max())]
+    weights = [1.0, norm, norm * norm]
     for k, r in enumerate(radii):
         n = max(8, int(math.ceil(2.0 * math.pi * r / (0.5 * mesh.h))))
         seg = 2.0 * r * math.sin(math.pi / n)
         edges = unsettled_edges(mesh, triangles, r * math.cos(math.pi / n), r)
-        for i, name in enumerate(["length", "eta", "sq_line", "level_flux"]):
-            rel, size = ((seg / r) ** 2 / 12.0, ref[i, k]) if i < 3 else \
-                ((seg / r) ** 2 / 8.0, ref[4, k])
-            tol = rel * abs(size) + edges * seg * weights[i]
+        for i, name in enumerate(["length", "eta", "sq_line"]):
+            tol = (seg / r) ** 2 / 12.0 * abs(ref[i, k]) \
+                + edges * seg * weights[i]
             assert abs(got[i][k] - ref[i, k]) <= tol, (name, r, edges)
 
 
@@ -698,8 +685,8 @@ def assert_scan_matches_polygon(mesh, v, vp, level, radii, triangles):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), mesh=st.one_of(scan_annuli(), relabelled(scan_annuli())))
 def test_circle_pieces_match_loop(data, mesh):
-    v, vp, level = data.draw(scan_fields(mesh))
-    assert_scan_matches_polygon(mesh, v, vp, level, data.draw(scan_radii(mesh)),
+    v, vp = data.draw(scan_fields(mesh))
+    assert_scan_matches_polygon(mesh, v, vp, data.draw(scan_radii(mesh)),
                                 np.arange(mesh.triangle_count))
 
 
@@ -716,9 +703,8 @@ def test_polyline_pieces_match_loop_with_clip(data, mesh, subset, seed):
         tris = np.flatnonzero((rad >= lo) & (rad <= hi))
     else:
         tris = np.flatnonzero(rng.random(mesh.triangle_count) < 0.5)
-    v, vp, level = data.draw(scan_fields(mesh))
-    assert_scan_matches_polygon(mesh, v, vp, level, data.draw(scan_radii(mesh)),
-                                tris)
+    v, vp = data.draw(scan_fields(mesh))
+    assert_scan_matches_polygon(mesh, v, vp, data.draw(scan_radii(mesh)), tris)
 
 
 def test_scan_circle_pieces_match_loop():
@@ -730,8 +716,7 @@ def test_scan_circle_pieces_match_loop():
     r = np.hypot(x, y)
     v = 0.3 * x + 0.02 * np.log(r)
     vp = -0.1 * y - 0.03 * np.log(r)
-    assert_scan_matches_polygon(mesh, v, vp, 0.1, np.array([2.2, 3.1, 3.9]),
-                                tris)
+    assert_scan_matches_polygon(mesh, v, vp, np.array([2.2, 3.1, 3.9]), tris)
 
 
 def test_polyline_pieces_rejects_bad_radii(square4):
@@ -780,6 +765,8 @@ def gather_signed_areas(mesh):
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
 def test_signed_areas_match_corner_gather(mesh):
     np.testing.assert_array_equal(mesh.signed_areas, gather_signed_areas(mesh))
+    np.testing.assert_array_equal(mesh.centroids,
+                                  mesh.vertices[mesh.triangles].mean(axis=1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1012,17 +999,13 @@ def test_divergence_is_adjoint_of_gradient(mesh, seed):
 # ----------------------------------------------------------------------
 
 
-def blas_cg(operator, rhs, linear_tol, preconditioner=None, max_iter=None):
-    """Former cg_solve, full output: inner products by ``@``, norms by
-    ``np.linalg.norm``; without a preconditioner, Jacobi."""
+def blas_cg(operator, rhs, linear_tol, preconditioner, max_iter=None):
+    """Former cg_solve: inner products by ``@``, norms by
+    ``np.linalg.norm``."""
     n = len(rhs)
     bnorm = float(np.linalg.norm(rhs))
     if max_iter is None:
         max_iter = 10 * n + 100
-    if preconditioner is None:
-        diag = np.asarray(operator.diagonal(), dtype=float)
-        assert np.all(diag > 0)
-        preconditioner = lambda r: r / diag  # noqa: E731
     x = np.zeros(n)
     r = rhs.copy()
     z = preconditioner(r)
@@ -1070,9 +1053,9 @@ def test_pcg_matches_blas_summed_loop(mesh, matrix, vcycle, linear_tol, seed):
     k = tangent_matrix(mesh, v, config)
     assume(k.shape[0] > 0)
     rhs = np.random.default_rng(seed).standard_normal(k.shape[0])
-    cycle = _VCycle(k) if vcycle else None
-    pcg = partial(cg_solve, k, rhs, linear_tol, preconditioner=cycle,
-                  full_output=True)
+    diag = k.diagonal()
+    cycle = _VCycle(k) if vcycle else (lambda r: r / diag)
+    pcg = partial(cg_solve, k, rhs, linear_tol, cycle)
     ref = partial(blas_cg, k, rhs, linear_tol, cycle)
     x, matvecs, achieved = pcg()
     x_ref, matvecs_ref, achieved_ref = ref()
