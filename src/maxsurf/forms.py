@@ -229,19 +229,24 @@ def _bfs_tree(mesh: Mesh):
 
 
 class _PotentialTree:
-    """The BFS tree edges of one mesh, as ``integrate_potential`` walks them.
+    """The arrays of one mesh that ``integrate_potential`` reads.
 
-    ``child`` and ``parent`` list the tree edges in BFS order; the path
-    between their centroids crosses the midpoint of their shared edge, the
-    parent's slot holding the child, with offsets ``to_mid`` from the
-    parent's centroid and ``from_mid`` to the child's.  BFS order lists the
-    tree level by level and the parents' positions never decrease, so each
-    level is one slice of the tree edges, in ``levels``.
+    ``child`` and ``parent`` list the BFS tree edges in BFS order, each
+    level one slice of them in ``levels`` (BFS order lists the tree level
+    by level, and the parents' positions never decrease).  The path between
+    their centroids crosses the midpoint of their shared edge: ``to_mid``
+    runs from the parent's centroid to it, ``from_mid`` on to the child's.
+    ``to_corner`` runs from each centroid to the triangle's corners, listed
+    in ``corner`` corner 0 first, with ``corner_count`` corners per vertex.
+    ``pair_edge`` runs from interior corner ``pair_from`` to boundary
+    corner ``pair_vertex`` of triangle ``pair_tri``; ``reached`` are the
+    boundary vertices with ``reached_count`` such pairs.  Offsets are
+    stored as x and y rows.
     """
 
     def __init__(self, mesh: Mesh):
         t = mesh.triangles
-        pts = mesh.vertices
+        coords = mesh.vertices.T
         cent = mesh.centroids
         order, pred = _bfs_tree(mesh)
         self.child = order[1:]
@@ -250,9 +255,14 @@ class _PotentialTree:
                          axis=1)
         a = t[self.parent, (slot + 1) % 3]
         b = t[self.parent, (slot + 2) % 3]
-        m = 0.5 * (pts[a] + pts[b])
-        self.to_mid = m - cent[self.parent]
-        self.from_mid = cent[self.child] - m
+        self.to_mid = np.empty((2, len(self.child)))
+        self.from_mid = np.empty((2, len(self.child)))
+        self.to_corner = np.empty((2, 3, mesh.triangle_count))
+        for d, c in enumerate(coords):
+            m = 0.5 * (c[a] + c[b])
+            np.subtract(m, cent[self.parent, d], out=self.to_mid[d])
+            np.subtract(cent[self.child, d], m, out=self.from_mid[d])
+            np.subtract(c[t.T], cent[:, d], out=self.to_corner[d])
         pos = np.empty(mesh.triangle_count, dtype=np.int64)
         pos[order] = np.arange(mesh.triangle_count)
         parent_pos = pos[self.parent]
@@ -262,6 +272,20 @@ class _PotentialTree:
             stop = int(np.searchsorted(parent_pos, start + 1))
             self.levels.append(slice(start, stop))
             start = stop
+
+        self.corner = t.T.ravel()
+        self.corner_count = np.bincount(self.corner,
+                                        minlength=mesh.vertex_count)
+        vb, vn = t.T[[0, 0, 1, 1, 2, 2]], t.T[[1, 2, 0, 2, 0, 1]]
+        boundary = mesh.boundary_vertex_mask
+        sel = boundary[vb] & ~boundary[vn]
+        self.pair_tri = np.nonzero(sel)[1]
+        self.pair_vertex, self.pair_from = vb[sel], vn[sel]
+        self.pair_edge = (coords[:, self.pair_vertex]
+                          - coords[:, self.pair_from])
+        counts = np.bincount(self.pair_vertex, minlength=mesh.vertex_count)
+        self.reached = np.flatnonzero(counts)
+        self.reached_count = counts[self.reached]
 
 
 def _potential_tree(mesh: Mesh) -> _PotentialTree:
@@ -305,36 +329,28 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
             f"exceeds {closedness_tol:.3e}"
         )
 
-    t = mesh.triangles
-    cent = mesh.centroids
-    pts = mesh.vertices
     tree = _potential_tree(mesh)
+    p, q = form.T
     child, parent = tree.child, tree.parent
-    inc1 = np.sum(form[parent] * tree.to_mid, axis=1)
-    inc2 = np.sum(form[child] * tree.from_mid, axis=1)
+    inc1 = p[parent] * tree.to_mid[0] + q[parent] * tree.to_mid[1]
+    inc2 = p[child] * tree.from_mid[0] + q[child] * tree.from_mid[1]
     phi = np.zeros(mesh.triangle_count)
     for sel in tree.levels:
         phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
 
     # each vertex averages its triangles' extrapolations, summed corner by
     # corner: corner 0 of every triangle, then corners 1 and 2
-    corner = t.T.ravel()
-    est = phi + np.sum(form * (pts[t.T] - cent), axis=2)
-    counts = np.bincount(corner, minlength=mesh.vertex_count)
-    u = np.bincount(corner, weights=est.ravel(),
-                    minlength=mesh.vertex_count) / counts
+    est = phi + (p * tree.to_corner[0] + q * tree.to_corner[1])
+    u = np.bincount(tree.corner, weights=est.ravel(),
+                    minlength=mesh.vertex_count) / tree.corner_count
 
     # then each boundary vertex averages its interior neighbours' edge
     # integrals, summed corner pair by corner pair
-    vb, vn = t.T[[0, 0, 1, 1, 2, 2]], t.T[[1, 2, 0, 2, 0, 1]]
-    boundary = mesh.boundary_vertex_mask
-    sel = boundary[vb] & ~boundary[vn]
-    tri = np.nonzero(sel)[1]
-    vb, vn = vb[sel], vn[sel]
-    est = u[vn] + np.sum(form[tri] * (pts[vb] - pts[vn]), axis=1)
-    sums = np.bincount(vb, weights=est, minlength=mesh.vertex_count)
-    counts = np.bincount(vb, minlength=mesh.vertex_count)
-    reachable = counts > 0
-    u[reachable] = sums[reachable] / counts[reachable]
+    tri = tree.pair_tri
+    est = u[tree.pair_from] + (p[tri] * tree.pair_edge[0]
+                               + q[tri] * tree.pair_edge[1])
+    sums = np.bincount(tree.pair_vertex, weights=est,
+                       minlength=mesh.vertex_count)
+    u[tree.reached] = sums[tree.reached] / tree.reached_count
     return u - u[0]
 

@@ -38,6 +38,13 @@ class Mesh:
     vertex_class : (V,) int8 array with values INTERIOR/DIRICHLET/ARTIFICIAL
     h : float
         Nominal edge length used by the generator.
+
+    Construction checks the mesh, and so builds ``signed_areas`` and the
+    edge table: ``edges``, ``triangle_edges``, ``boundary_vertex_mask`` and
+    whether the triangles are edge-connected, all from one sort of the edge
+    slots.  Every other derived array (``areas``, ``centroids``,
+    ``basis_columns``, ``neighbors``, ``interior_vertices``, ...) is built
+    on first read and kept.
     """
 
     vertices: np.ndarray
@@ -47,16 +54,23 @@ class Mesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
-        c = np.ascontiguousarray(np.asarray(self.vertex_class, dtype=np.int8))
+        t = np.asarray(self.triangles)
+        c = np.asarray(self.vertex_class)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be (V, 2)")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
         if c.shape != (len(v),):
             raise ValueError("vertex_class must be (V,)")
+        # checked before the casts, which would truncate or wrap
+        if t.dtype.kind not in "iu" and not np.array_equal(t, np.floor(t)):
+            raise ValueError("triangle indices must be integers")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
             raise ValueError("triangle index out of range")
+        if not np.isin(c, (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
+            raise ValueError("unknown vertex class")
+        t = np.ascontiguousarray(t, dtype=np.int64)
+        c = np.ascontiguousarray(c, dtype=np.int8)
         for arr in (v, t, c):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -121,33 +135,44 @@ class Mesh:
 
     @cached_property
     def _edge_data(self):
-        """Unique edges, their counts, per-triangle edge ids and neighbor
-        triangles, all from one stable sort of the 3T edge slots by key."""
+        """Unique edges, per-triangle edge ids, the boundary vertex mask and
+        whether the triangles are edge-connected, all from one stable sort
+        of the 3T edge slots by key."""
         t = self.triangles
-        # edge slot i is opposite corner i
-        a = t[:, [1, 2, 0]].ravel()
-        b = t[:, [2, 0, 1]].ravel()
-        # one int64 key lo * V + hi per edge sorts like its (lo, hi) row;
-        # exact for V below about 3e9
         nv = self.vertex_count
-        keys = np.minimum(a, b) * nv + np.maximum(a, b)
-        order = np.argsort(keys, kind="stable")
-        new = np.diff(keys[order], prepend=-1) != 0  # keys are nonnegative
+        # edge slot i is opposite corner i; one int64 key lo * V + hi per
+        # edge sorts like its (lo, hi) row; exact for V below about 3e9
+        keys = np.empty((len(t), 3), dtype=np.int64)
+        lo = np.empty(len(t), dtype=np.int64)
+        for i in range(3):
+            a, b = t[:, (i + 1) % 3], t[:, (i + 2) % 3]
+            np.minimum(a, b, out=lo)
+            lo *= nv
+            np.maximum(a, b, out=keys[:, i])
+            keys[:, i] += lo
+        order = np.argsort(keys.reshape(-1), kind="stable")
+        keys = keys.reshape(-1)[order]
+        new = np.empty(len(keys), dtype=bool)  # starts a run of equal keys
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
         first = np.flatnonzero(new)
         counts = np.diff(first, append=len(keys))
         if counts.max(initial=0) > 2:
             raise ValueError("an edge is shared by more than two triangles")
-        edges = np.column_stack(np.divmod(keys[order[first]], nv))
+        keys = keys[first]
+        lo = keys // nv
+        edges = np.column_stack((lo, keys - lo * nv))
+        ids = np.repeat(np.arange(len(first)), counts)  # edge id by run
         tri_edges = np.empty((len(t), 3), dtype=np.int64)
-        tri_edges.reshape(-1)[order] = np.cumsum(new) - 1
-        neighbors = np.full((len(t), 3), -1, dtype=np.int64)
+        tri_edges.reshape(-1)[order] = ids
+        boundary = np.zeros(nv, dtype=bool)
+        boundary[edges[counts == 1].ravel()] = True
         pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
-        lower, upper = order[pair], order[pair + 1]  # slot = 3 tri + corner
-        neighbors.reshape(-1)[lower] = upper // 3
-        neighbors.reshape(-1)[upper] = lower // 3
-        for arr in (edges, tri_edges, neighbors):
+        connected = _edge_connected(order[pair] // 3, order[pair + 1] // 3,
+                                    len(t))
+        for arr in (edges, tri_edges, boundary):
             arr.setflags(write=False)
-        return edges, counts, tri_edges, neighbors
+        return edges, tri_edges, boundary, connected
 
     @property
     def edges(self) -> np.ndarray:
@@ -155,20 +180,29 @@ class Mesh:
 
     @property
     def triangle_edges(self) -> np.ndarray:
-        return self._edge_data[2]
+        return self._edge_data[1]
 
     @property
-    def neighbors(self) -> np.ndarray:
-        """(T, 3) neighbor triangle across edge slot i, or -1 on the boundary."""
-        return self._edge_data[3]
+    def boundary_vertex_mask(self) -> np.ndarray:
+        return self._edge_data[2]
 
     @cached_property
-    def boundary_vertex_mask(self) -> np.ndarray:
-        edges, counts, _, _ = self._edge_data
-        mask = np.zeros(self.vertex_count, dtype=bool)
-        mask[edges[counts == 1].ravel()] = True
-        mask.setflags(write=False)
-        return mask
+    def neighbors(self) -> np.ndarray:
+        """(T, 3) neighbor triangle across edge slot i, or -1 on the boundary.
+
+        Built on first read; the potential's tree is its one reader.  A
+        stable sort of the slots' edge ids orders them as the construction's
+        sort of their keys did.
+        """
+        ids = self.triangle_edges.reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        pair = np.flatnonzero(ids[order[1:]] == ids[order[:-1]])
+        lower, upper = order[pair], order[pair + 1]  # slot = 3 tri + corner
+        out = np.full((self.triangle_count, 3), -1, dtype=np.int64)
+        out.reshape(-1)[lower] = upper // 3
+        out.reshape(-1)[upper] = lower // 3
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def euler_characteristic(self) -> int:
@@ -192,47 +226,50 @@ class Mesh:
         if np.any(self.signed_areas <= 0):
             bad = int(np.argmin(self.signed_areas))
             raise ValueError(f"triangle {bad} is degenerate or clockwise")
-        _ = self._edge_data  # raises on over-shared edges
-        on_boundary = self.boundary_vertex_mask
+        # the edge table raises on over-shared edges
+        _, _, on_boundary, connected = self._edge_data
         cls = self.vertex_class
         if np.any((cls != INTERIOR) & ~on_boundary):
             raise ValueError("non-interior class assigned to an interior vertex")
         if np.any((cls == INTERIOR) & on_boundary):
             raise ValueError("boundary vertex classed interior")
-        if not np.all(np.isin(cls, (INTERIOR, DIRICHLET, ARTIFICIAL))):
-            raise ValueError("unknown vertex class")
         # every vertex must belong to a triangle
         used = np.zeros(self.vertex_count, dtype=bool)
         used[self.triangles.ravel()] = True
         if not used.all():
             raise ValueError("unreferenced vertex")
-        if not _edge_connected(self.neighbors):
+        if not connected:
             raise ValueError("triangle adjacency graph is disconnected")
 
 
-def _edge_connected(neighbors) -> bool:
-    """Whether every triangle reaches triangle 0 across shared edges.
+def _edge_connected(tri_a, tri_b, count) -> bool:
+    """Whether every one of ``count`` triangles reaches triangle 0 across
+    the shared edges joining triangles ``tri_a`` and ``tri_b``.
 
-    Union-find over whole arrays: each root is hooked onto the smallest
-    root across any of its edges, then every label is shortcut to its
-    root, until no edge joins two roots.  Labels never exceed their
-    index, so the component of triangle 0 keeps root 0.
+    Union-find over whole arrays, in rounds: each triangle is hooked onto
+    the smallest triangle across any of its edges, every hook chain is
+    shortcut to its end (a root, which has no smaller neighbour), and the
+    next round runs on the roots, renumbered in order, joined by the edges
+    between their trees.  The mesh is connected when a round leaves one
+    root; triangle 0 is always root 0.
     """
-    src = np.repeat(np.arange(len(neighbors)), 3)
-    dst = neighbors.ravel()
-    src, dst = src[dst >= 0], dst[dst >= 0]
-    label = np.arange(len(neighbors))
     while True:
-        ls, ld = label[src], label[dst]
-        hook = ld < ls
-        if not hook.any():
-            return bool((label == 0).all())
-        np.minimum.at(label, ls[hook], ld[hook])
+        label = np.arange(count)
+        np.minimum.at(label, np.maximum(tri_a, tri_b),
+                      np.minimum(tri_a, tri_b))
         while True:
             root = label[label]
             if np.array_equal(root, label):
                 break
             label = root
+        la, lb = label[tri_a], label[tri_b]
+        between = la != lb
+        root = label == np.arange(count)
+        count = int(np.count_nonzero(root))
+        if not between.any():
+            return count <= 1
+        rank = np.cumsum(root) - 1
+        tri_a, tri_b = rank[la[between]], rank[lb[between]]
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,22 @@ def test_solve_mesh_flag_conflicts(capsys, tmp_path, square4):
     assert "--h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    # two triangles with no vertex in common
+    ("6 2 1\n0 0 1\n1 0 1\n0 1 1\n3 0 1\n4 0 1\n3 1 1\n0 1 2\n3 4 5\n",
+     "triangle adjacency graph is disconnected"),
+    # edge 0-1 in three triangles
+    ("5 3 1\n0 0 1\n1 0 1\n0 1 1\n0.5 -1 1\n0.2 0.8 1\n0 1 2\n1 0 3\n0 1 4\n",
+     "an edge is shared by more than two triangles"),
+])
+def test_solve_bad_topology_mesh_is_one_error_line(capsys, tmp_path, text,
+                                                   message):
+    (tmp_path / "m.txt").write_text(text)
+    rc = main(["solve", "--mesh", "m.txt", "--bc", "0.4*x", "--out", "g"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_rejects_bad_expressions(capsys):
     base = ["solve", "--shape", "rect:1x1", "--h", "0.25"]
     assert main(base + ["--bc", "sin("]) == 1

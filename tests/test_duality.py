@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from maxsurf import (
     ClosednessError,
+    Mesh,
     SolverConfig,
     build_rectangle,
     conjugate_pair_coeffs,
@@ -192,14 +193,26 @@ def test_dualize_builds_one_potential_tree_per_mesh(tmp_path, monkeypatch,
         return real(mesh)
 
     monkeypatch.setattr(forms, "_bfs_tree", counting)
+    tables = []
+    table = Mesh.__dict__["neighbors"]
+    real_table = table.func
+
+    def counting_table(mesh):
+        tables.append(mesh)
+        return real_table(mesh)
+
+    monkeypatch.setattr(table, "func", counting_table)
     assert main(["dualize", "--shape", "rect:1x1", "--h", "0.125",
                  "--in", str(path), "--direction", direction,
                  "--out", str(tmp_path / "d")]) == 0
-    # the forward and the return leg share the CLI's mesh and its tree
+    # the forward and the return leg share the CLI's mesh and its tree,
+    # and the tree is the one reader of the mesh's neighbor table
     assert len(trees) == 1
+    assert len(tables) == 1 and tables[0] is trees[0]
     round_trip_error(mesh, field, direction=direction)
     round_trip_error(mesh, field, direction=direction)
     assert len(trees) == 2 and trees[1] is mesh
+    assert len(tables) == 2 and tables[1] is mesh
 
 
 @pytest.mark.parametrize("direction", ["min2max", "max2min"])

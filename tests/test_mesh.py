@@ -173,6 +173,50 @@ def test_bowtie_rejected():
         Mesh(v, t, c, h=1.0)
 
 
+@pytest.mark.parametrize("cls,message", [
+    ([DIRICHLET, 1.7, DIRICHLET], "unknown vertex class"),   # not 1
+    ([DIRICHLET, 258, DIRICHLET], "unknown vertex class"),   # not 258 % 256
+])
+def test_vertex_class_checked_before_cast(cls, message):
+    v, t, _ = unit_tri_mesh()
+    with pytest.raises(ValueError, match=message):
+        Mesh(v, t, np.array(cls), h=1.0)
+
+
+@pytest.mark.parametrize("tris,message", [
+    ([[0.4, 1, 2]], "must be integers"),     # not 0
+    ([[0, 1, np.nan]], "must be integers"),
+    ([[0, 1, 1e30]], "out of range"),
+    ([[0, 1, 3]], "out of range"),
+])
+def test_triangle_indices_checked_before_cast(tris, message):
+    v, _, c = unit_tri_mesh()
+    with pytest.raises(ValueError, match=message):
+        Mesh(v, np.array(tris), c, h=1.0)
+
+
+def test_integral_float_inputs_accepted():
+    v, t, c = unit_tri_mesh()
+    mesh = Mesh(v, t.astype(float), c.astype(float), h=1.0)
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.vertex_class.dtype == np.int8
+    np.testing.assert_array_equal(mesh.triangles, t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: build_rectangle(1.0, 1.0, 0.25),
+    lambda path: build_annulus(1.0, 2.0, 0.25),
+    lambda path: load_mesh(path),
+])
+def test_neighbor_table_built_on_first_read(tmp_path, make):
+    save_mesh(build_rectangle(1.0, 1.0, 0.25), tmp_path / "m.txt")
+    mesh = make(tmp_path / "m.txt")
+    assert "neighbors" not in mesh.__dict__
+    table = mesh.neighbors
+    assert mesh.neighbors is table and not table.flags.writeable
+    assert table.shape == (mesh.triangle_count, 3)
+
+
 def test_mesh_arrays_frozen(square4):
     assert not square4.vertices.flags.writeable
     with pytest.raises(ValueError):

@@ -5,11 +5,15 @@ per-line implementations, kept here verbatim in substance.  The potential
 must match its reference's breadth-first tree exactly and its values to
 1e-12 of the field's size (the increments are now summed by numpy instead
 of ``@``); the text I/O must match byte for byte and bit for bit; the
-mesh generators and the edge table must match bit for bit; the tangent
-matrix must keep its sparsity pattern exactly and its entries to 1e-14 of
-the largest (they are now summed per edge by ``bincount``, with each
-diagonal entry minus its row's off-diagonal sum), also for fields within
-0.05 of the light cone.  The flux scan's exact circle arcs replaced
+mesh generators and the edge table must match bit for bit.  The mesh's
+one-pass topology, with slot keys built in place, a union-find hooked once
+per shared edge and the neighbor table built on first read, must match the
+former edge table bit for bit and give the former union-find's and
+csgraph's connectivity verdict, also on disconnected triangle sets.  The
+tangent matrix must keep its sparsity pattern exactly and its entries to
+1e-14 of the largest (they are now summed per edge by ``bincount``, with
+each diagonal entry minus its row's off-diagonal sum), also for fields
+within 0.05 of the light cone.  The flux scan's exact circle arcs replaced
 inscribed polygons clipped with a k-d tree; they must match that scan
 within its chord error (``assert_scan_matches_polygon``).  The solver's
 column-layout kernels (gradient, energy, residual, Newton matrix and the
@@ -576,6 +580,72 @@ def sorted_rows_edge_data(triangles):
     return edges, counts, tri_edges, neighbors
 
 
+def former_edge_data(triangles, nv):
+    """Edge table as the mesh built it before its one-pass topology: keys
+    from (3T,) copies of the slot ends, and the whole neighbor table."""
+    t = triangles
+    # edge slot i is opposite corner i
+    a = t[:, [1, 2, 0]].ravel()
+    b = t[:, [2, 0, 1]].ravel()
+    keys = np.minimum(a, b) * nv + np.maximum(a, b)
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0  # keys are nonnegative
+    first = np.flatnonzero(new)
+    counts = np.diff(first, append=len(keys))
+    edges = np.column_stack(np.divmod(keys[order[first]], nv))
+    tri_edges = np.empty((len(t), 3), dtype=np.int64)
+    tri_edges.reshape(-1)[order] = np.cumsum(new) - 1
+    neighbors = np.full((len(t), 3), -1, dtype=np.int64)
+    pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
+    lower, upper = order[pair], order[pair + 1]  # slot = 3 tri + corner
+    neighbors.reshape(-1)[lower] = upper // 3
+    neighbors.reshape(-1)[upper] = lower // 3
+    return edges, counts, tri_edges, neighbors
+
+
+def former_edge_connected(neighbors) -> bool:
+    """Former union-find, hooked across every slot of the neighbor table."""
+    src = np.repeat(np.arange(len(neighbors)), 3)
+    dst = neighbors.ravel()
+    src, dst = src[dst >= 0], dst[dst >= 0]
+    label = np.arange(len(neighbors))
+    while True:
+        ls, ld = label[src], label[dst]
+        hook = ld < ls
+        if not hook.any():
+            return bool((label == 0).all())
+        np.minimum.at(label, ls[hook], ld[hook])
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+
+
+def csgraph_connected(neighbors) -> bool:
+    from scipy.sparse.csgraph import connected_components
+
+    src = np.repeat(np.arange(len(neighbors)), 3)
+    dst = neighbors.ravel()
+    graph = coo_matrix((np.ones(np.count_nonzero(dst >= 0)),
+                        (src[dst >= 0], dst[dst >= 0])),
+                       shape=(len(neighbors), len(neighbors)))
+    return connected_components(graph, directed=False,
+                                return_labels=False) == 1
+
+
+def unvalidated_mesh(triangles, nv):
+    """A mesh of the triangles that skips the checks, so that its topology
+    can be read where they would reject it (say, on a disconnected one)."""
+    mesh = object.__new__(Mesh)
+    for name, value in (("vertices", np.zeros((nv, 2))),
+                        ("triangles", triangles),
+                        ("vertex_class", np.zeros(nv, dtype=np.int8)),
+                        ("h", 1.0)):
+        object.__setattr__(mesh, name, value)
+    return mesh
+
+
 # ----------------------------------------------------------------------
 # generated annuli, relabelled meshes and scan data
 # ----------------------------------------------------------------------
@@ -743,14 +813,71 @@ def test_annulus_triangles_match_loop(n_r, n_theta, r_inner):
                                   loop_annulus_triangles(n_r, n_theta))
 
 
+@st.composite
+def glued_blocks(draw):
+    """Blocks of grid triangles, some glued along a shared edge, some not,
+    in shuffled order: (triangles, vertex count)."""
+    sizes = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tris, offset = [], 0
+    for nx, ny in sizes:
+        block = loop_rectangle_triangles(nx, ny) + offset
+        if tris and rng.random() < 0.5:
+            # glue this block's first bottom edge onto the top edge of the
+            # previous block's last triangle, joining the two across it
+            prev = tris[-1][-1, [1, 2]]
+            block = np.where(block == offset, prev[0], block)
+            block = np.where(block == offset + 1, prev[1], block)
+        tris.append(block)
+        offset += (nx + 1) * (ny + 1)
+    t = np.concatenate(tris)
+    return t[rng.permutation(len(t))], offset
+
+
+def assert_same_arrays(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        np.testing.assert_array_equal(g, r)
+        assert g.shape == r.shape and g.dtype == r.dtype
+
+
+def boundary_mask(edges, counts, nv):
+    mask = np.zeros(nv, dtype=bool)
+    mask[edges[counts == 1].ravel()] = True
+    return mask
+
+
 @settings(max_examples=60, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
 def test_edge_data_matches_sorted_rows(mesh):
-    ref = sorted_rows_edge_data(mesh.triangles)
-    got = mesh._edge_data
-    for g, r in zip(got, ref):
-        np.testing.assert_array_equal(g, r)
-        assert g.shape == r.shape
+    edges, counts, tri_edges, neighbors = sorted_rows_edge_data(mesh.triangles)
+    assert_same_arrays(
+        (mesh.edges, mesh.triangle_edges, mesh.neighbors,
+         mesh.boundary_vertex_mask),
+        (edges, tri_edges, neighbors,
+         boundary_mask(edges, counts, mesh.vertex_count)))
+
+
+def as_case(mesh):
+    return mesh.triangles, mesh.vertex_count
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(meshes().map(as_case),
+                      relabelled(meshes()).map(as_case), glued_blocks()))
+def test_one_pass_topology_matches_former_edge_table(case):
+    """Edges, edge ids, neighbors and boundary mask bit for bit, and the
+    connectivity verdict, on generated, relabelled and disconnected ones."""
+    triangles, nv = case
+    edges, counts, tri_edges, neighbors = former_edge_data(triangles, nv)
+    mesh = unvalidated_mesh(triangles, nv)
+    assert_same_arrays(
+        (mesh.edges, mesh.triangle_edges, mesh.neighbors,
+         mesh.boundary_vertex_mask),
+        (edges, tri_edges, neighbors, boundary_mask(edges, counts, nv)))
+    connected = mesh._edge_data[3]
+    assert connected == former_edge_connected(neighbors)
+    assert connected == csgraph_connected(neighbors)
 
 
 def gather_signed_areas(mesh):
@@ -770,34 +897,15 @@ def test_signed_areas_match_corner_gather(mesh):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
-                      min_size=1, max_size=4),
-       seed=st.integers(0, 2**32 - 1))
-def test_edge_connected_matches_csgraph(sizes, seed):
-    """Blocks of grid triangles, some glued along a shared edge, some not."""
-    from scipy.sparse.csgraph import connected_components
-
-    rng = np.random.default_rng(seed)
-    tris, offset = [], 0
-    for nx, ny in sizes:
-        block = loop_rectangle_triangles(nx, ny) + offset
-        if tris and rng.random() < 0.5:
-            # glue this block's first bottom edge onto the top edge of the
-            # previous block's last triangle, joining the two across it
-            prev = tris[-1][-1, [1, 2]]
-            block = np.where(block == offset, prev[0], block)
-            block = np.where(block == offset + 1, prev[1], block)
-        tris.append(block)
-        offset += (nx + 1) * (ny + 1)
-    t = np.concatenate(tris)
-    t = t[rng.permutation(len(t))]
+@given(case=glued_blocks())
+def test_edge_connected_matches_csgraph(case):
+    t, _ = case
     _, counts, _, nbrs = sorted_rows_edge_data(t)
     assert counts.max() <= 2
-    src = np.repeat(np.arange(len(t)), 3)[nbrs.ravel() >= 0]
-    graph = coo_matrix((np.ones(len(src)), (src, nbrs.ravel()[nbrs.ravel() >= 0])),
-                       shape=(len(t), len(t)))
-    pieces = connected_components(graph, directed=False, return_labels=False)
-    assert _edge_connected(nbrs) == (pieces == 1)
+    tri = np.repeat(np.arange(len(t)), 3)
+    upper = nbrs.ravel() > tri  # each shared edge once
+    assert (_edge_connected(tri[upper], nbrs.ravel()[upper], len(t))
+            == csgraph_connected(nbrs))
 
 
 # ----------------------------------------------------------------------
