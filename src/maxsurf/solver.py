@@ -11,8 +11,8 @@ smoothed-aggregation multigrid V-cycle (Vanek, Mandel & Brezina, Computing
 56 (1996) 179-196).  The Newton matrix is filled edge by edge: one value
 per mesh edge, the diagonal from the zero row sums of the P1 basis.  Each
 mesh gets, on first use, an assembly plan: the P1 sparsity pattern of the
-free-vertex block, the order that gathers the free-free diagonal and edge
-values into it, and the aggregates of the multigrid hierarchy.  In the
+free-vertex block, the slots that gather the edge values and the free
+diagonal into it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
 |grad v| never reaches 1 - SIGMA_MIN.
 
@@ -47,6 +47,16 @@ coarse levels is rebuilt for every system.  The harmonic extension's
 Laplace cycle is never lagged into Newton.  The linear residual the line
 search computes at the accepted iterate is the next system's right-hand
 side.
+
+Newton starts from the harmonic extension of the constrained data, and its
+Laplace solve is not oversolved (the point of Eisenstat & Walker, applied
+to the start): PCG stops at the relative residual START_TOL when the
+surface equation's residual F there exceeds the most that linear behaviour
+could make of the Laplace residual by the factor 1 / START_GAP, and the
+start is safely spacelike; F is then the first Newton right-hand side.
+Otherwise, as for affine data, whose F is round-off at the exact
+extension, the solve goes on to LINEAR_TOL.  ``_harmonic_extension`` has
+the rule; the start changes where Newton begins, not what it converges to.
 """
 
 from __future__ import annotations
@@ -78,7 +88,15 @@ INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| <= 1 - 10 SIGMA_MIN
 FORCING_MAX = 0.5         # the first and the loosest relative linear tolerance
 FORCING_GAMMA = 0.9       # eta_k = gamma (|F_k| / |F_k-1|)^2
 FORCING_SAFEGUARD = 0.1   # keep gamma eta_k-1^2 when it is above this
-LINEAR_TOL = 1e-12        # floor of the forcing terms; harmonic extension tolerance
+LINEAR_TOL = 1e-12        # floor of the forcing terms; full harmonic start
+
+# early stop of the harmonic start (_harmonic_extension).  At 1e-6, |F| of
+# the annulus pair and of the rectangle saddles reads 90 to 516 times the
+# Laplace residual; at 1e-4 only 1.35 to 6.7, which affine data can reach
+START_TOL = 1e-6
+# stop when kappa |r_lap| <= START_GAP |F|: the Laplace error moves the
+# first Newton system's right-hand side by a tenth of it at most
+START_GAP = 0.1
 
 # smoothed-aggregation multigrid
 STRENGTH_THETA = 0.1      # strong link: |a_ij| >= theta sqrt(a_ii a_jj)
@@ -131,7 +149,11 @@ class NewtonStep:
     took ``step_length`` after ``backtracks`` halvings; ``cycle`` says
     whether the V-cycle was "built" or "lagged"; ``margin`` is the
     iterate's 1 - max_T |grad v|.  The initial guess is step 0, reached by
-    no step: nan forcing and achieved, zero counts and cycle "none".
+    no Newton step: its ``forcing``, ``matvecs`` and ``achieved`` are the
+    tolerance its harmonic extension's Laplace solve stopped at (START_TOL
+    or LINEAR_TOL), that solve's PCG matvecs and the relative Laplace
+    residual it reached (nan, 0 and nan for zero data, which needs no
+    solve); zero step length and backtracks, and cycle "none".
     """
 
     residual: float
@@ -176,19 +198,30 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
-def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+def p1_gradient(mesh: Mesh, values: np.ndarray, triangles=None) -> np.ndarray:
     """(T, 2) constant gradient of the piecewise-linear interpolant.
 
-    Computed row by row from ``mesh.basis_columns``, so the result is the
-    transposed view of a (2, T) array of contiguous x and y rows.
+    Computed corner by corner from the rows of ``mesh.basis_columns``,
+    summed over corners 0, 1, 2 from the left, so the result is the
+    transposed view of a (2, T) array of contiguous x and y rows.  With
+    ``triangles``, an index array, only those rows, in that order.
     """
     values = _check_field(mesh, values)
-    v0, v1, v2 = values[mesh.triangles.T]
-    g = np.empty((2, mesh.triangle_count))
-    for row, (b0, b1, b2) in zip(g, mesh.basis_columns):
-        np.multiply(v0, b0, out=row)
-        row += v1 * b1
-        row += v2 * b2
+    corners = mesh.triangles
+    if triangles is not None:
+        corners = corners[triangles]
+    g = np.empty((2, len(corners)))
+    term = np.empty(len(corners))
+    for i in range(3):
+        vi = values[corners[:, i]]
+        for row, b in zip(g, mesh.basis_columns[:, i]):
+            if triangles is not None:
+                b = b[triangles]
+            if i == 0:
+                np.multiply(vi, b, out=row)
+            else:
+                np.multiply(vi, b, out=term)
+                row += term
     return g.T
 
 
@@ -200,12 +233,19 @@ def p1_divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     ``mesh.basis_columns`` and summed per vertex by one ``bincount``,
     triangle by triangle and corners 0, 1, 2 within each triangle.
     """
-    wx = mesh.areas * fx
-    wy = mesh.areas * fy
+    return _weighted_divergence(mesh, mesh.areas * fx, mesh.areas * fy)
+
+
+def _weighted_divergence(mesh: Mesh, wx: np.ndarray,
+                         wy: np.ndarray) -> np.ndarray:
+    """``p1_divergence`` of the field whose area-weighted rows are (wx, wy)."""
     bx, by = mesh.basis_columns
     local = np.empty((mesh.triangle_count, 3))
+    term = np.empty(mesh.triangle_count)
     for i in range(3):
-        local[:, i] = bx[i] * wx + by[i] * wy
+        np.multiply(bx[i], wx, out=local[:, i])
+        np.multiply(by[i], wy, out=term)
+        local[:, i] += term
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.vertex_count)
 
@@ -278,8 +318,12 @@ def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
     """
     ev = _evaluation(mesh, values, config, at)
     dens = ev.density
-    div = p1_divergence(mesh, ev.gx / dens, ev.gy / dens)
-    return div[mesh.interior_vertices]
+    # the area-weighted flux, made in place: no (T,) flux rows beside it
+    wx = ev.gx / dens
+    wx *= mesh.areas
+    wy = ev.gy / dens
+    wy *= mesh.areas
+    return _weighted_divergence(mesh, wx, wy)[mesh.interior_vertices]
 
 
 def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
@@ -315,25 +359,48 @@ def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
     zeros and sorts columns within each row.  ``at`` as in ``energy``.
     """
     ev = _evaluation(mesh, values, config, at)
-    dens = ev.density
-    c1 = mesh.areas / dens  # c1 and c2 times the triangle area
-    c2 = c1 / (dens * dens)
-    if config.metric == "euclid":
-        c2 = -c2
-    bx, by = mesh.basis_columns
-    bg = bx * ev.gx + by * ev.gy
-    pair = np.empty((mesh.triangle_count, 3))
-    for k in range(3):
-        # corners (k + 1, k + 2) of the edge opposite corner k
-        a, b = (k + 1) % 3, (k + 2) % 3
-        pair[:, k] = c1 * (bx[a] * bx[b] + by[a] * by[b]) + c2 * bg[a] * bg[b]
-    edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
-                       minlength=len(mesh.edges))
+    edge = _edge_values(mesh, ev, config.metric)
     lo, hi = mesh.edges.T
     n = mesh.vertex_count
     diag = -(np.bincount(lo, weights=edge, minlength=n)
              + np.bincount(hi, weights=edge, minlength=n))
-    return _plan(mesh).free_block(np.concatenate([diag, edge, edge]))
+    return _plan(mesh).free_block(edge, diag[mesh.interior_vertices])
+
+
+def _edge_values(mesh: Mesh, ev: _Evaluation, metric: str) -> np.ndarray:
+    """(E,) off-diagonal Newton matrix entry of each mesh edge.
+
+    The corner pairs are written into preallocated (T,) rows, and the
+    triangle temporaries are freed before they are summed per edge.
+    """
+    dens = ev.density
+    c1 = mesh.areas / dens  # c1 and c2 times the triangle area
+    c2 = dens * dens
+    np.divide(c1, c2, out=c2)
+    if metric == "euclid":
+        np.negative(c2, out=c2)
+    bx, by = mesh.basis_columns
+    bg = np.empty((3, mesh.triangle_count))
+    u, w = np.empty((2, mesh.triangle_count))
+    for k in range(3):
+        np.multiply(bx[k], ev.gx, out=bg[k])
+        np.multiply(by[k], ev.gy, out=w)
+        bg[k] += w
+    pair = np.empty((mesh.triangle_count, 3))
+    for k in range(3):
+        # corners (k + 1, k + 2) of the edge opposite corner k:
+        # c1 (bx_a bx_b + by_a by_b) + c2 bg_a bg_b
+        a, b = (k + 1) % 3, (k + 2) % 3
+        np.multiply(bx[a], bx[b], out=u)
+        np.multiply(by[a], by[b], out=w)
+        u += w
+        u *= c1
+        np.multiply(c2, bg[a], out=w)
+        w *= bg[b]
+        np.add(u, w, out=pair[:, k])
+    del c1, c2, bg, u, w
+    return np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
+                       minlength=len(mesh.edges))
 
 
 # ----------------------------------------------------------------------
@@ -356,10 +423,12 @@ def _csr(data, indices, indptr, shape) -> csr_matrix:
 class _AssemblyPlan:
     """The free-vertex P1 sparsity of one mesh, built on first use.
 
-    Of the P1 entries, listed as the V diagonal values, then the E edge
-    values for (lo, hi), then the same for (hi, lo), ``order`` gathers the
-    free-free ones in the CSR order of the free-vertex block's pattern
-    (``indptr``, ``indices``), columns sorted within each row.  The
+    The free-vertex block's pattern (``indptr``, ``indices``, columns
+    sorted within each row) has a slot for each free vertex's diagonal and
+    two for each edge between free vertices.  ``edge_slots`` holds each
+    slot's mesh edge (0 at the diagonal slots) and ``diagonal_slots`` the
+    diagonal slot of each free row, so the block's data is gathered
+    straight from the edge values, then the diagonal is put in place.  The
     matrices built from the plan share its index arrays, which are
     therefore read-only.  ``tentatives`` holds the multigrid aggregates
     once the first V-cycle on the mesh has chosen them.
@@ -371,23 +440,31 @@ class _AssemblyPlan:
         free = mesh.interior_vertices
         renumber = np.full(n, -1, dtype=np.int64)
         renumber[free] = np.arange(len(free))
+        # the P1 entries: V diagonal ones, then E edges as (lo, hi) and as
+        # (hi, lo)
         rows = renumber[np.concatenate([np.arange(n), lo, hi])]
         cols = renumber[np.concatenate([np.arange(n), hi, lo])]
         index = np.int32 if len(rows) < 2**31 else np.int64
         keep = np.flatnonzero((rows >= 0) & (cols >= 0))
         # unique keys in long presorted runs, which timsort merges fastest
         order = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
-        self.order = order.astype(index)
+        diagonal = order < n
+        self.edge_slots = np.where(diagonal, 0,
+                                   (order - n) % len(lo)).astype(index)
+        self.diagonal_slots = np.flatnonzero(diagonal).astype(index)
         self.indptr = _indptr(rows[order], len(free)).astype(index)
         self.indices = cols[order].astype(index)
-        for arr in (self.order, self.indptr, self.indices):
+        for arr in (self.edge_slots, self.diagonal_slots, self.indptr,
+                    self.indices):
             arr.setflags(write=False)
         self.tentatives = None
 
-    def free_block(self, entries: np.ndarray) -> csr_matrix:
-        """Free-vertex block of the matrix with these P1 entries."""
+    def free_block(self, edge: np.ndarray, diagonal: np.ndarray) -> csr_matrix:
+        """Free-vertex block of these (E,) edge and free diagonal values."""
         n = len(self.indptr) - 1
-        return _csr(entries[self.order], self.indices, self.indptr, (n, n))
+        data = edge[self.edge_slots]
+        data[self.diagonal_slots] = diagonal
+        return _csr(data, self.indices, self.indptr, (n, n))
 
 
 def _plan(mesh: Mesh) -> _AssemblyPlan:
@@ -592,7 +669,7 @@ class _VCycle:
 
 
 def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
-             max_iter: int | None = None):
+             max_iter: int | None = None, early=None):
     """Preconditioned conjugate gradients for an SPD operator.
 
     ``preconditioner`` maps a residual r to z, approximately the operator's
@@ -606,6 +683,12 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
     preconditioner that is not positive definite.  Returns (x, matvecs,
     achieved): the solution, the operator products used and the relative
     residual ||r|| / ||b|| reached.
+
+    ``early``, a pair (tol, accept), offers the first iterate x with
+    ||r|| <= tol * ||b|| that does not already meet ``linear_tol`` to
+    accept(x, achieved), once: the solve returns that iterate when accept
+    is true and goes on to ``linear_tol`` otherwise, as if never asked.
+    x is the iteration's own array.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -634,6 +717,10 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
         rnorm = _norm(r)
         if rnorm <= linear_tol * bnorm:
             return x, matvecs, rnorm / bnorm
+        if early is not None and rnorm <= early[0] * bnorm:
+            accept, early = early[1], None
+            if accept(x, rnorm / bnorm):
+                return x, matvecs, rnorm / bnorm
         z = preconditioner(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
@@ -646,26 +733,72 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
 # ----------------------------------------------------------------------
 
 
-def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Solve the Laplace equation with the given constrained values.
+def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
+    """The Laplace solution with the given constrained values, evaluated.
 
     The right-hand side is minus the weak divergence of the gradient of the
-    constrained data extended by zero.  Solved to LINEAR_TOL, so affine
-    data comes back exact; with a zero right-hand side (zero data) the
-    constrained data is returned at once, without a matrix or a V-cycle.
+    constrained data extended by zero; with a zero right-hand side (zero
+    data) the constrained data is returned at once, without a matrix or a
+    V-cycle.
+
+    PCG stops at the relative Laplace residual START_TOL when the iterate
+    there is a start that Newton cannot tell from the exact extension: it
+    is safely spacelike (Lorentz metric: |grad v| at most
+    1 - INITIAL_MARGIN_FACTOR SIGMA_MIN), and kappa |r_lap| <= START_GAP |F|,
+    with r_lap its Laplace residual, F the surface equation's weak residual
+    there and kappa the largest eigenvalue of the flux Jacobian D over the
+    triangles, (1 - max |g|^2)^-1.5 in the Lorentz metric and 1 in the
+    Euclidean one: the most that the linear part of F can amplify the
+    Laplace error.  Both residuals are of
+    one weak form, so the test is unchanged when mesh and data are scaled
+    together.  Otherwise PCG goes on to LINEAR_TOL, as if never stopped,
+    so affine and other near-linear data, whose F is of the size of the
+    Laplace error, come back exact.  The rule moves only where Newton
+    starts, not the field it converges to.
+
+    Returns (ev, r, laplace): the evaluation of the extension, F at it
+    when the early stop was taken (None otherwise), and the tolerance, PCG
+    matvecs and relative residual of the Laplace solve (nan, 0, nan for
+    zero data).
     """
     free = mesh.interior_vertices
     fixed = mesh.constrained_vertices
     out = np.zeros(mesh.vertex_count)
     out[fixed] = bc[fixed]
-    gx, gy = p1_gradient(mesh, out).T
-    rhs = -p1_divergence(mesh, gx, gy)[free]
+    # the data's gradient is freed before the Laplace solve
+    rhs = -p1_divergence(mesh, *p1_gradient(mesh, out).T)[free]
     if not rhs.any():
-        return out
+        nan = float("nan")
+        return _Evaluation(mesh, out, config.metric), None, (nan, 0, nan)
+    bnorm = _norm(rhs)
+    start = []
+
+    def accept(x, achieved):
+        # out is the start either way: the full solve rewrites its free part
+        out[free] = x
+        ev = _Evaluation(mesh, out, config.metric)
+        kappa = 1.0
+        if config.metric == "lorentz":
+            if not ev.max_norm <= 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN:
+                return False
+            kappa = (1.0 - ev.max_norm ** 2) ** -1.5
+        r = residual(mesh, out, config, at=ev)
+        if not kappa * achieved * bnorm <= START_GAP * _norm(r):
+            return False
+        start.extend((ev, r))
+        return True
+
     k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
                        replace(config, metric="euclid"))
-    out[free], _, _ = cg_solve(k, rhs, LINEAR_TOL, _vcycle(_plan(mesh), k))
-    return out
+    x, matvecs, achieved = cg_solve(k, rhs, LINEAR_TOL,
+                                    _vcycle(_plan(mesh), k),
+                                    early=(START_TOL, accept))
+    if start:
+        return start[0], start[1], (START_TOL, matvecs, achieved)
+    del k  # freed before the start is evaluated
+    out[free] = x
+    return (_Evaluation(mesh, out, config.metric), None,
+            (LINEAR_TOL, matvecs, achieved))
 
 
 def _vcycle(plan: _AssemblyPlan, matrix: csr_matrix) -> _VCycle:
@@ -705,20 +838,20 @@ def _forcing_term(res: float, previous: float | None, eta: float,
 
 
 def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray,
-                             config: SolverConfig) -> _Evaluation | None:
+                             config: SolverConfig):
     """Harmonic extension, pulled toward a constant until safely spacelike.
 
     The interior offset from the mean constrained value is scaled by the
     largest ladder factor keeping per-triangle |grad v| <= 1 - 10 SIGMA_MIN.
-    Returns the evaluation of the guess, which is the Newton start, or None
-    when no scaling achieves that, which the caller reports as
-    non-convergence (the constrained data itself is too steep).
+    Returns ``_harmonic_extension``'s (ev, r, laplace) with the evaluation
+    of the guess, which is the Newton start, as ev (and r None for a
+    rung), or None when no scaling achieves that, which the caller reports
+    as non-convergence (the constrained data itself is too steep).
     """
-    guess = _Evaluation(mesh, _harmonic_extension(mesh, bc, config),
-                        config.metric)
+    guess, r, laplace = _harmonic_extension(mesh, bc, config)
     limit = 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
     if guess.max_norm <= limit:
-        return guess
+        return guess, r, laplace
     fixed = mesh.constrained_vertices
     free = mesh.interior_vertices
     base = np.zeros(mesh.vertex_count)
@@ -729,11 +862,11 @@ def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray,
     while t > 1e-6:
         candidate = _Evaluation(mesh, base + t * offset, config.metric)
         if candidate.max_norm <= limit:
-            return candidate
+            return candidate, None, laplace
         t *= 0.95
     candidate = _Evaluation(mesh, base, config.metric)
     if candidate.max_norm <= limit:
-        return candidate
+        return candidate, None, laplace
     return None
 
 
@@ -785,8 +918,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         )
 
     if config.metric == "lorentz":
-        ev = _spacelike_initial_guess(mesh, bc, config)
-        if ev is None:
+        start = _spacelike_initial_guess(mesh, bc, config)
+        if start is None:
             fallback = np.zeros(mesh.vertex_count)
             fallback[mesh.constrained_vertices] = bc[mesh.constrained_vertices]
             fallback[mesh.interior_vertices] = float(
@@ -795,15 +928,16 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             return report_failure(_Evaluation(mesh, fallback, config.metric),
                                   "no spacelike initial guess")
     else:
-        ev = _Evaluation(mesh, _harmonic_extension(mesh, bc, config),
-                         config.metric)
+        start = _harmonic_extension(mesh, bc, config)
+    ev, r, (tol, matvecs, achieved) = start
+    del start  # the start's arrays go with the first accepted step
 
     free = mesh.interior_vertices
     limit = 1.0 - SIGMA_MIN
-    r = residual(mesh, ev.values, config, at=ev)
+    if r is None:
+        r = residual(mesh, ev.values, config, at=ev)
     res = _area_norm(mesh, r)
-    nan = float("nan")
-    steps = [NewtonStep(res, nan, 0, nan, 0.0, 0, "none",
+    steps = [NewtonStep(res, tol, matvecs, achieved, 0.0, 0, "none",
                         energy(mesh, ev.values, config, at=ev),
                         1.0 - ev.max_norm)]
     previous, eta = None, FORCING_MAX
@@ -867,13 +1001,11 @@ def gradient_margin(mesh: Mesh, values: np.ndarray, triangles=None) -> float:
 
     ``triangles`` defaults to all of them; an empty subset is an error.
     """
-    values = _check_field(mesh, values)
-    g = p1_gradient(mesh, values)
     if triangles is not None:
         triangles = np.asarray(triangles, dtype=np.int64)
         if len(triangles) == 0:
             raise ValueError("empty triangle subset")
-        g = g[triangles]
+    g = p1_gradient(mesh, values, triangles)
     return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
 
 

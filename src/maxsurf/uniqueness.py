@@ -81,8 +81,14 @@ def level_region(mesh: Mesh, v: np.ndarray, vp: np.ndarray) -> LevelRegion:
                            triangles=np.empty(0, dtype=np.int64),
                            eps_hat=math.nan, clearance=math.nan)
     candidates = np.linspace(2.0 * delta, 3.0 * delta, LEVEL_CANDIDATES)
-    # a candidate at a time: the (V, 33) table took more memory than the solves
-    clearances = np.array([np.abs(diff - c).min() for c in candidates])
+    # the values nearest each candidate are its neighbours in sorted order
+    # (the rounded |d - c| is monotone in d on either side of c); the
+    # largest value, 4 delta, lies above every candidate
+    ordered = np.sort(diff)
+    above = np.searchsorted(ordered, candidates)
+    clearances = np.minimum(
+        np.abs(ordered[np.maximum(above - 1, 0)] - candidates),
+        np.abs(ordered[above] - candidates))
     best = int(np.argmax(clearances))
     a = float(candidates[best])
     centroid_diff = diff[mesh.triangles].mean(axis=1)

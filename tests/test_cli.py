@@ -436,8 +436,15 @@ def test_trace_rows_match_the_final_reports(capsys, tmp_path):
     for number, data in (("1", np.zeros(mesh.vertex_count)), ("2", bc)):
         v, report = solve(mesh, data)
         assert report.margin == gradient_margin(mesh, v)
-        check_trace_rows([row for row in rows if row["solve"] == number],
+        solve_rows = [row for row in rows if row["solve"] == number]
+        check_trace_rows(solve_rows,
                          {k: fmt(x) for k, x in report.record_items()})
+        # step 0 carries the harmonic start's Laplace solve
+        first = report.steps[0]
+        assert [solve_rows[0][key] for key in ("forcing", "achieved")] == \
+            [fmt(first.forcing), fmt(first.achieved)]
+        assert int(solve_rows[0]["matvecs"]) == first.matvecs
+        assert (first.matvecs > 0) == (number == "2")
 
 
 def test_trace_leaves_the_determinism_outputs_unchanged(capsys, tmp_path):

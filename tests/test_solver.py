@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,8 @@ from scipy.sparse import diags, identity
 from scipy.sparse.linalg import spsolve
 
 from maxsurf import (
+    ARTIFICIAL,
+    Mesh,
     NonConvergenceError,
     SolverConfig,
     SpacelikeError,
@@ -32,8 +35,8 @@ from maxsurf import (
 from maxsurf import solver as solver_module
 from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             FORCING_MAX, INITIAL_MARGIN_FACTOR, JACOBI_WEIGHT,
-                            LINEAR_TOL, SIGMA_MIN, _Evaluation,
-                            _forcing_term, _harmonic_extension,
+                            LINEAR_TOL, SIGMA_MIN, START_GAP, START_TOL,
+                            _Evaluation, _forcing_term, _harmonic_extension,
                             _spacelike_initial_guess, _VCycle)
 
 from conftest import (affine_field, cotan_laplacian, jittered,
@@ -302,14 +305,34 @@ def test_refreshed_vcycle_is_spd_and_matches_direct_solve(mesh, metric,
 def test_harmonic_extension_matches_sliced_direct_solve(mesh, seed):
     config = SolverConfig(metric="euclid")
     bc = np.random.default_rng(seed).standard_normal(mesh.vertex_count)
-    with mock.patch.object(solver_module, "LINEAR_TOL", 1e-14):
-        got = _harmonic_extension(mesh, bc, config)
     k = tangent_matrix(mesh, np.zeros(mesh.vertex_count), config)
     free, fixed = mesh.interior_vertices, mesh.constrained_vertices
     coupling = cotan_laplacian(mesh)[free][:, fixed]
-    ref = spsolve(k, -coupling @ bc[fixed])
+    rhs = -coupling @ bc[fixed]
+    ref = spsolve(k, rhs)
+    # the full path: no early stop is offered
+    with mock.patch.object(solver_module, "LINEAR_TOL", 1e-14), \
+            mock.patch.object(solver_module, "START_TOL", 0.0):
+        ev, r, (tol, _, achieved) = _harmonic_extension(mesh, bc, config)
+    got = ev.values
+    assert r is None and tol == 1e-14 and achieved <= 1e-14
     np.testing.assert_array_equal(got[fixed], bc[fixed])
     assert np.linalg.norm(got[free] - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the loose path, when taken: its own Laplace residual bound, and the
+    # gap to the surface equation's residual F there (kappa is 1 in Euclid)
+    ev, r, (tol, _, achieved) = _harmonic_extension(mesh, bc, config)
+    if r is None:
+        assert tol == LINEAR_TOL and achieved <= LINEAR_TOL
+        return
+    got = ev.values
+    assert tol == START_TOL and LINEAR_TOL < achieved <= START_TOL
+    np.testing.assert_array_equal(got[fixed], bc[fixed])
+    lap = np.linalg.norm(rhs - k @ got[free])
+    # the recursive residual PCG tests against the true one to rounding
+    assert lap == pytest.approx(achieved * np.linalg.norm(rhs), rel=1e-6)
+    f = residual(mesh, got, config)
+    np.testing.assert_array_equal(r, f)
+    assert achieved * np.linalg.norm(rhs) <= START_GAP * np.linalg.norm(f)
 
 
 class CountingOperator:
@@ -324,7 +347,8 @@ class CountingOperator:
         return self.operator @ x
 
 
-def test_multilevel_matvec_count_is_pinned(monkeypatch):
+def counted_solve(monkeypatch, mesh, bc, config):
+    """solve with every PCG operator counted: (field, report, counters)."""
     counted = []
     real_cg = solver_module.cg_solve
 
@@ -332,15 +356,24 @@ def test_multilevel_matvec_count_is_pinned(monkeypatch):
         counted.append(CountingOperator(operator))
         return real_cg(counted[-1], *args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "cg_solve", counting_cg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "cg_solve", counting_cg)
+        v, report = solve(mesh, bc, config)
+    return v, report, counted
+
+
+def test_multilevel_matvec_count_is_pinned(monkeypatch):
     mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
     x, y = mesh.vertices.T
-    _, report = solve(mesh, x * x - y * y, EUCLID)
+    _, report, counted = counted_solve(monkeypatch, mesh, x * x - y * y,
+                                       EUCLID)
     assert report.converged
     assert report.iterations == 5
-    # outer PCG matvecs: the harmonic extension, then each inexact Newton step
-    assert [c.matvecs for c in counted] == [17, 2, 2, 5, 11, 2]
-    assert [row.matvecs for row in report.steps[1:]] == [2, 2, 5, 11, 2]
+    # outer PCG matvecs: the harmonic start, stopped early, then each
+    # inexact Newton step
+    assert [c.matvecs for c in counted] == [8, 2, 2, 5, 11, 2]
+    assert [row.matvecs for row in report.steps] == [8, 2, 2, 5, 11, 2]
+    assert report.steps[0].forcing == START_TOL
     assert [row.cycle for row in report.steps] == \
         ["none", "built", "lagged", "lagged", "lagged", "lagged"]
 
@@ -658,7 +691,7 @@ def test_one_gradient_per_lorentz_iterate(monkeypatch):
 
 def test_evaluation_of_another_field_is_refused():
     mesh, bc, config = catenoid_case()
-    v = _harmonic_extension(mesh, bc, config)
+    v = _harmonic_extension(mesh, bc, config)[0].values
     ev = _Evaluation(mesh, v, config.metric)
     assert residual(mesh, v, config, at=ev).shape == \
         mesh.interior_vertices.shape
@@ -671,10 +704,12 @@ def test_initial_guess_ladder_evaluation_is_the_newton_start(monkeypatch):
     # noise whose harmonic extension is slightly too steep, so the ladder
     # pulls it back over a few rungs
     bc = np.random.default_rng(0).standard_normal(SQUARE16.vertex_count)
-    g = p1_gradient(SQUARE16, _harmonic_extension(SQUARE16, bc, LORENTZ))
+    harmonic = _harmonic_extension(SQUARE16, bc, LORENTZ)[0].values
+    g = p1_gradient(SQUARE16, harmonic)
     bc *= 1.03 / np.linalg.norm(g, axis=1).max()
     gradients = count_calls(monkeypatch, "p1_gradient")
-    guess = _spacelike_initial_guess(SQUARE16, bc, LORENTZ)
+    guess, r, _ = _spacelike_initial_guess(SQUARE16, bc, LORENTZ)
+    assert r is None
     ladder = len(gradients)
     # the zero field, the data, the harmonic start and some rungs
     assert ladder > 3
@@ -702,9 +737,10 @@ def test_newton_forcing_terms_lie_between_linear_tol_and_half(case, monkeypatch)
     tolerances = []
     real_cg = solver_module.cg_solve
 
-    def recording_cg(operator, rhs, linear_tol, *args, **kwargs):
-        tolerances.append(linear_tol)
-        return real_cg(operator, rhs, linear_tol, *args, **kwargs)
+    def recording_cg(operator, rhs, linear_tol, *args, early=None, **kwargs):
+        # the first tolerance at which the solve may end
+        tolerances.append(linear_tol if early is None else early[0])
+        return real_cg(operator, rhs, linear_tol, *args, early=early, **kwargs)
 
     monkeypatch.setattr(solver_module, "cg_solve", recording_cg)
     mesh, bc, config = case()
@@ -712,7 +748,7 @@ def test_newton_forcing_terms_lie_between_linear_tol_and_half(case, monkeypatch)
     assert report.converged
     # the harmonic extension, then one system per Newton step
     assert len(tolerances) == report.iterations + 1
-    assert tolerances[0] == LINEAR_TOL
+    assert tolerances[0] == START_TOL
     forcing = tolerances[1:]
     assert forcing[0] == FORCING_MAX == 0.5
     assert all(LINEAR_TOL <= eta <= 0.5 for eta in forcing)
@@ -736,10 +772,186 @@ def test_forcing_term_choice_two_with_safeguard_and_floors():
     assert _forcing_term(1e3, 1e9, 0.01, config) == LINEAR_TOL
 
 
+# ----------------------------------------------------------------------
+# harmonic start: early stop against the surface equation's residual
+# ----------------------------------------------------------------------
+
+
+# with coarse levels, so that PCG takes several matvecs
+SQUARE32 = build_rectangle(1.0, 1.0, 1.0 / 32)
+SQUARE64 = build_rectangle(1.0, 1.0, 1.0 / 64)
+
+
+# the start's PCG matvecs and the Newton matvecs before the early stop
+# existed, on a plane of slope |g| in direction 0.7
+@pytest.mark.parametrize("metric, slope, start, newton", [
+    ("lorentz", 0.58, 25, []),
+    ("lorentz", 0.95, 25, []),
+    ("lorentz", 0.99, 25, [1, 3]),
+    ("euclid", 0.58, 25, []),
+    ("euclid", 0.95, 25, []),
+    ("euclid", 0.99, 25, []),
+])
+def test_affine_data_takes_the_full_start(metric, slope, start, newton,
+                                          monkeypatch):
+    # F at the loose start is of the size of its Laplace error, so the start
+    # is solved to LINEAR_TOL and the solve is the one without an early stop
+    config = SolverConfig(metric=metric)
+    bc = affine_field(SQUARE64, slope * math.cos(0.7), slope * math.sin(0.7),
+                      0.2)
+    v, report, counted = counted_solve(monkeypatch, SQUARE64, bc, config)
+    assert report.converged
+    first = report.steps[0]
+    assert first.forcing == LINEAR_TOL and first.achieved <= LINEAR_TOL
+    assert [c.matvecs for c in counted] == [start] + newton
+    assert [row.matvecs for row in report.steps] == [start] + newton
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "START_TOL", 0.0)  # never offered
+        full, report_full = solve(SQUARE64, bc, config)
+    np.testing.assert_array_equal(v, full)
+    assert report.steps == report_full.steps
+
+
+def scaled(mesh, factor):
+    return Mesh(mesh.vertices * factor, mesh.triangles, mesh.vertex_class,
+                mesh.h * factor)
+
+
+def coarse_pair_data():
+    mesh = build_annulus(1.0, 4.0, 0.1, artificial_rings=("outer",))
+    return mesh, np.where(mesh.vertex_class == ARTIFICIAL, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("case", ["saddle", "annulus"])
+def test_scaling_mesh_and_data_keeps_start_and_newton_matvecs(case,
+                                                              monkeypatch):
+    if case == "saddle":
+        mesh = SQUARE32
+        x, y = mesh.vertices.T
+        bc, config = x * x - y * y, EUCLID
+    else:
+        (mesh, bc), config = coarse_pair_data(), LORENTZ
+    matvecs = []
+    for factor in (1.0, 10.0):
+        # gradients are unchanged; both weak residuals scale by the factor
+        # and the area-scaled residual by its inverse
+        _, report, counted = counted_solve(
+            monkeypatch, scaled(mesh, factor), factor * bc,
+            replace(config, residual_tol=config.residual_tol / factor))
+        assert report.converged
+        assert report.steps[0].forcing == START_TOL
+        matvecs.append([c.matvecs for c in counted])
+    assert matvecs[0] == matvecs[1]
+
+
+def test_coarse_annulus_pair_takes_the_loose_start(monkeypatch):
+    mesh, bc = coarse_pair_data()
+    _, zero, counted = counted_solve(monkeypatch, mesh,
+                                     np.zeros(mesh.vertex_count), LORENTZ)
+    # zero data needs no Laplace solve
+    assert zero.converged and zero.iterations == 0 and counted == []
+    first = zero.steps[0]
+    assert math.isnan(first.forcing) and math.isnan(first.achieved)
+    assert first.matvecs == 0
+    _, report, counted = counted_solve(monkeypatch, mesh, bc, LORENTZ)
+    assert report.converged
+    assert report.steps[0].forcing == START_TOL
+    # Newton takes the matvecs it took from the start solved to LINEAR_TOL,
+    # in 25 matvecs
+    assert [c.matvecs for c in counted] == [12, 2, 2, 4, 9]
+    # the rule, checked from outside: safely spacelike, and the Laplace
+    # residual amplified by kappa a tenth of F or less
+    ev, r, (tol, matvecs, achieved) = _harmonic_extension(mesh, bc, LORENTZ)
+    assert (tol, matvecs, achieved) == (START_TOL, 12,
+                                        report.steps[0].achieved)
+    assert ev.max_norm <= 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
+    free, fixed = mesh.interior_vertices, mesh.constrained_vertices
+    k = cotan_laplacian(mesh)
+    lap = np.linalg.norm(k[free][:, fixed] @ bc[fixed]
+                         + k[free][:, free] @ ev.values[free])
+    kappa = (1.0 - ev.max_norm ** 2) ** -1.5
+    f = residual(mesh, ev.values, LORENTZ)
+    np.testing.assert_array_equal(r, f)
+    assert kappa * lap <= START_GAP * np.linalg.norm(f)
+
+
+def noise_for_the_ladder(monkeypatch):
+    """A 16 x 16 square with coarse levels, so that PCG takes several
+    matvecs and the early stop is offered, and noise whose harmonic
+    extension, loose or not, is slightly too steep; a ladder rung is
+    safely spacelike."""
+    monkeypatch.setattr(solver_module, "COARSE_SIZE", 50)
+    # a mesh of its own: the first V-cycle on a mesh fixes its aggregates
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 16)
+    bc = np.random.default_rng(0).standard_normal(mesh.vertex_count)
+    harmonic = _harmonic_extension(mesh, bc, LORENTZ)[0].values
+    g = p1_gradient(mesh, harmonic)
+    return mesh, bc * (1.03 / np.linalg.norm(g, axis=1).max())
+
+
+def test_start_not_safely_spacelike_falls_back_to_full_path_and_ladder(
+        monkeypatch):
+    mesh, bc = noise_for_the_ladder(monkeypatch)
+    gradients = count_calls(monkeypatch, "p1_gradient")
+    guess, r, laplace = _spacelike_initial_guess(mesh, bc, LORENTZ)
+    offered = len(gradients)
+    assert r is None and laplace[0] == LINEAR_TOL
+    with monkeypatch.context() as patch:
+        # a gap test that always passes: the loose start was refused for
+        # its gradient
+        patch.setattr(solver_module, "START_GAP", math.inf)
+        assert _spacelike_initial_guess(mesh, bc, LORENTZ)[1] is None
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "START_TOL", 0.0)  # never offered
+        gradients.clear()
+        full, _, full_laplace = _spacelike_initial_guess(mesh, bc, LORENTZ)
+    # the same Laplace solve and ladder rung; the loose start's one
+    # evaluation is all that the offer cost
+    np.testing.assert_array_equal(guess.values, full.values)
+    assert laplace == full_laplace
+    assert offered == len(gradients) + 1
+    _, report = solve(mesh, bc)
+    assert report.converged
+    first = report.steps[0]
+    assert (first.forcing, first.matvecs, first.achieved) == laplace
+    assert first.margin == 1.0 - guess.max_norm
+
+
+@pytest.mark.parametrize("case", ["loose", "affine", "ladder", "zero",
+                                  "catenoid"])
+def test_step_matvecs_sum_to_every_pcg_matvec(case, monkeypatch):
+    mesh, config = SQUARE32, LORENTZ
+    if case == "loose":
+        x, y = mesh.vertices.T
+        bc, config = x * x - y * y, EUCLID
+    elif case == "affine":
+        bc = affine_field(mesh, 0.6, -0.7, 0.2)
+    elif case == "ladder":
+        mesh, bc = noise_for_the_ladder(monkeypatch)
+    elif case == "zero":
+        bc = np.zeros(mesh.vertex_count)
+    else:
+        mesh, bc, config = catenoid_case()
+    _, report, counted = counted_solve(monkeypatch, mesh, bc, config)
+    assert report.converged
+    assert sum(row.matvecs for row in report.steps) == \
+        sum(c.matvecs for c in counted)
+    first = report.steps[0]
+    assert first.cycle == "none"
+    assert (first.step_length, first.backtracks) == (0.0, 0)
+    if case == "zero":
+        assert first.matvecs == 0 and math.isnan(first.forcing)
+    else:
+        assert first.matvecs == counted[0].matvecs > 0
+        assert first.forcing == (START_TOL if case in ("loose", "catenoid")
+                                 else LINEAR_TOL)
+        assert first.achieved <= first.forcing
+
+
 def exact_newton(mesh, bc, config):
     """Damped Newton from the harmonic extension with every system solved
     by a sparse direct solve, until the residual norm is at round-off."""
-    v = _harmonic_extension(mesh, bc, config)
+    v = _harmonic_extension(mesh, bc, config)[0].values
     free = mesh.interior_vertices
     res = residual_norm(mesh, v, config)
     for _ in range(20):

@@ -43,7 +43,13 @@ inverse carries an error of about the condition number times the rounding
 unit), drop the pivots the elimination dropped, be bitwise symmetric also
 for a matrix symmetric only to rounding, and on a singular positive
 semidefinite matrix be a symmetric positive semidefinite generalized
-inverse.
+inverse.  The Newton matrix's data, now gathered straight from the edge
+values with the diagonal put in place, and its corner pairs, now written
+into preallocated rows, must match the former concatenated gather bit for
+bit.  The level region's clearances, now read from the sorted differences'
+neighbours of each candidate, and its margins, now from the gradients of
+the region's triangles only, must match the per-candidate passes and the
+gathered whole-mesh gradients bit for bit.
 """
 
 import math
@@ -56,17 +62,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from maxsurf import (Mesh, NonConvergenceError, SolverConfig, TopologyError,
-                     build_annulus, build_rectangle, cg_solve, circulations,
-                     conjugate_pair_coeffs, energy,
-                     flux_form, integrate_potential, load_mesh, p1_divergence,
-                     p1_gradient, polyline_pieces, residual, save_mesh, solve,
+from maxsurf import (LevelRegion, Mesh, NonConvergenceError, SolverConfig,
+                     TopologyError, build_annulus, build_rectangle, cg_solve,
+                     circulations, conjugate_pair_coeffs, energy,
+                     flux_form, gradient_margin, integrate_potential,
+                     level_region, load_mesh, p1_divergence, p1_gradient,
+                     polyline_pieces, residual, save_mesh, solve,
                      tangent_matrix)
 from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
                                  ExpressionError)
 from maxsurf.mesh import _edge_connected
 from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
-from maxsurf.uniqueness import _circle_sums
+from maxsurf.uniqueness import LEVEL_CANDIDATES, _circle_sums
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
 from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA,
                             _aggregates, _dense_inverse, _dot, _Evaluation,
@@ -956,6 +963,131 @@ def test_tangent_refill_matches_coo(mesh, metric, seed, steepest):
     scale = float(np.abs(ref.data).max(initial=0.0))
     np.testing.assert_allclose(got.data, ref.data, rtol=1e-14,
                                atol=1e-14 * scale)
+
+
+def concatenated_tangent(mesh, values, config):
+    """Former gather: (T, 3) corner pairs from whole-array products, then
+    the V diagonal and the E edge values twice concatenated and gathered
+    by one order into the free block's CSR data."""
+    ev = _Evaluation(mesh, values, config.metric)
+    dens = ev.density
+    c1 = mesh.areas / dens
+    c2 = c1 / (dens * dens)
+    if config.metric == "euclid":
+        c2 = -c2
+    bx, by = mesh.basis_columns
+    bg = bx * ev.gx + by * ev.gy
+    pair = np.empty((mesh.triangle_count, 3))
+    for k in range(3):
+        a, b = (k + 1) % 3, (k + 2) % 3
+        pair[:, k] = c1 * (bx[a] * bx[b] + by[a] * by[b]) + c2 * bg[a] * bg[b]
+    edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
+                       minlength=len(mesh.edges))
+    lo, hi = mesh.edges.T
+    n = mesh.vertex_count
+    diag = -(np.bincount(lo, weights=edge, minlength=n)
+             + np.bincount(hi, weights=edge, minlength=n))
+    free = mesh.interior_vertices
+    renumber = np.full(n, -1, dtype=np.int64)
+    renumber[free] = np.arange(len(free))
+    rows = renumber[np.concatenate([np.arange(n), lo, hi])]
+    cols = renumber[np.concatenate([np.arange(n), hi, lo])]
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    order = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[order],
+                                                        minlength=len(free)))])
+    return np.concatenate([diag, edge, edge])[order], cols[order], indptr
+
+
+@settings(max_examples=80, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       metric=st.sampled_from(["lorentz", "euclid"]),
+       seed=st.integers(0, 2**32 - 1),
+       steepest=st.one_of(st.just(0.5), st.floats(0.95, 0.999)))
+def test_tangent_gather_matches_concatenated_entries(mesh, metric, seed,
+                                                     steepest):
+    config = SolverConfig(metric=metric)
+    v = spacelike_field(mesh, seed, steepest) + 3.0
+    got = tangent_matrix(mesh, v, config)
+    data, indices, indptr = concatenated_tangent(mesh, v, config)
+    np.testing.assert_array_equal(got.indptr, indptr)
+    np.testing.assert_array_equal(got.indices, indices)
+    # bit for bit, signed zeros included
+    assert got.data.tobytes() == data.tobytes()
+
+
+# ----------------------------------------------------------------------
+# level region: parity with the per-candidate passes
+# ----------------------------------------------------------------------
+
+
+def loop_level_region(mesh, v, vp):
+    """Former level choice: one pass over v - v' per candidate, and the
+    margins from the whole mesh's gradients gathered at the region."""
+    diff = v - vp
+    delta = float(diff.max()) / 4.0
+    if delta <= 0.0:
+        return LevelRegion(a=0.0, delta=delta,
+                           triangles=np.empty(0, dtype=np.int64),
+                           eps_hat=math.nan, clearance=math.nan)
+    candidates = np.linspace(2.0 * delta, 3.0 * delta, LEVEL_CANDIDATES)
+    clearances = np.array([np.abs(diff - c).min() for c in candidates])
+    best = int(np.argmax(clearances))
+    a = float(candidates[best])
+    centroid_diff = diff[mesh.triangles].mean(axis=1)
+    tris = np.where(centroid_diff - a > 0.0)[0].astype(np.int64)
+    if len(tris) == 0:
+        return LevelRegion(a=a, delta=delta, triangles=tris,
+                           eps_hat=math.nan,
+                           clearance=float(clearances[best]))
+    eps_hat = min(gathered_margin(mesh, v, tris),
+                  gathered_margin(mesh, vp, tris))
+    return LevelRegion(a=a, delta=delta, triangles=tris, eps_hat=eps_hat,
+                       clearance=float(clearances[best]))
+
+
+def gathered_margin(mesh, values, triangles):
+    g = p1_gradient(mesh, values)[triangles]
+    return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
+
+
+def same_region(got, ref):
+    for name in ("a", "delta", "eps_hat", "clearance"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert np.float64(x).tobytes() == np.float64(y).tobytes(), name
+    np.testing.assert_array_equal(got.triangles, ref.triangles)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 1, 2, 5, 40]),
+       shift=st.sampled_from([0.0, -0.3, 2.0]))
+def test_level_region_matches_candidate_passes(mesh, seed, levels, shift):
+    # levels > 0 puts v - v' on a grid, so that candidates meet vertex
+    # values and clearances tie; a shift of 2 lifts every value above
+    # every candidate
+    rng = np.random.default_rng(seed)
+    v = spacelike_field(mesh, seed, 0.9)
+    vp = spacelike_field(mesh, seed + 1, 0.9)
+    if levels:
+        diff = np.round(rng.uniform(0.0, levels, mesh.vertex_count))
+        v = vp + diff / levels
+    v = v + shift
+    same_region(level_region(mesh, v, vp), loop_level_region(mesh, v, vp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_subset_margin_matches_gathered_gradients(mesh, seed, data):
+    v = spacelike_field(mesh, seed, 0.9) + 1.0
+    subset = np.array(data.draw(st.lists(
+        st.integers(0, mesh.triangle_count - 1), min_size=1, max_size=50)))
+    assert gradient_margin(mesh, v, subset) == gathered_margin(mesh, v,
+                                                               subset)
+    np.testing.assert_array_equal(p1_gradient(mesh, v, subset),
+                                  p1_gradient(mesh, v)[subset])
 
 
 # ----------------------------------------------------------------------
