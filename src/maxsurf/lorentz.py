@@ -29,17 +29,20 @@ class SpacelikeError(ValueError):
         super().__init__(f"gradient norm {self.norm!r} is not safely spacelike")
 
 
+def _spacelike(norm2: np.ndarray, margin: float) -> bool:
+    """Whether all |g| < 1 - margin, tested as |g|^2 against (1 - margin)^2."""
+    limit = 1.0 - margin
+    return not np.any(norm2 >= limit * limit)
+
+
 def _spacelike_density(norm2: np.ndarray, margin: float) -> np.ndarray:
     """Area density w = sqrt(1 - |g|^2) of gradients kept off the light cone.
 
-    Takes the squared norms |g|^2 and raises SpacelikeError unless every
-    |g| stays below 1 - margin, tested as |g|^2 against (1 - margin)^2.
-    The pointwise algebra of this module passes LIGHTLIKE_GUARD; the solver
-    passes its much wider SIGMA_MIN, which keeps Newton iterates away from
-    the light cone.
+    Takes the squared norms |g|^2 and raises SpacelikeError unless they
+    pass ``_spacelike`` at ``margin``: LIGHTLIKE_GUARD in this module, and
+    the solver's much wider SIGMA_MIN, at which it tests its iterates first.
     """
-    limit = 1.0 - margin
-    if np.any(norm2 >= limit * limit):
+    if not _spacelike(norm2, margin):
         raise SpacelikeError(float(np.sqrt(norm2.max())))
     return np.sqrt(1.0 - norm2)
 

@@ -14,7 +14,9 @@ mesh gets, on first use, an assembly plan: the P1 sparsity pattern of the
 free-vertex block, the slots that gather the edge values and the free
 diagonal into it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
-|grad v| never reaches 1 - SIGMA_MIN.
+|grad v| never reaches 1 - SIGMA_MIN.  One test, ``lorentz._spacelike``,
+decides the light cone, for the area density's guard and for every caller
+of ``_Evaluation.spacelike``.
 
 The residual, ``forms.circulations`` and the harmonic extension's
 right-hand side are one weak divergence, ``p1_divergence``, the
@@ -22,8 +24,8 @@ area-weighted transpose of ``p1_gradient``.
 
 Each iterate is evaluated once: its P1 gradient, squared norms, largest
 norm and area density are kept in one ``_Evaluation``, made for each
-line-search candidate and for the initial guess, and read by the
-spacelike test, the residual, the energy, the next Newton matrix and the
+line-search candidate and for each rung of the initial guess, and read by
+the spacelike test, the residual, the energy, the next Newton matrix and the
 reported margins.  The pointwise kernels work on the contiguous (T,)
 rows of ``Mesh.basis_columns`` and of the gradient.  The vector
 reductions (PCG inner products and norms, the energy sum and the residual
@@ -48,12 +50,13 @@ Laplace cycle is never lagged into Newton.  The linear residual the line
 search computes at the accepted iterate is the next system's right-hand
 side.
 
-Newton starts from the harmonic extension of the constrained data, and its
-Laplace solve is not oversolved (the point of Eisenstat & Walker, applied
-to the start): PCG stops at the relative residual START_TOL when the
-surface equation's residual F there exceeds the most that linear behaviour
-could make of the Laplace residual by the factor 1 / START_GAP, and the
-start is safely spacelike; F is then the first Newton right-hand side.
+Newton starts from ``_initial_guess``, the harmonic extension of the
+constrained data, whose Laplace solve is not oversolved (the point of
+Eisenstat & Walker, applied to the start): PCG stops at the relative
+residual START_TOL when the surface equation's residual F there exceeds
+the most that linear behaviour could make of the Laplace residual by the
+factor 1 / START_GAP, and the start is safely spacelike; F is then the
+first Newton right-hand side.
 Otherwise, as for affine data, whose F is round-off at the exact
 extension, the solve goes on to LINEAR_TOL.  ``_harmonic_extension`` has
 the rule; the start changes where Newton begins, not what it converges to.
@@ -69,7 +72,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lorentz import SpacelikeError, _spacelike_density
+from .lorentz import _spacelike, _spacelike_density
 from .mesh import Mesh
 from .records import write_csv, read_csv
 
@@ -82,7 +85,7 @@ SIGMA_MIN = 1e-8          # Lorentz iterates keep |grad v| below 1 - SIGMA_MIN
 LINE_SEARCH_FLOOR = 1e-12
 BACKTRACK_FACTOR = 0.5    # step shrink factor of the line search
 SUFFICIENT_DECREASE = 1e-4  # accept when |F| <= (1 - c step) |F_k|
-INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| <= 1 - 10 SIGMA_MIN
+INITIAL_MARGIN_FACTOR = 10.0  # initial guess obeys |grad| < 1 - 10 SIGMA_MIN
 
 # inexact Newton: Eisenstat-Walker forcing terms, choice 2
 FORCING_MAX = 0.5         # the first and the loosest relative linear tolerance
@@ -266,10 +269,12 @@ class _Evaluation:
     ``gx`` and ``gy`` are the (T,) rows of the triangle gradients, ``norm2``
     their squared norms and ``max_norm`` the largest norm.  ``density`` is
     the area density sqrt(1 -+ |g|^2), made on first use; the flux is
-    sigma(g) = g / density.  In the Lorentz metric it raises SpacelikeError
-    once some |g| reaches 1 - SIGMA_MIN.  ``solve`` builds one per
-    line-search candidate and hands it to ``residual``, ``energy`` and the
-    next ``tangent_matrix``.
+    sigma(g) = g / density.  ``spacelike(margin)`` is the light-cone test,
+    every |g| below 1 - margin, and always true in the Euclidean metric; in
+    the Lorentz metric ``density`` raises SpacelikeError where
+    ``spacelike(SIGMA_MIN)`` is false.  ``solve`` builds one per line-search
+    candidate and hands it to ``residual``, ``energy`` and the next
+    ``tangent_matrix``.
     """
 
     def __init__(self, mesh: Mesh, values: np.ndarray, metric: str):
@@ -278,6 +283,9 @@ class _Evaluation:
         self.norm2 = self.gx * self.gx + self.gy * self.gy
         self.max_norm = float(np.sqrt(self.norm2.max()))
         self.metric = metric
+
+    def spacelike(self, margin: float) -> bool:
+        return self.metric == "euclid" or _spacelike(self.norm2, margin)
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -603,7 +611,8 @@ class _VCycle:
 
     Built from the matrix itself and piecewise-constant prolongators T:
     each level smooths its prolongator, P = (I - S A) T with the damped
-    Jacobi weights S, and passes the Galerkin product P^T A P down.  Without
+    Jacobi weights S, and passes the Galerkin product P^T A P down; it
+    restricts through the transpose view of P, not a copy.  Without
     ``tentatives`` the aggregates are chosen here from the matrix, level
     by level, and kept in ``self.tentatives``.  The last level is inverted
     by the symmetric sweep of ``_dense_inverse`` when it has at most
@@ -630,9 +639,9 @@ class _VCycle:
             at = a @ t
             at.data *= np.repeat(scale, np.diff(at.indptr))
             p = (t - at).tocsr()
-            r = p.T.tocsr()
-            self.levels.append((a, scale, p, r))
-            a = r @ (a @ p)
+            self.levels.append((a, scale, p))
+            # a transient CSR restriction keeps the coarse matrix CSR
+            a = p.T.tocsr() @ (a @ p)
         if a.shape[0] <= COARSE_SIZE:
             self.bottom = _dense_inverse(a.toarray())
         else:
@@ -650,9 +659,9 @@ class _VCycle:
         Needs at least one level.
         """
         cycle = copy.copy(self)
-        _, _, p, r = self.levels[0]
+        p = self.levels[0][2]
         scale = None if matrix is None else _jacobi_scale(matrix)
-        cycle.levels = [(matrix, scale, p, r)] + self.levels[1:]
+        cycle.levels = [(matrix, scale, p)] + self.levels[1:]
         return cycle
 
     def __call__(self, residual: np.ndarray) -> np.ndarray:
@@ -661,9 +670,9 @@ class _VCycle:
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self.levels):
             return self.bottom @ b
-        a, scale, p, r = self.levels[level]
+        a, scale, p = self.levels[level]
         x = scale * b
-        x += p @ self._cycle(level + 1, r @ (b - a @ x))
+        x += p @ self._cycle(level + 1, p.T @ (b - a @ x))
         x += scale * (b - a @ x)
         return x
 
@@ -743,8 +752,8 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
 
     PCG stops at the relative Laplace residual START_TOL when the iterate
     there is a start that Newton cannot tell from the exact extension: it
-    is safely spacelike (Lorentz metric: |grad v| at most
-    1 - INITIAL_MARGIN_FACTOR SIGMA_MIN), and kappa |r_lap| <= START_GAP |F|,
+    is safely spacelike (``_Evaluation.spacelike`` at
+    INITIAL_MARGIN_FACTOR SIGMA_MIN), and kappa |r_lap| <= START_GAP |F|,
     with r_lap its Laplace residual, F the surface equation's weak residual
     there and kappa the largest eigenvalue of the flux Jacobian D over the
     triangles, (1 - max |g|^2)^-1.5 in the Lorentz metric and 1 in the
@@ -777,11 +786,10 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
         # out is the start either way: the full solve rewrites its free part
         out[free] = x
         ev = _Evaluation(mesh, out, config.metric)
-        kappa = 1.0
-        if config.metric == "lorentz":
-            if not ev.max_norm <= 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN:
-                return False
-            kappa = (1.0 - ev.max_norm ** 2) ** -1.5
+        if not ev.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
+            return False
+        kappa = (1.0 if config.metric == "euclid"
+                 else (1.0 - ev.max_norm ** 2) ** -1.5)
         r = residual(mesh, out, config, at=ev)
         if not kappa * achieved * bnorm <= START_GAP * _norm(r):
             return False
@@ -837,20 +845,19 @@ def _forcing_term(res: float, previous: float | None, eta: float,
     return max(eta, 0.5 * config.residual_tol / res, LINEAR_TOL)
 
 
-def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray,
-                             config: SolverConfig):
+def _initial_guess(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
     """Harmonic extension, pulled toward a constant until safely spacelike.
 
+    The Newton start of both metrics.  Safely spacelike is ``spacelike`` at
+    INITIAL_MARGIN_FACTOR SIGMA_MIN, true at once in the Euclidean metric.
     The interior offset from the mean constrained value is scaled by the
-    largest ladder factor keeping per-triangle |grad v| <= 1 - 10 SIGMA_MIN.
+    largest ladder factor 0.95^k that passes, or else by 0, the last rung.
     Returns ``_harmonic_extension``'s (ev, r, laplace) with the evaluation
-    of the guess, which is the Newton start, as ev (and r None for a
-    rung), or None when no scaling achieves that, which the caller reports
-    as non-convergence (the constrained data itself is too steep).
+    of the guess as ev (and r None for a rung); ``solve`` reports a last
+    rung that fails as non-convergence (the data itself is too steep).
     """
     guess, r, laplace = _harmonic_extension(mesh, bc, config)
-    limit = 1.0 - INITIAL_MARGIN_FACTOR * SIGMA_MIN
-    if guess.max_norm <= limit:
+    if guess.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
         return guess, r, laplace
     fixed = mesh.constrained_vertices
     free = mesh.interior_vertices
@@ -861,13 +868,10 @@ def _spacelike_initial_guess(mesh: Mesh, bc: np.ndarray,
     t = 1.0
     while t > 1e-6:
         candidate = _Evaluation(mesh, base + t * offset, config.metric)
-        if candidate.max_norm <= limit:
+        if candidate.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
             return candidate, None, laplace
         t *= 0.95
-    candidate = _Evaluation(mesh, base, config.metric)
-    if candidate.max_norm <= limit:
-        return candidate, None, laplace
-    return None
+    return _Evaluation(mesh, base, config.metric), None, laplace
 
 
 def solve(mesh: Mesh, boundary_values: np.ndarray,
@@ -887,11 +891,13 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     is reported, not raised: ``report.converged`` is False and the partial
     field is returned, so callers can still serialize the outcome.
 
+    Newton starts from ``_initial_guess``; a start that is not safely
+    spacelike ends the solve with reason "no spacelike initial guess".
     Each Newton system is solved to the relative tolerance of
     ``_forcing_term``, with the V-cycle built or lagged as the module
-    docstring describes.  A step is accepted when the candidate stays
-    strictly spacelike (Lorentz metric only) and the residual norm
-    satisfies the sufficient-decrease test; the step is halved otherwise.
+    docstring describes.  A step is accepted when the candidate is
+    spacelike at SIGMA_MIN and the residual norm satisfies the
+    sufficient-decrease test; the step is halved otherwise.
     Convergence is declared only on the area-scaled residual norm,
     recomputed at each accepted iterate.
     """
@@ -902,11 +908,10 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         raise ValueError("mesh has no free vertices")
 
     def report_failure(ev, reason, steps=()):
-        try:
+        res = area = float("nan")
+        if ev.spacelike(SIGMA_MIN):
             res = _area_norm(mesh, residual(mesh, ev.values, config, at=ev))
             area = energy(mesh, ev.values, config, at=ev)
-        except SpacelikeError:
-            res = area = float("nan")
         return ev.values, SolveReport(
             iterations=max(len(steps) - 1, 0),
             residual=res,
@@ -917,23 +922,11 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             steps=list(steps),
         )
 
-    if config.metric == "lorentz":
-        start = _spacelike_initial_guess(mesh, bc, config)
-        if start is None:
-            fallback = np.zeros(mesh.vertex_count)
-            fallback[mesh.constrained_vertices] = bc[mesh.constrained_vertices]
-            fallback[mesh.interior_vertices] = float(
-                np.mean(bc[mesh.constrained_vertices])
-            )
-            return report_failure(_Evaluation(mesh, fallback, config.metric),
-                                  "no spacelike initial guess")
-    else:
-        start = _harmonic_extension(mesh, bc, config)
-    ev, r, (tol, matvecs, achieved) = start
-    del start  # the start's arrays go with the first accepted step
+    ev, r, (tol, matvecs, achieved) = _initial_guess(mesh, bc, config)
+    if not ev.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
+        return report_failure(ev, "no spacelike initial guess")
 
     free = mesh.interior_vertices
-    limit = 1.0 - SIGMA_MIN
     if r is None:
         r = residual(mesh, ev.values, config, at=ev)
     res = _area_norm(mesh, r)
@@ -968,7 +961,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             candidate = ev.values.copy()
             candidate[free] += step * direction
             trial = _Evaluation(mesh, candidate, config.metric)
-            if config.metric != "lorentz" or trial.max_norm < limit:
+            if trial.spacelike(SIGMA_MIN):
                 r = residual(mesh, candidate, config, at=trial)
                 new_res = _area_norm(mesh, r)
                 if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
@@ -1044,6 +1037,7 @@ def load_field(mesh: Mesh, path) -> np.ndarray:
         raise ValueError("field file vertex ids are not 0, 1, ... in order")
     coords = data[:, 1:3]
     scale = max(1.0, float(np.abs(mesh.vertices).max()))
-    if np.abs(coords - mesh.vertices).max() > 1e-9 * scale:
+    # false for nan as well
+    if not np.abs(coords - mesh.vertices).max() <= 1e-9 * scale:
         raise ValueError("field coordinates do not match the mesh")
     return data[:, 3].copy()

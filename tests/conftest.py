@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import coo_matrix
 
 from maxsurf import (Mesh, SolverConfig, build_annulus, build_rectangle,
-                     p1_gradient, solve)
+                     p1_gradient, save_field, solve)
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,16 @@ def read_record(path):
 
 def affine_field(mesh, a, b, c=0.0):
     return a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
+
+
+def nan_coordinate_field(path, mesh, column):
+    """A field file of ``mesh`` whose vertex 3 has nan in column x or y."""
+    save_field(mesh, affine_field(mesh, 0.1, 0.0), path)
+    header, *lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[{"x": 1, "y": 2}[column]] = "nan"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join([header, *lines]) + "\n")
 
 
 def jittered(mesh, seed):

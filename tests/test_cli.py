@@ -24,7 +24,7 @@ from maxsurf.expressions import MAX_DEPTH
 from maxsurf.records import fmt
 from maxsurf.solver import TRACE_HEADER
 
-from conftest import read_record
+from conftest import nan_coordinate_field, read_record
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +67,17 @@ def test_solve_accepts_field_file_bc(tmp_path, square4):
     rc = main(["solve", "--shape", "rect:1x1", "--h", "0.25",
                "--bc", "@bc.csv", "--out", "f"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_solve_rejects_nan_field_coordinates(capsys, tmp_path, square4,
+                                             column):
+    nan_coordinate_field(tmp_path / "bc.csv", square4, column)
+    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.25",
+               "--bc", "@bc.csv", "--out", "f"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: field coordinates do not match the mesh\n"
 
 
 def test_solve_accepts_mesh_file(tmp_path, square4):

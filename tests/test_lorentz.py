@@ -20,6 +20,8 @@ from maxsurf import (
     sample_coercivity,
     tangent_matrix,
 )
+from maxsurf.lorentz import LIGHTLIKE_GUARD, _spacelike, _spacelike_density
+from maxsurf.solver import SIGMA_MIN, _Evaluation
 from oracles import (area_density, c1, c2, minkowski_inner, normal_gap_sq,
                      r_max, unit_normal)
 
@@ -79,7 +81,8 @@ def at_slope(fn):
 
 
 # pointwise algebra: margin LIGHTLIKE_GUARD = 1e-14; the solver: margin
-# SIGMA_MIN = 1e-8, which keeps Newton iterates off the light cone
+# SIGMA_MIN = 1e-8, which keeps Newton iterates off the light cone.  Both
+# raise where the one light-cone test, lorentz._spacelike, is false
 GUARD_CASES = [
     (area_density, at_gradient, 5e-15, 1e-13),
     (flux_coeffs, at_gradient, 5e-15, 1e-13),
@@ -98,6 +101,29 @@ def test_spacelike_guard_boundary(fn, at, raise_gap, accept_gap):
     with pytest.raises(SpacelikeError):
         call(1.0 - raise_gap)
     call(1.0 - accept_gap)  # does not raise
+
+
+@pytest.mark.parametrize("gap", sorted({gap for _, _, *gaps in GUARD_CASES
+                                         for gap in gaps}))
+def test_spacelike_is_false_exactly_where_the_density_raises(gap):
+    mesh = build_rectangle(1.0, 1.0, 0.25)
+    v = (1.0 - gap) * mesh.vertices[:, 0]
+    ev = _Evaluation(mesh, v, "lorentz")
+    for margin, spacelike, density in [
+            (SIGMA_MIN, ev.spacelike(SIGMA_MIN), lambda: ev.density),
+            (LIGHTLIKE_GUARD, _spacelike(ev.norm2, LIGHTLIKE_GUARD),
+             lambda: _spacelike_density(ev.norm2, LIGHTLIKE_GUARD))]:
+        assert spacelike == (gap > margin)
+        if spacelike:
+            density()  # does not raise
+        else:
+            with pytest.raises(SpacelikeError):
+                density()
+    # no light cone in the Euclidean metric, not even for timelike slopes
+    for slope in (1.0 - gap, 2.0):
+        euclid = _Evaluation(mesh, slope * mesh.vertices[:, 0], "euclid")
+        assert euclid.spacelike(SIGMA_MIN)
+        assert euclid.spacelike(LIGHTLIKE_GUARD)
 
 
 def test_flux_coeffs_values():

@@ -37,10 +37,10 @@ from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             FORCING_MAX, INITIAL_MARGIN_FACTOR, JACOBI_WEIGHT,
                             LINEAR_TOL, SIGMA_MIN, START_GAP, START_TOL,
                             _Evaluation, _forcing_term, _harmonic_extension,
-                            _spacelike_initial_guess, _VCycle)
+                            _initial_guess, _VCycle)
 
 from conftest import (affine_field, cotan_laplacian, jittered,
-                      spacelike_field)
+                      nan_coordinate_field, spacelike_field)
 
 LORENTZ = SolverConfig()
 EUCLID = SolverConfig(metric="euclid")
@@ -298,6 +298,38 @@ def test_refreshed_vcycle_is_spd_and_matches_direct_solve(mesh, metric,
     ref = spsolve(k, rhs)
     got, _, _ = cg_solve(k, rhs, 1e-14, lagged)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def csr_restricting_cycle(vcycle, b, level=0):
+    """``vcycle`` applied to b, restricting through a CSR copy of each p^T,
+    as the cycle did before it restricted through the CSC view p.T."""
+    if level == len(vcycle.levels):
+        return vcycle.bottom @ b
+    a, scale, p = vcycle.levels[level]
+    x = scale * b
+    x += p @ csr_restricting_cycle(vcycle, p.T.tocsr() @ (b - a @ x),
+                                   level + 1)
+    x += scale * (b - a @ x)
+    return x
+
+
+@pytest.mark.parametrize("case", ["annulus", "square"])
+def test_vcycle_restricting_through_the_transpose_view_matches_csr(
+        case, monkeypatch):
+    if case == "annulus":
+        mesh = build_annulus(1.0, 2.0, 0.05)
+    else:
+        # two coarse levels above a bottom of 9 rows
+        monkeypatch.setattr(solver_module, "COARSE_SIZE", 20)
+        mesh = build_rectangle(1.0, 1.0, 1.0 / 16)
+    rng = np.random.default_rng(6)
+    for metric in ("euclid", "lorentz"):
+        k = newton_matrix(mesh, metric, 6)
+        vcycle = _VCycle(k)
+        assert len(vcycle.levels) >= 2
+        for r in rng.standard_normal((3, k.shape[0])):
+            np.testing.assert_array_equal(vcycle(r),
+                                          csr_restricting_cycle(vcycle, r))
 
 
 @settings(max_examples=15, deadline=None)
@@ -570,18 +602,25 @@ def test_vcycle_build_does_not_wake_blas_threads():
 MATMUL_ALLOWED = {
     # the operator's product; the solver passes CSR matrices only
     "cg_solve": 1,
-    # a @ t, r @ (a @ p): CSR products, the Galerkin coarse operators
+    # a @ t, p.T.tocsr() @ (a @ p): CSR products, the Galerkin coarse
+    # operators
     "_VCycle.__init__": 3,
-    # p, r and a are CSR; self.bottom @ b is a gemv of at most COARSE_SIZE
-    # rows, which did not wake the worker in the build probe's window
+    # p and a are CSR, p.T its CSC view; self.bottom @ b is a gemv of at
+    # most COARSE_SIZE rows, which did not wake the worker in the build
+    # probe's window
     "_VCycle._cycle": 5,
 }
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot"}
 
 
 def hidden_blas(tree):
-    """(matmuls per function, calls that reach BLAS) in a module's tree."""
-    matmuls, calls = {}, []
+    """(matmuls per function, calls that reach BLAS, light-cone tests spelled
+    out) in a module's tree.
+
+    A light-cone test spelled out is a comparison that reads ``.max_norm``
+    or an ``except SpacelikeError``: the solver asks ``_Evaluation.spacelike``.
+    """
+    matmuls, calls, cone = {}, [], []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -606,20 +645,29 @@ def hidden_blas(tree):
             if text.endswith("einsum") and any(
                     k.arg == "optimize" for k in node.keywords):
                 calls.append(f"{name}: {text}(optimize=...)")
+        if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "max_norm"
+                for sub in ast.walk(node)):
+            cone.append(f"{name}: {ast.unparse(node)}")
+        if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                and "SpacelikeError" in ast.unparse(node.type):
+            cone.append(f"{name}: except {ast.unparse(node.type)}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, ())
-    return matmuls, calls
+    return matmuls, calls, cone
 
 
 def test_solver_source_makes_no_dense_blas_call():
     # a threaded BLAS call leaves its workers spinning for about 0.13 s of
-    # CPU; the probes above measure that, this catches it before a run
+    # CPU; the probes above measure that, this catches it before a run.
+    # The same walk keeps the light-cone test spelled once
     source = Path(solver_module.__file__).read_text()
-    matmuls, calls = hidden_blas(ast.parse(source))
+    matmuls, calls, cone = hidden_blas(ast.parse(source))
     assert calls == []
     assert matmuls == MATMUL_ALLOWED
+    assert cone == []
 
 
 def test_hidden_blas_finds_each_kind():
@@ -634,12 +682,41 @@ class C:
     def g(self, a, b):
         return a @ b @ b
 """
-    matmuls, calls = hidden_blas(ast.parse(source))
+    matmuls, calls, cone = hidden_blas(ast.parse(source))
     assert matmuls == {"f": 1, "C.g": 2}
+    assert cone == []
     assert calls == ["<module>: import numpy.linalg",
                      "<module>: import scipy.linalg",
                      "f: np.linalg.eigh", "f: np.dot", "f: a.dot",
                      "f: np.tensordot", "f: np.einsum(optimize=...)"]
+
+
+def test_hidden_blas_finds_each_spelled_out_cone_test():
+    source = """
+def f(ev, trial, limit):
+    if not ev.max_norm <= limit:
+        return trial.max_norm < 1.0 - SIGMA_MIN
+    margin = 1.0 - ev.max_norm  # not a comparison
+    kappa = (1.0 - ev.max_norm ** 2) ** -1.5
+    return ev.spacelike(SIGMA_MIN) and kappa > 0.0
+class C:
+    def g(self, ev):
+        try:
+            return ev.density
+        except (SpacelikeError, ValueError):
+            return max(ev.max_norm, 1.0) >= 1.0
+        except lorentz.SpacelikeError:
+            pass
+        except Exception:
+            pass
+"""
+    matmuls, calls, cone = hidden_blas(ast.parse(source))
+    assert (matmuls, calls) == ({}, [])
+    assert cone == ["f: ev.max_norm <= limit",
+                    "f: trial.max_norm < 1.0 - SIGMA_MIN",
+                    "C.g: except (SpacelikeError, ValueError)",
+                    "C.g: max(ev.max_norm, 1.0) >= 1.0",
+                    "C.g: except lorentz.SpacelikeError"]
 
 
 def catenoid_case():
@@ -665,13 +742,28 @@ NO_GUESS_CASES = {
 }
 
 
+# the failed start's margin: 1 - max |grad| of the last rung, the constant
+# offset from the mean constrained value
+NO_GUESS_MARGINS = {"square16-affine": -20.2602916254693,
+                    "annulus-step": -1.2528004083856699}
+
+
 @pytest.mark.parametrize("case", NO_GUESS_CASES)
 def test_initial_guess_ladder_without_a_spacelike_rung(case):
     mesh, bc = NO_GUESS_CASES[case]()
-    assert _spacelike_initial_guess(mesh, bc, LORENTZ) is None
-    _, report = solve(mesh, bc)
+    guess, r, _ = _initial_guess(mesh, bc, LORENTZ)
+    assert r is None
+    assert not guess.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN)
+    base = bc.copy()
+    base[mesh.interior_vertices] = np.mean(bc[mesh.constrained_vertices])
+    np.testing.assert_array_equal(guess.values, base)
+    v, report = solve(mesh, bc)
+    np.testing.assert_array_equal(v, base)
     assert not report.converged
     assert report.reason == "no spacelike initial guess"
+    assert report.margin == NO_GUESS_MARGINS[case] == 1.0 - guess.max_norm
+    assert math.isnan(report.residual) and math.isnan(report.energy)
+    assert report.iterations == 0 and report.steps == []
 
 
 def test_one_gradient_per_lorentz_iterate(monkeypatch):
@@ -708,7 +800,7 @@ def test_initial_guess_ladder_evaluation_is_the_newton_start(monkeypatch):
     g = p1_gradient(SQUARE16, harmonic)
     bc *= 1.03 / np.linalg.norm(g, axis=1).max()
     gradients = count_calls(monkeypatch, "p1_gradient")
-    guess, r, _ = _spacelike_initial_guess(SQUARE16, bc, LORENTZ)
+    guess, r, _ = _initial_guess(SQUARE16, bc, LORENTZ)
     assert r is None
     ladder = len(gradients)
     # the zero field, the data, the harmonic start and some rungs
@@ -893,18 +985,18 @@ def test_start_not_safely_spacelike_falls_back_to_full_path_and_ladder(
         monkeypatch):
     mesh, bc = noise_for_the_ladder(monkeypatch)
     gradients = count_calls(monkeypatch, "p1_gradient")
-    guess, r, laplace = _spacelike_initial_guess(mesh, bc, LORENTZ)
+    guess, r, laplace = _initial_guess(mesh, bc, LORENTZ)
     offered = len(gradients)
     assert r is None and laplace[0] == LINEAR_TOL
     with monkeypatch.context() as patch:
         # a gap test that always passes: the loose start was refused for
         # its gradient
         patch.setattr(solver_module, "START_GAP", math.inf)
-        assert _spacelike_initial_guess(mesh, bc, LORENTZ)[1] is None
+        assert _initial_guess(mesh, bc, LORENTZ)[1] is None
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "START_TOL", 0.0)  # never offered
         gradients.clear()
-        full, _, full_laplace = _spacelike_initial_guess(mesh, bc, LORENTZ)
+        full, _, full_laplace = _initial_guess(mesh, bc, LORENTZ)
     # the same Laplace solve and ladder rung; the loose start's one
     # evaluation is all that the offer cost
     np.testing.assert_array_equal(guess.values, full.values)
@@ -1174,4 +1266,13 @@ def test_field_load_rejects_fractional_ids(tmp_path, square4):
     shifted = [f"{k}.7,{line.split(',', 1)[1]}" for k, line in enumerate(lines)]
     path.write_text("\n".join([header, *shifted]) + "\n")
     with pytest.raises(ValueError, match="vertex ids"):
+        load_field(square4, path)
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_field_load_rejects_nan_coordinates(tmp_path, square4, column):
+    path = tmp_path / "f.csv"
+    nan_coordinate_field(path, square4, column)
+    with pytest.raises(ValueError,
+                       match="field coordinates do not match the mesh"):
         load_field(square4, path)
