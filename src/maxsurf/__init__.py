@@ -17,10 +17,9 @@ if "numpy" not in sys.modules:
 
 from .mesh import (ARTIFICIAL, DIRICHLET, INTERIOR, Mesh, build_annulus,
                    build_rectangle, build_strip, load_mesh, save_mesh)
-from .lorentz import (CoercivityConstants, CoercivityReport, SpacelikeError,
-                      coercivity_constants, flux_coeffs, flux_gap_sq,
-                      flux_monotonicity, normalized_gradient,
-                      sample_coercivity)
+from .lorentz import (CoercivityReport, SpacelikeError, coercivity_constant,
+                      flux_coeffs, flux_gap_sq, flux_monotonicity,
+                      normalized_gradient, sample_coercivity)
 from .solver import (NonConvergenceError, SolveReport, SolverConfig,
                      cg_solve, energy, gradient_margin, load_field,
                      p1_divergence, p1_gradient, residual, residual_norm,

@@ -6,7 +6,8 @@ uniqueness (level region, flux scan, Riccati comparison), decay (strip
 truncation experiment).  All outputs are plain text keyed off --out;
 identical command lines rewrite identical bytes.
 
-Exit codes: 0 success, 1 usage or input error (also failed verification),
+Exit codes: 0 success, 1 usage or input error (also an input too large
+for memory, and a failed verification, which one stderr line names),
 2 solver non-convergence, 3 empty level region (the two fields coincide at
 the chosen level; not a failure).
 """
@@ -153,6 +154,14 @@ def _emit(items, path) -> None:
         print(line)
 
 
+def _verified(failures: int, message: str) -> int:
+    """Exit code of a verification: 0, or 1 after naming the failed check."""
+    if failures:
+        print(message, file=sys.stderr)
+        return 1
+    return 0
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -178,7 +187,8 @@ def cmd_lemma(args) -> int:
     report = sample_coercivity(args.eps, n_samples=args.samples,
                                seed=args.seed)
     _emit(report.record_items(), f"{args.out}_lemma.txt")
-    return 0 if report.violations == 0 else 1
+    return _verified(report.violations,
+                     f"{report.violations} coercivity violations")
 
 
 def cmd_dualize(args) -> int:
@@ -243,11 +253,12 @@ def cmd_uniqueness(args) -> int:
         radii = radial_grid(mesh, region, ratio=args.ratio)
     scan = flux_scan(mesh, v, vp, region, radii, tol_rel=args.tol_rel)
     ode = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
-    verdict = comparison_verdict(scan, ode)
+    verdict = comparison_verdict(scan)
     save_scan(scan, f"{args.out}_scan.csv")
     write_csv(f"{args.out}_ode.csv", ODE_HEADER, [ode.t, ode.y])
     _emit(verdict.record_items(), f"{args.out}_verdict.txt")
-    return 0 if scan.n_flagged == 0 else 1
+    return _verified(scan.n_flagged, f"{scan.n_flagged} of {len(scan.radii)} "
+                     "radii break the flux inequality")
 
 
 def cmd_decay(args) -> int:
@@ -260,7 +271,8 @@ def cmd_decay(args) -> int:
     table.save(f"{args.out}_decay.csv")
     for length, diff in zip(table.lengths, table.diffs):
         print(f"L={length:g} diff={diff:.17g}")
-    return 0 if table.strictly_decreasing else 1
+    return _verified(not table.strictly_decreasing,
+                     "center differences do not decrease strictly")
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +388,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,9 @@ g/w, and the coercivity inequality
     (g - g') . (g/w - g'/w') >= c(eps) |g/w - g'/w'|^2
 
 valid whenever |g|, |g'| <= 1 - eps, with the closed-form constant
-c(eps) = (eps (2 - eps))^(3/2).  All functions broadcast over leading axes;
-gradients are arrays of shape (..., 2).
+c(eps) = (eps (2 - eps))^(3/2), the float ``coercivity_constant(eps)``.
+All functions broadcast over leading axes; gradients are arrays of shape
+(..., 2).
 """
 
 from __future__ import annotations
@@ -82,25 +83,17 @@ def flux_gap_sq(g, g2) -> np.ndarray:
     return np.sum(d * d, axis=-1)
 
 
-@dataclass(frozen=True)
-class CoercivityConstants:
-    """Closed-form constant of the coercivity inequality at margin eps.
+def coercivity_constant(eps: float) -> float:
+    """c(eps) for gradients with |g|, |g'| <= 1 - eps, for eps in (0, 1].
 
     c = (eps (2-eps))^(3/2), the product of the smallest mean area density
     sqrt(eps (2-eps)) and the smallest Minkowski-to-Euclidean gap ratio
     eps (2-eps) over the admissible gradients.
     """
-
-    eps: float
-    c: float
-
-
-def coercivity_constants(eps: float) -> CoercivityConstants:
-    """Constants for gradients with |g|, |g'| <= 1 - eps, for eps in (0, 1]."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     s = eps * (2.0 - eps)
-    return CoercivityConstants(eps=float(eps), c=float(s ** 1.5))
+    return float(s ** 1.5)
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ def sample_coercivity(eps: float, n_samples: int, seed: int) -> CoercivityReport
     Returns the report with the smallest observed ratio and the number of
     violations (ratio < c(eps)); the inequality predicts zero.
     """
-    consts = coercivity_constants(eps)
+    c = coercivity_constant(eps)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
@@ -149,16 +142,16 @@ def sample_coercivity(eps: float, n_samples: int, seed: int) -> CoercivityReport
     rhs = flux_gap_sq(g, g2)
     valid = rhs >= RATIO_FLOOR
     if not np.any(valid):
-        return CoercivityReport(eps=float(eps), c=consts.c, n_samples=n_samples,
+        return CoercivityReport(eps=float(eps), c=c, n_samples=n_samples,
                                 seed=seed, min_ratio=float("inf"), violations=0)
     ratio = lhs[valid] / rhs[valid]
     return CoercivityReport(
         eps=float(eps),
-        c=consts.c,
+        c=c,
         n_samples=n_samples,
         seed=seed,
         min_ratio=float(ratio.min()),
-        violations=int(np.count_nonzero(ratio < consts.c)),
+        violations=int(np.count_nonzero(ratio < c)),
     )
 
 

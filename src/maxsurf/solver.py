@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -156,7 +156,9 @@ class NewtonStep:
     tolerance its harmonic extension's Laplace solve stopped at (START_TOL
     or LINEAR_TOL), that solve's PCG matvecs and the relative Laplace
     residual it reached (nan, 0 and nan for zero data, which needs no
-    solve); zero step length and backtracks, and cycle "none".
+    solve); zero step length and backtracks, and cycle "none".  A start
+    that is not safely spacelike still gets its row, with nan residual and
+    energy unless it is spacelike at SIGMA_MIN.
     """
 
     residual: float
@@ -174,17 +176,31 @@ class NewtonStep:
 class SolveReport:
     """Outcome of one solve; serialized as a flat key=value record.
 
-    ``steps`` holds one NewtonStep per accepted iterate, the initial guess
-    first; it is empty when no initial guess was found.
+    ``steps`` holds one NewtonStep per iterate, the initial guess first,
+    also when that start is not safely spacelike and the solve ends there;
+    ``iterations``, ``residual``, ``margin`` and ``energy`` read the last
+    row.
     """
 
-    iterations: int
-    residual: float
-    margin: float
-    energy: float
     converged: bool
-    reason: str = ""
-    steps: list = field(default_factory=list)
+    reason: str
+    steps: list
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps) - 1
+
+    @property
+    def residual(self) -> float:
+        return self.steps[-1].residual
+
+    @property
+    def margin(self) -> float:
+        return self.steps[-1].margin
+
+    @property
+    def energy(self) -> float:
+        return self.steps[-1].energy
 
     def record_items(self):
         return [
@@ -889,10 +905,13 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     -------
     (values, report) : the vertex field and its SolveReport.  Non-convergence
     is reported, not raised: ``report.converged`` is False and the partial
-    field is returned, so callers can still serialize the outcome.
+    field is returned, so callers can still serialize the outcome.  Every
+    exit returns the last iterate with the step rows so far, which the
+    report summarizes.
 
-    Newton starts from ``_initial_guess``; a start that is not safely
-    spacelike ends the solve with reason "no spacelike initial guess".
+    Newton starts from ``_initial_guess``, whose step-0 row is made first;
+    a start that is not safely spacelike ends the solve there with reason
+    "no spacelike initial guess".
     Each Newton system is solved to the relative tolerance of
     ``_forcing_term``, with the V-cycle built or lagged as the module
     docstring describes.  A step is accepted when the candidate is
@@ -907,37 +926,26 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     if len(mesh.interior_vertices) == 0:
         raise ValueError("mesh has no free vertices")
 
-    def report_failure(ev, reason, steps=()):
-        res = area = float("nan")
-        if ev.spacelike(SIGMA_MIN):
-            res = _area_norm(mesh, residual(mesh, ev.values, config, at=ev))
-            area = energy(mesh, ev.values, config, at=ev)
-        return ev.values, SolveReport(
-            iterations=max(len(steps) - 1, 0),
-            residual=res,
-            margin=1.0 - ev.max_norm,
-            energy=area,
-            converged=False,
-            reason=reason,
-            steps=list(steps),
-        )
-
     ev, r, (tol, matvecs, achieved) = _initial_guess(mesh, bc, config)
-    if not ev.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
-        return report_failure(ev, "no spacelike initial guess")
+    started = ev.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN)
+    res = area = float("nan")
+    if started or ev.spacelike(SIGMA_MIN):
+        if r is None:
+            r = residual(mesh, ev.values, config, at=ev)
+        res = _area_norm(mesh, r)
+        area = energy(mesh, ev.values, config, at=ev)
+    steps = [NewtonStep(res, tol, matvecs, achieved, 0.0, 0, "none", area,
+                        1.0 - ev.max_norm)]
+    if not started:
+        return ev.values, SolveReport(False, "no spacelike initial guess",
+                                      steps)
 
     free = mesh.interior_vertices
-    if r is None:
-        r = residual(mesh, ev.values, config, at=ev)
-    res = _area_norm(mesh, r)
-    steps = [NewtonStep(res, tol, matvecs, achieved, 0.0, 0, "none",
-                        energy(mesh, ev.values, config, at=ev),
-                        1.0 - ev.max_norm)]
     previous, eta = None, FORCING_MAX
     lagged, built_rate = None, 0.0  # cycle the next system refreshes
     while res > config.residual_tol:
         if len(steps) > config.max_newton:
-            return report_failure(ev, "max_newton exceeded", steps)
+            return ev.values, SolveReport(False, "max_newton exceeded", steps)
         eta = _forcing_term(res, previous, eta, config)
         k = tangent_matrix(mesh, ev.values, config, at=ev)
         built = lagged is None
@@ -945,7 +953,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         try:
             direction, matvecs, achieved = cg_solve(k, -r, eta, cycle)
         except NonConvergenceError as exc:
-            return report_failure(ev, f"linear solve failed: {exc}", steps)
+            return ev.values, SolveReport(
+                False, f"linear solve failed: {exc}", steps)
         rate = _matvec_rate(matvecs, achieved)
         if built:
             built_rate = rate
@@ -970,7 +979,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             step *= BACKTRACK_FACTOR
             backtracks += 1
         if target is None:
-            return report_failure(ev, "line search stagnation", steps)
+            return ev.values, SolveReport(False, "line search stagnation",
+                                          steps)
         previous = res
         ev, res = target
         steps.append(NewtonStep(res, eta, matvecs, achieved, step, backtracks,
@@ -978,15 +988,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
                                 energy(mesh, ev.values, config, at=ev),
                                 1.0 - ev.max_norm))
 
-    report = SolveReport(
-        iterations=len(steps) - 1,
-        residual=res,
-        margin=steps[-1].margin,
-        energy=steps[-1].energy,
-        converged=True,
-        steps=steps,
-    )
-    return ev.values, report
+    return ev.values, SolveReport(True, "", steps)
 
 
 def gradient_margin(mesh: Mesh, values: np.ndarray, triangles=None) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import flux_form, polyline_pieces
-from .lorentz import coercivity_constants
+from .lorentz import coercivity_constant
 from .mesh import ARTIFICIAL, Mesh, build_strip
 from .records import write_csv
 from .solver import (NonConvergenceError, SolverConfig, _check_field,
@@ -139,18 +139,6 @@ class FluxScan:
     def n_flagged(self) -> int:
         return int(np.count_nonzero(self.flags))
 
-    def record_items(self):
-        return [
-            ("r0", self.r0),
-            ("delta", self.delta),
-            ("eps_hat", self.eps_hat),
-            ("C", self.c_eps),
-            ("mu", self.mu),
-            ("tol_rel", self.tol_rel),
-            ("n_radii", len(self.radii)),
-            ("n_flagged", self.n_flagged),
-        ]
-
 
 def radial_grid(mesh: Mesh, region: LevelRegion, ratio: float = 1.1) -> np.ndarray:
     """Geometric radius grid covering the region's centroid radii.
@@ -207,7 +195,7 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
         raise ValueError("tol_rel must be finite and nonnegative")
 
     alpha = flux_form(mesh, v) - flux_form(mesh, vp)
-    c_eps = coercivity_constants(region.eps_hat).c
+    c_eps = coercivity_constant(region.eps_hat)
 
     tris = region.triangles
     cent_rad = np.linalg.norm(mesh.centroids[tris], axis=1)
@@ -287,16 +275,6 @@ class OdeComparison:
         if np.any(t < self.r0 * (1.0 - 1e-12)):
             raise ValueError("solution is defined from r0 onward")
         return _riccati_y(t, self.r0, self.mu, self.delta, self.c)
-
-    def record_items(self):
-        return [
-            ("r0", self.r0),
-            ("mu", self.mu),
-            ("delta", self.delta),
-            ("C", self.c),
-            ("r1", self.r1),
-            ("n_samples", len(self.t)),
-        ]
 
 
 def _riccati_y(t: np.ndarray, r0: float, mu: float, delta: float,
@@ -387,39 +365,35 @@ class ComparisonVerdict:
         ]
 
 
-def _params_match(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
-def comparison_verdict(scan: FluxScan, ode: OdeComparison) -> ComparisonVerdict:
+def comparison_verdict(scan: FluxScan) -> ComparisonVerdict:
     """Check eta(r) >= y(r) below the blow-up radius and summarize.
 
-    The scan and the comparison solution must share (r0, mu, delta, c).
-    Radii flagged by the scan are excluded from the consistency requirement
-    since the inequality chain already failed there, but the innermost
-    failing radius is reported unconditionally.
+    r1 and y are those of the Riccati problem with the scan's (r0, mu,
+    delta, c_eps), the one ``riccati_comparison`` samples.  Radii flagged
+    by the scan are excluded from the consistency requirement since the
+    inequality chain already failed there, but the innermost failing
+    radius is reported unconditionally.
     """
-    pairs = [(scan.r0, ode.r0), (scan.mu, ode.mu), (scan.delta, ode.delta),
-             (scan.c_eps, ode.c)]
-    if not all(_params_match(a, b) for a, b in pairs):
-        raise ValueError("scan and comparison solution parameters differ")
-    below = scan.radii < ode.r1 * (1.0 - 1e-12)
-    y_vals = ode.y_at(scan.radii[below])
-    holds = scan.eta[below] >= y_vals * (1.0 - 1e-12)
+    r0, mu, delta, c = scan.r0, scan.mu, scan.delta, scan.c_eps
+    r1 = blowup_radius(r0, mu, delta, c)
+    below = scan.radii < r1 * (1.0 - 1e-12)
+    radii = scan.radii[below]
+    y = _riccati_y(radii, r0, mu, delta, c)
+    holds = scan.eta[below] >= y * (1.0 - 1e-12)
     unflagged = ~scan.flags[below]
     checked = int(np.count_nonzero(unflagged))
     consistent = bool(np.all(holds[unflagged])) if checked else False
-    fails = scan.radii[below][~holds]
+    fails = radii[~holds]
     first_fail = float(fails[0]) if len(fails) else -1.0
     trunc = float(scan.radii[-1])
-    regime = "truncated" if trunc < ode.r1 else "blowup_reached"
+    regime = "truncated" if trunc < r1 else "blowup_reached"
     return ComparisonVerdict(
-        r0=scan.r0, r1=ode.r1, mu=scan.mu, delta=scan.delta, c=scan.c_eps,
+        r0=r0, r1=r1, mu=mu, delta=delta, c=c,
         n_radii=len(scan.radii), n_below_blowup=int(np.count_nonzero(below)),
         n_flagged=scan.n_flagged, n_checked=checked,
         n_holding=int(np.count_nonzero(holds)), consistent=consistent,
         first_fail_r=first_fail, truncation_r=trunc,
-        truncation_ratio=trunc / ode.r1, regime=regime,
+        truncation_ratio=trunc / r1, regime=regime,
     )
 
 

@@ -22,7 +22,7 @@ from maxsurf import (
     blowup_radius,
     build_annulus,
     build_rectangle,
-    coercivity_constants,
+    coercivity_constant,
     comparison_verdict,
     flux_form,
     flux_monotonicity,
@@ -100,7 +100,7 @@ def run_flux_experiment(h, outdir=None):
     region = level_region(mesh, v, vp)
     scan = flux_scan(mesh, v, vp, region, radial_grid(mesh, region))
     ode = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
-    verdict = comparison_verdict(scan, ode)
+    verdict = comparison_verdict(scan)
     if outdir is not None:
         tag = f"flux_h{h:g}"
         save_scan(scan, outdir / f"{tag}_scan.csv")
@@ -192,7 +192,7 @@ def test_criterion_1_coercivity_certificate(acceptance_log, lemma_runs):
     with criterion(acceptance_log, 1,
                    "sampled coercivity bound, confirmed by grid oracle") as note:
         for report in lemma_runs:
-            bound = coercivity_constants(report.eps).c
+            bound = coercivity_constant(report.eps)
             assert report.violations == 0
             assert report.min_ratio >= bound
             floor = ratio_grid_minimum(report.eps)

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from maxsurf import (
     save_mesh,
     solve,
 )
+from maxsurf import cli as cli_module
 from maxsurf.cli import main
 from maxsurf.expressions import MAX_DEPTH
 from maxsurf.records import fmt
@@ -176,6 +178,32 @@ def test_solve_nonconvergence_exit(capsys, tmp_path):
     assert read_record(tmp_path / "bad_report.txt")["converged"] == "0"
 
 
+def test_solve_failed_start_traces_its_step_zero_row(capsys, tmp_path):
+    # the rectangle of the square16-affine case in test_solver
+    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.0625",
+               "--bc", "2*x", "--trace", "--out", "bad"])
+    assert rc == 2
+    assert "no spacelike initial guess" in capsys.readouterr().err
+    [row] = read_trace(tmp_path / "bad_trace.csv")
+    assert (row["solve"], row["step"], row["cycle"]) == ("1", "0", "none")
+    report = read_record(tmp_path / "bad_report.txt")
+    check_trace_rows([row], report)
+    assert report["residual"] == report["energy"] == "nan"
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 93.6 GiB for an array")
+
+    monkeypatch.setattr("maxsurf.cli.build_annulus", refuse)
+    rc = main(["solve", "--shape", "annulus:1:2", "--h", "1e-9", "--bc", "x",
+               "--out", "o"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to"), err
+    assert "Traceback" not in err
+
+
 def test_shape_parsing_errors(capsys):
     checks = [
         ["solve", "--shape", "disk:1", "--h", "0.25", "--bc", "0"],
@@ -207,6 +235,21 @@ def test_lemma_writes_report(capsys, tmp_path):
     report = read_record(tmp_path / "l_lemma.txt")
     assert report["n_samples"] == "2000"
     assert float(report["C"]) == pytest.approx(0.512)
+
+
+def test_lemma_names_its_violations(capsys, tmp_path, monkeypatch):
+    real = cli_module.sample_coercivity
+
+    def violated(*args, **kwargs):
+        return replace(real(*args, **kwargs), violations=3)
+
+    monkeypatch.setattr(cli_module, "sample_coercivity", violated)
+    rc = main(["lemma", "--eps", "0.4", "--samples", "100", "--out", "l"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "violations=3" in captured.out
+    assert captured.err == "3 coercivity violations\n"
+    assert read_record(tmp_path / "l_lemma.txt")["violations"] == "3"
 
 
 def test_lemma_rejects_bad_margin(capsys):
@@ -306,6 +349,25 @@ def test_uniqueness_inline_solves(capsys, tmp_path):
     assert verdict["n_flagged"] == "0"
     assert verdict["regime"] in ("truncated", "blowup_reached")
     capsys.readouterr()
+
+
+def test_uniqueness_names_its_flagged_radii(capsys, tmp_path, monkeypatch):
+    real = cli_module.flux_scan
+
+    def flagged(*args, **kwargs):
+        scan = real(*args, **kwargs)
+        flags = np.zeros(len(scan.radii), dtype=bool)
+        flags[:2] = True
+        return replace(scan, flags=flags)
+
+    monkeypatch.setattr(cli_module, "flux_scan", flagged)
+    rc = main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1",
+                      "--radii", "2.5,2.75,3,3.25,3.5,3.75", "--out", "u"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "n_flagged=2" in captured.out
+    assert captured.err == "2 of 6 radii break the flux inequality\n"
+    assert read_record(tmp_path / "u_verdict.txt")["n_flagged"] == "2"
 
 
 def test_uniqueness_identical_fields_empty_region(capsys, tmp_path):
@@ -531,7 +593,9 @@ def test_decay_prints_table(capsys, tmp_path):
 def test_decay_zero_offset_not_decreasing(capsys):
     rc = main(["decay", "--lengths", "1,2", "--s", "0", "--h", "0.5"])
     assert rc == 1
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out.startswith("L=1 diff=")
+    assert captured.err == "center differences do not decrease strictly\n"
 
 
 def test_decay_input_validation(capsys):
@@ -660,6 +724,7 @@ def test_field_io_and_conjugation_import_no_scipy_sparse(tmp_path):
 
 UNIQUENESS_PROBE = """
 import sys
+from maxsurf import cli as cli_module
 from maxsurf.cli import main
 assert main(["uniqueness", "--shape", "annulus:1:4", "--h", "0.2",
              "--artificial", "outer", "--bc", "0", "--art0", "0",

@@ -13,7 +13,7 @@ from maxsurf import (
     TopologyError,
     build_annulus,
     build_rectangle,
-    coercivity_constants,
+    coercivity_constant,
     flux_form,
     integrate_potential,
     max_interior_circulation,
@@ -323,7 +323,7 @@ def test_wedge_coercivity_on_solved_pair(solved_pair):
                 np.linalg.norm(gp, axis=1).max())
     eps_hat = 1.0 - worst
     assert eps_hat > 0.0
-    c = coercivity_constants(eps_hat).c
+    c = coercivity_constant(eps_hat)
     diff_form = flux_form(mesh, v) - flux_form(mesh, vp)
     diff = v - vp
     rng = np.random.default_rng(31)

@@ -10,7 +10,7 @@ from maxsurf import (
     SolverConfig,
     SpacelikeError,
     build_rectangle,
-    coercivity_constants,
+    coercivity_constant,
     energy,
     flux_coeffs,
     flux_gap_sq,
@@ -209,10 +209,10 @@ def test_pairing_nonnegative(g, g2):
 @given(g=gradients, g2=gradients)
 def test_coercivity_pointwise(g, g2):
     eps = 1.0 - max(np.linalg.norm(g), np.linalg.norm(g2))
-    consts = coercivity_constants(eps)
+    c = coercivity_constant(eps)
     lhs = flux_monotonicity(g, g2)
     rhs = flux_gap_sq(g, g2)
-    assert lhs >= consts.c * rhs * (1.0 - 1e-9) - 1e-15
+    assert lhs >= c * rhs * (1.0 - 1e-9) - 1e-15
     # the two factors of the chain hold separately
     assert 0.5 * (area_density(g) + area_density(g2)) >= c1(eps) * (1.0 - 1e-12)
     assert normal_gap_sq(g, g2) >= c2(eps) * rhs * (1.0 - 1e-9) - 1e-15
@@ -250,27 +250,27 @@ def test_angle_factor_bounded_below():
 def test_constants_closed_forms():
     assert c1(0.4) == pytest.approx(0.8, rel=1e-14)
     assert c2(0.4) == pytest.approx(0.64, rel=1e-14)
-    assert coercivity_constants(0.4).c == pytest.approx(0.512, rel=1e-14)
+    assert coercivity_constant(0.4) == pytest.approx(0.512, rel=1e-14)
     assert c1(0.4) * c2(0.4) == pytest.approx(0.512, rel=1e-14)
     assert r_max(0.4) == pytest.approx(0.75, rel=1e-14)
-    assert coercivity_constants(0.1).c == pytest.approx(0.0828, abs=5e-5)
-    assert coercivity_constants(0.5).c == pytest.approx(0.6495, abs=5e-5)
+    assert coercivity_constant(0.1) == pytest.approx(0.0828, abs=5e-5)
+    assert coercivity_constant(0.5) == pytest.approx(0.6495, abs=5e-5)
 
 
 def test_constants_degenerate_margin():
-    assert (c1(1.0), c2(1.0), coercivity_constants(1.0).c, r_max(1.0)) \
+    assert (c1(1.0), c2(1.0), coercivity_constant(1.0), r_max(1.0)) \
         == (1.0, 1.0, 1.0, 0.0)
 
 
 def test_constants_reject_bad_eps():
     for eps in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            coercivity_constants(eps)
+            coercivity_constant(eps)
 
 
 def test_constants_monotone_in_eps():
     eps = np.linspace(0.01, 1.0, 60)
-    for constant in (c1, c2, lambda e: coercivity_constants(e).c):
+    for constant in (c1, c2, coercivity_constant):
         seq = [constant(e) for e in eps]
         assert all(a <= b + 1e-15 for a, b in zip(seq, seq[1:]))
     r = [r_max(e) for e in eps]
@@ -281,7 +281,7 @@ def test_grid_search_confirms_constant():
     # independent sweep over (|g|, |g'|, angle); the closed form is a lower
     # bound everywhere and nearly attained at the rim
     eps = 0.3
-    consts = coercivity_constants(eps)
+    c = coercivity_constant(eps)
     rr = np.linspace(0.0, 1.0 - eps, 60)
     th = np.linspace(0.0, math.pi, 60)
     best = np.inf
@@ -299,8 +299,8 @@ def test_grid_search_confirms_constant():
         mask = rhs > 1e-20
         if mask.any():
             best = min(best, float((lhs[mask] / rhs[mask]).min()))
-    assert best >= consts.c * (1.0 - 1e-12)
-    assert best <= 2.0 * consts.c
+    assert best >= c * (1.0 - 1e-12)
+    assert best <= 2.0 * c
 
 
 # ----------------------------------------------------------------------

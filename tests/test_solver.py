@@ -763,7 +763,12 @@ def test_initial_guess_ladder_without_a_spacelike_rung(case):
     assert report.reason == "no spacelike initial guess"
     assert report.margin == NO_GUESS_MARGINS[case] == 1.0 - guess.max_norm
     assert math.isnan(report.residual) and math.isnan(report.energy)
-    assert report.iterations == 0 and report.steps == []
+    assert report.iterations == 0
+    # the failed start is reported by its step-0 row
+    [row] = report.steps
+    assert math.isnan(row.residual) and math.isnan(row.energy)
+    assert row.margin == NO_GUESS_MARGINS[case]
+    assert (row.cycle, row.step_length, row.backtracks) == ("none", 0.0, 0)
 
 
 def test_one_gradient_per_lorentz_iterate(monkeypatch):
@@ -1193,6 +1198,21 @@ def test_max_newton_exceeded_reported():
     assert not rep.converged
     assert rep.reason == "max_newton exceeded"
     assert rep.iterations == 1
+
+
+def test_failed_solve_reports_its_last_row_without_recomputing(monkeypatch):
+    m = build_annulus(1.0, 2.0, 0.1)
+    bc = np.where(np.linalg.norm(m.vertices, axis=1) > 1.5, 0.5, 0.0)
+    residuals = count_calls(monkeypatch, "residual")
+    energies = count_calls(monkeypatch, "energy")
+    v, rep = solve(m, bc, SolverConfig(max_newton=1))
+    assert rep.reason == "max_newton exceeded"
+    # the start and the one Newton iterate, each evaluated once
+    assert (len(residuals), len(energies)) == (2, 2)
+    last = rep.steps[-1]
+    assert (rep.residual, rep.energy, rep.margin) == \
+        (last.residual, last.energy, last.margin)
+    assert rep.margin == gradient_margin(m, v)
 
 
 def test_solve_requires_free_vertices():

@@ -1,6 +1,7 @@
 """Level regions, flux scans, the Riccati comparison, and strip decay."""
 
 import math
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from maxsurf import (
     build_annulus,
     build_rectangle,
     comparison_verdict,
-    coercivity_constants,
+    coercivity_constant,
     flux_form,
     flux_scan,
     gradient_margin,
@@ -198,7 +199,7 @@ def test_flux_scan_constant_difference_form(annulus_coarse):
     grid = radial_grid(annulus_coarse, region)
     scan = flux_scan(annulus_coarse, v, vp, region, grid)
     assert scan.r0 == grid[0]
-    assert scan.c_eps == pytest.approx(coercivity_constants(0.4).c, rel=1e-11)
+    assert scan.c_eps == pytest.approx(coercivity_constant(0.4), rel=1e-11)
     active = scan.length > 0.0
     assert active.any()
     np.testing.assert_allclose(scan.eta[active] / scan.length[active], 0.75,
@@ -251,9 +252,6 @@ def test_flux_scan_reported_inequality(annulus_coarse):
     np.testing.assert_array_equal(scan.rhs, 2.0 * region.delta * scan.eta)
     np.testing.assert_array_equal(
         scan.flags, scan.lhs > scan.rhs * (1.0 + scan.tol_rel))
-    keys = [k for k, _ in scan.record_items()]
-    assert keys == ["r0", "delta", "eps_hat", "C", "mu", "tol_rel",
-                    "n_radii", "n_flagged"]
 
 
 def test_flux_scan_validation(square4, annulus_coarse):
@@ -403,7 +401,7 @@ def test_verdict_consistent_past_blowup():
     eta = np.append(2.5 * ode.y_at(radii[:3]), 100.0)
     scan = synthetic_scan(radii, eta)
     assert not scan.flags.any()
-    verdict = comparison_verdict(scan, ode)
+    verdict = comparison_verdict(scan)
     assert verdict.consistent
     assert verdict.first_fail_r == -1.0
     assert verdict.n_below_blowup == 3
@@ -418,7 +416,7 @@ def test_verdict_reports_first_failure():
     eta = np.append(2.5 * ode.y_at(radii[:3]), 100.0)
     eta[1] = 0.9 * ode.y_at(1.3)
     scan = synthetic_scan(radii, eta, flags=np.zeros(4, dtype=bool))
-    verdict = comparison_verdict(scan, ode)
+    verdict = comparison_verdict(scan)
     assert not verdict.consistent
     assert verdict.first_fail_r == pytest.approx(1.3)
     assert verdict.n_holding == 2
@@ -432,7 +430,7 @@ def test_verdict_excludes_flagged_radii():
     eta = np.append(2.5 * ode.y_at(radii[:3]), 100.0)
     eta[1] = 0.9 * ode.y_at(1.3)
     flags = np.array([False, True, False, False])
-    verdict = comparison_verdict(synthetic_scan(radii, eta, flags=flags), ode)
+    verdict = comparison_verdict(synthetic_scan(radii, eta, flags=flags))
     assert verdict.consistent
     assert verdict.n_flagged == 1 and verdict.n_checked == 2
     assert verdict.first_fail_r == pytest.approx(1.3)
@@ -443,7 +441,7 @@ def test_verdict_with_everything_flagged_is_inconclusive():
     radii = np.array([1.0, 1.3, 1.6])
     eta = 2.5 * ode.y_at(radii)
     flags = np.ones(3, dtype=bool)
-    verdict = comparison_verdict(synthetic_scan(radii, eta, flags=flags), ode)
+    verdict = comparison_verdict(synthetic_scan(radii, eta, flags=flags))
     assert not verdict.consistent
     assert verdict.n_checked == 0
 
@@ -451,8 +449,7 @@ def test_verdict_with_everything_flagged_is_inconclusive():
 def test_verdict_truncated_regime():
     ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
     radii = np.array([1.0, 1.2, 1.4])
-    verdict = comparison_verdict(
-        synthetic_scan(radii, 2.5 * ode.y_at(radii)), ode)
+    verdict = comparison_verdict(synthetic_scan(radii, 2.5 * ode.y_at(radii)))
     assert verdict.regime == "truncated"
     assert verdict.truncation_ratio == pytest.approx(1.4 / ode.r1)
     assert verdict.n_below_blowup == 3
@@ -465,19 +462,50 @@ def test_verdict_blowup_inside_anchor_is_inconclusive():
     ode = riccati_comparison(1.0, mu, 0.05, 0.5)
     assert ode.r1 == pytest.approx(1.0, rel=1e-12)
     assert ode.t[0] == 1.0 and np.isfinite(ode.y).all()
-    verdict = comparison_verdict(
-        synthetic_scan([1.0, 1.5], [5.0, 5.0], mu=mu), ode)
+    verdict = comparison_verdict(synthetic_scan([1.0, 1.5], [5.0, 5.0], mu=mu))
     assert verdict.n_below_blowup == 0
     assert verdict.n_checked == 0
     assert not verdict.consistent
     assert verdict.regime == "blowup_reached"
 
 
-def test_verdict_rejects_parameter_mismatch():
-    ode = riccati_comparison(1.0, 0.5, 0.05, 0.5)
-    scan = synthetic_scan([1.0, 1.3], [10.0, 10.0])
-    with pytest.raises(ValueError, match="differ"):
-        comparison_verdict(scan, ode)
+@settings(max_examples=150, deadline=None)
+@given(r0=st.floats(0.1, 10.0), mu=st.floats(0.05, 20.0),
+       delta=st.floats(0.01, 1.0), c=st.floats(0.05, 2.0),
+       cells=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.5, 2.0),
+                                st.booleans()), min_size=1, max_size=12))
+def test_verdict_reads_the_riccati_solution_of_its_scan(r0, mu, delta, c,
+                                                        cells):
+    # the verdict derives r1 and y from the scan alone; they are those of
+    # the curve that riccati_comparison samples for the _ode.csv file
+    exponent = 16.0 * math.pi * delta * delta / (mu * c)
+    assume(exponent <= 300.0)
+    # radii r0 (r1/r0)^f for f in [0, 2]: inside and beyond the blow-up
+    cells = sorted(cells)
+    fractions, factors, flags = (np.array(col) for col in zip(*cells))
+    radii = r0 * np.exp(exponent * np.concatenate([[0.0], fractions[1:]]))
+    assume(np.all(np.diff(radii) > 0.0))
+    ode = riccati_comparison(r0, mu, delta, c)
+    y = ode.y_at(radii)
+    eta = np.where(np.isfinite(y), y, 1.0) * factors
+    verdict = comparison_verdict(
+        synthetic_scan(radii, eta, flags=flags, delta=delta, c=c, mu=mu))
+
+    below = radii < ode.r1 * (1.0 - 1e-12)
+    holds = eta[below] >= ode.y_at(radii[below]) * (1.0 - 1e-12)
+    unflagged = ~flags[below]
+    fails = radii[below][~holds]
+    assert asdict(verdict) == {
+        "r0": r0, "r1": ode.r1, "mu": mu, "delta": delta, "c": c,
+        "n_radii": len(radii), "n_below_blowup": int(below.sum()),
+        "n_flagged": int(flags.sum()), "n_checked": int(unflagged.sum()),
+        "n_holding": int(holds.sum()),
+        "consistent": bool(unflagged.any() and holds[unflagged].all()),
+        "first_fail_r": float(fails[0]) if len(fails) else -1.0,
+        "truncation_r": float(radii[-1]),
+        "truncation_ratio": float(radii[-1]) / ode.r1,
+        "regime": "truncated" if radii[-1] < ode.r1 else "blowup_reached",
+    }
 
 
 # ---------------------------------------------------------------------------
