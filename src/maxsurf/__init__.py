@@ -30,10 +30,9 @@ from .forms import (ClosednessError, TopologyError, circulations,
 from .duality import (conjugate_pair_coeffs, maximal_conjugate,
                       minimal_conjugate, return_trip_error, round_trip_error)
 from .uniqueness import (ComparisonVerdict, DecayTable, FluxScan,
-                         LevelRegion, OdeComparison, blowup_radius,
-                         comparison_verdict, flux_scan, level_region,
-                         perturbation_decay, radial_grid,
-                         riccati_comparison, save_scan)
+                         LevelRegion, blowup_radius, comparison_verdict,
+                         flux_scan, level_region, perturbation_decay,
+                         radial_grid, riccati_comparison, save_scan)
 from .expressions import Expression, ExpressionError
 
 __version__ = "0.1.0"

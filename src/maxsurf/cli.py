@@ -252,10 +252,10 @@ def cmd_uniqueness(args) -> int:
     else:
         radii = radial_grid(mesh, region, ratio=args.ratio)
     scan = flux_scan(mesh, v, vp, region, radii, tol_rel=args.tol_rel)
-    ode = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
+    t, y = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
     verdict = comparison_verdict(scan)
     save_scan(scan, f"{args.out}_scan.csv")
-    write_csv(f"{args.out}_ode.csv", ODE_HEADER, [ode.t, ode.y])
+    write_csv(f"{args.out}_ode.csv", ODE_HEADER, [t, y])
     _emit(verdict.record_items(), f"{args.out}_verdict.txt")
     return _verified(scan.n_flagged, f"{scan.n_flagged} of {len(scan.radii)} "
                      "radii break the flux inequality")

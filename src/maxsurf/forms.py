@@ -200,22 +200,25 @@ def polyline_pieces(mesh: Mesh, radii, triangles=None):
 
 
 def _bfs_tree(mesh: Mesh):
-    """Breadth-first order and predecessors of the triangle adjacency graph.
+    """Breadth-first order, predecessors and level sizes of the triangle
+    adjacency graph.
 
     Rooted at triangle 0, first in first out, each triangle's neighbors
     taken in ascending index order.  Predecessors of the root and of
     unreached triangles are -1.  Built one level at a time: the unvisited
     neighbors of a level, listed by parent position and then ascending
     index and each kept at its first occurrence, are the next level in
-    the order a FIFO queue reaches them.
+    the order a FIFO queue reaches them.  The sizes count the triangles
+    at each depth, the root's level of one first.
     """
     nbrs = np.sort(mesh.neighbors, axis=1)  # boundary slots (-1) first
     pred = np.full(mesh.triangle_count, -1, dtype=np.int64)
     seen = np.zeros(mesh.triangle_count, dtype=bool)
     seen[0] = True
     level = np.zeros(1, dtype=np.int64)
-    levels = [level]
+    levels = []
     while len(level):
+        levels.append(level)
         cand = nbrs[level].ravel()
         parent = np.repeat(level, 3)
         fresh = (cand >= 0) & ~seen[cand]
@@ -224,16 +227,15 @@ def _bfs_tree(mesh: Mesh):
         level = cand[first]
         pred[level] = parent[first]
         seen[level] = True
-        levels.append(level)
-    return np.concatenate(levels), pred
+    return np.concatenate(levels), pred, [len(level) for level in levels]
 
 
 class _PotentialTree:
     """The arrays of one mesh that ``integrate_potential`` reads.
 
     ``child`` and ``parent`` list the BFS tree edges in BFS order, each
-    level one slice of them in ``levels`` (BFS order lists the tree level
-    by level, and the parents' positions never decrease).  The path between
+    level one slice of them in ``levels``, cut at ``_bfs_tree``'s level
+    sizes (a child's parent lies in the level before).  The path between
     their centroids crosses the midpoint of their shared edge: ``to_mid``
     runs from the parent's centroid to it, ``from_mid`` on to the child's.
     ``to_corner`` runs from each centroid to the triangle's corners, listed
@@ -248,7 +250,7 @@ class _PotentialTree:
         t = mesh.triangles
         coords = mesh.vertices.T
         cent = mesh.centroids
-        order, pred = _bfs_tree(mesh)
+        order, pred, sizes = _bfs_tree(mesh)
         self.child = order[1:]
         self.parent = pred[self.child]
         slot = np.argmax(mesh.neighbors[self.parent] == self.child[:, None],
@@ -263,15 +265,10 @@ class _PotentialTree:
             np.subtract(m, cent[self.parent, d], out=self.to_mid[d])
             np.subtract(cent[self.child, d], m, out=self.from_mid[d])
             np.subtract(c[t.T], cent[:, d], out=self.to_corner[d])
-        pos = np.empty(mesh.triangle_count, dtype=np.int64)
-        pos[order] = np.arange(mesh.triangle_count)
-        parent_pos = pos[self.parent]
-        self.levels = []
-        start = 0
-        while start < len(self.child):
-            stop = int(np.searchsorted(parent_pos, start + 1))
-            self.levels.append(slice(start, stop))
-            start = stop
+        # child omits the root, so each level ends one slot before its end
+        # in order
+        ends = (np.cumsum(sizes) - 1).tolist()
+        self.levels = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
         self.corner = t.T.ravel()
         self.corner_count = np.bincount(self.corner,

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import field_items
+
 LIGHTLIKE_GUARD = 1e-14
 
 
@@ -59,9 +61,8 @@ def flux_coeffs(g) -> np.ndarray:
     a maximal surface, which is what makes it integrable to a conjugate
     potential.
     """
-    g = np.asarray(g, dtype=float)
-    w = _density(g)
-    return np.stack([-g[..., 1] / w, g[..., 0] / w], axis=-1)
+    x = normalized_gradient(g)
+    return np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
 
 def normalized_gradient(g) -> np.ndarray:
@@ -108,14 +109,7 @@ class CoercivityReport:
     violations: int
 
     def record_items(self):
-        return [
-            ("eps", self.eps),
-            ("C", self.c),
-            ("n_samples", self.n_samples),
-            ("seed", self.seed),
-            ("min_ratio", self.min_ratio),
-            ("violations", self.violations),
-        ]
+        return field_items(self)
 
 
 RATIO_FLOOR = 1e-20  # pairs with smaller squared gap are skipped as 0/0
@@ -141,16 +135,13 @@ def sample_coercivity(eps: float, n_samples: int, seed: int) -> CoercivityReport
     lhs = flux_monotonicity(g, g2)
     rhs = flux_gap_sq(g, g2)
     valid = rhs >= RATIO_FLOOR
-    if not np.any(valid):
-        return CoercivityReport(eps=float(eps), c=c, n_samples=n_samples,
-                                seed=seed, min_ratio=float("inf"), violations=0)
     ratio = lhs[valid] / rhs[valid]
     return CoercivityReport(
         eps=float(eps),
         c=c,
         n_samples=n_samples,
         seed=seed,
-        min_ratio=float(ratio.min()),
+        min_ratio=float(ratio.min(initial=np.inf)),
         violations=int(np.count_nonzero(ratio < c)),
     )
 

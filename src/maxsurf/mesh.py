@@ -58,6 +58,9 @@ class Mesh:
         c = np.asarray(self.vertex_class)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be (V, 2)")
+        # a nan corner would pass the degenerate-triangle test below
+        if not np.isfinite(v).all():
+            raise ValueError("vertex coordinates must be finite")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triangles must be (T, 3)")
         if c.shape != (len(v),):

@@ -7,6 +7,7 @@ bit for bit and repeated runs are byte identical.
 from __future__ import annotations
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,6 +26,12 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return FLOAT_FMT % float(value)
+
+
+def field_items(record) -> list[tuple]:
+    """A dataclass's (key, value) pairs in field order; field c has key C."""
+    return [("C" if f.name == "c" else f.name, getattr(record, f.name))
+            for f in fields(record)]
 
 
 def record_lines(items) -> list[str]:

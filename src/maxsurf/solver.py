@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -111,9 +111,6 @@ COARSE_RCOND = 1e-13      # bottom pivots up to this fraction of the largest dia
 # lagged hierarchy: rebuild after a lagged system this much slower per decade
 LAG_RATE_FACTOR = 2.0
 LAG_MIN_DECADES = 1.0     # looser solves count as one decade
-
-TRACE_HEADER = ("solve,step,residual,forcing,matvecs,achieved,step_length,"
-                "backtracks,cycle,energy,margin")
 
 
 class NonConvergenceError(RuntimeError):
@@ -172,6 +169,10 @@ class NewtonStep:
     margin: float
 
 
+TRACE_HEADER = ",".join(["solve", "step",
+                         *(f.name for f in fields(NewtonStep))])
+
+
 @dataclass
 class SolveReport:
     """Outcome of one solve; serialized as a flat key=value record.
@@ -217,25 +218,20 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
-def p1_gradient(mesh: Mesh, values: np.ndarray, triangles=None) -> np.ndarray:
+def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """(T, 2) constant gradient of the piecewise-linear interpolant.
 
     Computed corner by corner from the rows of ``mesh.basis_columns``,
     summed over corners 0, 1, 2 from the left, so the result is the
-    transposed view of a (2, T) array of contiguous x and y rows.  With
-    ``triangles``, an index array, only those rows, in that order.
+    transposed view of a (2, T) array of contiguous x and y rows.
     """
     values = _check_field(mesh, values)
     corners = mesh.triangles
-    if triangles is not None:
-        corners = corners[triangles]
     g = np.empty((2, len(corners)))
     term = np.empty(len(corners))
     for i in range(3):
         vi = values[corners[:, i]]
         for row, b in zip(g, mesh.basis_columns[:, i]):
-            if triangles is not None:
-                b = b[triangles]
             if i == 0:
                 np.multiply(vi, b, out=row)
             else:
@@ -350,12 +346,8 @@ def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
     return _weighted_divergence(mesh, wx, wy)[mesh.interior_vertices]
 
 
-def residual_norm(mesh: Mesh, values: np.ndarray, config: SolverConfig) -> float:
-    """Euclidean residual norm scaled by the total mesh area."""
-    return _area_norm(mesh, residual(mesh, values, config))
-
-
-def _area_norm(mesh: Mesh, r: np.ndarray) -> float:
+def residual_norm(mesh: Mesh, r: np.ndarray) -> float:
+    """Euclidean norm of a ``residual`` vector over the total mesh area."""
     return _norm(r) / mesh.total_area
 
 
@@ -917,8 +909,8 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     docstring describes.  A step is accepted when the candidate is
     spacelike at SIGMA_MIN and the residual norm satisfies the
     sufficient-decrease test; the step is halved otherwise.
-    Convergence is declared only on the area-scaled residual norm,
-    recomputed at each accepted iterate.
+    Convergence is declared only on the area-scaled ``residual_norm``,
+    measured at the start and at every candidate inside the light cone.
     """
     if config is None:
         config = SolverConfig()
@@ -932,7 +924,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     if started or ev.spacelike(SIGMA_MIN):
         if r is None:
             r = residual(mesh, ev.values, config, at=ev)
-        res = _area_norm(mesh, r)
+        res = residual_norm(mesh, r)
         area = energy(mesh, ev.values, config, at=ev)
     steps = [NewtonStep(res, tol, matvecs, achieved, 0.0, 0, "none", area,
                         1.0 - ev.max_norm)]
@@ -972,7 +964,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
             trial = _Evaluation(mesh, candidate, config.metric)
             if trial.spacelike(SIGMA_MIN):
                 r = residual(mesh, candidate, config, at=trial)
-                new_res = _area_norm(mesh, r)
+                new_res = residual_norm(mesh, r)
                 if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
                     target = (trial, new_res)
                     break
@@ -995,12 +987,14 @@ def gradient_margin(mesh: Mesh, values: np.ndarray, triangles=None) -> float:
     """Measured spacelike margin 1 - max_T |grad v| over a triangle subset.
 
     ``triangles`` defaults to all of them; an empty subset is an error.
+    The subset's rows are gathered from the full ``p1_gradient``.
     """
+    rows = slice(None)
     if triangles is not None:
-        triangles = np.asarray(triangles, dtype=np.int64)
-        if len(triangles) == 0:
+        rows = np.asarray(triangles, dtype=np.int64)
+        if len(rows) == 0:
             raise ValueError("empty triangle subset")
-    g = p1_gradient(mesh, values, triangles)
+    g = p1_gradient(mesh, values)[rows]
     return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
 
 

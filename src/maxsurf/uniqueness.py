@@ -22,7 +22,7 @@ import numpy as np
 from .forms import flux_form, polyline_pieces
 from .lorentz import coercivity_constant
 from .mesh import ARTIFICIAL, Mesh, build_strip
-from .records import write_csv
+from .records import field_items, write_csv
 from .solver import (NonConvergenceError, SolverConfig, _check_field,
                      gradient_margin, solve)
 
@@ -184,10 +184,9 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     v = _check_field(mesh, v)
     vp = _check_field(mesh, vp)
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0:
+    # polyline_pieces checks that they are 1d, positive and increasing
+    if radii.size == 0:
         raise ValueError("radii must be a nonempty 1d sequence")
-    if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
-        raise ValueError("radii must be positive and strictly increasing")
     if not (0.0 < region.eps_hat <= 1.0):
         raise ValueError("region gradient margin must lie in (0, 1]")
     # false for nan as well, which would leave every radius unflagged
@@ -252,31 +251,6 @@ def save_scan(scan: FluxScan, path) -> None:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OdeComparison:
-    """Blow-up solution of y' = c y^2 / (4 pi delta t), y(r0) = mu/(4 delta).
-
-    r1 = r0 * exp(16 pi delta^2 / (mu c)) is where the closed-form solution
-    1/y(t) = 4 delta/mu - (c / 4 pi delta) ln(t/r0) diverges.  t and y hold
-    samples on a logarithmic grid up to just below r1.
-    """
-
-    r0: float
-    mu: float
-    delta: float
-    c: float
-    r1: float
-    t: np.ndarray
-    y: np.ndarray
-
-    def y_at(self, t) -> np.ndarray:
-        """Closed-form solution at the given radii; inf at or beyond r1."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.r0 * (1.0 - 1e-12)):
-            raise ValueError("solution is defined from r0 onward")
-        return _riccati_y(t, self.r0, self.mu, self.delta, self.c)
-
-
 def _riccati_y(t: np.ndarray, r0: float, mu: float, delta: float,
                c: float) -> np.ndarray:
     """Closed-form blow-up solution at radii t >= r0; inf at or beyond r1."""
@@ -298,11 +272,14 @@ def blowup_radius(r0: float, mu: float, delta: float, c: float) -> float:
 
 
 def riccati_comparison(r0: float, mu: float, delta: float, c: float,
-                       n_samples: int = 200) -> OdeComparison:
-    """Closed-form blow-up solution sampled on a log grid in [r0, r1).
+                       n_samples: int = 200):
+    """Blow-up solution of y' = c y^2 / (4 pi delta t), y(r0) = mu/(4 delta).
 
-    The grid ends at r1 * (1 - 1e-6); y is strictly increasing with
-    y(r0) = mu / (4 delta) and diverges as t approaches r1.
+    Returns (t, y): the closed-form solution
+    1/y(t) = 4 delta/mu - (c / 4 pi delta) ln(t/r0) sampled on a log grid
+    from r0 to r1 * (1 - 1e-6), where r1 = r0 exp(16 pi delta^2 / (mu c))
+    is ``blowup_radius``; y is strictly increasing with y(r0) = mu/(4 delta)
+    and diverges as t approaches r1.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -310,8 +287,7 @@ def riccati_comparison(r0: float, mu: float, delta: float, c: float,
     # a huge anchor collapses r1 onto r0; keep the grid inside [r0, r1)
     t = np.geomspace(r0, max(r0, r1 * (1.0 - 1e-6)), n_samples)
     t[0] = r0
-    return OdeComparison(r0=r0, mu=mu, delta=delta, c=c, r1=r1, t=t,
-                         y=_riccati_y(t, r0, mu, delta, c))
+    return t, _riccati_y(t, r0, mu, delta, c)
 
 
 # ----------------------------------------------------------------------
@@ -346,23 +322,7 @@ class ComparisonVerdict:
     regime: str
 
     def record_items(self):
-        return [
-            ("r0", self.r0),
-            ("r1", self.r1),
-            ("mu", self.mu),
-            ("delta", self.delta),
-            ("C", self.c),
-            ("n_radii", self.n_radii),
-            ("n_below_blowup", self.n_below_blowup),
-            ("n_flagged", self.n_flagged),
-            ("n_checked", self.n_checked),
-            ("n_holding", self.n_holding),
-            ("consistent", self.consistent),
-            ("first_fail_r", self.first_fail_r),
-            ("truncation_r", self.truncation_r),
-            ("truncation_ratio", self.truncation_ratio),
-            ("regime", self.regime),
-        ]
+        return field_items(self)
 
 
 def comparison_verdict(scan: FluxScan) -> ComparisonVerdict:

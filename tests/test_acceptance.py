@@ -99,14 +99,14 @@ def run_flux_experiment(h, outdir=None):
     assert report.converged and report_p.converged
     region = level_region(mesh, v, vp)
     scan = flux_scan(mesh, v, vp, region, radial_grid(mesh, region))
-    ode = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
+    t, y = riccati_comparison(scan.r0, scan.mu, scan.delta, scan.c_eps)
     verdict = comparison_verdict(scan)
     if outdir is not None:
         tag = f"flux_h{h:g}"
         save_scan(scan, outdir / f"{tag}_scan.csv")
-        write_csv(outdir / f"{tag}_ode.csv", ODE_HEADER, [ode.t, ode.y])
+        write_csv(outdir / f"{tag}_ode.csv", ODE_HEADER, [t, y])
         write_record(outdir / f"{tag}_verdict.txt", verdict.record_items())
-    return mesh, v, scan, ode, verdict
+    return mesh, v, scan, (t, y), verdict
 
 
 def ratio_grid_minimum(eps, resolution=200):
@@ -322,10 +322,10 @@ def test_criterion_8_blowup_radius_and_tracking(acceptance_log):
             ref = mp.mpf(r0) * mp.exp(
                 16 * mp.pi * mp.mpf(delta) ** 2 / (mp.mpf(mu) * mp.mpf(c)))
             worst_r1 = max(worst_r1, abs(r1 - float(ref)) / float(ref))
-            ode = riccati_comparison(r0, mu, delta, c)
-            y_num, blow = riccati_rk4(r0, mu, delta, c, ode.t)
-            below_cap = ode.y <= 1e6
-            rel = np.abs(y_num[below_cap] - ode.y[below_cap]) / ode.y[below_cap]
+            t, y = riccati_comparison(r0, mu, delta, c)
+            y_num, blow = riccati_rk4(r0, mu, delta, c, t)
+            below_cap = y <= 1e6
+            rel = np.abs(y_num[below_cap] - y[below_cap]) / y[below_cap]
             worst_track = max(worst_track, float(rel.max()))
             worst_blow = max(worst_blow, blow / r1)
         assert worst_r1 <= 1e-12

@@ -491,6 +491,12 @@ def check_trace_rows(rows, report):
         assert rows[-1][key] == report[key]
 
 
+def test_trace_header_is_pinned():
+    # made from NewtonStep's field order: moving a field moves a column
+    assert TRACE_HEADER == ("solve,step,residual,forcing,matvecs,achieved,"
+                            "step_length,backtracks,cycle,energy,margin")
+
+
 def test_trace_rows_match_the_final_reports(capsys, tmp_path):
     assert main(["solve", "--shape", "rect:1x1", "--h", "0.125", "--metric",
                  "euclid", "--bc", "10*x*y", "--trace", "--out", "s"]) == 0

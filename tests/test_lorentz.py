@@ -339,3 +339,5 @@ def test_report_record_keys():
     rep = sample_coercivity(0.5, 1_000, seed=0)
     keys = [k for k, _ in rep.record_items()]
     assert keys == ["eps", "C", "n_samples", "seed", "min_ratio", "violations"]
+    assert [v for _, v in rep.record_items()] == [
+        rep.eps, rep.c, rep.n_samples, rep.seed, rep.min_ratio, rep.violations]

@@ -195,6 +195,18 @@ def test_triangle_indices_checked_before_cast(tris, message):
         Mesh(v, np.array(tris), c, h=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    # a nan corner makes its triangles' signed areas nan, which the
+    # degenerate-triangle test (area <= 0) lets through
+    mesh = build_rectangle(1.0, 1.0, 0.5)
+    v = mesh.vertices.copy()
+    v[4, 0] = bad
+    assert np.any(mesh.triangles == 4)
+    with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+        Mesh(v, mesh.triangles, mesh.vertex_class, mesh.h)
+
+
 def test_integral_float_inputs_accepted():
     v, t, c = unit_tri_mesh()
     mesh = Mesh(v, t.astype(float), c.astype(float), h=1.0)
@@ -291,6 +303,14 @@ def test_load_mesh_bad_lines(tmp_path, old, new):
     path = tmp_path / "m.txt"
     path.write_text(MESH_TEXT.replace(old, new, 1))
     with pytest.raises(ValueError):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_mesh_names_a_non_finite_coordinate(tmp_path, value):
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT.replace("1 1 1\n", f"1 {value} 1\n", 1))
+    with pytest.raises(ValueError, match="mesh vertex lines: non-finite"):
         load_mesh(path)
 
 

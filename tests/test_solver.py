@@ -113,7 +113,7 @@ def test_interpolated_catenoid_residual_decays():
     for h in (0.2, 0.1):
         m = build_annulus(1.0, 2.0, h)
         exact = np.arcsinh(np.linalg.norm(m.vertices, axis=1))
-        norms.append(residual_norm(m, exact, LORENTZ))
+        norms.append(residual_norm(m, residual(m, exact, LORENTZ)))
     assert norms[1] <= 0.5 * norms[0]
 
 
@@ -482,7 +482,7 @@ def test_line_search_residual_is_the_next_right_hand_side(monkeypatch):
     # data (for the right-hand side), the initial guess and every
     # candidate; the Newton matrices, energies and margins reuse them
     assert len(gradients) == 3 + candidates
-    assert report.residual == residual_norm(mesh, v, EUCLID)
+    assert report.residual == residual_norm(mesh, residual(mesh, v, EUCLID))
     assert report.steps[-1].residual == report.residual
 
 
@@ -507,7 +507,7 @@ TICKS = """
 import glob, os, time
 import numpy as np
 from maxsurf import (SolverConfig, build_rectangle, cg_solve, energy,
-                     residual_norm, tangent_matrix)
+                     residual, residual_norm, tangent_matrix)
 from maxsurf.solver import _VCycle
 
 def cpu_ticks():
@@ -543,7 +543,7 @@ for _ in range(8):
     cg_solve(k, rhs, 1e-12, cycle)
 for _ in range(4):
     energy(mesh, field, config)
-    residual_norm(mesh, field, config)
+    residual_norm(mesh, residual(mesh, field, config))
 main1, other1 = cpu_ticks()
 print(k.shape[0], main1 - main0, other1 - other0)
 """
@@ -730,6 +730,13 @@ def saddle_case():
     return mesh, x * x - y * y, EUCLID
 
 
+def backtracking_case():
+    # its first two Newton steps are halved twice and once
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
+    x, y = mesh.vertices.T
+    return mesh, 10.0 * x * y, EUCLID
+
+
 SQUARE16 = build_rectangle(1.0, 1.0, 1.0 / 16)
 ANNULUS = build_annulus(1.0, 2.0, 0.2)
 
@@ -783,7 +790,33 @@ def test_one_gradient_per_lorentz_iterate(monkeypatch):
     # the harmonic extension's zero field and its data (for the right-hand
     # side), the start and every candidate
     assert len(gradients) == 3 + candidates
-    assert report.residual == residual_norm(mesh, v, LORENTZ)
+    assert report.residual == residual_norm(mesh, residual(mesh, v, LORENTZ))
+
+
+@pytest.mark.parametrize("case,backtracks", [(catenoid_case, False),
+                                             (backtracking_case, True)])
+def test_every_reported_residual_is_measured_by_residual_norm(
+        case, backtracks, monkeypatch):
+    norms = []
+    real = solver_module.residual_norm
+
+    def recording(*args):
+        norms.append(real(*args))
+        return norms[-1]
+
+    monkeypatch.setattr(solver_module, "residual_norm", recording)
+    mesh, bc, config = case()
+    _, report = solve(mesh, bc, config)
+    assert report.converged
+    tried = [1 + row.backtracks for row in report.steps[1:]]
+    assert (sum(tried) > len(tried)) == backtracks
+    # the start, then every candidate (all inside the light cone here), so
+    # 1 + iterations calls without backtracks; the last candidate of each
+    # step is the accepted one
+    accepted = np.cumsum([0] + tried)
+    assert len(norms) == 1 + accepted[-1]
+    assert [norms[i] for i in accepted] == [row.residual
+                                            for row in report.steps]
 
 
 def test_evaluation_of_another_field_is_refused():
@@ -1050,7 +1083,7 @@ def exact_newton(mesh, bc, config):
     by a sparse direct solve, until the residual norm is at round-off."""
     v = _harmonic_extension(mesh, bc, config)[0].values
     free = mesh.interior_vertices
-    res = residual_norm(mesh, v, config)
+    res = residual_norm(mesh, residual(mesh, v, config))
     for _ in range(20):
         if res <= 1e-14:
             return v
@@ -1060,7 +1093,7 @@ def exact_newton(mesh, bc, config):
             trial = v.copy()
             trial[free] += step * d
             try:
-                trial_res = residual_norm(mesh, trial, config)
+                trial_res = residual_norm(mesh, residual(mesh, trial, config))
             except SpacelikeError:
                 trial_res = np.inf
             if trial_res < res:
@@ -1075,7 +1108,7 @@ def test_inexact_newton_converges_to_the_exact_newton_field(case):
     mesh, bc, config = case()
     v, report = solve(mesh, bc, config)
     assert report.converged
-    assert report.residual == residual_norm(mesh, v, config)
+    assert report.residual == residual_norm(mesh, residual(mesh, v, config))
     assert report.residual <= config.residual_tol
     ref = exact_newton(mesh, bc, config)
     # to first order v - ref = K^-1 F(v), so |v - ref|_inf <= |F|_2 / lambda_min(K)

@@ -36,6 +36,7 @@ from maxsurf.uniqueness import (
     FluxScan,
     LevelRegion,
     SCAN_HEADER,
+    _riccati_y,
 )
 
 from oracles import riccati_rk4
@@ -328,41 +329,50 @@ def test_blowup_radius_validation():
         blowup_radius(1.0, 1.0, 10.0, 0.01)
 
 
+# (r0, mu, delta, c) of the Riccati tests
+RICCATI = (1.0, 0.4, 0.05, 0.5)
+
+
+def y_at(t, params=RICCATI):
+    """The closed-form Riccati solution at radii t, inf at and past r1."""
+    return _riccati_y(np.asarray(t, dtype=float), *params)
+
+
 def test_comparison_initial_value_and_slope():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
-    assert ode.t[0] == 1.0
-    assert ode.y[0] == pytest.approx(0.4 / 0.2, rel=1e-15)
-    assert np.all(np.diff(ode.y) > 0.0)
+    t, y = riccati_comparison(*RICCATI)
+    assert t[0] == 1.0
+    assert y[0] == pytest.approx(0.4 / 0.2, rel=1e-15)
+    assert np.all(np.diff(y) > 0.0)
+    np.testing.assert_array_equal(y, y_at(t))
+    assert t[-1] == blowup_radius(*RICCATI) * (1.0 - 1e-6)
     # the reciprocal is affine in log radius with slope -C/(4 pi delta)
-    slope = np.diff(1.0 / ode.y) / np.diff(np.log(ode.t))
+    slope = np.diff(1.0 / y) / np.diff(np.log(t))
     np.testing.assert_allclose(slope, -0.5 / (FOUR_PI * 0.05), rtol=1e-10)
     with pytest.raises(ValueError, match="two samples"):
         riccati_comparison(1.0, 0.4, 0.05, 0.5, n_samples=1)
 
 
 def test_closed_form_domain():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
-    with pytest.raises(ValueError, match="r0"):
-        ode.y_at([0.5])
-    vals = ode.y_at([1.0, ode.r1, 2.0 * ode.r1])
+    r1 = blowup_radius(*RICCATI)
+    vals = y_at([1.0, r1, 2.0 * r1])
     assert vals[0] == pytest.approx(2.0, rel=1e-15)
     assert np.isinf(vals[1]) and np.isinf(vals[2])
 
 
 def test_rk4_tracks_closed_form():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
-    t_eval = np.geomspace(1.0, ode.r1 * 0.99, 15)
-    y_rk, blow = riccati_rk4(1.0, 0.4, 0.05, 0.5, t_eval)
-    np.testing.assert_allclose(y_rk, ode.y_at(t_eval), rtol=1e-8)
-    assert 0.999 * ode.r1 <= blow <= 1.001 * ode.r1
+    r1 = blowup_radius(*RICCATI)
+    t_eval = np.geomspace(1.0, r1 * 0.99, 15)
+    y_rk, blow = riccati_rk4(*RICCATI, t_eval)
+    np.testing.assert_allclose(y_rk, y_at(t_eval), rtol=1e-8)
+    assert 0.999 * r1 <= blow <= 1.001 * r1
 
 
 def test_rk4_marks_post_blowup_samples_inf():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
-    y_rk, blow = riccati_rk4(1.0, 0.4, 0.05, 0.5, [1.0, 1.5 * ode.r1])
+    r1 = blowup_radius(*RICCATI)
+    y_rk, blow = riccati_rk4(*RICCATI, [1.0, 1.5 * r1])
     assert y_rk[0] == pytest.approx(2.0, rel=1e-10)
     assert np.isinf(y_rk[1])
-    assert blow < 1.001 * ode.r1
+    assert blow < 1.001 * r1
 
 
 def test_rk4_validation():
@@ -396,9 +406,8 @@ def synthetic_scan(radii, eta, flags=None, delta=0.05, c=0.5, mu=0.4,
 
 
 def test_verdict_consistent_past_blowup():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
     radii = np.array([1.0, 1.3, 1.6, 1.9])
-    eta = np.append(2.5 * ode.y_at(radii[:3]), 100.0)
+    eta = np.append(2.5 * y_at(radii[:3]), 100.0)
     scan = synthetic_scan(radii, eta)
     assert not scan.flags.any()
     verdict = comparison_verdict(scan)
@@ -411,10 +420,9 @@ def test_verdict_consistent_past_blowup():
 
 
 def test_verdict_reports_first_failure():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
     radii = np.array([1.0, 1.3, 1.6, 1.9])
-    eta = np.append(2.5 * ode.y_at(radii[:3]), 100.0)
-    eta[1] = 0.9 * ode.y_at(1.3)
+    eta = np.append(2.5 * y_at(radii[:3]), 100.0)
+    eta[1] = 0.9 * y_at(1.3)
     scan = synthetic_scan(radii, eta, flags=np.zeros(4, dtype=bool))
     verdict = comparison_verdict(scan)
     assert not verdict.consistent
@@ -425,10 +433,9 @@ def test_verdict_reports_first_failure():
 def test_verdict_excludes_flagged_radii():
     # a radius where the scan inequality already failed does not count
     # against consistency, but its failure is still reported
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
     radii = np.array([1.0, 1.3, 1.6, 1.9])
-    eta = np.append(2.5 * ode.y_at(radii[:3]), 100.0)
-    eta[1] = 0.9 * ode.y_at(1.3)
+    eta = np.append(2.5 * y_at(radii[:3]), 100.0)
+    eta[1] = 0.9 * y_at(1.3)
     flags = np.array([False, True, False, False])
     verdict = comparison_verdict(synthetic_scan(radii, eta, flags=flags))
     assert verdict.consistent
@@ -437,9 +444,8 @@ def test_verdict_excludes_flagged_radii():
 
 
 def test_verdict_with_everything_flagged_is_inconclusive():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
     radii = np.array([1.0, 1.3, 1.6])
-    eta = 2.5 * ode.y_at(radii)
+    eta = 2.5 * y_at(radii)
     flags = np.ones(3, dtype=bool)
     verdict = comparison_verdict(synthetic_scan(radii, eta, flags=flags))
     assert not verdict.consistent
@@ -447,11 +453,11 @@ def test_verdict_with_everything_flagged_is_inconclusive():
 
 
 def test_verdict_truncated_regime():
-    ode = riccati_comparison(1.0, 0.4, 0.05, 0.5)
     radii = np.array([1.0, 1.2, 1.4])
-    verdict = comparison_verdict(synthetic_scan(radii, 2.5 * ode.y_at(radii)))
+    verdict = comparison_verdict(synthetic_scan(radii, 2.5 * y_at(radii)))
     assert verdict.regime == "truncated"
-    assert verdict.truncation_ratio == pytest.approx(1.4 / ode.r1)
+    assert verdict.truncation_ratio == pytest.approx(
+        1.4 / blowup_radius(*RICCATI))
     assert verdict.n_below_blowup == 3
 
 
@@ -459,14 +465,25 @@ def test_verdict_blowup_inside_anchor_is_inconclusive():
     # huge anchor energy collapses r1 onto r0: every scanned radius sits
     # at or past the blow-up and nothing is checkable
     mu = 16.0 * math.pi * 0.05 ** 2 / (0.5 * 1e-13)
-    ode = riccati_comparison(1.0, mu, 0.05, 0.5)
-    assert ode.r1 == pytest.approx(1.0, rel=1e-12)
-    assert ode.t[0] == 1.0 and np.isfinite(ode.y).all()
+    t, y = riccati_comparison(1.0, mu, 0.05, 0.5)
+    assert blowup_radius(1.0, mu, 0.05, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert t[0] == 1.0 and np.isfinite(y).all()
     verdict = comparison_verdict(synthetic_scan([1.0, 1.5], [5.0, 5.0], mu=mu))
     assert verdict.n_below_blowup == 0
     assert verdict.n_checked == 0
     assert not verdict.consistent
     assert verdict.regime == "blowup_reached"
+
+
+def test_verdict_record_keys():
+    # made from the field order, with C for c
+    verdict = comparison_verdict(synthetic_scan([1.0, 1.3], [5.0, 5.0]))
+    items = verdict.record_items()
+    assert [k for k, _ in items] == [
+        "r0", "r1", "mu", "delta", "C", "n_radii", "n_below_blowup",
+        "n_flagged", "n_checked", "n_holding", "consistent", "first_fail_r",
+        "truncation_r", "truncation_ratio", "regime"]
+    assert [v for _, v in items] == list(asdict(verdict).values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -485,26 +502,28 @@ def test_verdict_reads_the_riccati_solution_of_its_scan(r0, mu, delta, c,
     fractions, factors, flags = (np.array(col) for col in zip(*cells))
     radii = r0 * np.exp(exponent * np.concatenate([[0.0], fractions[1:]]))
     assume(np.all(np.diff(radii) > 0.0))
-    ode = riccati_comparison(r0, mu, delta, c)
-    y = ode.y_at(radii)
+    r1 = blowup_radius(r0, mu, delta, c)
+    y = y_at(radii, (r0, mu, delta, c))
+    t, y_ode = riccati_comparison(r0, mu, delta, c)
+    np.testing.assert_array_equal(y_ode, y_at(t, (r0, mu, delta, c)))
     eta = np.where(np.isfinite(y), y, 1.0) * factors
     verdict = comparison_verdict(
         synthetic_scan(radii, eta, flags=flags, delta=delta, c=c, mu=mu))
 
-    below = radii < ode.r1 * (1.0 - 1e-12)
-    holds = eta[below] >= ode.y_at(radii[below]) * (1.0 - 1e-12)
+    below = radii < r1 * (1.0 - 1e-12)
+    holds = eta[below] >= y[below] * (1.0 - 1e-12)
     unflagged = ~flags[below]
     fails = radii[below][~holds]
     assert asdict(verdict) == {
-        "r0": r0, "r1": ode.r1, "mu": mu, "delta": delta, "c": c,
+        "r0": r0, "r1": r1, "mu": mu, "delta": delta, "c": c,
         "n_radii": len(radii), "n_below_blowup": int(below.sum()),
         "n_flagged": int(flags.sum()), "n_checked": int(unflagged.sum()),
         "n_holding": int(holds.sum()),
         "consistent": bool(unflagged.any() and holds[unflagged].all()),
         "first_fail_r": float(fails[0]) if len(fails) else -1.0,
         "truncation_r": float(radii[-1]),
-        "truncation_ratio": float(radii[-1]) / ode.r1,
-        "regime": "truncated" if radii[-1] < ode.r1 else "blowup_reached",
+        "truncation_ratio": float(radii[-1]) / r1,
+        "regime": "truncated" if radii[-1] < r1 else "blowup_reached",
     }
 
 

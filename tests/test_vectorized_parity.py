@@ -187,7 +187,7 @@ def sliced_tree_potential(mesh, form):
     t = mesh.triangles
     cent = mesh.centroids
     pts = mesh.vertices
-    order, pred = _bfs_tree(mesh)
+    order, pred, _ = _bfs_tree(mesh)
     child = order[1:]
     parent = pred[child]
     slot = np.argmax(mesh.neighbors[parent] == child[:, None], axis=1)
@@ -318,11 +318,16 @@ def closed_form(mesh, kind, seed):
 @settings(max_examples=40, deadline=None)
 @given(mesh=rectangles())
 def test_bfs_tree_matches_deque(mesh):
-    order, pred = _bfs_tree(mesh)
+    order, pred, sizes = _bfs_tree(mesh)
     ref_order, ref_parent = deque_tree(mesh)
     np.testing.assert_array_equal(order, ref_order)
     np.testing.assert_array_equal(pred[order[1:]], ref_parent[ref_order[1:]])
     assert pred[0] < 0
+    # the level sizes are the counts of the deque tree's depths
+    depth = np.zeros(mesh.triangle_count, dtype=np.int64)
+    for t in ref_order[1:]:
+        depth[t] = depth[ref_parent[t]] + 1
+    assert sizes == np.bincount(depth).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1086,8 +1091,6 @@ def test_subset_margin_matches_gathered_gradients(mesh, seed, data):
         st.integers(0, mesh.triangle_count - 1), min_size=1, max_size=50)))
     assert gradient_margin(mesh, v, subset) == gathered_margin(mesh, v,
                                                                subset)
-    np.testing.assert_array_equal(p1_gradient(mesh, v, subset),
-                                  p1_gradient(mesh, v)[subset])
 
 
 # ----------------------------------------------------------------------
