@@ -437,6 +437,9 @@ def load_mesh(path) -> Mesh:
         h = float(header[2])
         if nv < 1 or nt < 1:
             raise ValueError("bad mesh header: counts must be positive")
+        if not 0.0 < h < np.inf:
+            raise ValueError(f"bad mesh header: h = {header[2]} is not "
+                             "finite and positive")
         vert = read_rows(fh, 3, "mesh vertex lines", max_rows=nv)
         tris = read_rows(fh, 3, "mesh triangle lines", max_rows=nt,
                          dtype=np.int64)

@@ -983,18 +983,9 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     return ev.values, SolveReport(True, "", steps)
 
 
-def gradient_margin(mesh: Mesh, values: np.ndarray, triangles=None) -> float:
-    """Measured spacelike margin 1 - max_T |grad v| over a triangle subset.
-
-    ``triangles`` defaults to all of them; an empty subset is an error.
-    The subset's rows are gathered from the full ``p1_gradient``.
-    """
-    rows = slice(None)
-    if triangles is not None:
-        rows = np.asarray(triangles, dtype=np.int64)
-        if len(rows) == 0:
-            raise ValueError("empty triangle subset")
-    g = p1_gradient(mesh, values)[rows]
+def gradient_margin(mesh: Mesh, values: np.ndarray) -> float:
+    """Measured spacelike margin 1 - max_T |grad v| over all triangles."""
+    g = p1_gradient(mesh, values)
     return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
 
 

@@ -19,14 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import flux_form, polyline_pieces
-from .lorentz import coercivity_constant
+from .forms import polyline_pieces
+from .lorentz import coercivity_constant, flux_coeffs
 from .mesh import ARTIFICIAL, Mesh, build_strip
 from .records import field_items, write_csv
 from .solver import (NonConvergenceError, SolverConfig, _check_field,
-                     gradient_margin, solve)
+                     p1_gradient, solve)
 
 LEVEL_CANDIDATES = 33
+ODE_SAMPLES = 200
 SCAN_HEADER = "r,eta,energy,lhs,rhs,flag"
 DECAY_HEADER = "L,diff"
 
@@ -46,16 +47,13 @@ class LevelRegion:
     delta is a quarter of sup(v - v'); a lies in [2*delta, 3*delta], so the
     shifted difference v - v' - a is bounded by 2*delta on the region.
     clearance is the smallest |v - v' - a| over all vertices: the level
-    avoids vertex values by at least this much.  eps_hat is the measured
-    spacelike margin: min over both fields of min over region triangles of
-    1 - |gradient|.  An empty region (no triangle centroid above the level)
-    carries eps_hat = nan.
+    avoids vertex values by at least this much.  The region is read from
+    vertex values only; ``flux_scan`` measures the gradients on it.
     """
 
     a: float
     delta: float
     triangles: np.ndarray
-    eps_hat: float
     clearance: float
 
     @property
@@ -79,7 +77,7 @@ def level_region(mesh: Mesh, v: np.ndarray, vp: np.ndarray) -> LevelRegion:
     if delta <= 0.0:
         return LevelRegion(a=0.0, delta=delta,
                            triangles=np.empty(0, dtype=np.int64),
-                           eps_hat=math.nan, clearance=math.nan)
+                           clearance=math.nan)
     candidates = np.linspace(2.0 * delta, 3.0 * delta, LEVEL_CANDIDATES)
     # the values nearest each candidate are its neighbours in sorted order
     # (the rounded |d - c| is monotone in d on either side of c); the
@@ -93,13 +91,7 @@ def level_region(mesh: Mesh, v: np.ndarray, vp: np.ndarray) -> LevelRegion:
     a = float(candidates[best])
     centroid_diff = diff[mesh.triangles].mean(axis=1)
     tris = np.where(centroid_diff - a > 0.0)[0].astype(np.int64)
-    if len(tris) == 0:
-        return LevelRegion(a=a, delta=delta, triangles=tris,
-                           eps_hat=math.nan,
-                           clearance=float(clearances[best]))
-    eps_hat = min(gradient_margin(mesh, v, tris),
-                  gradient_margin(mesh, vp, tris))
-    return LevelRegion(a=a, delta=delta, triangles=tris, eps_hat=eps_hat,
+    return LevelRegion(a=a, delta=delta, triangles=tris,
                        clearance=float(clearances[best]))
 
 
@@ -112,7 +104,9 @@ def level_region(mesh: Mesh, v: np.ndarray, vp: np.ndarray) -> LevelRegion:
 class FluxScan:
     """Per-radius flux and energy data for the differential inequality.
 
-    For each radius r: eta is the arclength integral of |difference form|
+    eps_hat is the measured spacelike margin on the region: min over both
+    fields of min over region triangles of 1 - |gradient|.  For each
+    radius r: eta is the arclength integral of |difference form|
     over the circle clipped to the region, energy the area integral of its
     squared norm over the region inside radius r, lhs and rhs the two sides
     mu + c_eps*(energy - energy[0]) and 2*delta*eta.  length and sq_line
@@ -146,7 +140,9 @@ def radial_grid(mesh: Mesh, region: LevelRegion, ratio: float = 1.1) -> np.ndarr
     Starts one ratio step above the innermost centroid radius so the first
     shell encloses a positive amount of region area, and extends by the
     given ratio until the outermost centroid radius.  Matches the
-    logarithmic structure of the comparison problem.
+    logarithmic structure of the comparison problem.  A ratio so close to 1
+    that the grid would hold more radii than the region has triangles is
+    refused before any radius is built.
     """
     if region.empty:
         raise ValueError("cannot build a radius grid for an empty region")
@@ -160,10 +156,14 @@ def radial_grid(mesh: Mesh, region: LevelRegion, ratio: float = 1.1) -> np.ndarr
     start = r_lo * ratio
     if start >= r_hi:
         return np.array([0.5 * (r_lo + r_hi)])
-    out = [start]
-    while out[-1] * ratio <= r_hi:
-        out.append(out[-1] * ratio)
-    return np.asarray(out)
+    count = math.floor(math.log(r_hi / start) / math.log(ratio)) + 1
+    if count > len(rad):
+        raise ValueError(f"ratio {ratio!r} gives {count} radii, more than "
+                         f"the region's {len(rad)} triangles")
+    # start, start * ratio, (start * ratio) * ratio, ...: one product more
+    # than counted, in case the logarithms rounded low
+    out = np.multiply.accumulate(np.r_[start, np.full(count, ratio)])
+    return out[out <= r_hi]
 
 
 def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
@@ -177,26 +177,28 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     constant, so every line integral is in closed form.  The anchor
     mu = c_eps * energy at the first radius must be positive, otherwise
     the region is too small to support the comparison and a ValueError is
-    raised.  Radii must be strictly increasing.
+    raised.  Radii must be strictly increasing.  Each field's P1 gradient
+    is taken once; it gives the difference form and the region's margin
+    eps_hat, and c_eps = c(eps_hat).
     """
     if region.empty:
         raise ValueError("flux scan needs a nonempty region")
-    v = _check_field(mesh, v)
-    vp = _check_field(mesh, vp)
+    g, gp = p1_gradient(mesh, v), p1_gradient(mesh, vp)
     radii = np.asarray(radii, dtype=float)
     # polyline_pieces checks that they are 1d, positive and increasing
     if radii.size == 0:
         raise ValueError("radii must be a nonempty 1d sequence")
-    if not (0.0 < region.eps_hat <= 1.0):
-        raise ValueError("region gradient margin must lie in (0, 1]")
     # false for nan as well, which would leave every radius unflagged
     if not 0.0 <= tol_rel < np.inf:
         raise ValueError("tol_rel must be finite and nonnegative")
 
-    alpha = flux_form(mesh, v) - flux_form(mesh, vp)
-    c_eps = coercivity_constant(region.eps_hat)
-
     tris = region.triangles
+    alpha = flux_coeffs(g) - flux_coeffs(gp)
+    steepest = max(np.sum(x * x, axis=-1).max() for x in (g[tris], gp[tris]))
+    eps_hat = float(1.0 - np.sqrt(steepest))
+    del g, gp  # else held through the arc clipping, where the scan peaks
+    c_eps = coercivity_constant(eps_hat)
+
     cent_rad = np.linalg.norm(mesh.centroids[tris], axis=1)
     order = np.argsort(cent_rad, kind="stable")
     sq_density = np.sum(alpha[tris] ** 2, axis=1) * mesh.areas[tris]
@@ -216,7 +218,7 @@ def flux_scan(mesh: Mesh, v: np.ndarray, vp: np.ndarray, region: LevelRegion,
     rhs = 2.0 * region.delta * eta
     flags = lhs > rhs * (1.0 + tol_rel)
     return FluxScan(r0=float(radii[0]), delta=region.delta,
-                    eps_hat=region.eps_hat, c_eps=c_eps, mu=mu,
+                    eps_hat=eps_hat, c_eps=c_eps, mu=mu,
                     tol_rel=tol_rel, radii=radii, eta=eta, energy=energy,
                     lhs=lhs, rhs=rhs, flags=flags, length=length,
                     sq_line=sq_line)
@@ -271,21 +273,19 @@ def blowup_radius(r0: float, mu: float, delta: float, c: float) -> float:
     return r0 * math.exp(exponent)
 
 
-def riccati_comparison(r0: float, mu: float, delta: float, c: float,
-                       n_samples: int = 200):
+def riccati_comparison(r0: float, mu: float, delta: float, c: float):
     """Blow-up solution of y' = c y^2 / (4 pi delta t), y(r0) = mu/(4 delta).
 
     Returns (t, y): the closed-form solution
-    1/y(t) = 4 delta/mu - (c / 4 pi delta) ln(t/r0) sampled on a log grid
-    from r0 to r1 * (1 - 1e-6), where r1 = r0 exp(16 pi delta^2 / (mu c))
-    is ``blowup_radius``; y is strictly increasing with y(r0) = mu/(4 delta)
-    and diverges as t approaches r1.
+    1/y(t) = 4 delta/mu - (c / 4 pi delta) ln(t/r0) at ``ODE_SAMPLES``
+    points of a log grid from r0 to r1 * (1 - 1e-6), where
+    r1 = r0 exp(16 pi delta^2 / (mu c)) is ``blowup_radius``; y is
+    strictly increasing with y(r0) = mu/(4 delta) and diverges as t
+    approaches r1.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
     r1 = blowup_radius(r0, mu, delta, c)
     # a huge anchor collapses r1 onto r0; keep the grid inside [r0, r1)
-    t = np.geomspace(r0, max(r0, r1 * (1.0 - 1e-6)), n_samples)
+    t = np.geomspace(r0, max(r0, r1 * (1.0 - 1e-6)), ODE_SAMPLES)
     t[0] = r0
     return t, _riccati_y(t, r0, mu, delta, c)
 

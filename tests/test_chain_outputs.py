@@ -1,4 +1,4 @@
-"""The command chains that tools/chain_outputs.py runs, checked by --list."""
+"""tools/chain_outputs.py: the chains --list gives, and a run into a relative OUT."""
 
 import importlib.util
 import shlex
@@ -10,9 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "chain_outputs.py"
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,7 +28,8 @@ def listed():
 
 
 def test_list_gives_the_seed0_workload_chains_with_trace():
-    workloads = load_workloads()
+    workloads = load("perfbench_workloads",
+                     ROOT / "perfbench" / "workloads.py")
     chains = listed()
     for name, workload in workloads.WORKLOADS.items():
         expected = workload.commands(workload.inputs(0)[0])
@@ -40,3 +40,15 @@ def test_list_gives_the_seed0_workload_chains_with_trace():
     # and one lemma and one decay command
     assert {name: [cmd[0] for cmd in cmds] for name, cmds in chains.items()} \
         == {"lemma": ["lemma"], "decay": ["decay"]}
+
+
+def test_relative_out_reaches_the_prepare_step(tmp_path, monkeypatch):
+    # the prepare step runs inside OUT/<chain>; one cheap command after it
+    tool = load("chain_outputs", SCRIPT)
+    monkeypatch.setattr(tool, "chains", lambda: {"conjugate-rect": [
+        ["lemma", "--eps", "0.3", "--samples", "10", "--out", "run"]]})
+    monkeypatch.chdir(tmp_path)
+    assert tool.main([str(ROOT / "src"), "out"]) == 0
+    workdir = tmp_path / "out" / "conjugate-rect"
+    assert (workdir / "rect.mesh").is_file()
+    assert (workdir / "0_lemma.exit").read_text() == "0\n"

@@ -115,6 +115,16 @@ def test_solve_bad_topology_mesh_is_one_error_line(capsys, tmp_path, text,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_solve_mesh_header_h_is_one_error_line(capsys, tmp_path, value):
+    (tmp_path / "m.txt").write_text(
+        f"4 2 {value}\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0 1 2\n0 2 3\n")
+    rc = main(["solve", "--mesh", "m.txt", "--bc", "0.4*x", "--out", "g"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: bad mesh header: h = {value} is not finite and positive\n")
+
+
 def test_solve_rejects_bad_expressions(capsys):
     base = ["solve", "--shape", "rect:1x1", "--h", "0.25"]
     assert main(base + ["--bc", "sin("]) == 1
@@ -456,6 +466,16 @@ def test_uniqueness_explicit_radii(capsys, tmp_path):
     assert main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1",
                         "--radii", "0,1"]) == 1
     capsys.readouterr()
+
+
+def test_uniqueness_ratio_just_above_one_is_one_error_line(capsys):
+    # the grid would need millions of radii; it is refused before any is built
+    rc = main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1",
+                      "--ratio", "1.000000000001"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ratio 1.000000000001 gives ")
 
 
 def test_uniqueness_seg_len_is_a_usage_error(capsys, tmp_path):

@@ -314,6 +314,15 @@ def test_load_mesh_names_a_non_finite_coordinate(tmp_path, value):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_load_mesh_rejects_a_header_h_that_is_not_positive(tmp_path, value):
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT.replace("4 2 1\n", f"4 2 {value}\n", 1))
+    with pytest.raises(ValueError, match=f"bad mesh header: h = {value} is "
+                       "not finite and positive"):
+        load_mesh(path)
+
+
 def test_load_mesh_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_mesh(tmp_path / "nope.txt")

@@ -1290,10 +1290,6 @@ def test_gradient_margin_values(square4):
     assert gradient_margin(square4, np.zeros(square4.vertex_count)) == 1.0
     v = affine_field(square4, 0.6, 0.0)
     assert gradient_margin(square4, v) == pytest.approx(0.4, rel=1e-12)
-    assert gradient_margin(square4, v, triangles=np.array([0, 1])) == \
-        pytest.approx(0.4, rel=1e-12)
-    with pytest.raises(ValueError, match="empty"):
-        gradient_margin(square4, v, triangles=np.array([], dtype=np.int64))
 
 
 def test_field_round_trip(tmp_path, square4):

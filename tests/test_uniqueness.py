@@ -1,6 +1,7 @@
 """Level regions, flux scans, the Riccati comparison, and strip decay."""
 
 import math
+import sys
 from dataclasses import asdict
 
 import mpmath
@@ -29,12 +30,14 @@ from maxsurf import (
     save_scan,
     solve,
 )
+import maxsurf.solver
 from maxsurf.records import read_csv
 from maxsurf.uniqueness import (
     DECAY_HEADER,
     FOUR_PI,
     FluxScan,
     LevelRegion,
+    ODE_SAMPLES,
     SCAN_HEADER,
     _riccati_y,
 )
@@ -56,9 +59,10 @@ def test_level_region_of_tilted_plane(square4):
     # 0.5 of the candidate window clears them by the full 0.1
     assert region.a == pytest.approx(0.5, rel=1e-12)
     assert region.clearance == pytest.approx(0.1, rel=1e-12)
-    assert region.eps_hat == pytest.approx(0.2, abs=1e-12)
     # membership is decided at centroids
     assert square4.centroids[region.triangles, 0].min() > 0.625
+    scan = flux_scan(square4, v, vp, region, radial_grid(square4, region))
+    assert scan.eps_hat == pytest.approx(0.2, abs=1e-12)
 
 
 def test_level_offset_stays_in_window(annulus_coarse):
@@ -86,7 +90,9 @@ def test_level_region_constant_difference_covers_mesh(square4):
     assert region.delta == pytest.approx(1.0, rel=1e-15)
     assert 2.0 <= region.a <= 3.0
     assert len(region.triangles) == square4.triangle_count
-    assert region.eps_hat == pytest.approx(0.9, abs=1e-12)
+    scan = flux_scan(square4, vp + 4.0, vp, region,
+                     radial_grid(square4, region))
+    assert scan.eps_hat == pytest.approx(0.9, abs=1e-12)
 
 
 def test_level_region_empty_when_not_above(square4):
@@ -94,7 +100,6 @@ def test_level_region_empty_when_not_above(square4):
     region = level_region(square4, v, np.zeros(square4.vertex_count))
     assert region.empty
     assert region.delta <= 0.0
-    assert math.isnan(region.eps_hat)
 
 
 def test_level_region_empty_for_corner_spike(square4):
@@ -106,7 +111,6 @@ def test_level_region_empty_for_corner_spike(square4):
     assert region.a == pytest.approx(0.5, rel=1e-12)
     assert region.clearance == pytest.approx(0.5, rel=1e-12)
     assert region.empty
-    assert math.isnan(region.eps_hat)
 
 
 def test_level_region_sits_in_deep_interior():
@@ -126,8 +130,9 @@ def test_level_region_sits_in_deep_interior():
     depth = np.linalg.norm(mesh.vertices[members], axis=1) - 1.0
     assert depth.min() > region.delta
     # restricting to the region cannot shrink the measured margin
+    scan = flux_scan(mesh, v, vp, region, radial_grid(mesh, region))
     whole = min(gradient_margin(mesh, v), gradient_margin(mesh, vp))
-    assert region.eps_hat >= whole
+    assert scan.eps_hat >= whole
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +161,7 @@ def test_radial_grid_single_radius(annulus_coarse):
     t = int(region.triangles[0])
     narrow = LevelRegion(a=region.a, delta=region.delta,
                          triangles=np.array([t], dtype=np.int64),
-                         eps_hat=region.eps_hat, clearance=region.clearance)
+                         clearance=region.clearance)
     grid = radial_grid(annulus_coarse, narrow)
     r = float(np.linalg.norm(annulus_coarse.centroids[t]))
     np.testing.assert_allclose(grid, [r], rtol=1e-15)
@@ -165,11 +170,12 @@ def test_radial_grid_single_radius(annulus_coarse):
 def test_radial_grid_validation(square4, annulus_coarse):
     empty = LevelRegion(a=0.0, delta=0.0,
                         triangles=np.empty(0, dtype=np.int64),
-                        eps_hat=math.nan, clearance=math.nan)
+                        clearance=math.nan)
     with pytest.raises(ValueError, match="empty"):
         radial_grid(square4, empty)
     _, _, region = annulus_region(annulus_coarse)
-    for bad in (1.0, math.nan, math.inf):
+    # just above 1 the grid would need billions of radii
+    for bad in (1.0, 1.0 + 1e-12, math.nan, math.inf):
         with pytest.raises(ValueError, match="ratio"):
             radial_grid(annulus_coarse, region, ratio=bad)
 
@@ -184,9 +190,36 @@ def test_radial_grid_rejects_origin():
     mesh = Mesh(v, t, c, h=2.0)
     region = LevelRegion(a=0.1, delta=0.1,
                          triangles=np.array([0], dtype=np.int64),
-                         eps_hat=0.5, clearance=0.1)
+                         clearance=0.1)
     with pytest.raises(ValueError, match="origin"):
         radial_grid(mesh, region)
+
+
+def looped_grid(start, r_hi, ratio, cap):
+    """The grid as a loop of products builds it, or None past cap radii."""
+    out = [start]
+    while out[-1] * ratio <= r_hi:
+        if len(out) == cap:
+            return None
+        out.append(out[-1] * ratio)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio=st.floats(1.0, 2.0, exclude_min=True))
+def test_radial_grid_matches_the_product_loop(annulus_coarse, ratio):
+    _, _, region = annulus_region(annulus_coarse)
+    rad = np.linalg.norm(annulus_coarse.centroids[region.triangles], axis=1)
+    start, r_hi = rad.min() * ratio, rad.max()
+    expected = looped_grid(start, r_hi, ratio, len(region.triangles) + 1)
+    if start >= r_hi:
+        expected = [0.5 * (rad.min() + r_hi)]
+    if expected is None or len(expected) > len(region.triangles):
+        with pytest.raises(ValueError, match="radii, more than"):
+            radial_grid(annulus_coarse, region, ratio=ratio)
+    else:
+        np.testing.assert_array_equal(
+            radial_grid(annulus_coarse, region, ratio=ratio), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +253,7 @@ def test_flux_scan_is_exact_for_affine_fields(annulus_coarse):
     vp = -0.1 * x + 0.25 * y
     region = LevelRegion(a=0.1, delta=1.0,
                          triangles=np.arange(annulus_coarse.triangle_count),
-                         eps_hat=0.5, clearance=0.0)
+                         clearance=0.0)
     radii = np.array([1.15, 1.5, 1.83])
     scan = flux_scan(annulus_coarse, v, vp, region, radii)
     alpha = (flux_form(annulus_coarse, v) - flux_form(annulus_coarse, vp))[0]
@@ -259,7 +292,7 @@ def test_flux_scan_validation(square4, annulus_coarse):
     v, vp, region = annulus_region(annulus_coarse)
     empty = LevelRegion(a=0.0, delta=0.0,
                         triangles=np.empty(0, dtype=np.int64),
-                        eps_hat=math.nan, clearance=math.nan)
+                        clearance=math.nan)
     with pytest.raises(ValueError, match="nonempty"):
         flux_scan(annulus_coarse, v, vp, empty, [1.5])
     for bad in ([], [1.5, 1.5], [-1.0, 1.5]):
@@ -268,14 +301,31 @@ def test_flux_scan_validation(square4, annulus_coarse):
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol_rel"):
             flux_scan(annulus_coarse, v, vp, region, [1.5, 1.8], tol_rel=bad)
-    lame = LevelRegion(a=region.a, delta=region.delta,
-                       triangles=region.triangles, eps_hat=-0.2,
-                       clearance=region.clearance)
-    with pytest.raises(ValueError, match="margin"):
-        flux_scan(annulus_coarse, v, vp, lame, [1.5, 1.8])
     # radii far inside the region's innermost centroid enclose no energy
     with pytest.raises(ValueError, match="anchor"):
         flux_scan(annulus_coarse, v, vp, region, [1.01, 1.02])
+
+
+def test_comparison_takes_one_gradient_per_field(annulus_coarse, monkeypatch):
+    # the chain after the solves differentiates v and v' once each, through
+    # whichever module it reaches p1_gradient
+    calls = []
+    original = maxsurf.solver.p1_gradient
+
+    def counted(mesh, values):
+        calls.append(1)
+        return original(mesh, values)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "maxsurf" and \
+                getattr(module, "p1_gradient", None) is original:
+            monkeypatch.setattr(module, "p1_gradient", counted)
+    v = 0.6 * annulus_coarse.vertices[:, 0]
+    vp = np.zeros(annulus_coarse.vertex_count)
+    region = level_region(annulus_coarse, v, vp)
+    flux_scan(annulus_coarse, v, vp, region,
+              radial_grid(annulus_coarse, region))
+    assert len(calls) == 2
 
 
 def test_save_scan_round_trip(annulus_coarse, tmp_path):
@@ -348,8 +398,7 @@ def test_comparison_initial_value_and_slope():
     # the reciprocal is affine in log radius with slope -C/(4 pi delta)
     slope = np.diff(1.0 / y) / np.diff(np.log(t))
     np.testing.assert_allclose(slope, -0.5 / (FOUR_PI * 0.05), rtol=1e-10)
-    with pytest.raises(ValueError, match="two samples"):
-        riccati_comparison(1.0, 0.4, 0.05, 0.5, n_samples=1)
+    assert len(t) == ODE_SAMPLES
 
 
 def test_closed_form_domain():

@@ -65,7 +65,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from maxsurf import (LevelRegion, Mesh, NonConvergenceError, SolverConfig,
                      TopologyError, build_annulus, build_rectangle, cg_solve,
                      circulations, conjugate_pair_coeffs, energy,
-                     flux_form, gradient_margin, integrate_potential,
+                     flux_form, flux_scan, integrate_potential,
                      level_region, load_mesh, p1_divergence, p1_gradient,
                      polyline_pieces, residual, save_mesh, solve,
                      tangent_matrix)
@@ -1027,37 +1027,25 @@ def test_tangent_gather_matches_concatenated_entries(mesh, metric, seed,
 
 
 def loop_level_region(mesh, v, vp):
-    """Former level choice: one pass over v - v' per candidate, and the
-    margins from the whole mesh's gradients gathered at the region."""
+    """Former level choice: one pass over v - v' per candidate."""
     diff = v - vp
     delta = float(diff.max()) / 4.0
     if delta <= 0.0:
         return LevelRegion(a=0.0, delta=delta,
                            triangles=np.empty(0, dtype=np.int64),
-                           eps_hat=math.nan, clearance=math.nan)
+                           clearance=math.nan)
     candidates = np.linspace(2.0 * delta, 3.0 * delta, LEVEL_CANDIDATES)
     clearances = np.array([np.abs(diff - c).min() for c in candidates])
     best = int(np.argmax(clearances))
     a = float(candidates[best])
     centroid_diff = diff[mesh.triangles].mean(axis=1)
     tris = np.where(centroid_diff - a > 0.0)[0].astype(np.int64)
-    if len(tris) == 0:
-        return LevelRegion(a=a, delta=delta, triangles=tris,
-                           eps_hat=math.nan,
-                           clearance=float(clearances[best]))
-    eps_hat = min(gathered_margin(mesh, v, tris),
-                  gathered_margin(mesh, vp, tris))
-    return LevelRegion(a=a, delta=delta, triangles=tris, eps_hat=eps_hat,
+    return LevelRegion(a=a, delta=delta, triangles=tris,
                        clearance=float(clearances[best]))
 
 
-def gathered_margin(mesh, values, triangles):
-    g = p1_gradient(mesh, values)[triangles]
-    return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
-
-
 def same_region(got, ref):
-    for name in ("a", "delta", "eps_hat", "clearance"):
+    for name in ("a", "delta", "clearance"):
         x, y = getattr(got, name), getattr(ref, name)
         assert np.float64(x).tobytes() == np.float64(y).tobytes(), name
     np.testing.assert_array_equal(got.triangles, ref.triangles)
@@ -1082,15 +1070,29 @@ def test_level_region_matches_candidate_passes(mesh, seed, levels, shift):
     same_region(level_region(mesh, v, vp), loop_level_region(mesh, v, vp))
 
 
+def corner_gradients(mesh, values, triangles):
+    """Each triangle's gradient g from its corner values f by a 2x2 solve
+    of (p_i - p_0) . g = f_i - f_0, i = 1, 2."""
+    p = mesh.vertices[mesh.triangles[triangles]]
+    f = values[mesh.triangles[triangles]]
+    rhs = (f[:, 1:] - f[:, :1])[..., None]
+    return np.linalg.solve(p[:, 1:] - p[:, :1], rhs)[..., 0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_subset_margin_matches_gathered_gradients(mesh, seed, data):
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_margin_matches_corner_value_gradients(mesh, seed):
     v = spacelike_field(mesh, seed, 0.9) + 1.0
-    subset = np.array(data.draw(st.lists(
-        st.integers(0, mesh.triangle_count - 1), min_size=1, max_size=50)))
-    assert gradient_margin(mesh, v, subset) == gathered_margin(mesh, v,
-                                                               subset)
+    vp = spacelike_field(mesh, seed + 1, 0.9)
+    region = level_region(mesh, v, vp)
+    assume(not region.empty)
+    # one circle around the whole mesh: the anchor is the region's energy
+    radius = 2.0 * float(np.hypot(*mesh.vertices.T).max())
+    scan = flux_scan(mesh, v, vp, region, [radius])
+    steepest = max(np.linalg.norm(corner_gradients(mesh, f, region.triangles),
+                                  axis=1).max() for f in (v, vp))
+    assert scan.eps_hat == pytest.approx(1.0 - steepest, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    run(Path(argv[0]).resolve(), Path(argv[1]))
+    # the workload's prepare step runs inside OUT/<chain>, so a relative OUT
+    # must not be handed to it as given
+    run(Path(argv[0]).resolve(), Path(argv[1]).resolve())
     return 0
 
 
