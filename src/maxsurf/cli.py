@@ -393,9 +393,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -15,17 +15,6 @@ from .forms import flux_form, integrate_potential
 from .mesh import Mesh
 from .solver import _check_field, p1_gradient
 
-__all__ = [
-    "DIRECTIONS",
-    "conjugate_pair_coeffs",
-    "conjugates",
-    "maximal_conjugate",
-    "minimal_conjugate",
-    "return_trip_error",
-    "round_trip_error",
-]
-
-
 def conjugate_pair_coeffs(gradients: np.ndarray) -> np.ndarray:
     """Coefficients (u_y/W, -u_x/W) of the conjugate form, W = sqrt(1+|g|^2).
 
@@ -46,7 +35,6 @@ def maximal_conjugate(mesh: Mesh, u: np.ndarray,
     result vanishes at vertex 0 and has per-triangle gradient norm below 1
     up to the integration's averaging error.
     """
-    u = _check_field(mesh, u)
     beta = conjugate_pair_coeffs(p1_gradient(mesh, u))
     return integrate_potential(mesh, beta, closedness_tol=closedness_tol)
 
@@ -59,7 +47,6 @@ def minimal_conjugate(mesh: Mesh, v: np.ndarray,
     satisfying the discrete Lorentzian equation, and the returned field
     satisfies the discrete Euclidean equation to the same order.
     """
-    v = _check_field(mesh, v)
     return integrate_potential(mesh, flux_form(mesh, v),
                                closedness_tol=closedness_tol)
 

@@ -39,10 +39,10 @@ class Mesh:
     h : float
         Nominal edge length used by the generator.
 
-    Construction checks the mesh, and so builds ``signed_areas`` and the
-    edge table: ``edges``, ``triangle_edges``, ``boundary_vertex_mask`` and
+    Construction checks the mesh, and so builds ``areas`` and the edge
+    table: ``edges``, ``triangle_edges``, ``boundary_vertex_mask`` and
     whether the triangles are edge-connected, all from one sort of the edge
-    slots.  Every other derived array (``areas``, ``centroids``,
+    slots.  Every other derived array (``centroids``,
     ``basis_columns``, ``neighbors``, ``interior_vertices``, ...) is built
     on first read and kept.
     """
@@ -94,16 +94,17 @@ class Mesh:
         return len(self.triangles)
 
     @cached_property
-    def signed_areas(self) -> np.ndarray:
+    def areas(self) -> np.ndarray:
+        """(T,) signed areas, counterclockwise positive.
+
+        Construction rejects a mesh where any of them is not positive, so
+        on every mesh they are the triangle areas.
+        """
         corners = self.triangles.T
         x = self.vertices[:, 0][corners]
         y = self.vertices[:, 1][corners]
         return 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
                       - (y[1] - y[0]) * (x[2] - x[0]))
-
-    @cached_property
-    def areas(self) -> np.ndarray:
-        return np.abs(self.signed_areas)
 
     @cached_property
     def total_area(self) -> float:
@@ -132,7 +133,7 @@ class Mesh:
             ahead, behind = (i + 2) % 3, (i + 1) % 3
             out[0, i] = -(y[ahead] - y[behind])
             out[1, i] = x[ahead] - x[behind]
-        out /= 2.0 * self.signed_areas
+        out /= 2.0 * self.areas
         out.setflags(write=False)
         return out
 
@@ -226,8 +227,8 @@ class Mesh:
     # ------------------------------------------------------------------
 
     def _validate(self):
-        if np.any(self.signed_areas <= 0):
-            bad = int(np.argmin(self.signed_areas))
+        if np.any(self.areas <= 0):
+            bad = int(np.argmin(self.areas))
             raise ValueError(f"triangle {bad} is degenerate or clockwise")
         # the edge table raises on over-shared edges
         _, _, on_boundary, connected = self._edge_data
@@ -289,12 +290,21 @@ def _split_quads(v00, v10, v11, v01) -> np.ndarray:
     return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
 
 
+def _divisions(extent: float, h: float, name: str) -> int:
+    """round(extent / h), refused where the quotient overflows."""
+    steps = float(extent) / float(h)  # a numpy scalar would warn
+    if not np.isfinite(steps):
+        raise ValueError(f"h={h} gives no finite division count of the "
+                         f"{name} {extent}")
+    return int(round(steps))
+
+
 def _grid_divisions(extent: float, h: float, name: str) -> int:
     if h <= 0:
         raise ValueError("h must be positive")
     if h > extent:
         raise ValueError(f"h={h} exceeds the {name} extent {extent}")
-    n = int(round(extent / h))
+    n = _divisions(extent, h, f"{name} extent")
     if n < 1 or abs(n * h - extent) > 1e-9 * max(1.0, extent):
         raise ValueError(f"h={h} does not divide the {name} extent {extent}")
     return n
@@ -387,9 +397,10 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
             raise ValueError(f"unknown ring {r!r}")
     if h <= 0:
         raise ValueError("h must be positive")
-    n_r = max(1, int(round((r_outer - r_inner) / h)))
+    n_r = max(1, _divisions(r_outer - r_inner, h, "radial extent"))
     if n_theta is None:
-        n_theta = max(8, int(round(2.0 * np.pi * r_outer / h)))
+        n_theta = max(8, _divisions(2.0 * np.pi * r_outer, h,
+                                    "outer circumference"))
     if n_theta < 3:
         raise ValueError("n_theta must be at least 3")
 
@@ -437,6 +448,9 @@ def load_mesh(path) -> Mesh:
         h = float(header[2])
         if nv < 1 or nt < 1:
             raise ValueError("bad mesh header: counts must be positive")
+        if max(nv, nt) >= 2**63:
+            raise ValueError(f"bad mesh header: counts {header[0]} and "
+                             f"{header[1]} must be below 2**63")
         if not 0.0 < h < np.inf:
             raise ValueError(f"bad mesh header: h = {header[2]} is not "
                              "finite and positive")

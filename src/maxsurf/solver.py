@@ -983,12 +983,6 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     return ev.values, SolveReport(True, "", steps)
 
 
-def gradient_margin(mesh: Mesh, values: np.ndarray) -> float:
-    """Measured spacelike margin 1 - max_T |grad v| over all triangles."""
-    g = p1_gradient(mesh, values)
-    return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
-
-
 # ----------------------------------------------------------------------
 # field serialization
 # ----------------------------------------------------------------------

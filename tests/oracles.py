@@ -1,9 +1,10 @@
 """Independent oracles that only the tests read.
 
 The Minkowski normals behind criterion 2, the factors of the coercivity
-constant, and criterion 8's fourth-order integrator of the Riccati
-problem.  No pipeline of the package calls them, so they live here; the
-pointwise functions keep the package's light-cone guard and raise its
+constant, the gradient margin of criterion 4 and of the solver's step
+rows, and criterion 8's fourth-order integrator of the Riccati problem.
+No pipeline of the package calls them, so they live here; the pointwise
+functions keep the package's light-cone guard and raise its
 SpacelikeError.
 """
 
@@ -47,6 +48,22 @@ def normal_gap_sq(g, g2) -> np.ndarray:
     w2 = _density(g2)
     d = g / w[..., None] - g2 / w2[..., None]
     return np.sum(d * d, axis=-1) - (1.0 / w - 1.0 / w2) ** 2
+
+
+def corner_gradients(mesh, values, triangles=slice(None)):
+    """Each triangle's gradient g from its corner values f by a 2x2 solve
+    of (p_i - p_0) . g = f_i - f_0, i = 1, 2, independently of the
+    package's ``Mesh.basis_columns``."""
+    p = mesh.vertices[mesh.triangles[triangles]]
+    f = np.asarray(values, dtype=float)[mesh.triangles[triangles]]
+    rhs = (f[:, 1:] - f[:, :1])[..., None]
+    return np.linalg.solve(p[:, 1:] - p[:, :1], rhs)[..., 0]
+
+
+def gradient_margin(mesh, values) -> float:
+    """Spacelike margin 1 - max_T |grad v| over all triangles."""
+    g = corner_gradients(mesh, values)
+    return float(1.0 - np.sqrt(np.sum(g * g, axis=-1).max()))
 
 
 # The coercivity constant c(eps) = c1 c2 for gradients with |g|, |g'| <= 1 - eps

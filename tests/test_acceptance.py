@@ -14,8 +14,8 @@ import pytest
 from mpmath import mp
 
 from conftest import affine_field
-from oracles import (area_density, minkowski_inner, normal_gap_sq,
-                     riccati_rk4, unit_normal)
+from oracles import (area_density, gradient_margin, minkowski_inner,
+                     normal_gap_sq, riccati_rk4, unit_normal)
 from maxsurf import (
     ARTIFICIAL,
     SolverConfig,
@@ -27,7 +27,6 @@ from maxsurf import (
     flux_form,
     flux_monotonicity,
     flux_scan,
-    gradient_margin,
     level_region,
     max_interior_circulation,
     perturbation_decay,

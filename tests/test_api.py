@@ -1,10 +1,14 @@
-"""The names that the benchmark's tracer looks up stay in the package."""
+"""The names that the benchmark's tracer looks up stay in the package, and
+every name the package exports has a reader outside the tests."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "maxsurf"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -23,3 +27,30 @@ def test_every_traced_name_resolves():
                if not callable(getattr(importlib.import_module(
                    f"maxsurf.{home}"), attr, None))]
     assert missing == []
+
+
+def names_read(path):
+    """Names a file loads, attributes it reads, and its string constants."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_package_export_has_a_reader_outside_the_tests():
+    # code that no pipeline reads does not stay in the package for the tests
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert exported
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += [p for p in (ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    read = set().union(*map(names_read, readers))
+    assert sorted(exported - read) == []

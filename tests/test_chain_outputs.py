@@ -37,9 +37,12 @@ def test_list_gives_the_seed0_workload_chains_with_trace():
         assert [[a for a in cmd if a != "--trace"] for cmd in got] == expected
         for cmd in got:
             assert ("--trace" in cmd) == (cmd[0] in ("solve", "uniqueness"))
-    # and one lemma and one decay command
+    # a lemma, a decay, a failed start, and a solve dualized max2min
     assert {name: [cmd[0] for cmd in cmds] for name, cmds in chains.items()} \
-        == {"lemma": ["lemma"], "decay": ["decay"]}
+        == {"lemma": ["lemma"], "decay": ["decay"], "failed-start": ["solve"],
+            "max2min": ["solve", "dualize"]}
+    assert "--trace" in chains["failed-start"][0]
+    assert "max2min" in chains["max2min"][1]
 
 
 def test_relative_out_reaches_the_prepare_step(tmp_path, monkeypatch):

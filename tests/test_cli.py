@@ -15,7 +15,6 @@ from maxsurf import (
     ARTIFICIAL,
     SolverConfig,
     build_annulus,
-    gradient_margin,
     save_field,
     save_mesh,
     solve,
@@ -27,6 +26,7 @@ from maxsurf.records import fmt
 from maxsurf.solver import TRACE_HEADER
 
 from conftest import nan_coordinate_field, read_record
+from oracles import gradient_margin
 
 
 @pytest.fixture(autouse=True)
@@ -534,7 +534,8 @@ def test_trace_rows_match_the_final_reports(capsys, tmp_path):
     bc = np.where(mesh.vertex_class == ARTIFICIAL, -1.0, 0.0)
     for number, data in (("1", np.zeros(mesh.vertex_count)), ("2", bc)):
         v, report = solve(mesh, data)
-        assert report.margin == gradient_margin(mesh, v)
+        assert report.margin == pytest.approx(gradient_margin(mesh, v),
+                                              rel=1e-12)
         solve_rows = [row for row in rows if row["solve"] == number]
         check_trace_rows(solve_rows,
                          {k: fmt(x) for k, x in report.record_items()})
@@ -590,13 +591,24 @@ DECAY = ["decay", "--lengths", "2,4", "--s", "1"]
     DECAY + ["--h", "nan"],
     DECAY + ["--height", "inf"],
     DECAY + ["--s", "inf"],
+    # sizes whose division count overflows a float or a C long
+    ["decay", "--lengths", "1e308", "--s", "1"],
+    ["solve", "--shape", "rect:1e308x1", "--h", "0.25", "--bc", "0"],
+    ["solve", "--shape", "annulus:1:1e308", "--h", "0.25", "--bc", "0"],
+    ["solve", "--shape", "rect:1x1", "--h", "1e-320", "--bc", "0"],
+    ["decay", "--lengths", "4", "--s", "1", "--h", "1e-320"],
+    ["solve", "--shape", "annulus:1:2", "--h", "1e-320", "--bc", "0"],
+    ["solve", "--mesh", "big.mesh", "--bc", "0"],
 ], ids=["solve-tol-nan", "solve-tol-inf", "dualize-closedness-tol-nan",
         "uniqueness-tol-rel-nan", "uniqueness-ratio-nan",
         "uniqueness-ratio-inf", "uniqueness-radii-nan", "decay-h-nan",
-        "decay-height-inf", "decay-s-inf"])
+        "decay-height-inf", "decay-s-inf", "decay-length-overflow",
+        "rect-length-overflow", "annulus-radius-overflow", "rect-h-overflow",
+        "decay-h-overflow", "annulus-h-overflow", "mesh-header-count-overflow"])
 def test_non_finite_numbers_are_one_line_errors(capsys, tmp_path, square4,
                                                 argv):
     save_field(square4, 0.3 * square4.vertices[:, 0], tmp_path / "u.csv")
+    (tmp_path / "big.mesh").write_text("99999999999999999999 32 0.25\n")
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:"), err

@@ -49,6 +49,20 @@ def test_rectangle_rejects_bad_sizes():
         build_rectangle(1.0, 1.0, 0.3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_rectangle(1e308, 1.0, 0.25),
+    lambda: build_rectangle(1.0, 1.0, 1e-320),
+    lambda: build_strip(4.0, 4.0, 1e-320),
+    lambda: build_annulus(1.0, 1e308, 0.25),
+    lambda: build_annulus(1.0, 2.0, 1e-320),
+    lambda: build_annulus(3e307, 3.1e307, 1e306),
+], ids=["rect-extent", "rect-h", "strip-h", "annulus-extent", "annulus-h",
+        "annulus-circumference"])
+def test_builders_refuse_a_division_count_that_overflows(build):
+    with pytest.raises(ValueError, match="no finite division count"):
+        build()
+
+
 def test_rectangle_boundary_all_dirichlet_by_default():
     m = build_rectangle(1.0, 1.0, 0.25)
     on_boundary = m.boundary_vertex_mask
@@ -87,7 +101,7 @@ def test_annulus_ring_counts_match():
 
 def test_annulus_positive_areas_and_euler():
     m = build_annulus(1.0, 2.0, 0.1)
-    assert np.all(m.signed_areas > 0)
+    assert np.all(m.areas > 0)
     assert m.euler_characteristic == 0
 
 
@@ -320,6 +334,17 @@ def test_load_mesh_rejects_a_header_h_that_is_not_positive(tmp_path, value):
     path.write_text(MESH_TEXT.replace("4 2 1\n", f"4 2 {value}\n", 1))
     with pytest.raises(ValueError, match=f"bad mesh header: h = {value} is "
                        "not finite and positive"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("header", ["99999999999999999999 2 1",
+                                    f"4 {2**63} 1"])
+def test_load_mesh_refuses_counts_of_2_to_the_63(tmp_path, header):
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT.replace("4 2 1", header, 1))
+    counts = " and ".join(header.split()[:2])
+    with pytest.raises(ValueError, match=f"bad mesh header: counts {counts} "
+                       r"must be below 2\*\*63"):
         load_mesh(path)
 
 

@@ -22,7 +22,6 @@ from maxsurf import (
     coercivity_constant,
     flux_form,
     flux_scan,
-    gradient_margin,
     level_region,
     perturbation_decay,
     radial_grid,
@@ -42,7 +41,7 @@ from maxsurf.uniqueness import (
     _riccati_y,
 )
 
-from oracles import riccati_rk4
+from oracles import gradient_margin, riccati_rk4
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_level_region_sits_in_deep_interior():
     # restricting to the region cannot shrink the measured margin
     scan = flux_scan(mesh, v, vp, region, radial_grid(mesh, region))
     whole = min(gradient_margin(mesh, v), gradient_margin(mesh, vp))
-    assert scan.eps_hat >= whole
+    assert scan.eps_hat >= whole * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

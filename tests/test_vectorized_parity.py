@@ -47,9 +47,10 @@ inverse.  The Newton matrix's data, now gathered straight from the edge
 values with the diagonal put in place, and its corner pairs, now written
 into preallocated rows, must match the former concatenated gather bit for
 bit.  The level region's clearances, now read from the sorted differences'
-neighbours of each candidate, and its margins, now from the gradients of
-the region's triangles only, must match the per-candidate passes and the
-gathered whole-mesh gradients bit for bit.
+neighbours of each candidate, must match the per-candidate passes bit for
+bit.  The scan's margin and the margin of every solver step row must match
+the margin of gradients solved from the corner values within 1e-12
+relative.
 """
 
 import math
@@ -81,6 +82,7 @@ from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA,
 from scipy.sparse import coo_matrix, csr_matrix
 
 from conftest import jittered, spacelike_field
+from oracles import corner_gradients, gradient_margin
 
 # the former polyline clipper's tolerances
 BARY_TOL = 1e-9
@@ -892,7 +894,7 @@ def test_one_pass_topology_matches_former_edge_table(case):
     assert connected == csgraph_connected(neighbors)
 
 
-def gather_signed_areas(mesh):
+def gather_areas(mesh):
     """Signed areas from the (T, 3, 2) gather of the corner coordinates."""
     p = mesh.vertices[mesh.triangles]
     e1 = p[:, 1] - p[:, 0]
@@ -902,8 +904,8 @@ def gather_signed_areas(mesh):
 
 @settings(max_examples=60, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
-def test_signed_areas_match_corner_gather(mesh):
-    np.testing.assert_array_equal(mesh.signed_areas, gather_signed_areas(mesh))
+def test_areas_match_corner_gather(mesh):
+    np.testing.assert_array_equal(mesh.areas, gather_areas(mesh))
     np.testing.assert_array_equal(mesh.centroids,
                                   mesh.vertices[mesh.triangles].mean(axis=1))
 
@@ -1070,15 +1072,6 @@ def test_level_region_matches_candidate_passes(mesh, seed, levels, shift):
     same_region(level_region(mesh, v, vp), loop_level_region(mesh, v, vp))
 
 
-def corner_gradients(mesh, values, triangles):
-    """Each triangle's gradient g from its corner values f by a 2x2 solve
-    of (p_i - p_0) . g = f_i - f_0, i = 1, 2."""
-    p = mesh.vertices[mesh.triangles[triangles]]
-    f = values[mesh.triangles[triangles]]
-    rhs = (f[:, 1:] - f[:, :1])[..., None]
-    return np.linalg.solve(p[:, 1:] - p[:, :1], rhs)[..., 0]
-
-
 @settings(max_examples=60, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())),
        seed=st.integers(0, 2**32 - 1))
@@ -1095,6 +1088,19 @@ def test_scan_margin_matches_corner_value_gradients(mesh, seed):
     assert scan.eps_hat == pytest.approx(1.0 - steepest, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       metric=st.sampled_from(["lorentz", "euclid"]),
+       seed=st.integers(0, 2**32 - 1),
+       steepest=st.one_of(st.just(0.5), st.floats(0.95, 0.999)))
+def test_step_margin_matches_corner_value_gradients(mesh, metric, seed,
+                                                    steepest):
+    # the margin that solve writes to every step row
+    v = spacelike_field(mesh, seed, steepest)
+    assert 1.0 - _Evaluation(mesh, v, metric).max_norm == \
+        pytest.approx(gradient_margin(mesh, v), rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # column-layout P1 kernels: parity with the einsum kernels they replaced
 # ----------------------------------------------------------------------
@@ -1108,7 +1114,7 @@ def einsum_basis(mesh):
         d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         out[:, i, 0] = -d[:, 1]
         out[:, i, 1] = d[:, 0]
-    out /= (2.0 * mesh.signed_areas)[:, None, None]
+    out /= (2.0 * mesh.areas)[:, None, None]
     return out
 
 

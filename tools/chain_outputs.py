@@ -2,8 +2,11 @@
 
 Usage: ``python3 tools/chain_outputs.py SRC OUT`` runs each workload of
 ``perfbench/workloads.py`` on its seed-0 input set, with ``--trace`` added
-to every ``solve`` and ``uniqueness`` command, then the ``lemma`` and
-``decay`` commands of ``EXTRA``.  Every CLI command runs in a process of
+to every ``solve`` and ``uniqueness`` command, then the chains of
+``EXTRA``: a ``lemma``, a ``decay``, a traced ``solve`` whose start is
+not spacelike (it exits 2 after the whole start ladder and writes the
+failed-start report and trace), and a Lorentz ``solve`` dualized in the
+``max2min`` direction.  Every CLI command runs in a process of
 its own, ``python3 -m maxsurf.cli`` with ``PYTHONPATH=SRC``, in one
 directory per chain under OUT (which must not exist yet).  A workload's
 untimed input generation (``perfbench/child.py prepare``) runs there
@@ -30,6 +33,14 @@ TRACED = ("solve", "uniqueness")  # the commands that take --trace
 EXTRA = {
     "lemma": [["lemma", "--eps", "0.3", "--samples", "20000", "--out", "run"]],
     "decay": [["decay", "--lengths", "4,6,8", "--s", "1", "--out", "run"]],
+    "failed-start": [["solve", "--shape", "rect:1x1", "--h", "0.25",
+                      "--bc", "2*x", "--trace", "--out", "run"]],
+    "max2min": [
+        ["solve", "--shape", "rect:1x1", "--h", "0.0625",
+         "--bc", "0.3*sin(2*x)*cos(y)", "--out", "run"],
+        ["dualize", "--shape", "rect:1x1", "--h", "0.0625",
+         "--in", "run_solution.csv", "--direction", "max2min", "--out", "run"],
+    ],
 }
 
 
