@@ -20,10 +20,10 @@ from .mesh import (ARTIFICIAL, DIRICHLET, INTERIOR, Mesh, build_annulus,
 from .lorentz import (CoercivityReport, SpacelikeError, coercivity_constant,
                       flux_coeffs, flux_gap_sq, flux_monotonicity,
                       normalized_gradient, sample_coercivity)
-from .solver import (NonConvergenceError, SolveReport, SolverConfig,
-                     cg_solve, energy, load_field, p1_divergence,
-                     p1_gradient, residual, residual_norm, save_field, solve,
-                     tangent_matrix)
+from .solver import (Evaluation, NonConvergenceError, SolveReport,
+                     SolverConfig, cg_solve, energy, load_field,
+                     p1_divergence, p1_gradient, residual, residual_norm,
+                     save_field, solve, tangent_matrix)
 from .forms import (ClosednessError, TopologyError, circulations,
                     flux_form, integrate_potential, max_interior_circulation,
                     polyline_pieces)

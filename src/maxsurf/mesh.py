@@ -10,6 +10,7 @@ in for a truncation rather than for the real boundary of the domain.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -375,7 +376,7 @@ def build_strip(length: float, height: float, h: float) -> Mesh:
 
 
 def build_annulus(r_inner: float, r_outer: float, h: float,
-                  n_theta: int | None = None, artificial_rings=()) -> Mesh:
+                  artificial_rings=()) -> Mesh:
     """Structured polar triangulation of an origin-centered annulus.
 
     Rings are equally spaced in radius, every ring carries the same number
@@ -386,8 +387,8 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
     Parameters
     ----------
     r_inner, r_outer : radii with 0 < r_inner < r_outer.
-    h : target edge length; sets ring count and default angular divisions.
-    n_theta : override for the number of angular divisions.
+    h : target edge length; sets the ring count and the angular divisions,
+        round(2 pi r_outer / h) and at least 8.
     """
     if not (0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer")
@@ -398,11 +399,8 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
     if h <= 0:
         raise ValueError("h must be positive")
     n_r = max(1, _divisions(r_outer - r_inner, h, "radial extent"))
-    if n_theta is None:
-        n_theta = max(8, _divisions(2.0 * np.pi * r_outer, h,
-                                    "outer circumference"))
-    if n_theta < 3:
-        raise ValueError("n_theta must be at least 3")
+    n_theta = max(8, _divisions(2.0 * np.pi * r_outer, h,
+                                "outer circumference"))
 
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -454,6 +452,12 @@ def load_mesh(path) -> Mesh:
         if not 0.0 < h < np.inf:
             raise ValueError(f"bad mesh header: h = {header[2]} is not "
                              "finite and positive")
+        # a line "a b c" takes 6 bytes at least, the last 5 without "\n"
+        size = os.fstat(fh.fileno()).st_size
+        if 6 * (nv + nt) - 1 > size - fh.tell():
+            raise ValueError(f"bad mesh header: {nv} vertex and {nt} "
+                             f"triangle lines do not fit in the {size}-byte "
+                             "file")
         vert = read_rows(fh, 3, "mesh vertex lines", max_rows=nv)
         tris = read_rows(fh, 3, "mesh triangle lines", max_rows=nt,
                          dtype=np.int64)

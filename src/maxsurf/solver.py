@@ -16,14 +16,14 @@ diagonal into it, and the aggregates of the multigrid hierarchy.  In the
 Lorentzian metric every iterate is kept strictly spacelike: per-triangle
 |grad v| never reaches 1 - SIGMA_MIN.  One test, ``lorentz._spacelike``,
 decides the light cone, for the area density's guard and for every caller
-of ``_Evaluation.spacelike``.
+of ``Evaluation.spacelike``.
 
 The residual, ``forms.circulations`` and the harmonic extension's
 right-hand side are one weak divergence, ``p1_divergence``, the
 area-weighted transpose of ``p1_gradient``.
 
 Each iterate is evaluated once: its P1 gradient, squared norms, largest
-norm and area density are kept in one ``_Evaluation``, made for each
+norm and area density are kept in one ``Evaluation``, made for each
 line-search candidate and for each rung of the initial guess, and read by
 the spacelike test, the residual, the energy, the next Newton matrix and the
 reported margins.  The pointwise kernels work on the contiguous (T,)
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -275,18 +275,18 @@ def _check_field(mesh: Mesh, values, where=slice(None)) -> np.ndarray:
     return values
 
 
-class _Evaluation:
+class Evaluation:
     """The pointwise P1 data of one field, computed once.
 
     ``gx`` and ``gy`` are the (T,) rows of the triangle gradients, ``norm2``
     their squared norms and ``max_norm`` the largest norm.  ``density`` is
-    the area density sqrt(1 -+ |g|^2), made on first use; the flux is
-    sigma(g) = g / density.  ``spacelike(margin)`` is the light-cone test,
-    every |g| below 1 - margin, and always true in the Euclidean metric; in
-    the Lorentz metric ``density`` raises SpacelikeError where
-    ``spacelike(SIGMA_MIN)`` is false.  ``solve`` builds one per line-search
-    candidate and hands it to ``residual``, ``energy`` and the next
-    ``tangent_matrix``.
+    the area density sqrt(1 -+ |g|^2) in ``metric``, made on first use; the
+    flux is sigma(g) = g / density.  ``spacelike(margin)`` is the light-cone
+    test, every |g| below 1 - margin, and always true in the Euclidean
+    metric; in the Lorentz metric ``density`` raises SpacelikeError where
+    ``spacelike(SIGMA_MIN)`` is false.  It is the one input of
+    ``residual``, ``energy`` and ``tangent_matrix``: ``solve`` builds one
+    per line-search candidate and hands it to all three.
     """
 
     def __init__(self, mesh: Mesh, values: np.ndarray, metric: str):
@@ -306,37 +306,22 @@ class _Evaluation:
         return np.sqrt(1.0 + self.norm2)
 
 
-def _evaluation(mesh: Mesh, values, config: SolverConfig,
-                at: _Evaluation | None) -> _Evaluation:
-    """``at`` when the caller holds the evaluation of ``values``, else a new one."""
-    if at is None:
-        return _Evaluation(mesh, values, config.metric)
-    assert at.values is values, "the evaluation belongs to another field"
-    return at
-
-
-def energy(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
-           at: _Evaluation | None = None) -> float:
-    """Area functional sum_T area_T * density_T.
+def energy(mesh: Mesh, ev: Evaluation) -> float:
+    """Area functional sum_T area_T * density_T of the evaluated field.
 
     The Lorentzian functional is concave and maximized by the solution;
-    the Euclidean one is convex and minimized.  ``at``, the evaluation of
-    this very ``values`` array when the caller holds one, is read instead
-    of recomputing.
+    the Euclidean one is convex and minimized.
     """
-    ev = _evaluation(mesh, values, config, at)
     return _dot(mesh.areas, ev.density)
 
 
-def residual(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
-             at: _Evaluation | None = None) -> np.ndarray:
-    """Weak-form residual at the free (interior) vertices.
+def residual(mesh: Mesh, ev: Evaluation) -> np.ndarray:
+    """Weak-form residual of the evaluated field at the free vertices.
 
     Component for vertex i is sum_T area_T grad(phi_i) . sigma(grad v):
     the ``p1_divergence`` of the flux, which ``forms.circulations`` also
-    computes.  ``at`` as in ``energy``.
+    computes.
     """
-    ev = _evaluation(mesh, values, config, at)
     dens = ev.density
     # the area-weighted flux, made in place: no (T,) flux rows beside it
     wx = ev.gx / dens
@@ -360,22 +345,20 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
-                   at: _Evaluation | None = None) -> csr_matrix:
+def tangent_matrix(mesh: Mesh, ev: Evaluation) -> csr_matrix:
     """Sparse symmetric Newton matrix K_ij = sum_T area_T grad(phi_i) . D . grad(phi_j).
 
-    D = c1 I + c2 g g^T is the flux Jacobian at the triangle gradient g,
-    with c1 = 1 / density and c2 = +-c1 / density^2 (Lorentz +, Euclid -);
-    it is positive definite in both metrics while the field is admissible,
-    so K restricted to the free vertices is SPD; that free-vertex block is
-    returned.  The entries of the corner pair opposite each corner are
+    D = c1 I + c2 g g^T is the flux Jacobian at the evaluated triangle
+    gradient g, with c1 = 1 / density and c2 = +-c1 / density^2 (Lorentz +,
+    Euclid -); it is positive definite in both metrics while the field is
+    admissible, so K restricted to the free vertices is SPD; that
+    free-vertex block is returned.  The entries of the corner pair opposite each corner are
     summed per edge by one ``bincount``; each diagonal entry is minus its
     row's off-diagonal sum, since the P1 basis gradients of a triangle sum
     to zero.  The pattern is the mesh's assembly plan: it keeps structural
-    zeros and sorts columns within each row.  ``at`` as in ``energy``.
+    zeros and sorts columns within each row.
     """
-    ev = _evaluation(mesh, values, config, at)
-    edge = _edge_values(mesh, ev, config.metric)
+    edge = _edge_values(mesh, ev)
     lo, hi = mesh.edges.T
     n = mesh.vertex_count
     diag = -(np.bincount(lo, weights=edge, minlength=n)
@@ -383,7 +366,7 @@ def tangent_matrix(mesh: Mesh, values: np.ndarray, config: SolverConfig, *,
     return _plan(mesh).free_block(edge, diag[mesh.interior_vertices])
 
 
-def _edge_values(mesh: Mesh, ev: _Evaluation, metric: str) -> np.ndarray:
+def _edge_values(mesh: Mesh, ev: Evaluation) -> np.ndarray:
     """(E,) off-diagonal Newton matrix entry of each mesh edge.
 
     The corner pairs are written into preallocated (T,) rows, and the
@@ -393,7 +376,7 @@ def _edge_values(mesh: Mesh, ev: _Evaluation, metric: str) -> np.ndarray:
     c1 = mesh.areas / dens  # c1 and c2 times the triangle area
     c2 = dens * dens
     np.divide(c1, c2, out=c2)
-    if metric == "euclid":
+    if ev.metric == "euclid":
         np.negative(c2, out=c2)
     bx, by = mesh.basis_columns
     bg = np.empty((3, mesh.triangle_count))
@@ -686,7 +669,7 @@ class _VCycle:
 
 
 def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
-             max_iter: int | None = None, early=None):
+             early=None):
     """Preconditioned conjugate gradients for an SPD operator.
 
     ``preconditioner`` maps a residual r to z, approximately the operator's
@@ -695,8 +678,8 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
 
     Deterministic: fixed starting point (zero), fixed update order.  Stops
     when ||r|| <= linear_tol * ||b||; raises NonConvergenceError carrying
-    the achieved relative residual if the iteration cap (10 n + 100 by
-    default) is hit, or if p.Ap <= 0 or r.z <= 0 reveals an operator or
+    the achieved relative residual if the iteration cap, 10 n + 100
+    products, is hit, or if p.Ap <= 0 or r.z <= 0 reveals an operator or
     preconditioner that is not positive definite.  Returns (x, matvecs,
     achieved): the solution, the operator products used and the relative
     residual ||r|| / ||b|| reached.
@@ -712,14 +695,12 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
     bnorm = _norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0
-    if max_iter is None:
-        max_iter = 10 * n + 100
     x = np.zeros(n)
     r = rhs.copy()
     z = preconditioner(r)
     p = z.copy()
     rz = _dot(r, z)
-    for matvecs in range(1, max_iter + 1):
+    for matvecs in range(1, 10 * n + 100 + 1):
         if rz <= 0.0:
             raise NonConvergenceError(
                 "preconditioner is not positive definite", _norm(r) / bnorm)
@@ -760,7 +741,7 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
 
     PCG stops at the relative Laplace residual START_TOL when the iterate
     there is a start that Newton cannot tell from the exact extension: it
-    is safely spacelike (``_Evaluation.spacelike`` at
+    is safely spacelike (``Evaluation.spacelike`` at
     INITIAL_MARGIN_FACTOR SIGMA_MIN), and kappa |r_lap| <= START_GAP |F|,
     with r_lap its Laplace residual, F the surface equation's weak residual
     there and kappa the largest eigenvalue of the flux Jacobian D over the
@@ -786,26 +767,26 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
     rhs = -p1_divergence(mesh, *p1_gradient(mesh, out).T)[free]
     if not rhs.any():
         nan = float("nan")
-        return _Evaluation(mesh, out, config.metric), None, (nan, 0, nan)
+        return Evaluation(mesh, out, config.metric), None, (nan, 0, nan)
     bnorm = _norm(rhs)
     start = []
 
     def accept(x, achieved):
         # out is the start either way: the full solve rewrites its free part
         out[free] = x
-        ev = _Evaluation(mesh, out, config.metric)
+        ev = Evaluation(mesh, out, config.metric)
         if not ev.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
             return False
         kappa = (1.0 if config.metric == "euclid"
                  else (1.0 - ev.max_norm ** 2) ** -1.5)
-        r = residual(mesh, out, config, at=ev)
+        r = residual(mesh, ev)
         if not kappa * achieved * bnorm <= START_GAP * _norm(r):
             return False
         start.extend((ev, r))
         return True
 
-    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
-                       replace(config, metric="euclid"))
+    k = tangent_matrix(mesh,
+                       Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid"))
     x, matvecs, achieved = cg_solve(k, rhs, LINEAR_TOL,
                                     _vcycle(_plan(mesh), k),
                                     early=(START_TOL, accept))
@@ -813,7 +794,7 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
         return start[0], start[1], (START_TOL, matvecs, achieved)
     del k  # freed before the start is evaluated
     out[free] = x
-    return (_Evaluation(mesh, out, config.metric), None,
+    return (Evaluation(mesh, out, config.metric), None,
             (LINEAR_TOL, matvecs, achieved))
 
 
@@ -875,11 +856,11 @@ def _initial_guess(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
     offset = guess.values - base  # zero at constrained vertices
     t = 1.0
     while t > 1e-6:
-        candidate = _Evaluation(mesh, base + t * offset, config.metric)
+        candidate = Evaluation(mesh, base + t * offset, config.metric)
         if candidate.spacelike(INITIAL_MARGIN_FACTOR * SIGMA_MIN):
             return candidate, None, laplace
         t *= 0.95
-    return _Evaluation(mesh, base, config.metric), None, laplace
+    return Evaluation(mesh, base, config.metric), None, laplace
 
 
 def solve(mesh: Mesh, boundary_values: np.ndarray,
@@ -923,9 +904,9 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
     res = area = float("nan")
     if started or ev.spacelike(SIGMA_MIN):
         if r is None:
-            r = residual(mesh, ev.values, config, at=ev)
+            r = residual(mesh, ev)
         res = residual_norm(mesh, r)
-        area = energy(mesh, ev.values, config, at=ev)
+        area = energy(mesh, ev)
     steps = [NewtonStep(res, tol, matvecs, achieved, 0.0, 0, "none", area,
                         1.0 - ev.max_norm)]
     if not started:
@@ -939,7 +920,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         if len(steps) > config.max_newton:
             return ev.values, SolveReport(False, "max_newton exceeded", steps)
         eta = _forcing_term(res, previous, eta, config)
-        k = tangent_matrix(mesh, ev.values, config, at=ev)
+        k = tangent_matrix(mesh, ev)
         built = lagged is None
         cycle = _vcycle(_plan(mesh), k) if built else lagged.refreshed(k)
         try:
@@ -961,9 +942,9 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         while step >= LINE_SEARCH_FLOOR:
             candidate = ev.values.copy()
             candidate[free] += step * direction
-            trial = _Evaluation(mesh, candidate, config.metric)
+            trial = Evaluation(mesh, candidate, config.metric)
             if trial.spacelike(SIGMA_MIN):
-                r = residual(mesh, candidate, config, at=trial)
+                r = residual(mesh, trial)
                 new_res = residual_norm(mesh, r)
                 if new_res <= (1.0 - SUFFICIENT_DECREASE * step) * res:
                     target = (trial, new_res)
@@ -977,7 +958,7 @@ def solve(mesh: Mesh, boundary_values: np.ndarray,
         ev, res = target
         steps.append(NewtonStep(res, eta, matvecs, achieved, step, backtracks,
                                 "built" if built else "lagged",
-                                energy(mesh, ev.values, config, at=ev),
+                                energy(mesh, ev),
                                 1.0 - ev.max_norm))
 
     return ev.values, SolveReport(True, "", steps)

@@ -15,7 +15,7 @@ built origin-centered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -368,7 +368,7 @@ class DecayTable:
 
     lengths: np.ndarray
     diffs: np.ndarray
-    iterations: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    iterations: np.ndarray
 
     @property
     def strictly_decreasing(self) -> bool:

@@ -614,6 +614,18 @@ def test_non_finite_numbers_are_one_line_errors(capsys, tmp_path, square4,
     assert err.count("\n") == 1 and err.startswith("error:"), err
 
 
+def test_mesh_header_count_beyond_the_file_is_one_error_line(capsys,
+                                                            tmp_path):
+    # a count just below 2**63, with four vertex and two triangle lines
+    (tmp_path / "big.mesh").write_text(
+        "4 9223372036854775807 1\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n"
+        "0 1 2\n0 2 3\n")
+    assert main(["solve", "--mesh", "big.mesh", "--bc", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert "9223372036854775807 triangle lines" in err
+
+
 # ---------------------------------------------------------------------------
 # decay
 

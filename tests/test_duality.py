@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from maxsurf import (
     ClosednessError,
+    Evaluation,
     Mesh,
     SolverConfig,
     build_rectangle,
@@ -106,7 +107,7 @@ def test_conjugate_form_circulation_is_residual(mse_solution):
     mesh, u = mse_solution
     beta = conjugate_pair_coeffs(p1_gradient(mesh, u))
     circ = circulations(mesh, beta)
-    res = residual(mesh, u, SolverConfig(metric="euclid"))
+    res = residual(mesh, Evaluation(mesh, u, "euclid"))
     np.testing.assert_array_equal(circ[mesh.interior_vertices], res)
 
 

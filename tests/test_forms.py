@@ -7,9 +7,9 @@ import pytest
 
 from maxsurf import (
     ClosednessError,
+    Evaluation,
     INTERIOR,
     Mesh,
-    SolverConfig,
     TopologyError,
     build_annulus,
     build_rectangle,
@@ -116,10 +116,9 @@ def test_circulation_matches_residual(solved_pair):
     # negated equation residual at that vertex; both are the solver's weak
     # divergence of the same flux, so they agree bit for bit.
     mesh, v, vp = solved_pair
-    config = SolverConfig()
     for field in (v, vp):
         circ = circulations(mesh, flux_form(mesh, field))
-        res = residual(mesh, field, config)
+        res = residual(mesh, Evaluation(mesh, field, "lorentz"))
         np.testing.assert_array_equal(circ[mesh.interior_vertices], -res)
 
 

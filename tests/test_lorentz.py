@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxsurf import (
-    SolverConfig,
+    Evaluation,
     SpacelikeError,
     build_rectangle,
     coercivity_constant,
@@ -21,7 +21,7 @@ from maxsurf import (
     tangent_matrix,
 )
 from maxsurf.lorentz import LIGHTLIKE_GUARD, _spacelike, _spacelike_density
-from maxsurf.solver import SIGMA_MIN, _Evaluation
+from maxsurf.solver import SIGMA_MIN
 from oracles import (area_density, c1, c2, minkowski_inner, normal_gap_sq,
                      r_max, unit_normal)
 
@@ -76,7 +76,8 @@ def at_slope(fn):
     # the field |g| x on a grid: every triangle gradient is (|g|, 0)
     def call(norm):
         mesh = build_rectangle(1.0, 1.0, 0.25)
-        return fn(mesh, norm * mesh.vertices[:, 0], SolverConfig())
+        return fn(mesh, Evaluation(mesh, norm * mesh.vertices[:, 0],
+                                   "lorentz"))
     return call
 
 
@@ -108,7 +109,7 @@ def test_spacelike_guard_boundary(fn, at, raise_gap, accept_gap):
 def test_spacelike_is_false_exactly_where_the_density_raises(gap):
     mesh = build_rectangle(1.0, 1.0, 0.25)
     v = (1.0 - gap) * mesh.vertices[:, 0]
-    ev = _Evaluation(mesh, v, "lorentz")
+    ev = Evaluation(mesh, v, "lorentz")
     for margin, spacelike, density in [
             (SIGMA_MIN, ev.spacelike(SIGMA_MIN), lambda: ev.density),
             (LIGHTLIKE_GUARD, _spacelike(ev.norm2, LIGHTLIKE_GUARD),
@@ -121,7 +122,7 @@ def test_spacelike_is_false_exactly_where_the_density_raises(gap):
                 density()
     # no light cone in the Euclidean metric, not even for timelike slopes
     for slope in (1.0 - gap, 2.0):
-        euclid = _Evaluation(mesh, slope * mesh.vertices[:, 0], "euclid")
+        euclid = Evaluation(mesh, slope * mesh.vertices[:, 0], "euclid")
         assert euclid.spacelike(SIGMA_MIN)
         assert euclid.spacelike(LIGHTLIKE_GUARD)
 

@@ -92,10 +92,11 @@ def test_strip_h_too_large():
 
 
 def test_annulus_ring_counts_match():
-    m = build_annulus(1.0, 2.0, 0.25, n_theta=8)
+    # round(2 pi r_outer / h) angular divisions on every ring
+    m = build_annulus(1.0, 2.0, 0.25)
     r = np.linalg.norm(m.vertices, axis=1)
-    assert np.count_nonzero(np.abs(r - 1.0) < 1e-9) == 8
-    assert np.count_nonzero(np.abs(r - 2.0) < 1e-9) == 8
+    assert np.count_nonzero(np.abs(r - 1.0) < 1e-9) == 50
+    assert np.count_nonzero(np.abs(r - 2.0) < 1e-9) == 50
     assert np.all(m.vertex_class[np.abs(r - 1.0) < 1e-9] == DIRICHLET)
 
 
@@ -345,6 +346,17 @@ def test_load_mesh_refuses_counts_of_2_to_the_63(tmp_path, header):
     counts = " and ".join(header.split()[:2])
     with pytest.raises(ValueError, match=f"bad mesh header: counts {counts} "
                        r"must be below 2\*\*63"):
+        load_mesh(path)
+
+
+def test_load_mesh_refuses_counts_the_file_cannot_hold(tmp_path):
+    # 6 bytes a line, 5 for the last: 35 bytes hold 6 lines and not 7
+    path = tmp_path / "m.txt"
+    path.write_text(MESH_TEXT.rstrip("\n"))
+    assert load_mesh(path).triangle_count == 2
+    path.write_text(MESH_TEXT.replace("4 2 1", "4 3 1", 1).rstrip("\n"))
+    with pytest.raises(ValueError, match="bad mesh header: 4 vertex and 3 "
+                       "triangle lines do not fit in the 41-byte file"):
         load_mesh(path)
 
 

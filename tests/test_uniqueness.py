@@ -581,10 +581,12 @@ def test_verdict_reads_the_riccati_solution_of_its_scan(r0, mu, delta, c,
 
 def test_decay_table_predicate_and_save(tmp_path):
     table = DecayTable(lengths=np.array([4.0, 8.0, 16.0]),
-                       diffs=np.array([0.3, 0.1, 0.01]))
+                       diffs=np.array([0.3, 0.1, 0.01]),
+                       iterations=np.array([3, 3, 4]))
     assert table.strictly_decreasing
     flat = DecayTable(lengths=np.array([4.0, 8.0]),
-                      diffs=np.array([0.1, 0.1]))
+                      diffs=np.array([0.1, 0.1]),
+                      iterations=np.array([3, 3]))
     assert not flat.strictly_decreasing
     path = tmp_path / "decay.csv"
     table.save(path)

@@ -57,19 +57,18 @@ import math
 import re
 import warnings
 from collections import deque
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from maxsurf import (LevelRegion, Mesh, NonConvergenceError, SolverConfig,
-                     TopologyError, build_annulus, build_rectangle, cg_solve,
-                     circulations, conjugate_pair_coeffs, energy,
-                     flux_form, flux_scan, integrate_potential,
-                     level_region, load_mesh, p1_divergence, p1_gradient,
-                     polyline_pieces, residual, save_mesh, solve,
-                     tangent_matrix)
+from maxsurf import (Evaluation, LevelRegion, Mesh, NonConvergenceError,
+                     SolverConfig, TopologyError, build_annulus,
+                     build_rectangle, cg_solve, circulations,
+                     conjugate_pair_coeffs, energy, flux_form, flux_scan,
+                     integrate_potential, level_region, load_mesh,
+                     p1_divergence, p1_gradient, polyline_pieces, residual,
+                     save_mesh, solve, tangent_matrix)
 from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
                                  ExpressionError)
 from maxsurf.mesh import _edge_connected
@@ -77,8 +76,7 @@ from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
 from maxsurf.uniqueness import LEVEL_CANDIDATES, _circle_sums
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
 from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA,
-                            _aggregates, _dense_inverse, _dot, _Evaluation,
-                            _VCycle)
+                            _aggregates, _dense_inverse, _dot, _VCycle)
 from scipy.sparse import coo_matrix, csr_matrix
 
 from conftest import jittered, spacelike_field
@@ -667,12 +665,15 @@ def unvalidated_mesh(triangles, nv):
 
 @st.composite
 def annuli(draw):
-    """Structured annulus, optionally with interior vertices jittered."""
+    """Structured annulus, optionally with interior vertices jittered.
+
+    h and the radii set both counts: n_r rings of width h, and from 13 to
+    132 angular divisions.
+    """
     r_inner = draw(st.sampled_from([0.5, 1.0, 1.5]))
     h = draw(st.sampled_from([0.1, 0.25, 0.5]))
     n_r = draw(st.integers(1, 6))
-    n_theta = draw(st.one_of(st.none(), st.integers(3, 40)))
-    mesh = build_annulus(r_inner, r_inner + n_r * h, h, n_theta=n_theta)
+    mesh = build_annulus(r_inner, r_inner + n_r * h, h)
     if draw(st.booleans()):
         mesh = jittered(mesh, draw(st.integers(0, 2**32 - 1)))
     return mesh
@@ -819,10 +820,14 @@ def test_rectangle_triangles_match_loop(nx, ny, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_r=st.integers(1, 12), n_theta=st.integers(3, 60),
+@given(n_r=st.integers(1, 12), h=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
        r_inner=st.sampled_from([0.25, 1.0, 2.0]))
-def test_annulus_triangles_match_loop(n_r, n_theta, r_inner):
-    mesh = build_annulus(r_inner, r_inner + n_r * 0.1, 0.1, n_theta=n_theta)
+def test_annulus_triangles_match_loop(n_r, h, r_inner):
+    # from 8 (the floor) to 201 angular divisions
+    r_outer = r_inner + n_r * h
+    mesh = build_annulus(r_inner, r_outer, h)
+    n_theta = max(8, round(2.0 * np.pi * r_outer / h))
+    assert mesh.vertex_count == (n_r + 1) * n_theta
     np.testing.assert_array_equal(mesh.triangles,
                                   loop_annulus_triangles(n_r, n_theta))
 
@@ -962,7 +967,7 @@ def coo_tangent(mesh, values, config):
 def test_tangent_refill_matches_coo(mesh, metric, seed, steepest):
     config = SolverConfig(metric=metric)
     v = spacelike_field(mesh, seed, steepest)
-    got = tangent_matrix(mesh, v, config)
+    got = tangent_matrix(mesh, Evaluation(mesh, v, config.metric))
     ref = coo_tangent(mesh, v, config)
     assert got.shape == ref.shape
     np.testing.assert_array_equal(got.indptr, ref.indptr)
@@ -976,7 +981,7 @@ def concatenated_tangent(mesh, values, config):
     """Former gather: (T, 3) corner pairs from whole-array products, then
     the V diagonal and the E edge values twice concatenated and gathered
     by one order into the free block's CSR data."""
-    ev = _Evaluation(mesh, values, config.metric)
+    ev = Evaluation(mesh, values, config.metric)
     dens = ev.density
     c1 = mesh.areas / dens
     c2 = c1 / (dens * dens)
@@ -1015,7 +1020,7 @@ def test_tangent_gather_matches_concatenated_entries(mesh, metric, seed,
                                                      steepest):
     config = SolverConfig(metric=metric)
     v = spacelike_field(mesh, seed, steepest) + 3.0
-    got = tangent_matrix(mesh, v, config)
+    got = tangent_matrix(mesh, Evaluation(mesh, v, config.metric))
     data, indices, indptr = concatenated_tangent(mesh, v, config)
     np.testing.assert_array_equal(got.indptr, indptr)
     np.testing.assert_array_equal(got.indices, indices)
@@ -1097,7 +1102,7 @@ def test_step_margin_matches_corner_value_gradients(mesh, metric, seed,
                                                     steepest):
     # the margin that solve writes to every step row
     v = spacelike_field(mesh, seed, steepest)
-    assert 1.0 - _Evaluation(mesh, v, metric).max_norm == \
+    assert 1.0 - Evaluation(mesh, v, metric).max_norm == \
         pytest.approx(gradient_margin(mesh, v), rel=1e-12)
 
 
@@ -1188,13 +1193,13 @@ def test_column_kernels_match_einsum(mesh, metric, seed, steepest):
                                   einsum_basis(mesh))
     np.testing.assert_array_equal(p1_gradient(mesh, v),
                                   einsum_gradient(mesh, v))
+    ev = Evaluation(mesh, v, metric)
     np.testing.assert_array_equal(
-        _Evaluation(mesh, v, metric).density,
-        einsum_density(einsum_gradient(mesh, v), metric))
-    assert energy(mesh, v, config) == einsum_energy(mesh, v, config)
-    np.testing.assert_array_equal(residual(mesh, v, config),
+        ev.density, einsum_density(einsum_gradient(mesh, v), metric))
+    assert energy(mesh, ev) == einsum_energy(mesh, v, config)
+    np.testing.assert_array_equal(residual(mesh, ev),
                                   einsum_residual(mesh, v, config))
-    got = tangent_matrix(mesh, v, config)
+    got = tangent_matrix(mesh, ev)
     ref = einsum_tangent(mesh, v, config)
     np.testing.assert_array_equal(got.indptr, ref.indptr)
     np.testing.assert_array_equal(got.indices, ref.indices)
@@ -1250,19 +1255,17 @@ def test_divergence_is_adjoint_of_gradient(mesh, seed):
 # ----------------------------------------------------------------------
 
 
-def blas_cg(operator, rhs, linear_tol, preconditioner, max_iter=None):
+def blas_cg(operator, rhs, linear_tol, preconditioner):
     """Former cg_solve: inner products by ``@``, norms by
     ``np.linalg.norm``."""
     n = len(rhs)
     bnorm = float(np.linalg.norm(rhs))
-    if max_iter is None:
-        max_iter = 10 * n + 100
     x = np.zeros(n)
     r = rhs.copy()
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
-    for matvecs in range(1, max_iter + 1):
+    for matvecs in range(1, 10 * n + 100 + 1):
         assert rz > 0.0
         ap = operator @ p
         pap = float(p @ ap)
@@ -1281,12 +1284,18 @@ def blas_cg(operator, rhs, linear_tol, preconditioner, max_iter=None):
                               np.linalg.norm(r) / bnorm)
 
 
-def achieved_after(pcg, matvecs):
-    """Relative residual of a PCG loop given at most ``matvecs`` products."""
-    try:
-        return pcg(max_iter=matvecs)[2]
-    except NonConvergenceError as exc:
-        return exc.achieved
+def dot_norm(a):
+    """cg_solve's norm: the square root of a ``_dot``."""
+    return math.sqrt(_dot(a, a))
+
+
+def recording(preconditioner, norm, norms):
+    """``preconditioner``, noting the ``norm`` of each residual it is handed:
+    the k-th is that of the PCG loop after k products."""
+    def apply(r):
+        norms.append(norm(r))
+        return preconditioner(r)
+    return apply
 
 
 @settings(max_examples=60, deadline=None)
@@ -1298,18 +1307,20 @@ def achieved_after(pcg, matvecs):
          matrix="lorentz", vcycle=False, linear_tol=1e-12, seed=1)
 def test_pcg_matches_blas_summed_loop(mesh, matrix, vcycle, linear_tol, seed):
     if matrix == "laplace":
-        v, config = np.zeros(mesh.vertex_count), SolverConfig(metric="euclid")
+        ev = Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid")
     else:
-        v, config = spacelike_field(mesh, seed, 0.9), SolverConfig(metric=matrix)
-    k = tangent_matrix(mesh, v, config)
+        ev = Evaluation(mesh, spacelike_field(mesh, seed, 0.9), matrix)
+    k = tangent_matrix(mesh, ev)
     assume(k.shape[0] > 0)
     rhs = np.random.default_rng(seed).standard_normal(k.shape[0])
     diag = k.diagonal()
     cycle = _VCycle(k) if vcycle else (lambda r: r / diag)
-    pcg = partial(cg_solve, k, rhs, linear_tol, cycle)
-    ref = partial(blas_cg, k, rhs, linear_tol, cycle)
-    x, matvecs, achieved = pcg()
-    x_ref, matvecs_ref, achieved_ref = ref()
+    # each loop's residual norms, summed as the loop sums them
+    norms, norms_ref = [], []
+    x, matvecs, achieved = cg_solve(
+        k, rhs, linear_tol, recording(cycle, dot_norm, norms))
+    x_ref, matvecs_ref, achieved_ref = blas_cg(
+        k, rhs, linear_tol, recording(cycle, np.linalg.norm, norms_ref))
     # The loops differ only by rounding in their sums, which finite-precision
     # CG carries forward at about eps * matvecs * |A| |x| / |b| relative to
     # |b| (Greenbaum, SIAM J. Matrix Anal. Appl. 18 (1997) 535-551); the
@@ -1328,9 +1339,13 @@ def test_pcg_matches_blas_summed_loop(mesh, matrix, vcycle, linear_tol, seed):
     # A tie at the stopping test, which Jacobi PCG at 1e-12 meets in a few
     # percent of the generated systems, where that rounding is a tenth of
     # the tolerance: after the smaller count the two residuals still agree,
-    # on either side of the tolerance.
+    # on either side of the tolerance.  The loop that goes on hands its
+    # residual after that count to the preconditioner.
     first = min(matvecs, matvecs_ref)
-    got, want = achieved_after(pcg, first), achieved_after(ref, first)
+    got = (achieved if matvecs == first
+           else norms[first] / dot_norm(rhs))
+    want = (achieved_ref if matvecs_ref == first
+            else norms_ref[first] / np.linalg.norm(rhs))
     assert abs(got - want) <= scale
     assert min(got, want) <= linear_tol < max(got, want)
 
@@ -1590,8 +1605,8 @@ def test_aggregates_match_squared_graph(a, theta):
 
 def test_aggregates_match_squared_graph_down_a_hierarchy():
     mesh = build_annulus(1.0, 2.0, 0.03)
-    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
-                       SolverConfig(metric="euclid"))
+    k = tangent_matrix(mesh,
+                       Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid"))
     cycle = _VCycle(k)
     assert len(cycle.levels) >= 2
     for a, *_ in cycle.levels:
@@ -1742,8 +1757,8 @@ def assert_symmetric_inverse_of_asymmetric(a):
 
 def test_dense_inverse_is_symmetric_on_a_galerkin_bottom():
     mesh = build_annulus(1.0, 4.0, 0.025)
-    k = tangent_matrix(mesh, np.zeros(mesh.vertex_count),
-                       SolverConfig(metric="euclid"))
+    k = tangent_matrix(mesh,
+                       Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid"))
     a, _, p = _VCycle(k).levels[-1]
     assert_symmetric_inverse_of_asymmetric((p.T.tocsr() @ (a @ p)).toarray())
 
