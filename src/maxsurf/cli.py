@@ -26,7 +26,8 @@ from .lorentz import sample_coercivity
 from .mesh import (ARTIFICIAL, DIRICHLET, Mesh, build_annulus,
                    build_rectangle, build_strip, load_mesh)
 from .records import record_lines, write_record, write_csv
-from .solver import (NonConvergenceError, SolverConfig, load_field,
+from .solver import (SIGMA_MIN, Evaluation, NonConvergenceError,
+                     SolverConfig, load_field, residual, residual_norm,
                      save_field, save_trace, solve)
 from .uniqueness import (comparison_verdict, flux_scan, level_region,
                          perturbation_decay, radial_grid, riccati_comparison,
@@ -212,6 +213,7 @@ def cmd_uniqueness(args) -> int:
             raise UsageError("--v and --vprime go together")
         v = load_field(mesh, args.v)
         vp = load_field(mesh, args.vprime)
+        _check_solutions(mesh, [(args.v, v), (args.vprime, vp)], args.tol)
     else:
         if not args.bc:
             raise UsageError("inline solves need --bc (plus --art0/--art1)")
@@ -259,6 +261,31 @@ def cmd_uniqueness(args) -> int:
     _emit(verdict.record_items(), f"{args.out}_verdict.txt")
     return _verified(scan.n_flagged, f"{scan.n_flagged} of {len(scan.radii)} "
                      "radii break the flux inequality")
+
+
+def _check_solutions(mesh: Mesh, fields, tol: float) -> None:
+    """Refuse loaded fields outside the comparison's premises.
+
+    The flux inequality compares two solutions of one Dirichlet problem:
+    each (path, field) must be spacelike at SIGMA_MIN and pass the stop
+    ``solve`` applies, ``residual_norm`` of its residual at most ``tol``,
+    and the two must agree at every DIRICHLET vertex.
+    """
+    for path, field in fields:
+        ev = Evaluation(mesh, field, "lorentz")
+        if not ev.spacelike(SIGMA_MIN):
+            raise ValueError(f"field {path} is not spacelike: max |grad| "
+                             f"{ev.max_norm:.6g}")
+        res = residual_norm(mesh, residual(mesh, ev))
+        if not res <= tol:
+            raise ValueError(f"field {path} does not solve the maximal "
+                             f"surface equation: residual {res:.3e} above "
+                             f"--tol {tol:g}")
+    (path0, v0), (path1, v1) = fields
+    dirichlet = mesh.vertex_class == DIRICHLET
+    if not np.array_equal(v0[dirichlet], v1[dirichlet]):
+        raise ValueError(f"fields {path0} and {path1} differ at a dirichlet "
+                         "vertex")
 
 
 def cmd_decay(args) -> int:

@@ -28,6 +28,27 @@ _RECT_SIDES = ("left", "right", "bottom", "top")
 _RINGS = ("inner", "outer")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``, whose memory stays writeable.
+
+    ``np.bincount`` copies a read-only index array, and the solver sums
+    over ``triangles`` and ``triangle_edges`` on every residual and Newton
+    matrix (5.5 MiB of corners per call on the benchmark annulus), so those
+    two are such views, and the solver passes ``_writeable`` of them.
+    """
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+def _writeable(index: np.ndarray) -> np.ndarray:
+    """A writeable view of ``triangles`` or ``triangle_edges`` for
+    ``np.bincount``, which reads it: no copy is made."""
+    view = index.view()
+    view.setflags(write=True)
+    return view
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Immutable triangulation with vertex classes.
@@ -74,11 +95,13 @@ class Mesh:
         if not np.isin(c, (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
             raise ValueError("unknown vertex class")
         t = np.ascontiguousarray(t, dtype=np.int64)
+        if not t.flags.writeable:  # may be memory _writeable cannot open
+            t = t.copy()
         c = np.ascontiguousarray(c, dtype=np.int8)
-        for arr in (v, t, c):
+        for arr in (v, c):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
+        object.__setattr__(self, "triangles", _read_only(t))
         object.__setattr__(self, "vertex_class", c)
         self._validate()
 
@@ -175,9 +198,9 @@ class Mesh:
         pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
         connected = _edge_connected(order[pair] // 3, order[pair + 1] // 3,
                                     len(t))
-        for arr in (edges, tri_edges, boundary):
+        for arr in (edges, boundary):
             arr.setflags(write=False)
-        return edges, tri_edges, boundary, connected
+        return edges, _read_only(tri_edges), boundary, connected
 
     @property
     def edges(self) -> np.ndarray:

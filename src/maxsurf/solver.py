@@ -37,6 +37,18 @@ The V-cycle build makes no dense BLAS call either: the aggregates reduce
 over a padded link table (``reduceat`` for a hub row), its products are
 sparse, and the bottom inverse is a symmetric sweep in numpy's loops.
 
+The sparse matrices are the module's own CSR type, ``_CSR``, which
+``tangent_matrix`` returns; ``scipy.sparse.csr_matrix((k.data, k.indices,
+k.indptr), shape=k.shape)`` converts one.  Its operations call scipy's
+compiled CSR kernels (``csr_matvec``, ``csc_matvec``,
+``csr_matmat_maxnnz`` and ``csr_matmat``, ``csr_tocsc``,
+``csr_minus_csr``, ``csr_diagonal``, ``csr_todense``) as scipy 1.17 calls
+them, so every matrix is bit for bit the one scipy makes.  Their module,
+``scipy.sparse._sparsetools``, is loaded on first use straight from the
+installed scipy's directory (``_sparsetools``): no process imports
+``scipy`` or ``scipy.sparse``, which would cost about 20 MiB and a fifth
+of a second, most of it scipy's array-API shim.
+
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
 builds a V-cycle, and later ones keep its smoothed prolongators, Galerkin
@@ -65,19 +77,19 @@ the rule; the start changes where Newton begins, not what it converges to.
 from __future__ import annotations
 
 import copy
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import astuple, dataclass, fields
-from functools import cached_property
-from typing import TYPE_CHECKING
+from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
 from .lorentz import _spacelike, _spacelike_density
-from .mesh import Mesh
+from .mesh import Mesh, _writeable
 from .records import write_csv, read_csv
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 METRICS = ("lorentz", "euclid")
 
@@ -261,8 +273,8 @@ def _weighted_divergence(mesh: Mesh, wx: np.ndarray,
         np.multiply(bx[i], wx, out=local[:, i])
         np.multiply(by[i], wy, out=term)
         local[:, i] += term
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.vertex_count)
+    return np.bincount(_writeable(mesh.triangles).ravel(),
+                       weights=local.ravel(), minlength=mesh.vertex_count)
 
 
 def _check_field(mesh: Mesh, values, where=slice(None)) -> np.ndarray:
@@ -345,7 +357,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def tangent_matrix(mesh: Mesh, ev: Evaluation) -> csr_matrix:
+def tangent_matrix(mesh: Mesh, ev: Evaluation) -> _CSR:
     """Sparse symmetric Newton matrix K_ij = sum_T area_T grad(phi_i) . D . grad(phi_j).
 
     D = c1 I + c2 g g^T is the flux Jacobian at the evaluated triangle
@@ -356,7 +368,9 @@ def tangent_matrix(mesh: Mesh, ev: Evaluation) -> csr_matrix:
     summed per edge by one ``bincount``; each diagonal entry is minus its
     row's off-diagonal sum, since the P1 basis gradients of a triangle sum
     to zero.  The pattern is the mesh's assembly plan: it keeps structural
-    zeros and sorts columns within each row.
+    zeros and sorts columns within each row.  The block is the package's
+    CSR type, ``_CSR``; ``scipy.sparse.csr_matrix((k.data, k.indices,
+    k.indptr), shape=k.shape)`` converts it.
     """
     edge = _edge_values(mesh, ev)
     lo, hi = mesh.edges.T
@@ -398,8 +412,8 @@ def _edge_values(mesh: Mesh, ev: Evaluation) -> np.ndarray:
         w *= bg[b]
         np.add(u, w, out=pair[:, k])
     del c1, c2, bg, u, w
-    return np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
-                       minlength=len(mesh.edges))
+    return np.bincount(_writeable(mesh.triangle_edges).ravel(),
+                       weights=pair.ravel(), minlength=len(mesh.edges))
 
 
 # ----------------------------------------------------------------------
@@ -412,11 +426,198 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
-def _csr(data, indices, indptr, shape) -> csr_matrix:
-    # scipy.sparse is imported on first use: it costs a fifth of a second,
-    # which processes that only read, write and integrate fields never pay
-    from scipy.sparse import csr_matrix
-    return csr_matrix((data, indices, indptr), shape=shape)
+@cache
+def _sparsetools():
+    """scipy's compiled CSR kernels, the module ``scipy.sparse._sparsetools``.
+
+    Loaded on first use, once, straight from the installed scipy's
+    directory by an extension loader, so that neither ``scipy`` nor
+    ``scipy.sparse`` is imported: that import, mostly scipy's array-API
+    shim, costs about 20 MiB and a fifth of a second.  A host program
+    that has already imported the module keeps its copy.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        stem = os.path.join(scipy_dirs[0], "sparse", "_sparsetools")
+        for suffix in EXTENSION_SUFFIXES:
+            path = stem + suffix
+            if os.path.exists(path):
+                break
+        loader = ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _index_dtype(arrays, maxval=None, contents=False):
+    """int32 or int64 for CSR index arrays, as scipy's ``get_index_dtype``.
+
+    int64 when ``maxval`` exceeds the int32 range or an array's dtype does
+    not cast to int32, unless ``contents`` is set and the array is empty or
+    holds integers within that range.
+    """
+    if maxval is not None and maxval > _INT32.max:
+        return np.int64
+    for arr in arrays:
+        if not np.can_cast(arr.dtype, np.int32) and not (
+                contents and (arr.size == 0 or (
+                    arr.dtype.kind in "iu"
+                    and _INT32.min <= arr.min() and arr.max() <= _INT32.max))):
+            return np.int64
+    return np.int32
+
+
+def _csr(data, indices, indptr, shape) -> _CSR:
+    """The CSR matrix of these arrays, as scipy's ``csr_matrix((data,
+    indices, indptr), shape=shape)`` makes it.
+
+    The index arrays are cast to ``_index_dtype`` of their contents and the
+    shape (copies only where the dtype changes), and ``indices`` and
+    ``data`` are trimmed to the matrix's nnz, ``indptr[-1]``: a view that
+    is copied when it keeps less than half of its base (scipy's ``prune``).
+    The matrix's operations call scipy's compiled CSR kernels, which
+    ``_sparsetools`` loads without importing ``scipy`` (see ``_CSR``).
+    """
+    index = _index_dtype((indices, indptr),
+                         None if 0 in shape else max(shape), contents=True)
+    indptr = np.asarray(indptr, dtype=index)
+    nnz = int(indptr[-1])
+    return _CSR(_pruned(np.asarray(data)[:nnz]),
+                _pruned(np.asarray(indices, dtype=index)[:nnz]), indptr,
+                shape)
+
+
+def _pruned(a: np.ndarray) -> np.ndarray:
+    return a.copy() if a.base is not None and a.size < a.base.size // 2 else a
+
+
+class _CSR:
+    """A sparse matrix in compressed sparse row form, on scipy's kernels.
+
+    ``data``, ``indices``, ``indptr`` and ``shape`` are those of scipy's
+    ``csr_matrix``, which converts it:
+    ``scipy.sparse.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)``.
+    Each operation calls the kernel of ``_sparsetools`` that scipy 1.17
+    calls for it, with the same index dtypes, zero-filled outputs where
+    the kernel accumulates, and results made by ``_csr``, so every array
+    is the one scipy would make, bit for bit: ``@`` a vector
+    (``csr_matvec``) or a ``_CSR`` (``csr_matmat_maxnnz``, then
+    ``csr_matmat``), ``-`` (``csr_minus_csr``), ``diagonal()``
+    (``csr_diagonal``) and ``toarray()`` (``csr_todense``).  ``T`` is the
+    transpose as a view of the same arrays (``_Transposed``).  Made only
+    by ``_csr``.
+    """
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def T(self) -> _Transposed:
+        return _Transposed(self)
+
+    def __matmul__(self, other):
+        m, n = self.shape
+        if isinstance(other, _CSR):
+            return self._matmat(other)
+        if other.shape != (n,):
+            raise ValueError(f"matmul: shape {other.shape} against {self.shape}")
+        out = np.zeros(m, dtype=np.result_type(self.data.dtype, other.dtype))
+        _sparsetools().csr_matvec(m, n, self.indptr, self.indices, self.data,
+                                  other, out)
+        return out
+
+    def _matmat(self, other: _CSR) -> _CSR:
+        (m, k), (k2, n) = self.shape, other.shape
+        if k != k2:
+            raise ValueError(f"matmul: shape {other.shape} against {self.shape}")
+        kernels = _sparsetools()
+        arrays = (self.indptr, self.indices, other.indptr, other.indices)
+        # maxnnz bounds the product's nnz; csr_matmat drops exact zeros
+        maxnnz = kernels.csr_matmat_maxnnz(
+            m, n, *_cast(arrays, _index_dtype(arrays)))
+        return self._combined(other, kernels.csr_matmat, maxnnz, (m, n))
+
+    def __sub__(self, other: _CSR) -> _CSR:
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        return self._combined(other, _sparsetools().csr_minus_csr,
+                              self.nnz + other.nnz, self.shape)
+
+    def _combined(self, other: _CSR, kernel, maxnnz: int, shape) -> _CSR:
+        """``kernel`` of this matrix and ``other`` into at most ``maxnnz``
+        entries: both matrices' indices in the dtype that fits ``maxnnz``."""
+        arrays = (self.indptr, self.indices, other.indptr, other.indices)
+        index = _index_dtype(arrays, maxnnz)
+        indptr = np.empty(shape[0] + 1, dtype=index)
+        indices = np.empty(maxnnz, dtype=index)
+        data = np.empty(maxnnz, dtype=np.result_type(self.data.dtype,
+                                                     other.data.dtype))
+        a_ptr, a_ind, b_ptr, b_ind = _cast(arrays, index)
+        kernel(*shape, a_ptr, a_ind, self.data, b_ptr, b_ind, other.data,
+               indptr, indices, data)
+        return _csr(data, indices, indptr, shape)
+
+    def diagonal(self) -> np.ndarray:
+        m, n = self.shape
+        out = np.empty(min(m, n), dtype=self.data.dtype)
+        _sparsetools().csr_diagonal(0, m, n, self.indptr, self.indices,
+                                    self.data, out)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        _sparsetools().csr_todense(*self.shape, self.indptr, self.indices,
+                                   self.data, out)
+        return out
+
+
+def _cast(arrays, index):
+    return [a.astype(index, copy=False) for a in arrays]
+
+
+class _Transposed:
+    """The transpose of a ``_CSR`` matrix: its arrays read as compressed
+    columns, as scipy's CSC view ``p.T`` reads them.  ``@`` a vector runs
+    ``csc_matvec``; ``tocsr()`` makes the transpose's own CSR arrays with
+    ``csr_tocsc``."""
+
+    def __init__(self, matrix: _CSR):
+        self.matrix = matrix
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        a = self.matrix
+        m, n = a.shape
+        if other.shape != (m,):
+            raise ValueError(f"matmul: shape {other.shape} against the "
+                             f"transpose of {a.shape}")
+        out = np.zeros(n, dtype=np.result_type(a.data.dtype, other.dtype))
+        _sparsetools().csc_matvec(n, m, a.indptr, a.indices, a.data, other,
+                                  out)
+        return out
+
+    def tocsr(self) -> _CSR:
+        a = self.matrix
+        m, n = a.shape
+        index = _index_dtype((a.indptr, a.indices), max(a.nnz, m))
+        indptr = np.empty(n + 1, dtype=index)
+        indices = np.empty(a.nnz, dtype=index)
+        data = np.empty(a.nnz, dtype=a.data.dtype)
+        _sparsetools().csr_tocsc(m, n, *_cast((a.indptr, a.indices), index),
+                                 a.data, indptr, indices, data)
+        return _csr(data, indices, indptr, (n, m))
 
 
 class _AssemblyPlan:
@@ -458,7 +659,7 @@ class _AssemblyPlan:
             arr.setflags(write=False)
         self.tentatives = None
 
-    def free_block(self, edge: np.ndarray, diagonal: np.ndarray) -> csr_matrix:
+    def free_block(self, edge: np.ndarray, diagonal: np.ndarray) -> _CSR:
         """Free-vertex block of these (E,) edge and free diagonal values."""
         n = len(self.indptr) - 1
         data = edge[self.edge_slots]
@@ -475,7 +676,7 @@ def _plan(mesh: Mesh) -> _AssemblyPlan:
     return plan
 
 
-def _jacobi_scale(a: csr_matrix) -> np.ndarray:
+def _jacobi_scale(a: _CSR) -> np.ndarray:
     """Damped Jacobi weights omega / a_ii with omega safely below 2 / rho(D^-1 A).
 
     The Gershgorin bound max_i sum_j |a_ij| / a_ii caps rho(D^-1 A), so the
@@ -488,7 +689,7 @@ def _jacobi_scale(a: csr_matrix) -> np.ndarray:
     return (JACOBI_WEIGHT / float(np.max(rowsum / d))) / d
 
 
-def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
+def _aggregates(a: _CSR, theta: float) -> np.ndarray:
     """Aggregate number of each row of ``a`` from its strength graph.
 
     Roots are a maximal set of rows at least three strong links apart: a
@@ -549,7 +750,7 @@ def _aggregates(a: csr_matrix, theta: float) -> np.ndarray:
     return agg
 
 
-def _tentative(a: csr_matrix):
+def _tentative(a: _CSR):
     """Piecewise-constant prolongator of an aggregation of ``a``, or None.
 
     Strength STRENGTH_THETA is tried first and 0 when that coarsens by
@@ -608,12 +809,16 @@ class _VCycle:
     by level, and kept in ``self.tentatives``.  The last level is inverted
     by the symmetric sweep of ``_dense_inverse`` when it has at most
     COARSE_SIZE rows, and smoothed once otherwise.  No dense matrix product
-    is made: the sparse ones run in scipy's own loops, the sweep in numpy's.
+    is made: the sparse ones are ``_CSR`` operations on scipy's compiled
+    kernels, loaded by ``_sparsetools`` without importing ``scipy``
+    (``csr_matmat_maxnnz``, ``csr_matmat``, ``csr_minus_csr`` and
+    ``csr_tocsc`` in the build, ``csr_matvec`` and ``csc_matvec`` in the
+    cycle), and the sweep runs in numpy's loops.
     Calling the cycle maps a residual r to z; the map is symmetric and
     positive definite.
     """
 
-    def __init__(self, matrix: csr_matrix, tentatives=None):
+    def __init__(self, matrix: _CSR, tentatives=None):
         choose = tentatives is None
         self.tentatives = [] if choose else tentatives
         self.levels = []
@@ -629,7 +834,8 @@ class _VCycle:
             t = self.tentatives[len(self.levels)]
             at = a @ t
             at.data *= np.repeat(scale, np.diff(at.indptr))
-            p = (t - at).tocsr()
+            p = t - at
+            del at  # freed before the Galerkin products
             self.levels.append((a, scale, p))
             # a transient CSR restriction keeps the coarse matrix CSR
             a = p.T.tocsr() @ (a @ p)
@@ -639,7 +845,7 @@ class _VCycle:
             n = a.shape[0]
             self.bottom = _csr(scale, np.arange(n), np.arange(n + 1), (n, n))
 
-    def refreshed(self, matrix: csr_matrix | None) -> _VCycle:
+    def refreshed(self, matrix: _CSR | None) -> _VCycle:
         """This cycle with its finest level on ``matrix`` and its Jacobi weights.
 
         The smoothed prolongator, the coarser levels and the bottom inverse
@@ -798,7 +1004,7 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
             (LINEAR_TOL, matvecs, achieved))
 
 
-def _vcycle(plan: _AssemblyPlan, matrix: csr_matrix) -> _VCycle:
+def _vcycle(plan: _AssemblyPlan, matrix: _CSR) -> _VCycle:
     """V-cycle on the mesh's aggregates; the first one on a mesh chooses them."""
     vcycle = _VCycle(matrix, plan.tentatives)
     plan.tentatives = vcycle.tentatives

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from maxsurf import (Mesh, SolverConfig, build_annulus, build_rectangle,
                      p1_gradient, save_field, solve)
+from maxsurf.solver import _csr
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +81,17 @@ def cotan_laplacian(mesh):
     return coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
+
+
+def scipy_csr(k):
+    """The solver's CSR matrix as scipy's, for scipy's solvers and products."""
+    return csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)
+
+
+def solver_csr(a):
+    """A scipy sparse matrix as the solver's CSR type, through ``_csr``."""
+    a = a.tocsr()
+    return _csr(a.data, a.indices, a.indptr, a.shape)
 
 
 def spacelike_field(mesh, seed, steepest=0.5):

@@ -451,6 +451,76 @@ def test_uniqueness_field_file_route(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_uniqueness_accepts_fields_written_by_solve(capsys, tmp_path):
+    # the CLI's own solves pass the loaded-field premises and give the
+    # inline run's files
+    assert main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1",
+                        "--out", "inline"]) == 0
+    mesh = build_annulus(1.0, 4.0, 0.2, artificial_rings=("outer",))
+    save_field(mesh, np.where(mesh.vertex_class == ARTIFICIAL, -1.0, 0.0),
+               tmp_path / "bc1.csv")
+    assert main(["solve", *UNIQ[1:], "--bc", "0", "--out", "v"]) == 0
+    assert main(["solve", *UNIQ[1:], "--bc", "@bc1.csv", "--out", "vp"]) == 0
+    assert main(UNIQ + ["--v", "v_solution.csv", "--vprime",
+                        "vp_solution.csv", "--out", "files"]) == 0
+    for suffix in ("_verdict.txt", "_scan.csv", "_ode.csv"):
+        assert ((tmp_path / f"files{suffix}").read_bytes()
+                == (tmp_path / f"inline{suffix}").read_bytes())
+    capsys.readouterr()
+
+
+def loaded_field_error(capsys, tmp_path, mesh_args, v, vp):
+    """The one stderr line of a uniqueness run on two loaded fields."""
+    capsys.readouterr()
+    rc = main(["uniqueness", *mesh_args, "--v", v, "--vprime", vp])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1
+    assert not list(tmp_path.glob("out_*"))
+    return err[0]
+
+
+def test_uniqueness_refuses_loaded_fields_that_are_not_solutions(capsys,
+                                                                 tmp_path):
+    mesh_args = ["--shape", "annulus:1:4", "--h", "0.1",
+                 "--artificial", "outer"]
+    mesh = build_annulus(1.0, 4.0, 0.1, artificial_rings=("outer",))
+    x, y = mesh.vertices.T
+    r = np.hypot(x, y)
+    # spacelike, but its flux form is not closed
+    save_field(mesh, 0.1 * np.sin(3 * x) * np.cos(2 * y) + 0.4 * (r - 1) / 3,
+               tmp_path / "wavy.csv")
+    save_field(mesh, np.zeros(mesh.vertex_count), tmp_path / "zero.csv")
+    save_field(mesh, 2.0 * x, tmp_path / "steep.csv")
+    for v, vp in (("wavy.csv", "zero.csv"), ("zero.csv", "wavy.csv")):
+        err = loaded_field_error(capsys, tmp_path, mesh_args, v, vp)
+        assert err.startswith("error: field wavy.csv does not solve the "
+                              "maximal surface equation: residual ")
+        assert err.endswith(" above --tol 1e-10")
+    err = loaded_field_error(capsys, tmp_path, mesh_args, "zero.csv",
+                             "steep.csv")
+    assert err == "error: field steep.csv is not spacelike: max |grad| 2"
+    # past the residual premise, the true-boundary data still differ
+    err = loaded_field_error(capsys, tmp_path, mesh_args + ["--tol", "10"],
+                             "wavy.csv", "zero.csv")
+    assert err == ("error: fields wavy.csv and zero.csv differ at a "
+                   "dirichlet vertex")
+
+
+def test_uniqueness_refuses_solutions_of_two_dirichlet_problems(capsys,
+                                                                tmp_path):
+    # each field solves its own problem; their true-boundary data differ
+    mesh = build_annulus(1.0, 4.0, 0.2, artificial_rings=("outer",))
+    inner = mesh.vertex_class != ARTIFICIAL
+    save_field(mesh, np.where(inner, 0.1, -1.0), tmp_path / "bc1.csv")
+    assert main(["solve", *UNIQ[1:], "--bc", "0", "--out", "v"]) == 0
+    assert main(["solve", *UNIQ[1:], "--bc", "@bc1.csv", "--out", "vp"]) == 0
+    err = loaded_field_error(capsys, tmp_path, UNIQ[1:], "v_solution.csv",
+                             "vp_solution.csv")
+    assert err == ("error: fields v_solution.csv and vp_solution.csv differ "
+                   "at a dirichlet vertex")
+
+
 def test_uniqueness_field_flags_validated(capsys):
     assert main(UNIQ + ["--v", "v.csv"]) == 1
     assert "go together" in capsys.readouterr().err
@@ -764,7 +834,7 @@ print(sorted(name for name in sys.modules
 
 
 def test_field_io_and_conjugation_import_no_scipy_sparse(tmp_path):
-    # scipy.sparse is imported only where the solver builds a matrix
+    # not even the solver's compiled sparse kernels are loaded
     out = subprocess.run([sys.executable, "-c", FIELD_PROBE, str(tmp_path)],
                          env=probe_env(), capture_output=True, text=True,
                          timeout=300)
@@ -794,6 +864,76 @@ def test_uniqueness_imports_no_scipy_spatial_or_linalg(tmp_path):
     # the verdict record comes first
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "u_scan.csv").exists()
+
+
+SCIPY_PROBE = """
+import sys
+from maxsurf.cli import main
+assert main(sys.argv[1:]) == 0
+print(sorted(name for name in sys.modules
+             if name == "scipy" or name.startswith("scipy.")))
+"""
+
+SOLVING_COMMANDS = {
+    "solve": ["solve", "--shape", "rect:1x1", "--h", "0.0625", "--metric",
+              "euclid", "--bc", "x*x-y*y", "--out", "u"],
+    "uniqueness": ["uniqueness", "--shape", "annulus:1:4", "--h", "0.2",
+                   "--artificial", "outer", "--bc", "0", "--art0", "0",
+                   "--art1", "-1", "--out", "u"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVING_COMMANDS))
+def test_solving_process_loads_only_the_compiled_sparse_kernels(command,
+                                                                tmp_path):
+    # the solver loads scipy's compiled CSR kernels on their own: importing
+    # scipy.sparse costs about 20 MiB and a fifth of a second
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *SOLVING_COMMANDS[command]],
+        cwd=tmp_path, env=probe_env(), capture_output=True, text=True,
+        timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "['scipy.sparse._sparsetools']"
+    assert list(tmp_path.glob("u_*"))
+
+
+HOST_PROBE = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.sparse
+from maxsurf import SolverConfig, build_rectangle, solve
+from maxsurf.solver import _sparsetools
+
+
+def run_solve():
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 16)
+    x, y = mesh.vertices.T
+    u, report = solve(mesh, x * x - y * y, SolverConfig(metric="euclid"))
+    assert report.converged
+    return u
+
+
+u = run_solve()
+import scipy.sparse
+a = scipy.sparse.csr_matrix(np.arange(12.0).reshape(3, 4))
+assert np.array_equal((a @ a.T).toarray(), a.toarray() @ a.toarray().T)
+assert np.array_equal(a @ np.ones(4), a.toarray().sum(axis=1))
+assert np.array_equal(run_solve(), u)
+print(_sparsetools() is sys.modules["scipy.sparse._sparsetools"])
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_host_program_may_import_scipy_sparse_before_or_after_a_solve(
+        order, tmp_path):
+    # one kernel module serves both: the solver reuses scipy's, or scipy
+    # finds the solver's
+    out = subprocess.run([sys.executable, "-c", HOST_PROBE, order],
+                         cwd=tmp_path, env=probe_env(), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 # A CLI process run as ``python -m maxsurf.cli`` imports the package before

@@ -12,6 +12,7 @@ from maxsurf import (
     load_mesh,
     save_mesh,
 )
+from maxsurf.mesh import _writeable
 
 
 def vertex_at(mesh, x, y):
@@ -248,6 +249,25 @@ def test_mesh_arrays_frozen(square4):
     assert not square4.vertices.flags.writeable
     with pytest.raises(ValueError):
         square4.triangles[0, 0] = 5
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_index_tables_are_read_only_views_of_writeable_memory(frozen):
+    ref = build_rectangle(1.0, 1.0, 0.25)
+    triangles = ref.triangles.copy()
+    triangles.setflags(write=not frozen)
+    mesh = Mesh(ref.vertices, triangles, ref.vertex_class, ref.h)
+    # the caller's array is not frozen by the mesh; a frozen one is copied
+    assert triangles.flags.writeable != frozen
+    assert np.shares_memory(triangles, mesh.triangles) != frozen
+    for table in (mesh.triangles, mesh.triangle_edges):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+        # np.bincount copies a read-only index array; the solver passes a
+        # writeable view of the same memory instead of a copy
+        view = _writeable(table)
+        assert view.flags.writeable and np.shares_memory(view, table)
 
 
 # ----------------------------------------------------------------------

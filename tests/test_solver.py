@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -25,6 +26,7 @@ from maxsurf import (
     cg_solve,
     energy,
     load_field,
+    p1_divergence,
     p1_gradient,
     residual,
     residual_norm,
@@ -40,7 +42,8 @@ from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             _initial_guess, _VCycle)
 
 from conftest import (affine_field, cotan_laplacian, jittered,
-                      nan_coordinate_field, spacelike_field)
+                      nan_coordinate_field, scipy_csr, solver_csr,
+                      spacelike_field)
 from oracles import gradient_margin
 
 LORENTZ = SolverConfig()
@@ -263,7 +266,7 @@ def test_multilevel_pcg_matches_direct_solve(mesh, metric, seed):
     if k.shape[0] > COARSE_SIZE:
         assert vcycle.levels
     rhs = np.random.default_rng(seed).standard_normal(k.shape[0])
-    ref = spsolve(k, rhs)
+    ref = spsolve(scipy_csr(k), rhs)
     got, _, _ = cg_solve(k, rhs, 1e-14, vcycle)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -306,7 +309,7 @@ def test_refreshed_vcycle_is_spd_and_matches_direct_solve(mesh, metric,
     assert abs(z1 @ r2 - r1 @ z2) <= 1e-12 * scale
     assert z1 @ r1 > 0.0
     assert z2 @ r2 > 0.0
-    ref = spsolve(k, rhs)
+    ref = spsolve(scipy_csr(k), rhs)
     got, _, _ = cg_solve(k, rhs, 1e-14, lagged)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -353,7 +356,7 @@ def test_harmonic_extension_matches_sliced_direct_solve(mesh, seed):
     free, fixed = mesh.interior_vertices, mesh.constrained_vertices
     coupling = cotan_laplacian(mesh)[free][:, fixed]
     rhs = -coupling @ bc[fixed]
-    ref = spsolve(k, rhs)
+    ref = spsolve(scipy_csr(k), rhs)
     # the full path: no early stop is offered
     with mock.patch.object(solver_module, "LINEAR_TOL", 1e-14), \
             mock.patch.object(solver_module, "START_TOL", 0.0):
@@ -610,8 +613,8 @@ def test_vcycle_build_does_not_wake_blas_threads():
 
 
 # Every ``@`` in the solver, by enclosing function; each operand pair named
-# is either sparse (scipy's own loop) or a dense product measured not to
-# wake a threaded BLAS's workers
+# is either sparse (scipy's compiled kernels) or a dense product measured
+# not to wake a threaded BLAS's workers
 MATMUL_ALLOWED = {
     # the operator's product; the solver passes CSR matrices only
     "cg_solve": 1,
@@ -1092,7 +1095,7 @@ def exact_newton(mesh, bc, config):
     for _ in range(20):
         if res <= 1e-14:
             return v
-        d = spsolve(tangent_matrix(mesh, ev), -residual(mesh, ev))
+        d = spsolve(scipy_csr(tangent_matrix(mesh, ev)), -residual(mesh, ev))
         step = 1.0
         while True:
             trial = v.copy()
@@ -1127,17 +1130,49 @@ def test_inexact_newton_converges_to_the_exact_newton_field(case):
     assert np.abs(v - ref).max() <= bound
 
 
+def test_mesh_index_tables_reach_bincount_uncopied(monkeypatch):
+    # np.bincount copies a read-only index array: (T, 3) int64 per residual
+    # and per Newton matrix
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
+    tables = (mesh.triangles, mesh.triangle_edges)
+    ev = Evaluation(mesh, 0.1 * mesh.vertices[:, 0], "lorentz")
+    ev.density
+    seen = []
+    bincount = np.bincount
+
+    def spy(x, *args, **kwargs):
+        if any(np.shares_memory(x, t) for t in tables):
+            seen.append(x.flags.writeable and x.flags.c_contiguous)
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    residual(mesh, ev)
+    tangent_matrix(mesh, ev)
+    monkeypatch.undo()
+    assert seen == [True, True]
+    # the divergence's peak: (T, 3) local terms, three (T,) rows and the
+    # (V,) sums; a copy of the corners would add 3 T int64
+    t, v = mesh.triangle_count, mesh.vertex_count
+    fx, fy = np.ones((2, t))
+    tracemalloc.start()
+    p1_divergence(mesh, fx, fy)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 7 * 8 * t + 8 * v
+
+
 def test_multilevel_rejects_indefinite_operator():
     mesh = build_rectangle(1.0, 1.0, 1.0 / 32)
     k = tangent_matrix(mesh,
                        Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid"))
-    shifted = (k - 0.5 * k.diagonal().max() * identity(k.shape[0])).tocsr()
+    shifted = solver_csr(scipy_csr(k)
+                         - 0.5 * k.diagonal().max() * identity(k.shape[0]))
     assert shifted.diagonal().min() > 0.0
     rhs = np.random.default_rng(4).standard_normal(k.shape[0])
     with pytest.raises(NonConvergenceError, match="positive definite"):
         cg_solve(shifted, rhs, 1e-12, _VCycle(shifted))
     with pytest.raises(NonConvergenceError, match="positive definite"):
-        _VCycle(-k)
+        _VCycle(solver_csr(-scipy_csr(k)))
 
 
 def test_vcycle_coarsens_weak_links_and_stops_on_a_diagonal():
@@ -1146,13 +1181,14 @@ def test_vcycle_coarsens_weak_links_and_stops_on_a_diagonal():
     # every link is weak at STRENGTH_THETA, so aggregation retries at 0
     weak = diags([np.full(n - 1, -0.01), np.ones(n), np.full(n - 1, -0.01)],
                  [-1, 0, 1], format="csr")
-    vcycle = _VCycle(weak)
+    vcycle = _VCycle(solver_csr(weak))
     assert vcycle.levels
-    np.testing.assert_allclose(cg_solve(weak, rhs, 1e-13, vcycle)[0],
-                               spsolve(weak, rhs), rtol=1e-10)
+    np.testing.assert_allclose(
+        cg_solve(solver_csr(weak), rhs, 1e-13, vcycle)[0],
+        spsolve(weak, rhs), rtol=1e-10)
     # nothing to aggregate: one damped Jacobi sweep
     d = np.linspace(1.0, 2.0, n)
-    vcycle = _VCycle(diags(d, format="csr"))
+    vcycle = _VCycle(solver_csr(diags(d, format="csr")))
     assert not vcycle.levels
     np.testing.assert_allclose(vcycle(rhs), JACOBI_WEIGHT * rhs / d,
                                rtol=1e-15)

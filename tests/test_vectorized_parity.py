@@ -56,11 +56,13 @@ relative.
 import math
 import re
 import warnings
+from unittest import mock
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxsurf import (Evaluation, LevelRegion, Mesh, NonConvergenceError,
                      SolverConfig, TopologyError, build_annulus,
@@ -75,11 +77,14 @@ from maxsurf.mesh import _edge_connected
 from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
 from maxsurf.uniqueness import LEVEL_CANDIDATES, _circle_sums
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
-from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA,
-                            _aggregates, _dense_inverse, _dot, _VCycle)
+from maxsurf import solver as solver_module
+from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA, _CSR,
+                            _aggregates, _csr, _dense_inverse, _dot,
+                            _index_dtype, _VCycle)
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse._sputils import get_index_dtype
 
-from conftest import jittered, spacelike_field
+from conftest import jittered, scipy_csr, solver_csr, spacelike_field
 from oracles import corner_gradients, gradient_margin
 
 # the former polyline clipper's tolerances
@@ -1330,7 +1335,7 @@ def test_pcg_matches_blas_summed_loop(mesh, matrix, vcycle, linear_tol, seed):
     # rounded sums (math.fsum) and these sums part from the BLAS loop by 3%
     # and 14% in the achieved residual.
     scale = (100.0 * np.finfo(float).eps * max(matvecs, matvecs_ref)
-             * abs(k).sum(axis=1).max() * np.linalg.norm(x_ref)
+             * abs(scipy_csr(k)).sum(axis=1).max() * np.linalg.norm(x_ref)
              / np.linalg.norm(rhs))
     if matvecs == matvecs_ref:
         assert abs(achieved - achieved_ref) <= scale
@@ -1599,7 +1604,7 @@ def strength_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(a=strength_matrices(), theta=st.sampled_from([STRENGTH_THETA, 0.0]))
 def test_aggregates_match_squared_graph(a, theta):
-    np.testing.assert_array_equal(_aggregates(a, theta),
+    np.testing.assert_array_equal(_aggregates(solver_csr(a), theta),
                                   squared_graph_aggregates(a, theta))
 
 
@@ -1631,7 +1636,7 @@ def test_aggregates_with_a_hub_row_match_squared_graph():
     a = csr_matrix(off + np.diag(1.0 - off.sum(axis=1)))
     assert np.diff(a.indptr).max() * a.shape[0] > 2 * a.nnz
     for theta in (STRENGTH_THETA, 0.0):
-        np.testing.assert_array_equal(_aggregates(a, theta),
+        np.testing.assert_array_equal(_aggregates(solver_csr(a), theta),
                                       squared_graph_aggregates(a, theta))
 
 
@@ -1772,3 +1777,164 @@ def test_dense_inverse_is_symmetric_with_one_triangle_an_ulp_off(n, seed):
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     a[upper] = np.nextafter(a[upper], np.inf)
     assert_symmetric_inverse_of_asymmetric(a)
+
+
+# ----------------------------------------------------------------------
+# CSR matrices on scipy's compiled kernels: parity with scipy.sparse
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def csr_parts(draw, m=None, n=None):
+    """(data, indices, indptr, shape) of an m x n CSR matrix.
+
+    Columns come in any order within a row, some rows are empty, and with
+    ``repeats`` a row may hold a column twice.  Small integers make exact
+    sums, so products and differences can cancel to zero; signed zeros
+    are among the values.  The index arrays are int32 or int64.
+    """
+    m = draw(st.integers(0, 7)) if m is None else m
+    n = draw(st.integers(0, 7)) if n is None else n
+    unique = not draw(st.booleans())
+    rows = [draw(st.lists(st.integers(0, n - 1), unique=unique,
+                          max_size=n + 1)) if n else [] for _ in range(m)]
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    indices = np.array([c for row in rows for c in row], dtype=index)
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows],
+                                            dtype=index)]).astype(index)
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5]) | \
+        st.floats(-1e3, 1e3)
+    data = np.array(draw(st.lists(values, min_size=len(indices),
+                                  max_size=len(indices))), dtype=float)
+    return data, indices, indptr, (m, n)
+
+
+def both(parts):
+    """The solver's CSR matrix and scipy's of the same arrays."""
+    data, indices, indptr, shape = parts
+    return (_csr(data, indices, indptr, shape),
+            csr_matrix((data, indices, indptr), shape=shape))
+
+
+def assert_same_csr(got, want):
+    assert isinstance(got, _CSR)
+    assert got.shape == want.shape
+    assert got.nnz == want.nnz
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name  # signed zeros included
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def vector(draw, n):
+    return np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
+                                  max_size=n)), dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_csr_operations_match_scipy_sparse(data):
+    parts = data.draw(csr_parts())
+    m, n = parts[3]
+    a, a_ref = both(parts)
+    assert_same_csr(a, a_ref)
+    x, y = vector(data.draw, n), vector(data.draw, m)
+    assert_same_array(a @ x, a_ref @ x)
+    assert_same_array(a.T @ y, a_ref.T @ y)
+    assert_same_csr(a.T.tocsr(), a_ref.T.tocsr())
+    b, b_ref = both(data.draw(csr_parts(m=n)))
+    assert_same_csr(a @ b, a_ref @ b_ref)
+    c, c_ref = both(data.draw(csr_parts(m=m, n=n)))
+    assert_same_csr(a - c, a_ref - c_ref)
+    assert_same_csr(a - a, a_ref - a_ref)
+    assert_same_array(a.diagonal(), a_ref.diagonal())
+    assert_same_array(a.toarray(), a_ref.toarray())
+
+
+def test_csr_cancellations_match_scipy_sparse():
+    # [[1, 1], [2, 0]] @ [[1, 1], [-1, 1]]: maxnnz 4, one product cancels;
+    # the first row's columns are stored unsorted
+    a, a_ref = both((np.array([1.0, 1.0, 2.0]), np.array([1, 0, 0]),
+                     np.array([0, 2, 3]), (2, 2)))
+    b, b_ref = both((np.array([1.0, 1.0, -1.0, 1.0]), np.array([0, 1, 0, 1]),
+                     np.array([0, 2, 4]), (2, 2)))
+    product = a @ b
+    assert product.nnz == 3
+    assert_same_csr(product, a_ref @ b_ref)
+    # a product with no nonzero at all: maxnnz 1, nnz 0
+    r, r_ref = both((np.array([1.0, 1.0]), np.array([0, 1]), np.array([0, 2]),
+                     (1, 2)))
+    col, col_ref = both((np.array([1.0, -1.0]), np.array([0, 0]),
+                         np.array([0, 1, 2]), (2, 1)))
+    assert (r @ col).nnz == 0
+    assert_same_csr(r @ col, r_ref @ col_ref)
+    # a difference that cancels to zero: maxnnz 6, nnz 0
+    assert (b - b).nnz == 0
+    assert_same_csr(b - b, b_ref - b_ref)
+    # a difference that keeps less than half of maxnnz is trimmed by a copy
+    half = b - _csr(np.array([1.0, 1.0, -1.0]), np.array([0, 1, 0]),
+                    np.array([0, 2, 3]), (2, 2))
+    assert half.nnz == 1 and half.data.base is None
+    assert_same_csr(half, b_ref - csr_matrix(
+        (np.array([1.0, 1.0, -1.0]), np.array([0, 1, 0]), np.array([0, 2, 3])),
+        shape=(2, 2)))
+
+
+INDEX_DTYPES = [np.bool_, np.int8, np.uint16, np.int32, np.uint32, np.int64,
+                np.uint64, np.float64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=st.lists(hnp.arrays(st.sampled_from(INDEX_DTYPES),
+                                  st.integers(0, 4)), max_size=3),
+       maxval=st.none() | st.integers(0, 2**40),
+       contents=st.booleans())
+def test_index_dtype_matches_scipy(arrays, maxval, contents):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # nan contents
+        assert _index_dtype(arrays, maxval, contents) == get_index_dtype(
+            arrays, maxval, contents)
+
+
+def scipy_matrices(data, indices, indptr, shape):
+    """``_csr`` as it was: scipy's csr_matrix of the arrays."""
+    return csr_matrix((data, indices, indptr), shape=shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=meshes(), matrix=st.sampled_from(["laplace", "lorentz", "euclid"]),
+       coarse_size=st.sampled_from([8, 40]), seed=st.integers(0, 2**32 - 1))
+def test_vcycle_matches_one_built_through_scipy_sparse(mesh, matrix,
+                                                       coarse_size, seed):
+    if matrix == "laplace":
+        ev = Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid")
+    else:
+        ev = Evaluation(mesh, spacelike_field(mesh, seed, 0.9), matrix)
+    k = tangent_matrix(mesh, ev)
+    assume(k.shape[0] > 0)
+    # small bottoms give several levels, and a dense or a Jacobi bottom
+    with mock.patch.object(solver_module, "COARSE_SIZE", coarse_size):
+        cycle = _VCycle(k)
+        with mock.patch.object(solver_module, "_csr", scipy_matrices):
+            ref = _VCycle(scipy_csr(k))
+    assert len(cycle.tentatives) == len(ref.tentatives)
+    for t, t_ref in zip(cycle.tentatives, ref.tentatives):
+        assert_same_csr(t, t_ref)
+    assert len(cycle.levels) == len(ref.levels)
+    for (a, scale, p), (a_ref, scale_ref, p_ref) in zip(cycle.levels,
+                                                        ref.levels):
+        assert_same_csr(a, a_ref)
+        assert_same_array(scale, scale_ref)
+        assert_same_csr(p, p_ref)
+    if isinstance(ref.bottom, np.ndarray):
+        assert_same_array(cycle.bottom, ref.bottom)
+    else:
+        assert_same_csr(cycle.bottom, ref.bottom)
+    r = np.random.default_rng(seed).standard_normal(k.shape[0])
+    assert_same_array(cycle(r), ref(r))
