@@ -200,8 +200,8 @@ def polyline_pieces(mesh: Mesh, radii, triangles=None):
 
 
 def _bfs_tree(mesh: Mesh):
-    """Breadth-first order, predecessors and level sizes of the triangle
-    adjacency graph.
+    """Breadth-first order, predecessors, level sizes and predecessor edge
+    slots of the triangle adjacency graph.
 
     Rooted at triangle 0, first in first out, each triangle's neighbors
     taken in ascending index order.  Predecessors of the root and of
@@ -209,25 +209,34 @@ def _bfs_tree(mesh: Mesh):
     neighbors of a level, listed by parent position and then ascending
     index and each kept at its first occurrence, are the next level in
     the order a FIFO queue reaches them.  The sizes count the triangles
-    at each depth, the root's level of one first.
+    at each depth, the root's level of one first.  A reached triangle's
+    slot is the edge slot of its predecessor that it lies across (0 at the
+    root and at unreached triangles).
     """
-    nbrs = np.sort(mesh.neighbors, axis=1)  # boundary slots (-1) first
+    # neighbor m across slot i as 4 m + i: sorting a row sorts its
+    # neighbors (boundary slots, -1, first) and keeps their slots
+    nbrs = 4 * mesh.neighbors
+    nbrs += np.arange(3)
+    nbrs.sort(axis=1)
     pred = np.full(mesh.triangle_count, -1, dtype=np.int64)
+    slot = np.zeros(mesh.triangle_count, dtype=np.int64)
     seen = np.zeros(mesh.triangle_count, dtype=bool)
     seen[0] = True
     level = np.zeros(1, dtype=np.int64)
     levels = []
     while len(level):
         levels.append(level)
-        cand = nbrs[level].ravel()
+        key = nbrs[level].ravel()
+        cand = key >> 2
         parent = np.repeat(level, 3)
         fresh = (cand >= 0) & ~seen[cand]
-        cand, parent = cand[fresh], parent[fresh]
+        key, cand, parent = key[fresh], cand[fresh], parent[fresh]
         first = np.sort(np.unique(cand, return_index=True)[1])
         level = cand[first]
         pred[level] = parent[first]
+        slot[level] = key[first] & 3
         seen[level] = True
-    return np.concatenate(levels), pred, [len(level) for level in levels]
+    return np.concatenate(levels), pred, [len(level) for level in levels], slot
 
 
 class _PotentialTree:
@@ -238,33 +247,35 @@ class _PotentialTree:
     sizes (a child's parent lies in the level before).  The path between
     their centroids crosses the midpoint of their shared edge: ``to_mid``
     runs from the parent's centroid to it, ``from_mid`` on to the child's.
-    ``to_corner`` runs from each centroid to the triangle's corners, listed
-    in ``corner`` corner 0 first, with ``corner_count`` corners per vertex.
-    ``pair_edge`` runs from interior corner ``pair_from`` to boundary
-    corner ``pair_vertex`` of triangle ``pair_tri``; ``reached`` are the
-    boundary vertices with ``reached_count`` such pairs.  Offsets are
-    stored as x and y rows.
+    ``corner`` lists the triangles' corners, corner 0 of every triangle
+    first, with ``corner_count`` corners per vertex.  ``pair_edge`` runs
+    from interior corner ``pair_from`` to boundary corner ``pair_vertex``
+    of triangle ``pair_tri``; ``reached`` are the boundary vertices with
+    ``reached_count`` such pairs.  Offsets are stored as x and y rows.
+    Built without a table over every triangle's corner pairs: the pairs
+    are looked for only in triangles with a boundary corner.
     """
 
     def __init__(self, mesh: Mesh):
         t = mesh.triangles
         coords = mesh.vertices.T
         cent = mesh.centroids
-        order, pred, sizes = _bfs_tree(mesh)
+        order, pred, sizes, slot = _bfs_tree(mesh)
         self.child = order[1:]
         self.parent = pred[self.child]
-        slot = np.argmax(mesh.neighbors[self.parent] == self.child[:, None],
-                         axis=1)
+        slot = slot[self.child]
         a = t[self.parent, (slot + 1) % 3]
         b = t[self.parent, (slot + 2) % 3]
+        del pred, slot
         self.to_mid = np.empty((2, len(self.child)))
         self.from_mid = np.empty((2, len(self.child)))
-        self.to_corner = np.empty((2, 3, mesh.triangle_count))
         for d, c in enumerate(coords):
-            m = 0.5 * (c[a] + c[b])
+            m = c[a]  # the midpoint, 0.5 (c[a] + c[b])
+            m += c[b]
+            m *= 0.5
             np.subtract(m, cent[self.parent, d], out=self.to_mid[d])
             np.subtract(cent[self.child, d], m, out=self.from_mid[d])
-            np.subtract(c[t.T], cent[:, d], out=self.to_corner[d])
+        del a, b
         # child omits the root, so each level ends one slot before its end
         # in order
         ends = (np.cumsum(sizes) - 1).tolist()
@@ -273,10 +284,12 @@ class _PotentialTree:
         self.corner = t.T.ravel()
         self.corner_count = np.bincount(self.corner,
                                         minlength=mesh.vertex_count)
-        vb, vn = t.T[[0, 0, 1, 1, 2, 2]], t.T[[1, 2, 0, 2, 0, 1]]
         boundary = mesh.boundary_vertex_mask
+        near = np.flatnonzero(boundary[t].any(axis=1))
+        near_t = t[near].T
+        vb, vn = near_t[[0, 0, 1, 1, 2, 2]], near_t[[1, 2, 0, 2, 0, 1]]
         sel = boundary[vb] & ~boundary[vn]
-        self.pair_tri = np.nonzero(sel)[1]
+        self.pair_tri = near[np.nonzero(sel)[1]]
         self.pair_vertex, self.pair_from = vb[sel], vn[sel]
         self.pair_edge = (coords[:, self.pair_vertex]
                           - coords[:, self.pair_from])
@@ -303,7 +316,8 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     at triangle 0, integrating the form exactly along centroid-to-centroid
     paths through shared-edge midpoints; the tree and its paths are built
     once per mesh.  Vertex values average the
-    per-incident-triangle extrapolations; boundary vertices are then
+    per-incident-triangle extrapolations, whose centroid-to-corner offsets
+    are formed on each call in place; boundary vertices are then
     re-derived from their interior neighbors by exact edge integration,
     which keeps the reconstruction second order where one-sided fans would
     otherwise degrade it.  Each average is one ``bincount``.  Normalized
@@ -336,8 +350,19 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
         phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
 
     # each vertex averages its triangles' extrapolations, summed corner by
-    # corner: corner 0 of every triangle, then corners 1 and 2
-    est = phi + (p * tree.to_corner[0] + q * tree.to_corner[1])
+    # corner: corner 0 of every triangle, then corners 1 and 2; est is
+    # (p dx + q dy) + phi, with (dx, dy) the centroid-to-corner offsets
+    x, y = mesh.vertices.T
+    cent = mesh.centroids
+    est = x[tree.corner].reshape(3, -1)
+    est -= cent[:, 0]
+    est *= p
+    off = y[tree.corner].reshape(3, -1)
+    off -= cent[:, 1]
+    off *= q
+    est += off
+    del off
+    est += phi
     u = np.bincount(tree.corner, weights=est.ravel(),
                     minlength=mesh.vertex_count) / tree.corner_count
 

@@ -33,8 +33,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
     ``np.bincount`` copies a read-only index array, and the solver sums
     over ``triangles`` and ``triangle_edges`` on every residual and Newton
-    matrix (5.5 MiB of corners per call on the benchmark annulus), so those
-    two are such views, and the solver passes ``_writeable`` of them.
+    matrix (5.5 MiB of corners per call on the benchmark annulus), and over
+    the edge ends on every Newton matrix, so those are such views, and the
+    solver passes ``_writeable`` of them.
     """
     view = arr.view()
     view.setflags(write=False)
@@ -42,8 +43,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _writeable(index: np.ndarray) -> np.ndarray:
-    """A writeable view of ``triangles`` or ``triangle_edges`` for
-    ``np.bincount``, which reads it: no copy is made."""
+    """A writeable view of ``triangles``, ``triangle_edges`` or the edge
+    ends for ``np.bincount``, which reads it: no copy is made."""
     view = index.view()
     view.setflags(write=True)
     return view
@@ -65,8 +66,8 @@ class Mesh:
     table: ``edges``, ``triangle_edges``, ``boundary_vertex_mask`` and
     whether the triangles are edge-connected, all from one sort of the edge
     slots.  Every other derived array (``centroids``,
-    ``basis_columns``, ``neighbors``, ``interior_vertices``, ...) is built
-    on first read and kept.
+    ``basis_columns``, ``interior_vertices``, ...) is built on first read
+    and kept, except ``neighbors``, which is built on every read.
     """
 
     vertices: np.ndarray
@@ -163,9 +164,10 @@ class Mesh:
 
     @cached_property
     def _edge_data(self):
-        """Unique edges, per-triangle edge ids, the boundary vertex mask and
-        whether the triangles are edge-connected, all from one stable sort
-        of the 3T edge slots by key."""
+        """Unique edge ends as (2, E) lo and hi rows, per-triangle edge ids,
+        the boundary vertex mask and whether the triangles are
+        edge-connected, all from one stable sort of the 3T edge slots by
+        key."""
         t = self.triangles
         nv = self.vertex_count
         # edge slot i is opposite corner i; one int64 key lo * V + hi per
@@ -188,23 +190,30 @@ class Mesh:
         if counts.max(initial=0) > 2:
             raise ValueError("an edge is shared by more than two triangles")
         keys = keys[first]
-        lo = keys // nv
-        edges = np.column_stack((lo, keys - lo * nv))
+        ends = np.empty((2, len(keys)), dtype=np.int64)
+        np.floor_divide(keys, nv, out=ends[0])
+        np.multiply(ends[0], nv, out=ends[1])
+        np.subtract(keys, ends[1], out=ends[1])
         ids = np.repeat(np.arange(len(first)), counts)  # edge id by run
         tri_edges = np.empty((len(t), 3), dtype=np.int64)
         tri_edges.reshape(-1)[order] = ids
         boundary = np.zeros(nv, dtype=bool)
-        boundary[edges[counts == 1].ravel()] = True
+        boundary[ends[:, counts == 1]] = True
         pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
         connected = _edge_connected(order[pair] // 3, order[pair + 1] // 3,
                                     len(t))
-        for arr in (edges, boundary):
-            arr.setflags(write=False)
-        return edges, _read_only(tri_edges), boundary, connected
+        boundary.setflags(write=False)
+        return (_read_only(ends), _read_only(tri_edges), boundary,
+                connected)
 
     @property
     def edges(self) -> np.ndarray:
-        return self._edge_data[0]
+        """(E, 2) unique edges (lo, hi), lo < hi, sorted by row.
+
+        A view of (2, E) memory, so that ``edges.T`` is the contiguous
+        lo and hi rows.
+        """
+        return self._edge_data[0].T
 
     @property
     def triangle_edges(self) -> np.ndarray:
@@ -214,18 +223,23 @@ class Mesh:
     def boundary_vertex_mask(self) -> np.ndarray:
         return self._edge_data[2]
 
-    @cached_property
+    @property
     def neighbors(self) -> np.ndarray:
         """(T, 3) neighbor triangle across edge slot i, or -1 on the boundary.
 
-        Built on first read; the potential's tree is its one reader.  A
-        stable sort of the slots' edge ids orders them as the construction's
-        sort of their keys did.
+        Built on every read and not kept: the potential's tree, built once
+        per mesh, is its one reader.  A stable sort of the slots' edge ids
+        orders them as the construction's sort of their keys did.
         """
         ids = self.triangle_edges.reshape(-1)
         order = np.argsort(ids, kind="stable")
-        pair = np.flatnonzero(ids[order[1:]] == ids[order[:-1]])
-        lower, upper = order[pair], order[pair + 1]  # slot = 3 tri + corner
+        ids = ids[order]
+        pair = np.flatnonzero(ids[1:] == ids[:-1])
+        del ids
+        lower = order[pair]  # slot = 3 tri + corner
+        pair += 1
+        upper = order[pair]
+        del order, pair
         out = np.full((self.triangle_count, 3), -1, dtype=np.int64)
         out.reshape(-1)[lower] = upper // 3
         out.reshape(-1)[upper] = lower // 3

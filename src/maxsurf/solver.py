@@ -373,7 +373,7 @@ def tangent_matrix(mesh: Mesh, ev: Evaluation) -> _CSR:
     k.indptr), shape=k.shape)`` converts it.
     """
     edge = _edge_values(mesh, ev)
-    lo, hi = mesh.edges.T
+    lo, hi = _writeable(mesh.edges.T)
     n = mesh.vertex_count
     diag = -(np.bincount(lo, weights=edge, minlength=n)
              + np.bincount(hi, weights=edge, minlength=n))
@@ -632,28 +632,63 @@ class _AssemblyPlan:
     matrices built from the plan share its index arrays, which are
     therefore read-only.  ``tentatives`` holds the multigrid aggregates
     once the first V-cycle on the mesh has chosen them.
+
+    The pattern is built from the mesh's edge table, sorted by (lo, hi)
+    row: row r lists the edges (hi, lo) with hi = r, which a stable sort
+    by hi puts in row order, then the diagonal, then the edges (lo, hi)
+    with lo = r, already in row order.  Every slot is placed by its row's
+    offsets, in int32 where the counts allow.
     """
 
     def __init__(self, mesh: Mesh):
         n = mesh.vertex_count
         lo, hi = mesh.edges.T
-        free = mesh.interior_vertices
-        renumber = np.full(n, -1, dtype=np.int64)
-        renumber[free] = np.arange(len(free))
-        # the P1 entries: V diagonal ones, then E edges as (lo, hi) and as
-        # (hi, lo)
-        rows = renumber[np.concatenate([np.arange(n), lo, hi])]
-        cols = renumber[np.concatenate([np.arange(n), hi, lo])]
-        index = np.int32 if len(rows) < 2**31 else np.int64
-        keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-        # unique keys in long presorted runs, which timsort merges fastest
-        order = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
-        diagonal = order < n
-        self.edge_slots = np.where(diagonal, 0,
-                                   (order - n) % len(lo)).astype(index)
-        self.diagonal_slots = np.flatnonzero(diagonal).astype(index)
-        self.indptr = _indptr(rows[order], len(free)).astype(index)
-        self.indices = cols[order].astype(index)
+        free = len(mesh.interior_vertices)
+        index = np.int32 if n + 2 * len(lo) < 2**31 else np.int64
+        renumber = np.full(n, -1, dtype=index)
+        renumber[mesh.interior_vertices] = np.arange(free, dtype=index)
+        # the edges between free vertices, as (row, col) above the diagonal
+        both = renumber[lo] >= 0
+        both &= renumber[hi] >= 0
+        # the kept arrays come first, so that the temporaries are freed
+        # above them in the heap rather than leave holes below them
+        nnz = free + 2 * int(np.count_nonzero(both))
+        self.edge_slots = np.zeros(nnz, dtype=index)  # 0 at the diagonal
+        self.indices = np.empty(nnz, dtype=index)
+        self.indptr = np.empty(free + 1, dtype=index)
+        self.diagonal_slots = np.empty(free, dtype=index)
+        edge = np.arange(len(lo), dtype=index)[both]
+        row = renumber[lo][both]  # nondecreasing
+        col = renumber[hi][both]
+        del both, renumber
+        below = np.bincount(col, minlength=free).astype(index)
+        above = np.bincount(row, minlength=free).astype(index)
+        # row r holds its edges below the diagonal, its diagonal, then its
+        # edges above it; it starts after r diagonal slots and the edge
+        # slots of the rows before it
+        start = self.indptr[:-1]
+        start[:] = np.arange(free, dtype=index)
+        start[1:] += np.cumsum(below[:-1] + above[:-1], dtype=index)
+        self.indptr[-1] = nnz
+        np.add(start, below, out=self.diagonal_slots)
+        self.indices[self.diagonal_slots] = np.arange(free, dtype=index)
+        # the k-th edge of one side, listed in row order, goes to slot k
+        # plus its row's offset: the row's first slot on that side less
+        # the number of that side's edges in the rows before
+        rank = np.arange(len(edge), dtype=index)
+        offset = self.diagonal_slots + 1
+        offset -= np.cumsum(above, dtype=index) - above
+        slots = offset[row]
+        slots += rank
+        self.edge_slots[slots] = edge
+        self.indices[slots] = col
+        del slots
+        by_col = np.argsort(col, kind="stable")
+        offset = start - (np.cumsum(below, dtype=index) - below)
+        slots = offset[col[by_col]]
+        slots += rank
+        self.edge_slots[slots] = edge[by_col]
+        self.indices[slots] = row[by_col]
         for arr in (self.edge_slots, self.diagonal_slots, self.indptr,
                     self.indices):
             arr.setflags(write=False)

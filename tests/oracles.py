@@ -2,10 +2,11 @@
 
 The Minkowski normals behind criterion 2, the factors of the coercivity
 constant, the gradient margin of criterion 4 and of the solver's step
-rows, and criterion 8's fourth-order integrator of the Riccati problem.
-No pipeline of the package calls them, so they live here; the pointwise
-functions keep the package's light-cone guard and raise its
-SpacelikeError.
+rows, criterion 8's fourth-order integrator of the Riccati problem, and
+the former builds of the solver's assembly plan and of the potential's
+tree, which the parity tests hold the current ones to.  No pipeline of
+the package calls them, so they live here; the pointwise functions keep
+the package's light-cone guard and raise its SpacelikeError.
 """
 
 import math
@@ -147,3 +148,88 @@ def riccati_rk4(r0: float, mu: float, delta: float, c: float, t_eval,
     if not blown:
         blown = advance(math.inf)
     return out, r0 * math.exp(s)
+
+
+# Former builds of the per-mesh tables, kept as references of the ones the
+# package builds with fewer temporaries
+
+
+def keyed_assembly_plan(mesh):
+    """(edge_slots, diagonal_slots, indptr, indices) of the free-vertex
+    block's pattern from one stable argsort of row-major keys over the V
+    diagonal entries and the E edges as (lo, hi) and as (hi, lo)."""
+    n = mesh.vertex_count
+    lo, hi = mesh.edges.T
+    free = mesh.interior_vertices
+    renumber = np.full(n, -1, dtype=np.int64)
+    renumber[free] = np.arange(len(free))
+    rows = renumber[np.concatenate([np.arange(n), lo, hi])]
+    cols = renumber[np.concatenate([np.arange(n), hi, lo])]
+    index = np.int32 if len(rows) < 2**31 else np.int64
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    order = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
+    diagonal = order < n
+    edge_slots = np.where(diagonal, 0, (order - n) % len(lo)).astype(index)
+    diagonal_slots = np.flatnonzero(diagonal).astype(index)
+    counts = np.bincount(rows[order], minlength=len(free))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index)
+    indices = cols[order].astype(index)
+    return edge_slots, diagonal_slots, indptr, indices
+
+
+def six_slot_boundary_pairs(mesh):
+    """(pair_tri, pair_vertex, pair_from): every boundary corner and
+    interior corner of one triangle, from (6, T) tables of all ordered
+    corner pairs, in pair order and then triangle order."""
+    t = mesh.triangles
+    vb, vn = t.T[[0, 0, 1, 1, 2, 2]], t.T[[1, 2, 0, 2, 0, 1]]
+    boundary = mesh.boundary_vertex_mask
+    sel = boundary[vb] & ~boundary[vn]
+    return np.nonzero(sel)[1], vb[sel], vn[sel]
+
+
+def stored_offset_potential(mesh, form):
+    """``integrate_potential`` past its checks as it was with a tree that
+    stored the corner offsets: tree edges found by an argmax over the
+    neighbor table, the triangle potential level by level, then the
+    corner and boundary averages."""
+    from maxsurf.forms import _bfs_tree
+
+    t = mesh.triangles
+    coords = mesh.vertices.T
+    cent = mesh.centroids
+    order, pred, sizes, _ = _bfs_tree(mesh)
+    child = order[1:]
+    parent = pred[child]
+    slot = np.argmax(mesh.neighbors[parent] == child[:, None], axis=1)
+    a = t[parent, (slot + 1) % 3]
+    b = t[parent, (slot + 2) % 3]
+    to_mid = np.empty((2, len(child)))
+    from_mid = np.empty((2, len(child)))
+    to_corner = np.empty((2, 3, mesh.triangle_count))
+    for d, c in enumerate(coords):
+        m = 0.5 * (c[a] + c[b])
+        np.subtract(m, cent[parent, d], out=to_mid[d])
+        np.subtract(cent[child, d], m, out=from_mid[d])
+        np.subtract(c[t.T], cent[:, d], out=to_corner[d])
+    ends = (np.cumsum(sizes) - 1).tolist()
+    p, q = form.T
+    inc1 = p[parent] * to_mid[0] + q[parent] * to_mid[1]
+    inc2 = p[child] * from_mid[0] + q[child] * from_mid[1]
+    phi = np.zeros(mesh.triangle_count)
+    for start, stop in zip(ends, ends[1:]):
+        sel = slice(start, stop)
+        phi[child[sel]] = (phi[parent[sel]] + inc1[sel]) + inc2[sel]
+    est = phi + (p * to_corner[0] + q * to_corner[1])
+    corner = t.T.ravel()
+    u = np.bincount(corner, weights=est.ravel(),
+                    minlength=mesh.vertex_count) / np.bincount(
+                        corner, minlength=mesh.vertex_count)
+    tri, vertex, start = six_slot_boundary_pairs(mesh)
+    edge = coords[:, vertex] - coords[:, start]
+    est = u[start] + (p[tri] * edge[0] + q[tri] * edge[1])
+    sums = np.bincount(vertex, weights=est, minlength=mesh.vertex_count)
+    counts = np.bincount(vertex, minlength=mesh.vertex_count)
+    reached = np.flatnonzero(counts)
+    u[reached] = sums[reached] / counts[reached]
+    return u - u[0]

@@ -195,19 +195,18 @@ def test_dualize_builds_one_potential_tree_per_mesh(tmp_path, monkeypatch,
 
     monkeypatch.setattr(forms, "_bfs_tree", counting)
     tables = []
-    table = Mesh.__dict__["neighbors"]
-    real_table = table.func
+    real_table = Mesh.neighbors.fget
 
     def counting_table(mesh):
         tables.append(mesh)
         return real_table(mesh)
 
-    monkeypatch.setattr(table, "func", counting_table)
+    monkeypatch.setattr(Mesh, "neighbors", property(counting_table))
     assert main(["dualize", "--shape", "rect:1x1", "--h", "0.125",
                  "--in", str(path), "--direction", direction,
                  "--out", str(tmp_path / "d")]) == 0
     # the forward and the return leg share the CLI's mesh and its tree,
-    # and the tree is the one reader of the mesh's neighbor table
+    # and the tree's build reads the mesh's neighbor table once
     assert len(trees) == 1
     assert len(tables) == 1 and tables[0] is trees[0]
     round_trip_error(mesh, field, direction=direction)

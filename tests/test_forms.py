@@ -1,6 +1,7 @@
 """Discrete 1-forms: circulations, circle arcs, potentials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from maxsurf import (
     solve,
 )
 from conftest import affine_field
-from maxsurf.forms import circulations, polyline_pieces
+from maxsurf.forms import _PotentialTree, circulations, polyline_pieces
 
 
 def centred_square(h, dx=0.0):
@@ -392,6 +393,23 @@ def test_integrate_potential_tolerance_gate(square4):
                             closedness_tol=1e6)
     assert u[0] == 0.0
     assert np.isfinite(u).all()
+
+
+def test_potential_tree_build_peak_per_triangle():
+    # 96 bytes per triangle here at the peak, and the tree keeps 80: the
+    # former build kept a (2, 3, T) table of corner offsets and the
+    # mesh's neighbor table, 152, and peaked at 303 with (6, T) tables of
+    # every corner pair
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
+    mesh.centroids, mesh.boundary_vertex_mask  # kept by the mesh
+    tracemalloc.start()
+    tree = _PotentialTree(mesh)
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert "neighbors" not in mesh.__dict__
+    assert kept <= 88 * mesh.triangle_count
+    assert peak <= 106 * mesh.triangle_count
+    del tree
 
 
 # ---------------------------------------------------------------------------

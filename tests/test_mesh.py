@@ -236,13 +236,25 @@ def test_integral_float_inputs_accepted():
     lambda path: build_annulus(1.0, 2.0, 0.25),
     lambda path: load_mesh(path),
 ])
-def test_neighbor_table_built_on_first_read(tmp_path, make):
+def test_neighbor_table_built_on_every_read_and_not_kept(tmp_path, make):
+    # the potential's tree reads it once per mesh, so a kept table would
+    # only hold (T, 3) int64 for the mesh's lifetime
     save_mesh(build_rectangle(1.0, 1.0, 0.25), tmp_path / "m.txt")
     mesh = make(tmp_path / "m.txt")
-    assert "neighbors" not in mesh.__dict__
     table = mesh.neighbors
-    assert mesh.neighbors is table and not table.flags.writeable
     assert table.shape == (mesh.triangle_count, 3)
+    assert not table.flags.writeable
+    again = mesh.neighbors
+    assert again is not table and np.array_equal(again, table)
+    assert "neighbors" not in mesh.__dict__
+    # across each slot lies the other triangle of the slot's edge
+    ids = mesh.triangle_edges
+    tri, slot = np.nonzero(table >= 0)
+    across = table[tri, slot]
+    assert (ids[across] == ids[tri, slot][:, None]).sum(axis=1).tolist() \
+        == [1] * len(tri)
+    boundary = np.bincount(ids.ravel()) == 1
+    np.testing.assert_array_equal(table < 0, boundary[ids])
 
 
 def test_mesh_arrays_frozen(square4):
@@ -260,7 +272,9 @@ def test_index_tables_are_read_only_views_of_writeable_memory(frozen):
     # the caller's array is not frozen by the mesh; a frozen one is copied
     assert triangles.flags.writeable != frozen
     assert np.shares_memory(triangles, mesh.triangles) != frozen
-    for table in (mesh.triangles, mesh.triangle_edges):
+    # the edge ends are stored as contiguous lo and hi rows
+    assert mesh.edges.T.flags.c_contiguous
+    for table in (mesh.triangles, mesh.triangle_edges, mesh.edges.T):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 5

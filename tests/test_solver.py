@@ -38,8 +38,8 @@ from maxsurf import solver as solver_module
 from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             FORCING_MAX, INITIAL_MARGIN_FACTOR, JACOBI_WEIGHT,
                             LINEAR_TOL, SIGMA_MIN, START_GAP, START_TOL,
-                            _forcing_term, _harmonic_extension,
-                            _initial_guess, _VCycle)
+                            _AssemblyPlan, _forcing_term,
+                            _harmonic_extension, _initial_guess, _VCycle)
 
 from conftest import (affine_field, cotan_laplacian, jittered,
                       nan_coordinate_field, scipy_csr, solver_csr,
@@ -1132,9 +1132,9 @@ def test_inexact_newton_converges_to_the_exact_newton_field(case):
 
 def test_mesh_index_tables_reach_bincount_uncopied(monkeypatch):
     # np.bincount copies a read-only index array: (T, 3) int64 per residual
-    # and per Newton matrix
+    # and per Newton matrix, and each (E,) edge end per Newton matrix
     mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
-    tables = (mesh.triangles, mesh.triangle_edges)
+    tables = (mesh.triangles, mesh.triangle_edges, mesh.edges)
     ev = Evaluation(mesh, 0.1 * mesh.vertices[:, 0], "lorentz")
     ev.density
     seen = []
@@ -1149,7 +1149,8 @@ def test_mesh_index_tables_reach_bincount_uncopied(monkeypatch):
     residual(mesh, ev)
     tangent_matrix(mesh, ev)
     monkeypatch.undo()
-    assert seen == [True, True]
+    # the residual's corners, then the Newton matrix's edge ids, lo and hi
+    assert seen == [True, True, True, True]
     # the divergence's peak: (T, 3) local terms, three (T,) rows and the
     # (V,) sums; a copy of the corners would add 3 T int64
     t, v = mesh.triangle_count, mesh.vertex_count
@@ -1159,6 +1160,19 @@ def test_mesh_index_tables_reach_bincount_uncopied(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 7 * 8 * t + 8 * v
+
+
+def test_assembly_plan_build_peak_per_edge():
+    # placed slot by slot from the sorted edge table: 57 bytes per edge on
+    # this annulus, of which the plan keeps 21; the former argsort of
+    # (V + 2E) int64 row-major keys peaked at 115
+    mesh = build_annulus(1.0, 4.0, 0.1, artificial_rings=["outer"])
+    mesh.interior_vertices  # kept by the mesh, not by the plan
+    tracemalloc.start()
+    _AssemblyPlan(mesh)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 64 * len(mesh.edges)
 
 
 def test_multilevel_rejects_indefinite_operator():

@@ -74,18 +74,20 @@ from maxsurf import (Evaluation, LevelRegion, Mesh, NonConvergenceError,
 from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
                                  ExpressionError)
 from maxsurf.mesh import _edge_connected
-from maxsurf.forms import _bfs_tree, _check_form, max_interior_circulation
+from maxsurf.forms import (_bfs_tree, _check_form, _potential_tree,
+                           max_interior_circulation)
 from maxsurf.uniqueness import LEVEL_CANDIDATES, _circle_sums
 from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
 from maxsurf import solver as solver_module
 from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA, _CSR,
-                            _aggregates, _csr, _dense_inverse, _dot,
-                            _index_dtype, _VCycle)
+                            _AssemblyPlan, _aggregates, _csr,
+                            _dense_inverse, _dot, _index_dtype, _VCycle)
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse._sputils import get_index_dtype
 
 from conftest import jittered, scipy_csr, solver_csr, spacelike_field
-from oracles import corner_gradients, gradient_margin
+from oracles import (corner_gradients, gradient_margin, keyed_assembly_plan,
+                     six_slot_boundary_pairs, stored_offset_potential)
 
 # the former polyline clipper's tolerances
 BARY_TOL = 1e-9
@@ -192,7 +194,7 @@ def sliced_tree_potential(mesh, form):
     t = mesh.triangles
     cent = mesh.centroids
     pts = mesh.vertices
-    order, pred, _ = _bfs_tree(mesh)
+    order, pred, _, _ = _bfs_tree(mesh)
     child = order[1:]
     parent = pred[child]
     slot = np.argmax(mesh.neighbors[parent] == child[:, None], axis=1)
@@ -323,11 +325,15 @@ def closed_form(mesh, kind, seed):
 @settings(max_examples=40, deadline=None)
 @given(mesh=rectangles())
 def test_bfs_tree_matches_deque(mesh):
-    order, pred, sizes = _bfs_tree(mesh)
+    order, pred, sizes, slot = _bfs_tree(mesh)
     ref_order, ref_parent = deque_tree(mesh)
     np.testing.assert_array_equal(order, ref_order)
     np.testing.assert_array_equal(pred[order[1:]], ref_parent[ref_order[1:]])
     assert pred[0] < 0
+    # each triangle lies across its slot of its predecessor
+    child = order[1:]
+    np.testing.assert_array_equal(mesh.neighbors[pred[child], slot[child]],
+                                  child)
     # the level sizes are the counts of the deque tree's depths
     depth = np.zeros(mesh.triangle_count, dtype=np.int64)
     for t in ref_order[1:]:
@@ -980,6 +986,36 @@ def test_tangent_refill_matches_coo(mesh, metric, seed, steepest):
     scale = float(np.abs(ref.data).max(initial=0.0))
     np.testing.assert_allclose(got.data, ref.data, rtol=1e-14,
                                atol=1e-14 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(rectangles(), relabelled(rectangles())),
+       kind=st.sampled_from(["gradient", "conjugate"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(mesh=build_rectangle(1.0, 1.0, 1.0), kind="gradient", seed=0)
+def test_potential_matches_stored_offsets_bit_for_bit(mesh, kind, seed):
+    """The boundary pairs found among triangles with a boundary corner, and
+    the potential with offsets formed per call, against the former tree's
+    (6, T) pair tables and stored corner offsets."""
+    form = closed_form(mesh, kind, seed)
+    got = integrate_potential(mesh, form, 1e-6)
+    tree = _potential_tree(mesh)
+    assert_same_arrays((tree.pair_tri, tree.pair_vertex, tree.pair_from),
+                       six_slot_boundary_pairs(mesh))
+    assert got.tobytes() == stored_offset_potential(mesh, form).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())))
+# no free vertex, and one free vertex: no edge between free vertices
+@example(mesh=build_rectangle(1.0, 1.0, 1.0))
+@example(mesh=build_annulus(1.0, 1.5, 0.5))
+@example(mesh=build_rectangle(1.0, 1.0, 0.5))
+def test_assembly_plan_matches_keyed_build(mesh):
+    plan = _AssemblyPlan(mesh)
+    assert_same_arrays(
+        (plan.edge_slots, plan.diagonal_slots, plan.indptr, plan.indices),
+        keyed_assembly_plan(mesh))
 
 
 def concatenated_tangent(mesh, values, config):
