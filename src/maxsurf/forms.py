@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import flux_coeffs
-from .mesh import Mesh
+from .mesh import Mesh, scatter_add, triangle_blocks
 from .solver import p1_divergence, p1_gradient
 
 ROOT_TOL = 1e-9
@@ -86,7 +86,9 @@ def polyline_pieces(mesh: Mesh, radii, triangles=None):
     piecewise-constant forms, and of affine fields against them, have
     closed forms on the arcs.  Arcs outside the mesh are dropped, and so
     are arcs outside ``triangles`` when that subset is given.  All radii
-    are handled in one pass over whole arrays.
+    are handled in one pass: the radius bands are found one block of
+    triangles (``mesh.triangle_blocks``) at a time, and only the (triangle,
+    radius) pairs they give are kept.
 
     The routine keeps the name of the polyline clipper it replaced, so
     that the benchmark's tracer, which hooks ``forms.polyline_pieces``,
@@ -115,40 +117,29 @@ def polyline_pieces(mesh: Mesh, radii, triangles=None):
     if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be positive and strictly increasing")
     if triangles is None:
-        tris = np.arange(mesh.triangle_count)
+        parts = (np.arange(rows.start, rows.stop)
+                 for rows in triangle_blocks(mesh.triangle_count))
     else:
         mask = np.zeros(mesh.triangle_count, dtype=bool)
         mask[np.asarray(triangles, dtype=np.int64)] = True
         tris = np.flatnonzero(mask)
+        parts = (tris[rows] for rows in triangle_blocks(len(tris)))
 
-    # radius bands: r_max at a corner, r_min on an edge a + t d, or 0
-    # when the origin lies left of all three edges
-    corners = mesh.triangles[tris]
-    x = [mesh.vertices[corners[:, i], 0] for i in range(3)]
-    y = [mesh.vertices[corners[:, i], 1] for i in range(3)]
-    r_min = np.full(len(tris), np.inf)
-    r_max = np.zeros(len(tris))
-    origin_inside = np.ones(len(tris), dtype=bool)
-    for i in range(3):
-        ax, ay = x[(i + 1) % 3], y[(i + 1) % 3]
-        dx, dy = x[(i + 2) % 3] - ax, y[(i + 2) % 3] - ay
-        t = np.clip(-(ax * dx + ay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
-        qx, qy = ax + t * dx, ay + t * dy
-        r_min = np.minimum(r_min, qx * qx + qy * qy)
-        r_max = np.maximum(r_max, x[i] * x[i] + y[i] * y[i])
-        origin_inside &= dy * ax - dx * ay >= 0.0
-    r_min = np.where(origin_inside, 0.0, np.sqrt(r_min))
-    r_max = np.sqrt(r_max)
-    lo = np.searchsorted(radii, r_min, side="left")
-    count = np.searchsorted(radii, r_max, side="right") - lo
+    # the triangles whose radius band holds a radius, the first such
+    # radius and their count
+    tris, lo, count = map(np.concatenate, zip(*(
+        _radius_bands(mesh, part, radii) for part in parts)))
     pair_tri = np.repeat(tris, count)
     pair_k = np.arange(int(count.sum())) \
         + np.repeat(lo - (np.cumsum(count) - count), count)
 
-    # crossing angles of every (edge, radius), nan where there is none
+    # crossing angles of every (edge, radius), nan where there is none;
+    # the keys are formed in int64, which int32 edge ids times nr could
+    # overflow
     nr = len(radii)
     keys, inverse = np.unique(
-        (mesh.triangle_edges[pair_tri] * nr + pair_k[:, None]).ravel(),
+        (mesh.triangle_edges[pair_tri].astype(np.int64) * nr
+         + pair_k[:, None]).ravel(),
         return_inverse=True)
     edge, k = np.divmod(keys, nr)
     ends = mesh.vertices[mesh.edges[edge]]
@@ -192,6 +183,35 @@ def polyline_pieces(mesh: Mesh, radii, triangles=None):
     left = mesh.edges[tri_edges, 0] == mesh.triangles[tri][:, [1, 2, 0]]
     inside = np.where(left, side >= 0.0, side < 0.0).all(axis=1)
     return tri[inside], k[inside], theta0[inside], theta1[inside]
+
+
+def _radius_bands(mesh: Mesh, tris: np.ndarray, radii: np.ndarray):
+    """The triangles of ``tris`` whose radius band holds radii: the
+    triangles, the index of the first such radius and the number of them.
+
+    The band is [r_min, r_max]: r_max at a corner, r_min on an edge
+    a + t d, or 0 when the origin lies left of all three edges.
+    """
+    corners = mesh.triangles[tris]
+    x = [mesh.vertices[corners[:, i], 0] for i in range(3)]
+    y = [mesh.vertices[corners[:, i], 1] for i in range(3)]
+    r_min = np.full(len(tris), np.inf)
+    r_max = np.zeros(len(tris))
+    origin_inside = np.ones(len(tris), dtype=bool)
+    for i in range(3):
+        ax, ay = x[(i + 1) % 3], y[(i + 1) % 3]
+        dx, dy = x[(i + 2) % 3] - ax, y[(i + 2) % 3] - ay
+        t = np.clip(-(ax * dx + ay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        qx, qy = ax + t * dx, ay + t * dy
+        r_min = np.minimum(r_min, qx * qx + qy * qy)
+        r_max = np.maximum(r_max, x[i] * x[i] + y[i] * y[i])
+        origin_inside &= dy * ax - dx * ay >= 0.0
+    r_min = np.where(origin_inside, 0.0, np.sqrt(r_min))
+    r_max = np.sqrt(r_max)
+    lo = np.searchsorted(radii, r_min, side="left")
+    count = np.searchsorted(radii, r_max, side="right") - lo
+    met = count > 0
+    return tris[met], lo[met], count[met]
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +302,8 @@ class _PotentialTree:
         self.levels = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
         self.corner = t.T.ravel()
-        self.corner_count = np.bincount(self.corner,
-                                        minlength=mesh.vertex_count)
+        n = mesh.vertex_count
+        self.corner_count = scatter_add(np.zeros(n), self.corner, 1.0)
         boundary = mesh.boundary_vertex_mask
         near = np.flatnonzero(boundary[t].any(axis=1))
         near_t = t[near].T
@@ -293,7 +313,7 @@ class _PotentialTree:
         self.pair_vertex, self.pair_from = vb[sel], vn[sel]
         self.pair_edge = (coords[:, self.pair_vertex]
                           - coords[:, self.pair_from])
-        counts = np.bincount(self.pair_vertex, minlength=mesh.vertex_count)
+        counts = scatter_add(np.zeros(n), self.pair_vertex, 1.0)
         self.reached = np.flatnonzero(counts)
         self.reached_count = counts[self.reached]
 
@@ -320,9 +340,9 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     are formed on each call in place; boundary vertices are then
     re-derived from their interior neighbors by exact edge integration,
     which keeps the reconstruction second order where one-sided fans would
-    otherwise degrade it.  Each average is one ``bincount``.  Normalized
-    to u[0] = 0; deterministic for a fixed mesh; path independent up to
-    closedness_tol times path length.
+    otherwise degrade it.  Each average is one ``mesh.scatter_add``.
+    Normalized to u[0] = 0; deterministic for a fixed mesh; path
+    independent up to closedness_tol times path length.
     """
     form = _check_form(mesh, form)
     # false for nan as well, which would switch the closedness gate off
@@ -363,16 +383,16 @@ def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.nd
     est += off
     del off
     est += phi
-    u = np.bincount(tree.corner, weights=est.ravel(),
-                    minlength=mesh.vertex_count) / tree.corner_count
+    n = mesh.vertex_count
+    u = scatter_add(np.zeros(n), tree.corner, est.ravel())
+    u /= tree.corner_count
 
     # then each boundary vertex averages its interior neighbours' edge
     # integrals, summed corner pair by corner pair
     tri = tree.pair_tri
     est = u[tree.pair_from] + (p[tri] * tree.pair_edge[0]
                                + q[tri] * tree.pair_edge[1])
-    sums = np.bincount(tree.pair_vertex, weights=est,
-                       minlength=mesh.vertex_count)
+    sums = scatter_add(np.zeros(n), tree.pair_vertex, est)
     u[tree.reached] = sums[tree.reached] / tree.reached_count
     return u - u[0]
 

@@ -28,26 +28,39 @@ _RECT_SIDES = ("left", "right", "bottom", "top")
 _RINGS = ("inner", "outer")
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``, whose memory stays writeable.
+TRIANGLE_BLOCK = 8192  # triangles per block of the per-triangle kernels
 
-    ``np.bincount`` copies a read-only index array, and the solver sums
-    over ``triangles`` and ``triangle_edges`` on every residual and Newton
-    matrix (5.5 MiB of corners per call on the benchmark annulus), and over
-    the edge ends on every Newton matrix, so those are such views, and the
-    solver passes ``_writeable`` of them.
+
+def table_dtype(vertex_count: int, edge_count: int):
+    """int32 for the index tables of a mesh of these counts, else int64.
+
+    int32 when V + 2E, the most slots the solver's assembly plan numbers,
+    is below 2**31; then every vertex and edge id fits as well.
     """
-    view = arr.view()
-    view.setflags(write=False)
-    return view
+    return np.int32 if vertex_count + 2 * edge_count < 2**31 else np.int64
 
 
-def _writeable(index: np.ndarray) -> np.ndarray:
-    """A writeable view of ``triangles``, ``triangle_edges`` or the edge
-    ends for ``np.bincount``, which reads it: no copy is made."""
-    view = index.view()
-    view.setflags(write=True)
-    return view
+def triangle_blocks(count: int) -> list[slice]:
+    """Consecutive slices of ``count`` rows, TRIANGLE_BLOCK rows each but
+    the last, and one empty slice for no rows: the per-triangle kernels
+    work one block at a time, so their temporaries do not grow with the
+    mesh."""
+    return [slice(start, min(start + TRIANGLE_BLOCK, count))
+            for start in range(0, max(count, 1), TRIANGLE_BLOCK)]
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Add ``weights`` into the float64 ``out`` at ``index``; returns out.
+
+    ``np.add.at`` adds in index order, as ``np.bincount`` does, so into a
+    zeroed ``out`` the sums are ``bincount``'s bit for bit, and blocks of
+    one index array added in order give its whole sums.  It reads an int32
+    or read-only index array as it is, where ``bincount`` would cast a copy
+    to intp on every call.
+    """
+    np.add.at(out, index, weights)
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,9 @@ class Mesh:
     Attributes
     ----------
     vertices : (V, 2) float array
-    triangles : (T, 3) int array, counterclockwise
+    triangles : (T, 3) int array, counterclockwise; int32 unless
+        ``table_dtype`` of V and 3T (the most edges T triangles have) is
+        int64, and so are the edge ends and ``triangle_edges``
     vertex_class : (V,) int8 array with values INTERIOR/DIRICHLET/ARTIFICIAL
     h : float
         Nominal edge length used by the generator.
@@ -67,7 +82,9 @@ class Mesh:
     whether the triangles are edge-connected, all from one sort of the edge
     slots.  Every other derived array (``centroids``,
     ``basis_columns``, ``interior_vertices``, ...) is built on first read
-    and kept, except ``neighbors``, which is built on every read.
+    and kept, except ``neighbors``, which is built on every read.  The
+    arrays are read-only, and the mesh keeps its own copy of
+    ``triangles``.
     """
 
     vertices: np.ndarray
@@ -95,14 +112,12 @@ class Mesh:
             raise ValueError("triangle index out of range")
         if not np.isin(c, (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
             raise ValueError("unknown vertex class")
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        if not t.flags.writeable:  # may be memory _writeable cannot open
-            t = t.copy()
+        t = np.array(t, dtype=table_dtype(len(v), 3 * len(t)), order="C")
         c = np.ascontiguousarray(c, dtype=np.int8)
-        for arr in (v, c):
+        for arr in (v, t, c):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", _read_only(t))
+        object.__setattr__(self, "triangles", t)
         object.__setattr__(self, "vertex_class", c)
         self._validate()
 
@@ -167,7 +182,7 @@ class Mesh:
         """Unique edge ends as (2, E) lo and hi rows, per-triangle edge ids,
         the boundary vertex mask and whether the triangles are
         edge-connected, all from one stable sort of the 3T edge slots by
-        key."""
+        key.  The ends and ids take the dtype of ``triangles``."""
         t = self.triangles
         nv = self.vertex_count
         # edge slot i is opposite corner i; one int64 key lo * V + hi per
@@ -190,21 +205,20 @@ class Mesh:
         if counts.max(initial=0) > 2:
             raise ValueError("an edge is shared by more than two triangles")
         keys = keys[first]
-        ends = np.empty((2, len(keys)), dtype=np.int64)
+        ends = np.empty((2, len(keys)), dtype=t.dtype)
         np.floor_divide(keys, nv, out=ends[0])
-        np.multiply(ends[0], nv, out=ends[1])
-        np.subtract(keys, ends[1], out=ends[1])
-        ids = np.repeat(np.arange(len(first)), counts)  # edge id by run
-        tri_edges = np.empty((len(t), 3), dtype=np.int64)
-        tri_edges.reshape(-1)[order] = ids
+        np.remainder(keys, nv, out=ends[1])
+        ids = np.repeat(np.arange(len(first), dtype=t.dtype), counts)
+        tri_edges = np.empty((len(t), 3), dtype=t.dtype)
+        tri_edges.reshape(-1)[order] = ids  # edge id by run
         boundary = np.zeros(nv, dtype=bool)
         boundary[ends[:, counts == 1]] = True
         pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
         connected = _edge_connected(order[pair] // 3, order[pair + 1] // 3,
                                     len(t))
-        boundary.setflags(write=False)
-        return (_read_only(ends), _read_only(tri_edges), boundary,
-                connected)
+        for arr in (ends, tri_edges, boundary):
+            arr.setflags(write=False)
+        return ends, tri_edges, boundary, connected
 
     @property
     def edges(self) -> np.ndarray:

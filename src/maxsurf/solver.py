@@ -27,7 +27,9 @@ norm and area density are kept in one ``Evaluation``, made for each
 line-search candidate and for each rung of the initial guess, and read by
 the spacelike test, the residual, the energy, the next Newton matrix and the
 reported margins.  The pointwise kernels work on the contiguous (T,)
-rows of ``Mesh.basis_columns`` and of the gradient.  The vector
+rows of ``Mesh.basis_columns`` and of the gradient, one block of
+``mesh.TRIANGLE_BLOCK`` triangles at a time, and sum over the mesh's
+index tables with ``mesh.scatter_add``.  The vector
 reductions (PCG inner products and norms, the energy sum and the residual
 norm) are summed by numpy's own loop, not by BLAS: a threaded BLAS splits
 long dot products over its worker threads, which then spin between calls
@@ -88,7 +90,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .lorentz import _spacelike, _spacelike_density
-from .mesh import Mesh, _writeable
+from .mesh import Mesh, scatter_add, table_dtype, triangle_blocks
 from .records import write_csv, read_csv
 
 METRICS = ("lorentz", "euclid")
@@ -234,21 +236,23 @@ def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """(T, 2) constant gradient of the piecewise-linear interpolant.
 
     Computed corner by corner from the rows of ``mesh.basis_columns``,
-    summed over corners 0, 1, 2 from the left, so the result is the
-    transposed view of a (2, T) array of contiguous x and y rows.
+    summed over corners 0, 1, 2 from the left, one block of triangles
+    (``mesh.triangle_blocks``) at a time, so the result is the transposed
+    view of a (2, T) array of contiguous x and y rows and the temporaries
+    are one block long.
     """
     values = _check_field(mesh, values)
-    corners = mesh.triangles
-    g = np.empty((2, len(corners)))
-    term = np.empty(len(corners))
-    for i in range(3):
-        vi = values[corners[:, i]]
-        for row, b in zip(g, mesh.basis_columns[:, i]):
-            if i == 0:
-                np.multiply(vi, b, out=row)
-            else:
-                np.multiply(vi, b, out=term)
-                row += term
+    basis = mesh.basis_columns
+    g = np.empty((2, mesh.triangle_count))
+    for rows in triangle_blocks(mesh.triangle_count):
+        corners = mesh.triangles[rows]
+        for i in range(3):
+            vi = values[corners[:, i]]
+            for row, b in zip(g[:, rows], basis[:, i, rows]):
+                if i == 0:
+                    np.multiply(vi, b, out=row)
+                else:
+                    row += vi * b
     return g.T
 
 
@@ -257,24 +261,36 @@ def p1_divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 
     Component i is sum_T area_T grad(phi_i) . f_T, the area-weighted
     transpose of ``p1_gradient``.  Computed from the (T,) rows of
-    ``mesh.basis_columns`` and summed per vertex by one ``bincount``,
-    triangle by triangle and corners 0, 1, 2 within each triangle.
+    ``mesh.basis_columns`` one block of triangles at a time and summed per
+    vertex by ``mesh.scatter_add``, triangle by triangle and corners 0, 1,
+    2 within each triangle: the order of one ``bincount`` over all corners.
     """
-    return _weighted_divergence(mesh, mesh.areas * fx, mesh.areas * fy)
+    return _divergence(mesh, fx, fy)
 
 
-def _weighted_divergence(mesh: Mesh, wx: np.ndarray,
-                         wy: np.ndarray) -> np.ndarray:
-    """``p1_divergence`` of the field whose area-weighted rows are (wx, wy)."""
+def _divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray,
+                density: np.ndarray | None = None) -> np.ndarray:
+    """``p1_divergence`` of (fx, fy), or of the flux (fx, fy) / ``density``.
+
+    Each block makes its own area-weighted rows, f area_T or, in place,
+    (f / density) area_T.
+    """
     bx, by = mesh.basis_columns
-    local = np.empty((mesh.triangle_count, 3))
-    term = np.empty(mesh.triangle_count)
-    for i in range(3):
-        np.multiply(bx[i], wx, out=local[:, i])
-        np.multiply(by[i], wy, out=term)
-        local[:, i] += term
-    return np.bincount(_writeable(mesh.triangles).ravel(),
-                       weights=local.ravel(), minlength=mesh.vertex_count)
+    out = np.zeros(mesh.vertex_count)
+    for rows in triangle_blocks(mesh.triangle_count):
+        wx, wy = fx[rows], fy[rows]
+        if density is None:
+            wx, wy = wx * mesh.areas[rows], wy * mesh.areas[rows]
+        else:
+            wx, wy = wx / density[rows], wy / density[rows]
+            wx *= mesh.areas[rows]
+            wy *= mesh.areas[rows]
+        local = np.empty((len(wx), 3))
+        for i in range(3):
+            np.multiply(bx[i, rows], wx, out=local[:, i])
+            local[:, i] += by[i, rows] * wy
+        scatter_add(out, mesh.triangles[rows].ravel(), local.ravel())
+    return out
 
 
 def _check_field(mesh: Mesh, values, where=slice(None)) -> np.ndarray:
@@ -299,17 +315,26 @@ class Evaluation:
     ``spacelike(SIGMA_MIN)`` is false.  It is the one input of
     ``residual``, ``energy`` and ``tangent_matrix``: ``solve`` builds one
     per line-search candidate and hands it to all three.
+
+    ``norm2`` is formed on each read and not kept: the density reads it
+    once, and the light-cone test reads only its largest entry other than
+    nan, which decides ``_spacelike`` as the whole array does.
     """
 
     def __init__(self, mesh: Mesh, values: np.ndarray, metric: str):
         self.values = values
         self.gx, self.gy = p1_gradient(mesh, values).T
-        self.norm2 = self.gx * self.gx + self.gy * self.gy
-        self.max_norm = float(np.sqrt(self.norm2.max()))
+        norm2 = self.norm2
+        self.max_norm = float(np.sqrt(norm2.max()))
+        self._top = np.fmax.reduce(norm2)
         self.metric = metric
 
+    @property
+    def norm2(self) -> np.ndarray:
+        return self.gx * self.gx + self.gy * self.gy
+
     def spacelike(self, margin: float) -> bool:
-        return self.metric == "euclid" or _spacelike(self.norm2, margin)
+        return self.metric == "euclid" or _spacelike(self._top, margin)
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -334,13 +359,7 @@ def residual(mesh: Mesh, ev: Evaluation) -> np.ndarray:
     the ``p1_divergence`` of the flux, which ``forms.circulations`` also
     computes.
     """
-    dens = ev.density
-    # the area-weighted flux, made in place: no (T,) flux rows beside it
-    wx = ev.gx / dens
-    wx *= mesh.areas
-    wy = ev.gy / dens
-    wy *= mesh.areas
-    return _weighted_divergence(mesh, wx, wy)[mesh.interior_vertices]
+    return _divergence(mesh, ev.gx, ev.gy, ev.density)[mesh.interior_vertices]
 
 
 def residual_norm(mesh: Mesh, r: np.ndarray) -> float:
@@ -357,63 +376,69 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def tangent_matrix(mesh: Mesh, ev: Evaluation) -> _CSR:
+def tangent_matrix(mesh: Mesh, ev: Evaluation | None) -> _CSR:
     """Sparse symmetric Newton matrix K_ij = sum_T area_T grad(phi_i) . D . grad(phi_j).
 
     D = c1 I + c2 g g^T is the flux Jacobian at the evaluated triangle
     gradient g, with c1 = 1 / density and c2 = +-c1 / density^2 (Lorentz +,
     Euclid -); it is positive definite in both metrics while the field is
     admissible, so K restricted to the free vertices is SPD; that
-    free-vertex block is returned.  The entries of the corner pair opposite each corner are
-    summed per edge by one ``bincount``; each diagonal entry is minus its
-    row's off-diagonal sum, since the P1 basis gradients of a triangle sum
-    to zero.  The pattern is the mesh's assembly plan: it keeps structural
-    zeros and sorts columns within each row.  The block is the package's
-    CSR type, ``_CSR``; ``scipy.sparse.csr_matrix((k.data, k.indices,
-    k.indptr), shape=k.shape)`` converts it.
+    free-vertex block is returned.  With ``ev`` None, D = I: the Laplace
+    matrix, which is the Euclidean matrix of a zero field, made without
+    evaluating one.  The entries of the corner pair opposite each corner
+    are summed per edge by ``mesh.scatter_add``, one block of triangles at
+    a time; each diagonal entry is minus its row's off-diagonal sum, since
+    the P1 basis gradients of a triangle sum to zero.  The pattern is the
+    mesh's assembly plan: it keeps structural zeros and sorts columns
+    within each row.  The block is the package's CSR type, ``_CSR``;
+    ``scipy.sparse.csr_matrix((k.data, k.indices, k.indptr),
+    shape=k.shape)`` converts it.
     """
     edge = _edge_values(mesh, ev)
-    lo, hi = _writeable(mesh.edges.T)
     n = mesh.vertex_count
-    diag = -(np.bincount(lo, weights=edge, minlength=n)
-             + np.bincount(hi, weights=edge, minlength=n))
+    lo, hi = mesh.edges.T
+    diag = -(scatter_add(np.zeros(n), lo, edge)
+             + scatter_add(np.zeros(n), hi, edge))
     return _plan(mesh).free_block(edge, diag[mesh.interior_vertices])
 
 
-def _edge_values(mesh: Mesh, ev: Evaluation) -> np.ndarray:
+def _edge_values(mesh: Mesh, ev: Evaluation | None) -> np.ndarray:
     """(E,) off-diagonal Newton matrix entry of each mesh edge.
 
-    The corner pairs are written into preallocated (T,) rows, and the
-    triangle temporaries are freed before they are summed per edge.
+    Each block of triangles writes its corner pairs into (B, 3) rows and
+    adds them per edge; with ``ev`` None the c2 term, zero for a zero
+    gradient, is left out and c1 is the area.
     """
-    dens = ev.density
-    c1 = mesh.areas / dens  # c1 and c2 times the triangle area
-    c2 = dens * dens
-    np.divide(c1, c2, out=c2)
-    if ev.metric == "euclid":
-        np.negative(c2, out=c2)
     bx, by = mesh.basis_columns
-    bg = np.empty((3, mesh.triangle_count))
-    u, w = np.empty((2, mesh.triangle_count))
-    for k in range(3):
-        np.multiply(bx[k], ev.gx, out=bg[k])
-        np.multiply(by[k], ev.gy, out=w)
-        bg[k] += w
-    pair = np.empty((mesh.triangle_count, 3))
-    for k in range(3):
-        # corners (k + 1, k + 2) of the edge opposite corner k:
-        # c1 (bx_a bx_b + by_a by_b) + c2 bg_a bg_b
-        a, b = (k + 1) % 3, (k + 2) % 3
-        np.multiply(bx[a], bx[b], out=u)
-        np.multiply(by[a], by[b], out=w)
-        u += w
-        u *= c1
-        np.multiply(c2, bg[a], out=w)
-        w *= bg[b]
-        np.add(u, w, out=pair[:, k])
-    del c1, c2, bg, u, w
-    return np.bincount(_writeable(mesh.triangle_edges).ravel(),
-                       weights=pair.ravel(), minlength=len(mesh.edges))
+    out = np.zeros(len(mesh.edges))
+    for rows in triangle_blocks(mesh.triangle_count):
+        # c1 and c2 times the triangle area
+        if ev is None:
+            c1 = mesh.areas[rows]
+        else:
+            dens = ev.density[rows]
+            c1 = mesh.areas[rows] / dens
+            c2 = dens * dens
+            np.divide(c1, c2, out=c2)
+            if ev.metric == "euclid":
+                np.negative(c2, out=c2)
+            bg = bx[:, rows] * ev.gx[rows]
+            bg += by[:, rows] * ev.gy[rows]
+        pair = np.empty((len(c1), 3))
+        for k in range(3):
+            # corners (k + 1, k + 2) of the edge opposite corner k:
+            # c1 (bx_a bx_b + by_a by_b) + c2 bg_a bg_b
+            a, b = (k + 1) % 3, (k + 2) % 3
+            u = bx[a, rows] * bx[b, rows]
+            u += by[a, rows] * by[b, rows]
+            u *= c1
+            if ev is not None:
+                w = c2 * bg[a]
+                w *= bg[b]
+                u += w
+            pair[:, k] = u
+        scatter_add(out, mesh.triangle_edges[rows].ravel(), pair.ravel())
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +669,7 @@ class _AssemblyPlan:
         n = mesh.vertex_count
         lo, hi = mesh.edges.T
         free = len(mesh.interior_vertices)
-        index = np.int32 if n + 2 * len(lo) < 2**31 else np.int64
+        index = table_dtype(n, len(lo))
         renumber = np.full(n, -1, dtype=index)
         renumber[mesh.interior_vertices] = np.arange(free, dtype=index)
         # the edges between free vertices, as (row, col) above the diagonal
@@ -903,9 +928,18 @@ class _VCycle:
         if level == len(self.levels):
             return self.bottom @ b
         a, scale, p = self.levels[level]
+        # x = scale b, then x += p cycle(p^T (b - a x)) and x += scale (b -
+        # a x), each residual formed in place in the product's array
         x = scale * b
-        x += p @ self._cycle(level + 1, p.T @ (b - a @ x))
-        x += scale * (b - a @ x)
+        r = a @ x
+        np.subtract(b, r, out=r)
+        coarse = self._cycle(level + 1, p.T @ r)
+        del r
+        x += p @ coarse
+        r = a @ x
+        np.subtract(b, r, out=r)
+        r *= scale
+        x += r
         return x
 
 
@@ -915,7 +949,8 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
 
     ``preconditioner`` maps a residual r to z, approximately the operator's
     inverse applied to r, and must be symmetric positive definite.  The
-    operator is used only through ``@``.
+    operator is used only through ``@``, whose result the iteration then
+    owns and updates in place.
 
     Deterministic: fixed starting point (zero), fixed update order.  Stops
     when ||r|| <= linear_tol * ||b||; raises NonConvergenceError carrying
@@ -941,6 +976,10 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
     z = preconditioner(r)
     p = z.copy()
     rz = _dot(r, z)
+    # between steps only x, r and p are held: ap and z are dropped as soon
+    # as they are read, so the preconditioner and ``early`` run beside
+    # three vectors
+    del z
     for matvecs in range(1, 10 * n + 100 + 1):
         if rz <= 0.0:
             raise NonConvergenceError(
@@ -952,7 +991,9 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
                 "operator is not positive definite", _norm(r) / bnorm)
         alpha = rz / pap
         x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
+        del ap
         rnorm = _norm(r)
         if rnorm <= linear_tol * bnorm:
             return x, matvecs, rnorm / bnorm
@@ -962,7 +1003,9 @@ def cg_solve(operator, rhs: np.ndarray, linear_tol: float, preconditioner,
                 return x, matvecs, rnorm / bnorm
         z = preconditioner(r)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz  # p = z + beta p, in place
+        p += z
+        del z
         rz = rz_new
     raise NonConvergenceError("iteration cap reached", _norm(r) / bnorm)
 
@@ -1026,8 +1069,7 @@ def _harmonic_extension(mesh: Mesh, bc: np.ndarray, config: SolverConfig):
         start.extend((ev, r))
         return True
 
-    k = tangent_matrix(mesh,
-                       Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid"))
+    k = tangent_matrix(mesh, None)  # the Laplace matrix
     x, matvecs, achieved = cg_solve(k, rhs, LINEAR_TOL,
                                     _vcycle(_plan(mesh), k),
                                     early=(START_TOL, accept))

@@ -4,7 +4,9 @@ The Minkowski normals behind criterion 2, the factors of the coercivity
 constant, the gradient margin of criterion 4 and of the solver's step
 rows, criterion 8's fourth-order integrator of the Riccati problem, and
 the former builds of the solver's assembly plan and of the potential's
-tree, which the parity tests hold the current ones to.  No pipeline of
+tree, and the whole-array triangle kernels (one pass over all triangles,
+summed by one ``bincount``), which the parity tests hold the current ones
+to.  No pipeline of
 the package calls them, so they live here; the pointwise functions keep
 the package's light-cone guard and raise its SpacelikeError.
 """
@@ -233,3 +235,171 @@ def stored_offset_potential(mesh, form):
     reached = np.flatnonzero(counts)
     u[reached] = sums[reached] / counts[reached]
     return u - u[0]
+
+
+# Whole-array triangle kernels, kept as references of the ones the package
+# runs one block of triangles at a time: every (T,) temporary at once, and
+# each sum over a mesh index table one np.bincount
+
+
+def whole_array_gradient(mesh, values):
+    """(T, 2) P1 gradient, corner by corner over all triangles."""
+    corners = mesh.triangles
+    g = np.empty((2, len(corners)))
+    term = np.empty(len(corners))
+    for i in range(3):
+        vi = values[corners[:, i]]
+        for row, b in zip(g, mesh.basis_columns[:, i]):
+            if i == 0:
+                np.multiply(vi, b, out=row)
+            else:
+                np.multiply(vi, b, out=term)
+                row += term
+    return g.T
+
+
+def whole_array_divergence(mesh, wx, wy):
+    """(V,) weak divergence of the area-weighted rows (wx, wy)."""
+    bx, by = mesh.basis_columns
+    local = np.empty((mesh.triangle_count, 3))
+    term = np.empty(mesh.triangle_count)
+    for i in range(3):
+        np.multiply(bx[i], wx, out=local[:, i])
+        np.multiply(by[i], wy, out=term)
+        local[:, i] += term
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.vertex_count)
+
+
+def whole_array_p1_divergence(mesh, fx, fy):
+    return whole_array_divergence(mesh, mesh.areas * fx, mesh.areas * fy)
+
+
+def whole_array_residual(mesh, ev):
+    wx = ev.gx / ev.density
+    wx *= mesh.areas
+    wy = ev.gy / ev.density
+    wy *= mesh.areas
+    return whole_array_divergence(mesh, wx, wy)[mesh.interior_vertices]
+
+
+def whole_array_tangent_data(mesh, ev):
+    """The free block's CSR data of the Newton matrix of ``ev``: edge
+    values from (T, 3) corner pairs, the diagonal minus the two sums over
+    the edge ends, gathered by the mesh's assembly plan."""
+    from maxsurf.solver import _plan
+
+    dens = ev.density
+    c1 = mesh.areas / dens
+    c2 = dens * dens
+    np.divide(c1, c2, out=c2)
+    if ev.metric == "euclid":
+        np.negative(c2, out=c2)
+    bx, by = mesh.basis_columns
+    bg = np.empty((3, mesh.triangle_count))
+    u, w = np.empty((2, mesh.triangle_count))
+    for k in range(3):
+        np.multiply(bx[k], ev.gx, out=bg[k])
+        np.multiply(by[k], ev.gy, out=w)
+        bg[k] += w
+    pair = np.empty((mesh.triangle_count, 3))
+    for k in range(3):
+        a, b = (k + 1) % 3, (k + 2) % 3
+        np.multiply(bx[a], bx[b], out=u)
+        np.multiply(by[a], by[b], out=w)
+        u += w
+        u *= c1
+        np.multiply(c2, bg[a], out=w)
+        w *= bg[b]
+        np.add(u, w, out=pair[:, k])
+    edge = np.bincount(mesh.triangle_edges.ravel(), weights=pair.ravel(),
+                       minlength=len(mesh.edges))
+    lo, hi = mesh.edges.T
+    n = mesh.vertex_count
+    diag = -(np.bincount(lo, weights=edge, minlength=n)
+             + np.bincount(hi, weights=edge, minlength=n))
+    plan = _plan(mesh)
+    data = edge[plan.edge_slots]
+    data[plan.diagonal_slots] = diag[mesh.interior_vertices]
+    return data
+
+
+def whole_array_polyline_pieces(mesh, radii, triangles=None):
+    """``forms.polyline_pieces`` with the radius bands of all triangles
+    found at once."""
+    from maxsurf.forms import ROOT_TOL
+
+    radii = np.asarray(radii, dtype=float)
+    if triangles is None:
+        tris = np.arange(mesh.triangle_count)
+    else:
+        mask = np.zeros(mesh.triangle_count, dtype=bool)
+        mask[np.asarray(triangles, dtype=np.int64)] = True
+        tris = np.flatnonzero(mask)
+    corners = mesh.triangles[tris]
+    x = [mesh.vertices[corners[:, i], 0] for i in range(3)]
+    y = [mesh.vertices[corners[:, i], 1] for i in range(3)]
+    r_min = np.full(len(tris), np.inf)
+    r_max = np.zeros(len(tris))
+    origin_inside = np.ones(len(tris), dtype=bool)
+    for i in range(3):
+        ax, ay = x[(i + 1) % 3], y[(i + 1) % 3]
+        dx, dy = x[(i + 2) % 3] - ax, y[(i + 2) % 3] - ay
+        t = np.clip(-(ax * dx + ay * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        qx, qy = ax + t * dx, ay + t * dy
+        r_min = np.minimum(r_min, qx * qx + qy * qy)
+        r_max = np.maximum(r_max, x[i] * x[i] + y[i] * y[i])
+        origin_inside &= dy * ax - dx * ay >= 0.0
+    r_min = np.where(origin_inside, 0.0, np.sqrt(r_min))
+    r_max = np.sqrt(r_max)
+    lo = np.searchsorted(radii, r_min, side="left")
+    count = np.searchsorted(radii, r_max, side="right") - lo
+    pair_tri = np.repeat(tris, count)
+    pair_k = np.arange(int(count.sum())) \
+        + np.repeat(lo - (np.cumsum(count) - count), count)
+
+    nr = len(radii)
+    keys, inverse = np.unique(
+        (mesh.triangle_edges[pair_tri].astype(np.int64) * nr
+         + pair_k[:, None]).ravel(),
+        return_inverse=True)
+    edge, k = np.divmod(keys, nr)
+    ends = mesh.vertices[mesh.edges[edge]]
+    ea = ends[:, 0]
+    ed = ends[:, 1] - ea
+    r_sq = radii[k] ** 2
+    dd = np.sum(ed * ed, axis=1)
+    t_near = -np.sum(ea * ed, axis=1) / dd
+    near = ea + t_near[:, None] * ed
+    chord_sq = r_sq - np.sum(near * near, axis=1)
+    dt = np.sqrt(np.maximum(chord_sq, 0.0) / dd)
+    t = np.stack([t_near - dt, t_near + dt], axis=1)
+    hit = (chord_sq >= -ROOT_TOL * r_sq)[:, None] \
+        & (t >= -ROOT_TOL) & (t <= 1.0 + ROOT_TOL)
+    pts = ea[:, None, :] + t[..., None] * ed[:, None, :]
+    roots = np.where(hit, np.arctan2(pts[..., 1], pts[..., 0]), np.nan)
+    ang = np.sort(roots[inverse].reshape(len(pair_tri), 6), axis=1)
+
+    m = np.count_nonzero(~np.isnan(ang), axis=1)
+    ang[m == 0, 0] = -np.pi
+    m = np.maximum(m, 1)[:, None]
+    col = np.arange(6)
+    wrap = ang[:, :1] + 2.0 * np.pi
+    end = np.where(col == m - 1, wrap,
+                   np.concatenate([ang[:, 1:], wrap], axis=1))
+    row, col = np.nonzero((col < m) & (end > ang))
+    tri, k = pair_tri[row], pair_k[row]
+    theta0, theta1 = ang[row, col], end[row, col]
+
+    mid = 0.5 * (theta0 + theta1)
+    mx = radii[k] * np.cos(mid)
+    my = radii[k] * np.sin(mid)
+    tri_edges = mesh.triangle_edges[tri]
+    ends = mesh.vertices[mesh.edges[tri_edges]]
+    ea = ends[:, :, 0]
+    ed = ends[:, :, 1] - ea
+    side = ed[..., 0] * (my[:, None] - ea[..., 1]) \
+        - ed[..., 1] * (mx[:, None] - ea[..., 0])
+    left = mesh.edges[tri_edges, 0] == mesh.triangles[tri][:, [1, 2, 0]]
+    inside = np.where(left, side >= 0.0, side < 0.0).all(axis=1)
+    return tri[inside], k[inside], theta0[inside], theta1[inside]

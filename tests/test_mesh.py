@@ -12,7 +12,7 @@ from maxsurf import (
     load_mesh,
     save_mesh,
 )
-from maxsurf.mesh import _writeable
+from maxsurf.mesh import table_dtype, triangle_blocks
 
 
 def vertex_at(mesh, x, y):
@@ -226,7 +226,8 @@ def test_non_finite_vertex_rejected(bad):
 def test_integral_float_inputs_accepted():
     v, t, c = unit_tri_mesh()
     mesh = Mesh(v, t.astype(float), c.astype(float), h=1.0)
-    assert mesh.triangles.dtype == np.int64
+    # the dtype the rule chooses for V vertices and at most 3T edges
+    assert mesh.triangles.dtype == table_dtype(len(v), 3 * len(t)) == np.int32
     assert mesh.vertex_class.dtype == np.int8
     np.testing.assert_array_equal(mesh.triangles, t)
 
@@ -264,24 +265,43 @@ def test_mesh_arrays_frozen(square4):
 
 
 @pytest.mark.parametrize("frozen", [False, True])
-def test_index_tables_are_read_only_views_of_writeable_memory(frozen):
+def test_index_tables_are_read_only(frozen):
     ref = build_rectangle(1.0, 1.0, 0.25)
     triangles = ref.triangles.copy()
     triangles.setflags(write=not frozen)
     mesh = Mesh(ref.vertices, triangles, ref.vertex_class, ref.h)
-    # the caller's array is not frozen by the mesh; a frozen one is copied
+    # the mesh keeps its own copy; the caller's array is left as it was
     assert triangles.flags.writeable != frozen
-    assert np.shares_memory(triangles, mesh.triangles) != frozen
+    assert not np.shares_memory(triangles, mesh.triangles)
     # the edge ends are stored as contiguous lo and hi rows
     assert mesh.edges.T.flags.c_contiguous
     for table in (mesh.triangles, mesh.triangle_edges, mesh.edges.T):
+        assert table.dtype == np.int32 and table.flags.c_contiguous
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 5
-        # np.bincount copies a read-only index array; the solver passes a
-        # writeable view of the same memory instead of a copy
-        view = _writeable(table)
-        assert view.flags.writeable and np.shares_memory(view, table)
+
+
+def test_table_dtype_falls_back_to_int64_past_the_int32_range():
+    # the counts alone decide; no mesh of that size is built
+    assert table_dtype(2**31, 0) == np.int64
+    assert table_dtype(2**31 - 1, 0) == np.int32
+    assert table_dtype(1, 2**30 - 1) == np.int32
+    assert table_dtype(1, 2**30) == np.int64
+    assert table_dtype(10**6, 2**30 - 500_001) == np.int32
+    assert table_dtype(10**6, 2**30 - 500_000) == np.int64
+
+
+@pytest.mark.parametrize("count,block,expected", [
+    (0, 4, [(0, 0)]),
+    (3, 4, [(0, 3)]),
+    (4, 4, [(0, 4)]),
+    (9, 4, [(0, 4), (4, 8), (8, 9)]),
+])
+def test_triangle_blocks_tile_the_rows_in_order(monkeypatch, count, block,
+                                                expected):
+    monkeypatch.setattr("maxsurf.mesh.TRIANGLE_BLOCK", block)
+    assert [(s.start, s.stop) for s in triangle_blocks(count)] == expected
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from maxsurf import (
     tangent_matrix,
 )
 from maxsurf import solver as solver_module
+from maxsurf.lorentz import _spacelike
 from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             FORCING_MAX, INITIAL_MARGIN_FACTOR, JACOBI_WEIGHT,
                             LINEAR_TOL, SIGMA_MIN, START_GAP, START_TOL,
@@ -493,13 +494,71 @@ def test_line_search_residual_is_the_next_right_hand_side(monkeypatch):
     candidates = sum(1 + row.backtracks for row in report.steps[1:])
     assert candidates > report.iterations  # some steps were halved
     assert len(calls) == 1 + candidates
-    # one gradient per field: the harmonic extension's zero field and its
-    # data (for the right-hand side), the initial guess and every
-    # candidate; the Newton matrices, energies and margins reuse them
-    assert len(gradients) == 3 + candidates
+    # one gradient per field: the harmonic extension's data (for the
+    # right-hand side), the initial guess and every candidate; the Newton
+    # matrices, energies and margins reuse them, and the Laplace matrix
+    # evaluates no field
+    assert len(gradients) == 2 + candidates
     ev = Evaluation(mesh, v, "euclid")
     assert report.residual == residual_norm(mesh, residual(mesh, ev))
     assert report.steps[-1].residual == report.residual
+
+
+def test_cg_holds_three_vectors_between_steps():
+    # x, r and p; ap and z are dropped once read, so the V-cycle (2.5
+    # vectors at its peak here) runs beside three vectors: 5.5 in all,
+    # where keeping ap and z and forming z + beta p anew peaked at 8
+    mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
+    k = tangent_matrix(mesh, None)
+    cycle = _VCycle(k)
+    n = k.shape[0]
+    rhs = np.random.default_rng(2).standard_normal(n)
+    cycle(rhs)
+    tracemalloc.start()
+    x, _, achieved = cg_solve(k, rhs, 1e-10, cycle)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert achieved <= 1e-10
+    assert peak <= 6 * 8 * n
+
+
+@pytest.mark.parametrize("norm2", [
+    [0.25, np.nan], [np.nan, np.nan], [np.nan, 1.0], [0.5, np.inf],
+    [0.0, (1.0 - SIGMA_MIN) ** 2],
+    [0.0, np.nextafter((1.0 - SIGMA_MIN) ** 2, 0.0)],
+])
+@pytest.mark.parametrize("margin",
+                         [SIGMA_MIN, INITIAL_MARGIN_FACTOR * SIGMA_MIN])
+def test_spacelike_reads_the_largest_entry_other_than_nan(norm2, margin):
+    # Evaluation keeps np.fmax.reduce of |g|^2, not the (T,) array; nan
+    # entries fail every comparison, so the verdict is the whole array's
+    norm2 = np.array(norm2)
+    top = np.fmax.reduce(norm2)
+    assert _spacelike(top, margin) == _spacelike(norm2, margin)
+
+
+def test_evaluation_light_cone_test_skips_nan_gradients(monkeypatch):
+    # a nan gradient fails every comparison: the steep triangle still makes
+    # the field not spacelike, as _spacelike of the whole array says
+    mesh = build_rectangle(1.0, 1.0, 0.5)
+    g = np.zeros((mesh.triangle_count, 2))
+    g[0] = np.nan
+    g[1, 0] = 1.0
+    monkeypatch.setattr(solver_module, "p1_gradient", lambda mesh, v: g)
+    ev = Evaluation(mesh, np.zeros(mesh.vertex_count), "lorentz")
+    assert not _spacelike(ev.norm2, SIGMA_MIN)
+    assert not ev.spacelike(SIGMA_MIN)
+
+
+def test_evaluation_keeps_no_squared_norms():
+    mesh = build_rectangle(1.0, 1.0, 0.125)
+    x, y = mesh.vertices.T
+    ev = Evaluation(mesh, 0.3 * x * y, "lorentz")
+    ev.density
+    assert "norm2" not in vars(ev)
+    assert ev.norm2.tobytes() == (ev.gx * ev.gx + ev.gy * ev.gy).tobytes()
+    assert ev.spacelike(SIGMA_MIN) == _spacelike(ev.norm2, SIGMA_MIN)
+    assert ev.max_norm == math.sqrt(ev.norm2.max())
 
 
 def test_cg_full_output_reports_matvecs_and_achieved_residual():
@@ -803,9 +862,9 @@ def test_one_gradient_per_lorentz_iterate(monkeypatch):
     candidates = sum(1 + row.backtracks for row in report.steps[1:])
     # a candidate that is not spacelike is rejected without a residual
     assert len(residuals) <= 1 + candidates
-    # the harmonic extension's zero field and its data (for the right-hand
-    # side), the start and every candidate
-    assert len(gradients) == 3 + candidates
+    # the harmonic extension's data (for the right-hand side), the start
+    # and every candidate; the Laplace matrix evaluates no field
+    assert len(gradients) == 2 + candidates
     ev = Evaluation(mesh, v, "lorentz")
     assert report.residual == residual_norm(mesh, residual(mesh, ev))
 
@@ -1130,36 +1189,83 @@ def test_inexact_newton_converges_to_the_exact_newton_field(case):
     assert np.abs(v - ref).max() <= bound
 
 
-def test_mesh_index_tables_reach_bincount_uncopied(monkeypatch):
-    # np.bincount copies a read-only index array: (T, 3) int64 per residual
-    # and per Newton matrix, and each (E,) edge end per Newton matrix
+def test_no_kernel_copies_a_mesh_index_table(monkeypatch):
+    # every sum over a mesh index table reads a block of the table where it
+    # lies, in the table's int32, and np.add.at reads it without the intp
+    # copy np.bincount would make of it
+    from maxsurf import forms
+
     mesh = build_rectangle(1.0, 1.0, 1.0 / 128)
     tables = (mesh.triangles, mesh.triangle_edges, mesh.edges)
+    assert all(t.dtype == np.int32 and not t.flags.writeable for t in tables)
     ev = Evaluation(mesh, 0.1 * mesh.vertices[:, 0], "lorentz")
     ev.density
     seen = []
-    bincount = np.bincount
+    scatter_add = solver_module.scatter_add
 
-    def spy(x, *args, **kwargs):
-        if any(np.shares_memory(x, t) for t in tables):
-            seen.append(x.flags.writeable and x.flags.c_contiguous)
-        return bincount(x, *args, **kwargs)
+    def spy(out, index, weights):
+        seen.append(any(np.shares_memory(index, t) and index.base is not None
+                        and index.dtype == t.dtype for t in tables))
+        return scatter_add(out, index, weights)
 
-    monkeypatch.setattr(np, "bincount", spy)
+    for module in (solver_module, forms):
+        monkeypatch.setattr(module, "scatter_add", spy)
     residual(mesh, ev)
     tangent_matrix(mesh, ev)
+    tangent_matrix(mesh, None)
+    p1_divergence(mesh, ev.gx, ev.gy)
     monkeypatch.undo()
-    # the residual's corners, then the Newton matrix's edge ids, lo and hi
-    assert seen == [True, True, True, True]
-    # the divergence's peak: (T, 3) local terms, three (T,) rows and the
-    # (V,) sums; a copy of the corners would add 3 T int64
+    assert seen and all(seen)
+    # one sum over all corners allocates its (V,) output and the 64 KiB
+    # buffer in which np.add.at casts the index to intp a chunk at a time;
+    # a copy of the corners would take 24 T bytes, 786 KiB here
     t, v = mesh.triangle_count, mesh.vertex_count
-    fx, fy = np.ones((2, t))
+    corners = mesh.triangles.ravel()
+    weights = np.ones(3 * t)
     tracemalloc.start()
-    p1_divergence(mesh, fx, fy)
+    scatter_add(np.zeros(v), corners, weights)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 7 * 8 * t + 8 * v
+    assert peak <= 8 * v + 96 * 1024
+
+
+def test_triangle_kernel_transients_stay_within_one_block():
+    # beyond the arrays that the residual, the Newton matrix and the
+    # Laplace matrix return or build from their (V,) and (E,) sums, each
+    # pass over the triangles holds one block's temporaries, and so does
+    # the band pass of polyline_pieces (its radii miss the mesh, so it
+    # finds no arcs): from 32,768 to 131,072 triangles (4 to 16 blocks)
+    # the transients stay within 80 to 192 bytes per block row and do not
+    # grow; the whole-array kernels held 48 to 80 bytes per triangle
+    from maxsurf.forms import polyline_pieces
+    from maxsurf.mesh import TRIANGLE_BLOCK
+
+    def peak(call):
+        tracemalloc.start()
+        call()
+        out = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return out
+
+    def transients(n):
+        mesh = build_rectangle(1.0, 1.0, 1.0 / n)
+        v, e = mesh.vertex_count, len(mesh.edges)
+        free = len(mesh.interior_vertices)
+        x, y = mesh.vertices.T
+        ev = Evaluation(mesh, 0.1 * x + 0.05 * np.sin(y), "lorentz")
+        ev.density
+        mesh.constrained_vertices
+        nnz = tangent_matrix(mesh, ev).nnz  # builds the assembly plan
+        kept = 8 * (e + v + free + nnz)
+        return np.array([
+            peak(lambda: residual(mesh, ev)) - 8 * (v + free),
+            peak(lambda: tangent_matrix(mesh, ev)) - kept,
+            peak(lambda: tangent_matrix(mesh, None)) - kept,
+            peak(lambda: polyline_pieces(mesh, [5.0, 6.0]))])
+
+    small, large = transients(128), transients(256)
+    assert np.all(large <= np.array([80, 128, 80, 192]) * TRIANGLE_BLOCK)
+    assert np.all(large <= small + 64 * 1024)
 
 
 def test_assembly_plan_build_peak_per_edge():

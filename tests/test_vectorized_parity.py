@@ -50,7 +50,11 @@ bit.  The level region's clearances, now read from the sorted differences'
 neighbours of each candidate, must match the per-candidate passes bit for
 bit.  The scan's margin and the margin of every solver step row must match
 the margin of gradients solved from the corner values within 1e-12
-relative.
+relative.  The triangle kernels, now run one block of triangles at a
+time and summed by ``np.add.at`` over int32 index tables, must match the
+whole-array kernels with one ``bincount`` per sum (``oracles``) bit for
+bit, with fewer triangles than a block, exactly one block, and a last
+block cut short.
 """
 
 import math
@@ -73,7 +77,8 @@ from maxsurf import (Evaluation, LevelRegion, Mesh, NonConvergenceError,
                      save_mesh, solve, tangent_matrix)
 from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
                                  ExpressionError)
-from maxsurf.mesh import _edge_connected
+from maxsurf import mesh as mesh_module
+from maxsurf.mesh import _edge_connected, table_dtype
 from maxsurf.forms import (_bfs_tree, _check_form, _potential_tree,
                            max_interior_circulation)
 from maxsurf.uniqueness import LEVEL_CANDIDATES, _circle_sums
@@ -87,7 +92,10 @@ from scipy.sparse._sputils import get_index_dtype
 
 from conftest import jittered, scipy_csr, solver_csr, spacelike_field
 from oracles import (corner_gradients, gradient_margin, keyed_assembly_plan,
-                     six_slot_boundary_pairs, stored_offset_potential)
+                     six_slot_boundary_pairs, stored_offset_potential,
+                     whole_array_gradient, whole_array_p1_divergence,
+                     whole_array_polyline_pieces, whole_array_residual,
+                     whole_array_tangent_data)
 
 # the former polyline clipper's tolerances
 BARY_TOL = 1e-9
@@ -659,10 +667,12 @@ def csgraph_connected(neighbors) -> bool:
 
 def unvalidated_mesh(triangles, nv):
     """A mesh of the triangles that skips the checks, so that its topology
-    can be read where they would reject it (say, on a disconnected one)."""
+    can be read where they would reject it (say, on a disconnected one).
+    The triangles are stored in the dtype the construction's rule picks."""
     mesh = object.__new__(Mesh)
+    dtype = table_dtype(nv, 3 * len(triangles))
     for name, value in (("vertices", np.zeros((nv, 2))),
-                        ("triangles", triangles),
+                        ("triangles", triangles.astype(dtype)),
                         ("vertex_class", np.zeros(nv, dtype=np.int8)),
                         ("h", 1.0)):
         object.__setattr__(mesh, name, value)
@@ -881,10 +891,13 @@ def boundary_mask(edges, counts, nv):
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
 def test_edge_data_matches_sorted_rows(mesh):
     edges, counts, tri_edges, neighbors = sorted_rows_edge_data(mesh.triangles)
+    # the edge tables in the dtype the rule picks, int32 here
+    dtype = table_dtype(mesh.vertex_count, 3 * mesh.triangle_count)
+    assert dtype == np.int32
     assert_same_arrays(
         (mesh.edges, mesh.triangle_edges, mesh.neighbors,
          mesh.boundary_vertex_mask),
-        (edges, tri_edges, neighbors,
+        (edges.astype(dtype), tri_edges.astype(dtype), neighbors,
          boundary_mask(edges, counts, mesh.vertex_count)))
 
 
@@ -899,12 +912,17 @@ def test_one_pass_topology_matches_former_edge_table(case):
     """Edges, edge ids, neighbors and boundary mask bit for bit, and the
     connectivity verdict, on generated, relabelled and disconnected ones."""
     triangles, nv = case
-    edges, counts, tri_edges, neighbors = former_edge_data(triangles, nv)
+    edges, counts, tri_edges, neighbors = former_edge_data(
+        triangles.astype(np.int64), nv)
     mesh = unvalidated_mesh(triangles, nv)
+    # the edge tables in the dtype the rule picks, int32 here
+    dtype = table_dtype(nv, 3 * len(triangles))
+    assert dtype == np.int32
     assert_same_arrays(
         (mesh.edges, mesh.triangle_edges, mesh.neighbors,
          mesh.boundary_vertex_mask),
-        (edges, tri_edges, neighbors, boundary_mask(edges, counts, nv)))
+        (edges.astype(dtype), tri_edges.astype(dtype), neighbors,
+         boundary_mask(edges, counts, nv)))
     connected = mesh._edge_data[3]
     assert connected == former_edge_connected(neighbors)
     assert connected == csgraph_connected(neighbors)
@@ -1974,3 +1992,92 @@ def test_vcycle_matches_one_built_through_scipy_sparse(mesh, matrix,
         assert_same_csr(cycle.bottom, ref.bottom)
     r = np.random.default_rng(seed).standard_normal(k.shape[0])
     assert_same_array(cycle(r), ref(r))
+
+
+# ----------------------------------------------------------------------
+# blocked triangle kernels: parity with the whole-array kernels
+# ----------------------------------------------------------------------
+
+
+def block_sizes(count):
+    """Block sizes giving one block with rows to spare, exactly one block,
+    a last block cut short, and many short blocks."""
+    return sorted({count + 7, count, max(1, count - 1), 1 + count // 3, 7})
+
+
+def same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(meshes(), relabelled(meshes())),
+       metric=st.sampled_from(["lorentz", "euclid"]),
+       seed=st.integers(0, 2**32 - 1),
+       steepest=st.one_of(st.just(0.5), st.floats(0.95, 0.999)))
+def test_blocked_solver_kernels_match_whole_array_bincount(mesh, metric, seed,
+                                                           steepest):
+    v = spacelike_field(mesh, seed, steepest) + 3.0
+    fx, fy = np.random.default_rng(seed).standard_normal(
+        (2, mesh.triangle_count))
+    zero = Evaluation(mesh, np.zeros(mesh.vertex_count), "euclid")
+    ev = Evaluation(mesh, v, metric)
+    refs = (whole_array_gradient(mesh, v),
+            whole_array_p1_divergence(mesh, fx, fy),
+            whole_array_residual(mesh, ev),
+            whole_array_tangent_data(mesh, ev),
+            whole_array_tangent_data(mesh, zero))
+    for block in block_sizes(mesh.triangle_count):
+        with mock.patch.object(mesh_module, "TRIANGLE_BLOCK", block):
+            got = (p1_gradient(mesh, v), p1_divergence(mesh, fx, fy),
+                   residual(mesh, Evaluation(mesh, v, metric)),
+                   tangent_matrix(mesh, ev).data,
+                   tangent_matrix(mesh, None).data)
+        for g, r in zip(got, refs, strict=True):
+            same_bits(g, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       mesh=st.one_of(scan_annuli(), relabelled(scan_annuli())),
+       subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_polyline_pieces_match_whole_array_bands(data, mesh, subset,
+                                                         seed):
+    radii = data.draw(scan_radii(mesh))
+    triangles = None
+    if subset:
+        rng = np.random.default_rng(seed)
+        triangles = rng.choice(mesh.triangle_count,
+                               size=rng.integers(0, mesh.triangle_count),
+                               replace=False)
+    ref = whole_array_polyline_pieces(mesh, radii, triangles)
+    count = mesh.triangle_count if triangles is None else len(triangles)
+    for block in block_sizes(count):
+        with mock.patch.object(mesh_module, "TRIANGLE_BLOCK", block):
+            got = polyline_pieces(mesh, radii, triangles)
+        for g, r in zip(got, ref, strict=True):
+            same_bits(g, r)
+
+
+@pytest.mark.parametrize("make", [
+    # 8,192 triangles: exactly one block of the default size
+    lambda: build_rectangle(1.0, 1.0, 1.0 / 64),
+    # 10,040 triangles: one full block and a short one
+    lambda: build_annulus(1.0, 2.0, 0.05, artificial_rings=["outer"]),
+])
+def test_default_blocks_match_whole_array_kernels(make):
+    mesh = make()
+    assert mesh.triangles.dtype == np.int32
+    v = spacelike_field(mesh, 3, 0.9)
+    ev = Evaluation(mesh, v, "lorentz")
+    same_bits(p1_gradient(mesh, v), whole_array_gradient(mesh, v))
+    same_bits(p1_divergence(mesh, ev.gx, ev.gy),
+              whole_array_p1_divergence(mesh, ev.gx, ev.gy))
+    same_bits(residual(mesh, ev), whole_array_residual(mesh, ev))
+    same_bits(tangent_matrix(mesh, ev).data,
+              whole_array_tangent_data(mesh, ev))
+    radii = np.linspace(0.5, 1.9, 7)
+    for g, r in zip(polyline_pieces(mesh, radii),
+                    whole_array_polyline_pieces(mesh, radii), strict=True):
+        same_bits(g, r)

@@ -1,4 +1,5 @@
-"""Print the traced memory of each phase of the benchmark's seed-0 chains.
+"""Print the traced memory of each phase of the benchmark's seed-0 chains,
+and each command's peak RSS.
 
 Usage: ``python3 tools/phase_peaks.py SRC`` imports ``maxsurf`` from SRC
 and runs each workload of ``perfbench/workloads.py`` on its seed-0 input
@@ -17,6 +18,12 @@ whole command.  ``peak`` is the most memory traced during any one call of
 the phase, and ``held`` the memory traced when that call began, so
 ``peak - held`` is the call's transient.  Nested phases each count their
 own calls in full.
+
+The ``cli`` line ends in ``rss <MiB>``: the peak resident set size of the
+same command run again, untraced, in a process of its own
+(``python3 -m maxsurf.cli`` with SRC on ``PYTHONPATH``), as ``os.wait4``
+reports it to a small launcher process.  It counts the interpreter and the
+imports as well, and is what the benchmark's ``peak_rss_mib`` measures.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import functools
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -129,11 +137,38 @@ def measure(phases: Phases, argv: list[str]) -> list[str]:
     return phases.lines()
 
 
+# Run by a launcher that imports no numpy: on Linux a child's peak RSS
+# starts from the high-water mark of the process that spawned it, which
+# here holds the traced chains
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss(src: Path, argv: list[str]) -> float:
+    """Peak RSS in MiB of one CLI command run in a process of its own, in
+    the current directory."""
+    env = dict(os.environ)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(src) + (os.pathsep + path if path else "")
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable,
+                          "-m", "maxsurf.cli", *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, kib = map(int, out.split())
+    if code != 0:
+        raise SystemExit(f"maxsurf {argv[0]} exited with {code}")
+    return kib / 1024.0  # ru_maxrss is KiB
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
     import maxsurf
 
     bench = workloads()
@@ -148,6 +183,7 @@ def main(argv: list[str]) -> int:
                 workload.prepare(maxsurf, Path(workdir))
                 for cmd in workload.commands(params):
                     lines = measure(phases, cmd)
+                    lines[0] += f" rss {peak_rss(src, cmd):.1f}"
                     print(f"{name}: {cmd[0]}")
                     for line in lines:
                         print(f"  {line}")
