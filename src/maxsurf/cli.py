@@ -222,13 +222,14 @@ def cmd_uniqueness(args) -> int:
         ends = mesh.vertex_class == ARTIFICIAL
         arts = (args.art0, args.art1)
         used = None if None in arts else mesh.vertex_class == DIRICHLET
-        base = _boundary_values(args.bc, mesh, used)
-        bc0, bc1 = base.copy(), base.copy()
+        bc1 = _boundary_values(args.bc, mesh, used)  # a fresh array
+        bc0 = bc1.copy()
         for bc, art in zip((bc0, bc1), arts):
             if art is not None:
                 bc[ends] = _expression(art).boundary_data(mesh, ends)[ends]
         config = SolverConfig(metric="lorentz", residual_tol=args.tol)
         v, rep0 = solve(mesh, bc0, config)
+        del bc0  # the second solve reads only bc1
         vp, rep1 = solve(mesh, bc1, config)
         if args.trace:
             save_trace([rep0, rep1], f"{args.out}_trace.csv")

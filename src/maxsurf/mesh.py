@@ -79,12 +79,15 @@ class Mesh:
 
     Construction checks the mesh, and so builds ``areas`` and the edge
     table: ``edges``, ``triangle_edges``, ``boundary_vertex_mask`` and
-    whether the triangles are edge-connected, all from one sort of the edge
-    slots.  Every other derived array (``centroids``,
-    ``basis_columns``, ``interior_vertices``, ...) is built on first read
-    and kept, except ``neighbors``, which is built on every read.  The
-    arrays are read-only, and the mesh keeps its own copy of
-    ``triangles``.
+    whether the triangles are edge-connected, all from one stable sort of
+    the 3T edge slots by key.  Each table is allocated whole and filled
+    one block of ``TRIANGLE_BLOCK`` triangles, or of 3 ``TRIANGLE_BLOCK``
+    sorted slots, at a time, and the few temporaries that span the mesh
+    are dropped once read.  Every other derived array (``centroids``,
+    ``basis_columns``, ``interior_vertices``, ...) is built on first read,
+    by blocks where it is per triangle, and kept, except ``neighbors``,
+    which is built on every read.  The arrays are read-only, and the mesh
+    keeps its own copy of ``triangles``.
     """
 
     vertices: np.ndarray
@@ -133,6 +136,15 @@ class Mesh:
     def triangle_count(self) -> int:
         return len(self.triangles)
 
+    def _corner_blocks(self):
+        """(rows, x, y) for each block of triangles: its slice of rows and
+        the (3, B) coordinates of its triangles' corners."""
+        x, y = self.vertices.T
+        for rows in triangle_blocks(self.triangle_count):
+            # numpy gathers through intp indices about thrice as fast
+            corners = self.triangles[rows].T.astype(np.intp)
+            yield rows, x[corners], y[corners]
+
     @cached_property
     def areas(self) -> np.ndarray:
         """(T,) signed areas, counterclockwise positive.
@@ -140,11 +152,11 @@ class Mesh:
         Construction rejects a mesh where any of them is not positive, so
         on every mesh they are the triangle areas.
         """
-        corners = self.triangles.T
-        x = self.vertices[:, 0][corners]
-        y = self.vertices[:, 1][corners]
-        return 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
-                      - (y[1] - y[0]) * (x[2] - x[0]))
+        out = np.empty(self.triangle_count)
+        for rows, x, y in self._corner_blocks():
+            out[rows] = 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
+                               - (y[1] - y[0]) * (x[2] - x[0]))
+        return out
 
     @cached_property
     def total_area(self) -> float:
@@ -152,9 +164,12 @@ class Mesh:
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        corners = self.triangles.T
-        return np.stack([self.vertices[:, d][corners].sum(axis=0) / 3.0
-                         for d in range(2)], axis=1)
+        out = np.empty((self.triangle_count, 2))
+        for rows, x, y in self._corner_blocks():
+            # left to right, as sum(axis=0) adds three rows
+            out[rows, 0] = (x[0] + x[1] + x[2]) / 3.0
+            out[rows, 1] = (y[0] + y[1] + y[2]) / 3.0
+        return out
 
     @cached_property
     def basis_columns(self) -> np.ndarray:
@@ -165,15 +180,14 @@ class Mesh:
         counterclockwise quarter turn.  The solver's kernels work on these
         contiguous (T,) rows.
         """
-        corners = self.triangles.T
-        x = self.vertices[:, 0][corners]
-        y = self.vertices[:, 1][corners]
-        out = np.empty((2, 3, len(self.triangles)))
-        for i in range(3):
-            ahead, behind = (i + 2) % 3, (i + 1) % 3
-            out[0, i] = -(y[ahead] - y[behind])
-            out[1, i] = x[ahead] - x[behind]
-        out /= 2.0 * self.areas
+        out = np.empty((2, 3, self.triangle_count))
+        for rows, x, y in self._corner_blocks():
+            block = out[:, :, rows]
+            for i in range(3):
+                ahead, behind = (i + 2) % 3, (i + 1) % 3
+                block[0, i] = -(y[ahead] - y[behind])
+                block[1, i] = x[ahead] - x[behind]
+            block /= 2.0 * self.areas[rows]
         out.setflags(write=False)
         return out
 
@@ -182,40 +196,77 @@ class Mesh:
         """Unique edge ends as (2, E) lo and hi rows, per-triangle edge ids,
         the boundary vertex mask and whether the triangles are
         edge-connected, all from one stable sort of the 3T edge slots by
-        key.  The ends and ids take the dtype of ``triangles``."""
+        key.  The ends and ids take the dtype of ``triangles``.
+
+        Besides the tables it returns, only the keys, the sort order, a flag
+        per sorted slot and the triangle pairs of the shared edges span the
+        mesh, each dropped once read; every pass works one block of sorted
+        slots at a time.
+        """
         t = self.triangles
-        nv = self.vertex_count
+        nv, count = self.vertex_count, self.triangle_count
+        tri_edges = np.empty((count, 3), dtype=t.dtype)
+        boundary = np.zeros(nv, dtype=bool)
         # edge slot i is opposite corner i; one int64 key lo * V + hi per
         # edge sorts like its (lo, hi) row; exact for V below about 3e9
-        keys = np.empty((len(t), 3), dtype=np.int64)
-        lo = np.empty(len(t), dtype=np.int64)
-        for i in range(3):
-            a, b = t[:, (i + 1) % 3], t[:, (i + 2) % 3]
-            np.minimum(a, b, out=lo)
+        keys = np.empty(3 * count, dtype=np.int64)
+        for rows in triangle_blocks(count):
+            for i in range(3):
+                a, b = t[rows, (i + 1) % 3], t[rows, (i + 2) % 3]
+                key = keys[3 * rows.start + i:3 * rows.stop:3]
+                np.minimum(a, b, out=key)
+                key *= nv
+                key += np.maximum(a, b)
+        order = np.argsort(keys, kind="stable")
+        # new[k]: sorted slot k starts a run of equal keys; new[3T] closes
+        # the last run
+        new = np.empty(len(keys) + 1, dtype=bool)
+        new[0] = new[-1] = True
+        blocks = [slice(3 * rows.start, 3 * rows.stop)
+                  for rows in triangle_blocks(count)]
+        for run in blocks:
+            # two slots past the block: a run of three starts in it
+            ahead = keys[order[run.start:run.stop + 2]]
+            if np.any(ahead[2:] == ahead[:-2]):
+                raise ValueError("an edge is shared by more than two "
+                                 "triangles")
+            np.not_equal(ahead[1:], ahead[:-1],
+                         out=new[run.start + 1:run.start + len(ahead)])
+        edge_count = int(np.count_nonzero(new)) - 1
+        ends = np.empty((2, edge_count), dtype=t.dtype)
+        first = 0
+        for run in blocks:
+            starts = new[run]
+            ids = np.cumsum(starts, dtype=t.dtype)
+            ids += first - 1
+            tri_edges.reshape(-1)[order[run]] = ids  # edge id by run
+            key = keys[order[run]].compress(starts)  # one key per edge
+            block = ends[:, first:first + len(key)]
+            lo = key // nv  # numpy divides by a scalar faster than % does
+            block[0] = lo
             lo *= nv
-            np.maximum(a, b, out=keys[:, i])
-            keys[:, i] += lo
-        order = np.argsort(keys.reshape(-1), kind="stable")
-        keys = keys.reshape(-1)[order]
-        new = np.empty(len(keys), dtype=bool)  # starts a run of equal keys
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        counts = np.diff(first, append=len(keys))
-        if counts.max(initial=0) > 2:
-            raise ValueError("an edge is shared by more than two triangles")
-        keys = keys[first]
-        ends = np.empty((2, len(keys)), dtype=t.dtype)
-        np.floor_divide(keys, nv, out=ends[0])
-        np.remainder(keys, nv, out=ends[1])
-        ids = np.repeat(np.arange(len(first), dtype=t.dtype), counts)
-        tri_edges = np.empty((len(t), 3), dtype=t.dtype)
-        tri_edges.reshape(-1)[order] = ids  # edge id by run
-        boundary = np.zeros(nv, dtype=bool)
-        boundary[ends[:, counts == 1]] = True
-        pair = np.flatnonzero(~new[1:])  # the two slots of a shared edge
-        connected = _edge_connected(order[pair] // 3, order[pair + 1] // 3,
-                                    len(t))
+            np.subtract(key, lo, out=block[1])
+            first += len(key)
+            # a run of one slot is an edge of one triangle
+            single = np.flatnonzero(starts & new[run.start + 1:run.stop + 1])
+            single += run.start
+            key = keys[order[single]]
+            boundary[key // nv] = True
+            boundary[key % nv] = True
+        del keys
+        # the two slots of each shared edge, as their triangles
+        tri_pairs = np.empty((2, len(order) - edge_count), dtype=t.dtype)
+        done = 0
+        for run in blocks:
+            pair = np.flatnonzero(~new[run.start + 1:run.stop + 1])
+            pair += run.start
+            block = tri_pairs[:, done:done + len(pair)]
+            np.floor_divide(order[pair], 3, out=block[0])
+            pair += 1
+            np.floor_divide(order[pair], 3, out=block[1])
+            done += len(pair)
+        del order, new, starts  # starts is a view of new
+        connected = _edge_connected(tri_pairs[0], tri_pairs[1], count)
         for arr in (ends, tri_edges, boundary):
             arr.setflags(write=False)
         return ends, tri_edges, boundary, connected
@@ -291,7 +342,8 @@ class Mesh:
             raise ValueError("boundary vertex classed interior")
         # every vertex must belong to a triangle
         used = np.zeros(self.vertex_count, dtype=bool)
-        used[self.triangles.ravel()] = True
+        for rows in triangle_blocks(self.triangle_count):
+            used[self.triangles[rows].astype(np.intp)] = True
         if not used.all():
             raise ValueError("unreferenced vertex")
         if not connected:
@@ -302,30 +354,42 @@ def _edge_connected(tri_a, tri_b, count) -> bool:
     """Whether every one of ``count`` triangles reaches triangle 0 across
     the shared edges joining triangles ``tri_a`` and ``tri_b``.
 
-    Union-find over whole arrays, in rounds: each triangle is hooked onto
-    the smallest triangle across any of its edges, every hook chain is
+    Union-find in rounds, over blocks of the pairs: each triangle is hooked
+    onto the smallest triangle across any of its edges, every hook chain is
     shortcut to its end (a root, which has no smaller neighbour), and the
     next round runs on the roots, renumbered in order, joined by the edges
     between their trees.  The mesh is connected when a round leaves one
-    root; triangle 0 is always root 0.
+    root; triangle 0 is always root 0.  The labels are intp, so that the
+    shortcuts gather through them without a cast.
     """
     while True:
         label = np.arange(count)
-        np.minimum.at(label, np.maximum(tri_a, tri_b),
-                      np.minimum(tri_a, tri_b))
+        blocks = triangle_blocks(len(tri_a))
+        for rows in blocks:
+            a, b = tri_a[rows], tri_b[rows]
+            # values of the labels' dtype keep np.minimum.at on its fast loop
+            np.minimum.at(label, np.maximum(a, b),
+                          np.minimum(a, b, dtype=label.dtype))
         while True:
             root = label[label]
             if np.array_equal(root, label):
                 break
             label = root
-        la, lb = label[tri_a], label[tri_b]
-        between = la != lb
+        # the edges between two trees, as the labels of their roots
+        cut_a, cut_b = [], []
+        for rows in blocks:
+            la = label[tri_a[rows].astype(np.intp)]
+            lb = label[tri_b[rows].astype(np.intp)]
+            between = la != lb
+            cut_a.append(la[between])
+            cut_b.append(lb[between])
         root = label == np.arange(count)
         count = int(np.count_nonzero(root))
-        if not between.any():
+        tri_a, tri_b = np.concatenate(cut_a), np.concatenate(cut_b)
+        if not len(tri_a):
             return count <= 1
         rank = np.cumsum(root) - 1
-        tri_a, tri_b = rank[la[between]], rank[lb[between]]
+        tri_a, tri_b = rank[tri_a], rank[tri_b]
 
 
 # ----------------------------------------------------------------------
@@ -333,13 +397,24 @@ def _edge_connected(tri_a, tri_b, count) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _split_quads(v00, v10, v11, v01) -> np.ndarray:
-    """Two counterclockwise triangles per quad, split along v00-v11.
+def _split_quads(vertex_count: int, corners) -> np.ndarray:
+    """Two counterclockwise triangles per quad of a grid, split along
+    v00-v11, written straight into the (T, 3) table of the dtype
+    ``table_dtype`` picks.
 
-    The arguments are equal-shape arrays of corner indices; quads are taken
-    in row-major order, each giving (v00, v10, v11) then (v00, v11, v01).
+    ``corners`` gives v00, v10, v11 and v01, each as a pair of integer
+    arrays (r, c) of lengths R and C: the corner of the quad in grid row i
+    and column j is r[i] + c[j].  Quads are taken in row-major order, each
+    giving (v00, v10, v11) then (v00, v11, v01).
     """
-    return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    rows, cols = len(corners[0][0]), len(corners[0][1])
+    count = 2 * rows * cols
+    out = np.empty((count, 3), dtype=table_dtype(vertex_count, 3 * count))
+    quads = out.reshape(rows, cols, 6)
+    for slot, corner in enumerate((0, 1, 2, 0, 2, 3)):
+        r, c = corners[corner]
+        np.add.outer(r, c, out=quads[:, :, slot])
+    return out
 
 
 def _divisions(extent: float, h: float, name: str) -> int:
@@ -385,34 +460,29 @@ def build_rectangle(length: float, height: float, h: float,
             raise ValueError(f"unknown side {s!r}")
     nx = _grid_divisions(length, h, "length")
     ny = _grid_divisions(height, h, "height")
-    xs = np.linspace(0.0, length, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
-    xv, yv = np.meshgrid(xs, ys, indexing="xy")
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+    grid = np.empty((ny + 1, nx + 1, 2))  # grid point (x_i, y_j) at [j, i]
+    grid[:, :, 0] = np.linspace(0.0, length, nx + 1)
+    grid[:, :, 1] = np.linspace(0.0, height, ny + 1)[:, None]
+    vertices = grid.reshape(-1, 2)
 
-    # vertex index of grid point (x_i, y_j) at [j, i]
-    vid = np.arange(len(vertices), dtype=np.int64).reshape(ny + 1, nx + 1)
-    triangles = _split_quads(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:],
-                             vid[1:, :-1])
+    # vertex index of grid point (x_i, y_j) is j (nx + 1) + i
+    row = np.arange(ny + 1) * (nx + 1)
+    col = np.arange(nx + 1)
+    triangles = _split_quads(len(vertices), [
+        (row[:-1], col[:-1]), (row[:-1], col[1:]), (row[1:], col[1:]),
+        (row[1:], col[:-1])])
 
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    side_hits = {
-        "left": ii == 0,
-        "right": ii == nx,
-        "bottom": jj == 0,
-        "top": jj == ny,
-    }
-    on_boundary = np.zeros(len(vertices), dtype=bool)
-    on_true = np.zeros(len(vertices), dtype=bool)
-    for name, hit in side_hits.items():
-        on_boundary |= hit
+    grid_cls = np.zeros((ny + 1, nx + 1), dtype=np.int8)
+    side_rows = {"left": grid_cls[:, 0], "right": grid_cls[:, nx],
+                 "bottom": grid_cls[0], "top": grid_cls[ny]}
+    # a vertex on a true side is dirichlet, whatever other side it is on
+    for name, hit in side_rows.items():
+        if name in sides:
+            hit[:] = ARTIFICIAL
+    for name, hit in side_rows.items():
         if name not in sides:
-            on_true |= hit
-    cls = np.zeros(len(vertices), dtype=np.int8)
-    cls[on_boundary] = ARTIFICIAL
-    cls[on_boundary & on_true] = DIRICHLET
+            hit[:] = DIRICHLET
+    cls = grid_cls.reshape(-1)
     return Mesh(vertices, triangles, cls, float(h))
 
 
@@ -455,16 +525,19 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
 
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    rv, av = np.meshgrid(radii, angles, indexing="ij")
-    vertices = np.column_stack(
-        [(rv * np.cos(av)).ravel(), (rv * np.sin(av)).ravel()]
-    )
+    polar = np.empty((n_r + 1, n_theta, 2))  # ring i, angle j at [i, j]
+    np.multiply.outer(radii, np.cos(angles), out=polar[:, :, 0])
+    np.multiply.outer(radii, np.sin(angles), out=polar[:, :, 1])
+    vertices = polar.reshape(-1, 2)
 
-    # vertex index of ring i, angle j at [i, j]; column n_theta wraps to 0
-    vid = np.arange(len(vertices), dtype=np.int64).reshape(n_r + 1, n_theta)
-    vid = np.column_stack([vid, vid[:, 0]])
-    triangles = _split_quads(vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:],
-                             vid[:-1, 1:])
+    # vertex index of ring i, angle j is i n_theta + j; angle n_theta
+    # wraps to 0
+    ring = np.arange(n_r + 1) * n_theta
+    col = np.arange(n_theta)
+    ahead = np.roll(col, -1)
+    triangles = _split_quads(len(vertices), [
+        (ring[:-1], col), (ring[1:], col), (ring[1:], ahead),
+        (ring[:-1], ahead)])
 
     cls = np.zeros(len(vertices), dtype=np.int8)
     inner_cls = ARTIFICIAL if "inner" in rings else DIRICHLET

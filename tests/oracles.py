@@ -4,9 +4,9 @@ The Minkowski normals behind criterion 2, the factors of the coercivity
 constant, the gradient margin of criterion 4 and of the solver's step
 rows, criterion 8's fourth-order integrator of the Riccati problem, and
 the former builds of the solver's assembly plan and of the potential's
-tree, and the whole-array triangle kernels (one pass over all triangles,
-summed by one ``bincount``), which the parity tests hold the current ones
-to.  No pipeline of
+tree, and the whole-array triangle kernels and mesh arrays (one pass
+over all triangles, summed by one ``bincount``), which the parity tests
+hold the current ones to.  No pipeline of
 the package calls them, so they live here; the pointwise functions keep
 the package's light-cone guard and raise its SpacelikeError.
 """
@@ -237,9 +237,30 @@ def stored_offset_potential(mesh, form):
     return u - u[0]
 
 
-# Whole-array triangle kernels, kept as references of the ones the package
-# runs one block of triangles at a time: every (T,) temporary at once, and
-# each sum over a mesh index table one np.bincount
+# Whole-array triangle kernels and mesh arrays, kept as references of the
+# ones the package runs one block of triangles at a time: every (T,)
+# temporary at once, and each sum over a mesh index table one np.bincount
+
+
+def whole_array_centroids(mesh):
+    """(T, 2) centroids from (3, T) corner gathers."""
+    corners = mesh.triangles.T
+    return np.stack([mesh.vertices[:, d][corners].sum(axis=0) / 3.0
+                     for d in range(2)], axis=1)
+
+
+def whole_array_basis_columns(mesh):
+    """(2, 3, T) ``Mesh.basis_columns`` from (3, T) corner gathers."""
+    corners = mesh.triangles.T
+    x = mesh.vertices[:, 0][corners]
+    y = mesh.vertices[:, 1][corners]
+    out = np.empty((2, 3, len(mesh.triangles)))
+    for i in range(3):
+        ahead, behind = (i + 2) % 3, (i + 1) % 3
+        out[0, i] = -(y[ahead] - y[behind])
+        out[1, i] = x[ahead] - x[behind]
+    out /= 2.0 * mesh.areas
+    return out
 
 
 def whole_array_gradient(mesh, values):

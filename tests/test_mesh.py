@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from maxsurf import (
     load_mesh,
     save_mesh,
 )
-from maxsurf.mesh import table_dtype, triangle_blocks
+from maxsurf.mesh import TRIANGLE_BLOCK, table_dtype, triangle_blocks
 
 
 def vertex_at(mesh, x, y):
@@ -189,6 +191,66 @@ def test_bowtie_rejected():
         Mesh(v, t, c, h=1.0)
 
 
+def overshared_mesh():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [0.2, 0.8]])
+    t = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    return v, t, np.full(5, DIRICHLET, dtype=np.int8)
+
+
+def bowtie_mesh():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    t = np.array([[0, 1, 2], [0, 3, 4]])
+    return v, t, np.full(5, DIRICHLET, dtype=np.int8)
+
+
+def with_vertex(mesh, cls):
+    """The mesh with one more vertex, referenced by no triangle."""
+    v, t, c = mesh
+    return np.vstack([v, [9.0, 9.0]]), t, np.append(c, cls).astype(np.int8)
+
+
+def bad_meshes():
+    """(mesh, message) pairs: each mesh breaks the named check and every
+    check after it, so the message shows the order the checks run in."""
+    grid = build_rectangle(1.0, 1.0, 0.25)
+    v, t, c = grid.vertices, grid.triangles, grid.vertex_class
+    interior = int(grid.interior_vertices[0])
+    corner = int(np.flatnonzero(c == DIRICHLET)[0])
+    # a third triangle on an interior edge, and a grid beside the first
+    extra = np.vstack([v, [[0.3, 0.3]]]), np.vstack([t, [[*t[8, :2], len(v)]]])
+    apart = (np.vstack([v, v + [2.0, 0.0]]), np.vstack([t, t + len(v)]),
+             np.concatenate([c, c]))
+    clockwise = with_vertex(overshared_mesh(), INTERIOR)
+    return [
+        ((clockwise[0], clockwise[1][:, ::-1], clockwise[2]),
+         "triangle 0 is degenerate or clockwise"),
+        (with_vertex(overshared_mesh(), INTERIOR), "more than two"),
+        ((*extra, np.append(c, INTERIOR).astype(np.int8)), "more than two"),
+        (with_vertex((v, t, np.where(np.arange(len(c)) == interior,
+                                     DIRICHLET, c)), INTERIOR),
+         "non-interior class assigned to an interior vertex"),
+        (with_vertex((v, t, np.where(np.arange(len(c)) == corner,
+                                     INTERIOR, c)), INTERIOR),
+         "boundary vertex classed interior"),
+        (with_vertex(bowtie_mesh(), INTERIOR), "unreferenced vertex"),
+        (bowtie_mesh(), "disconnected"),
+        (apart, "disconnected"),
+    ]
+
+
+@pytest.mark.parametrize("block,dtype", [(1, None), (2, None), (7, None),
+                                         (TRIANGLE_BLOCK, None),
+                                         (2, np.int64)])
+def test_checks_keep_their_messages_and_order_at_any_block(monkeypatch,
+                                                           block, dtype):
+    monkeypatch.setattr("maxsurf.mesh.TRIANGLE_BLOCK", block)
+    if dtype is not None:
+        monkeypatch.setattr("maxsurf.mesh.table_dtype", lambda *counts: dtype)
+    for (v, t, c), message in bad_meshes():
+        with pytest.raises(ValueError, match=message):
+            Mesh(v, t, c, h=1.0)
+
+
 @pytest.mark.parametrize("cls,message", [
     ([DIRICHLET, 1.7, DIRICHLET], "unknown vertex class"),   # not 1
     ([DIRICHLET, 258, DIRICHLET], "unknown vertex class"),   # not 258 % 256
@@ -302,6 +364,45 @@ def test_triangle_blocks_tile_the_rows_in_order(monkeypatch, count, block,
                                                 expected):
     monkeypatch.setattr("maxsurf.mesh.TRIANGLE_BLOCK", block)
     assert [(s.start, s.stop) for s in triangle_blocks(count)] == expected
+
+
+@pytest.mark.parametrize("source,peak_per_triangle", [
+    # whole-array builds peaked at 259 bytes per triangle either way
+    ("generated", 134),  # 128 here; 140 with an int64 generator table
+    ("loaded", 165),     # 152: the file's int64 triangle lines stay held
+])
+def test_mesh_build_peak_per_triangle(tmp_path, source, peak_per_triangle):
+    # a mesh keeps 53 bytes per triangle: vertices and classes, triangles,
+    # areas, edge ends, edge ids and the boundary mask
+    path = tmp_path / "m.txt"
+    save_mesh(build_annulus(1.0, 4.0, 0.05), path)
+    tracemalloc.start()
+    if source == "generated":
+        mesh = build_annulus(1.0, 4.0, 0.05, artificial_rings=["outer"])
+    else:
+        mesh = load_mesh(path)
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert mesh.triangle_count == 60_360
+    assert kept <= 56 * mesh.triangle_count
+    assert peak <= peak_per_triangle * mesh.triangle_count
+
+
+@pytest.mark.parametrize("name,kept_per_triangle,peak_per_triangle", [
+    # 32 and 64 bytes per triangle at the peak here, most of it one
+    # block's gathers; whole-array builds peaked at 40 and 104
+    ("centroids", 16, 36),
+    ("basis_columns", 48, 70),
+])
+def test_per_triangle_array_peak_per_triangle(name, kept_per_triangle,
+                                              peak_per_triangle):
+    mesh = build_annulus(1.0, 4.0, 0.05)
+    tracemalloc.start()
+    getattr(mesh, name)  # built on first read and kept
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert kept <= kept_per_triangle * mesh.triangle_count + 4096
+    assert peak <= peak_per_triangle * mesh.triangle_count
 
 
 # ----------------------------------------------------------------------

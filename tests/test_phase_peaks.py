@@ -10,7 +10,8 @@ SCRIPT = ROOT / "tools" / "phase_peaks.py"
 
 def tables(out: str):
     """{"workload: command": {phase: (calls, held, peak)}} of the output,
-    and {"workload: command": peak RSS} of its ``cli`` lines."""
+    and {"workload: command": (peak RSS, page faults)} of its ``cli``
+    lines."""
     found, rss = {}, {}
     for line in out.splitlines():
         if not line.startswith("  "):
@@ -20,9 +21,9 @@ def tables(out: str):
         assert (calls, held, peak) == ("calls", "held", "peak")
         rows[name] = (int(n), float(h), float(p))
         if name == "cli":
-            label, mib = tail
-            assert label == "rss"
-            rss[command] = float(mib)
+            label, mib, label_faults, faults = tail
+            assert (label, label_faults) == ("rss", "faults")
+            rss[command] = float(mib), int(faults)
         else:
             assert not tail
     return found, rss
@@ -43,7 +44,9 @@ def test_phase_peaks_runs_the_seed0_chains():
             assert calls >= 1 and 0.0 <= held <= peak <= top
         # the process holds the traced peak, the interpreter and the
         # imports: numpy alone takes more than 10 MiB
-        assert rss[command] > top + 10.0
+        mib, faults = rss[command]
+        assert mib > top + 10.0
+        assert faults > 0
     assert found["conjugate-rect: solve"]["solver._AssemblyPlan.__init__"][0] == 1
     assert found["conjugate-rect: dualize"]["forms._PotentialTree.__init__"][0] == 1
     assert found["conjugate-rect: dualize"]["forms.integrate_potential"][0] == 2

@@ -57,6 +57,7 @@ bit, with fewer triangles than a block, exactly one block, and a last
 block cut short.
 """
 
+import contextlib
 import math
 import re
 import warnings
@@ -93,6 +94,7 @@ from scipy.sparse._sputils import get_index_dtype
 from conftest import jittered, scipy_csr, solver_csr, spacelike_field
 from oracles import (corner_gradients, gradient_margin, keyed_assembly_plan,
                      six_slot_boundary_pairs, stored_offset_potential,
+                     whole_array_basis_columns, whole_array_centroids,
                      whole_array_gradient, whole_array_p1_divergence,
                      whole_array_polyline_pieces, whole_array_residual,
                      whole_array_tangent_data)
@@ -665,12 +667,36 @@ def csgraph_connected(neighbors) -> bool:
                                 return_labels=False) == 1
 
 
+def table_layouts(count):
+    """(block, dtype) ways to build the tables of ``count`` triangles: the
+    default blocks; blocks of 7, which straddle every run; a third of the
+    triangles a block, so that the last block is cut short; and int64
+    tables, which the rule picks only past 2**31 slots.  A dtype of None
+    keeps the rule's."""
+    return [(mesh_module.TRIANGLE_BLOCK, None), (7, None),
+            (1 + count // 3, None), (7, np.int64)]
+
+
+@contextlib.contextmanager
+def tables_built(block, dtype):
+    """Mesh tables built ``block`` triangles at a time, in ``dtype`` in
+    place of the one ``table_dtype`` picks unless that is None."""
+    rule = mesh_module.table_dtype if dtype is None else lambda *counts: dtype
+    with mock.patch.object(mesh_module, "TRIANGLE_BLOCK", block), \
+            mock.patch.object(mesh_module, "table_dtype", rule):
+        yield
+
+
+def rebuilt(mesh):
+    return Mesh(mesh.vertices, mesh.triangles, mesh.vertex_class, mesh.h)
+
+
 def unvalidated_mesh(triangles, nv):
     """A mesh of the triangles that skips the checks, so that its topology
     can be read where they would reject it (say, on a disconnected one).
     The triangles are stored in the dtype the construction's rule picks."""
     mesh = object.__new__(Mesh)
-    dtype = table_dtype(nv, 3 * len(triangles))
+    dtype = mesh_module.table_dtype(nv, 3 * len(triangles))
     for name, value in (("vertices", np.zeros((nv, 2))),
                         ("triangles", triangles.astype(dtype)),
                         ("vertex_class", np.zeros(nv, dtype=np.int8)),
@@ -835,9 +861,12 @@ def test_polyline_pieces_rejects_bad_radii(square4):
 @given(nx=st.integers(1, 20), ny=st.integers(1, 20),
        h=st.sampled_from([0.05, 0.1, 0.25, 1.0]))
 def test_rectangle_triangles_match_loop(nx, ny, h):
-    mesh = build_rectangle(nx * h, ny * h, h)
-    np.testing.assert_array_equal(mesh.triangles,
-                                  loop_rectangle_triangles(nx, ny))
+    ref = loop_rectangle_triangles(nx, ny)
+    for block, dtype in table_layouts(len(ref)):
+        with tables_built(block, dtype):
+            mesh = build_rectangle(nx * h, ny * h, h)
+        assert mesh.triangles.dtype == (dtype or np.int32)
+        np.testing.assert_array_equal(mesh.triangles, ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -846,11 +875,14 @@ def test_rectangle_triangles_match_loop(nx, ny, h):
 def test_annulus_triangles_match_loop(n_r, h, r_inner):
     # from 8 (the floor) to 201 angular divisions
     r_outer = r_inner + n_r * h
-    mesh = build_annulus(r_inner, r_outer, h)
     n_theta = max(8, round(2.0 * np.pi * r_outer / h))
-    assert mesh.vertex_count == (n_r + 1) * n_theta
-    np.testing.assert_array_equal(mesh.triangles,
-                                  loop_annulus_triangles(n_r, n_theta))
+    ref = loop_annulus_triangles(n_r, n_theta)
+    for block, dtype in table_layouts(len(ref)):
+        with tables_built(block, dtype):
+            mesh = build_annulus(r_inner, r_outer, h)
+        assert mesh.vertex_count == (n_r + 1) * n_theta
+        assert mesh.triangles.dtype == (dtype or np.int32)
+        np.testing.assert_array_equal(mesh.triangles, ref)
 
 
 @st.composite
@@ -891,14 +923,17 @@ def boundary_mask(edges, counts, nv):
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
 def test_edge_data_matches_sorted_rows(mesh):
     edges, counts, tri_edges, neighbors = sorted_rows_edge_data(mesh.triangles)
-    # the edge tables in the dtype the rule picks, int32 here
-    dtype = table_dtype(mesh.vertex_count, 3 * mesh.triangle_count)
-    assert dtype == np.int32
-    assert_same_arrays(
-        (mesh.edges, mesh.triangle_edges, mesh.neighbors,
-         mesh.boundary_vertex_mask),
-        (edges.astype(dtype), tri_edges.astype(dtype), neighbors,
-         boundary_mask(edges, counts, mesh.vertex_count)))
+    mask = boundary_mask(edges, counts, mesh.vertex_count)
+    # the edge tables in the dtype the rule picks, int32 here, or in int64
+    assert table_dtype(mesh.vertex_count, 3 * mesh.triangle_count) == np.int32
+    for block, dtype in table_layouts(mesh.triangle_count):
+        with tables_built(block, dtype):
+            got = rebuilt(mesh)
+            tables = (got.edges, got.triangle_edges, got.neighbors,
+                      got.boundary_vertex_mask)
+        want = dtype or np.int32
+        assert_same_arrays(tables, (edges.astype(want),
+                                    tri_edges.astype(want), neighbors, mask))
 
 
 def as_case(mesh):
@@ -914,18 +949,20 @@ def test_one_pass_topology_matches_former_edge_table(case):
     triangles, nv = case
     edges, counts, tri_edges, neighbors = former_edge_data(
         triangles.astype(np.int64), nv)
-    mesh = unvalidated_mesh(triangles, nv)
-    # the edge tables in the dtype the rule picks, int32 here
-    dtype = table_dtype(nv, 3 * len(triangles))
-    assert dtype == np.int32
-    assert_same_arrays(
-        (mesh.edges, mesh.triangle_edges, mesh.neighbors,
-         mesh.boundary_vertex_mask),
-        (edges.astype(dtype), tri_edges.astype(dtype), neighbors,
-         boundary_mask(edges, counts, nv)))
-    connected = mesh._edge_data[3]
-    assert connected == former_edge_connected(neighbors)
+    mask = boundary_mask(edges, counts, nv)
+    connected = former_edge_connected(neighbors)
     assert connected == csgraph_connected(neighbors)
+    # the edge tables in the dtype the rule picks, int32 here, or in int64
+    assert table_dtype(nv, 3 * len(triangles)) == np.int32
+    for block, dtype in table_layouts(len(triangles)):
+        with tables_built(block, dtype):
+            mesh = unvalidated_mesh(triangles, nv)
+            tables = (mesh.edges, mesh.triangle_edges, mesh.neighbors,
+                      mesh.boundary_vertex_mask)
+            assert mesh._edge_data[3] == connected
+        want = dtype or np.int32
+        assert_same_arrays(tables, (edges.astype(want),
+                                    tri_edges.astype(want), neighbors, mask))
 
 
 def gather_areas(mesh):
@@ -939,9 +976,18 @@ def gather_areas(mesh):
 @settings(max_examples=60, deadline=None)
 @given(mesh=st.one_of(meshes(), relabelled(meshes())))
 def test_areas_match_corner_gather(mesh):
-    np.testing.assert_array_equal(mesh.areas, gather_areas(mesh))
-    np.testing.assert_array_equal(mesh.centroids,
-                                  mesh.vertices[mesh.triangles].mean(axis=1))
+    areas, means = gather_areas(mesh), mesh.vertices[mesh.triangles].mean(axis=1)
+    centroids = whole_array_centroids(mesh)
+    basis = whole_array_basis_columns(mesh)
+    for block, dtype in table_layouts(mesh.triangle_count):
+        with tables_built(block, dtype):
+            got = rebuilt(mesh)
+            arrays = (got.areas, got.centroids, got.basis_columns)
+        assert got.triangles.dtype == (dtype or np.int32)
+        np.testing.assert_array_equal(arrays[0], areas)
+        np.testing.assert_array_equal(arrays[1], means)
+        same_bits(arrays[1], centroids)
+        same_bits(arrays[2], basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -952,8 +998,12 @@ def test_edge_connected_matches_csgraph(case):
     assert counts.max() <= 2
     tri = np.repeat(np.arange(len(t)), 3)
     upper = nbrs.ravel() > tri  # each shared edge once
-    assert (_edge_connected(tri[upper], nbrs.ravel()[upper], len(t))
-            == csgraph_connected(nbrs))
+    connected = csgraph_connected(nbrs)
+    for block, dtype in table_layouts(len(t)):
+        tri_a, tri_b = (x.astype(dtype or np.int32)
+                        for x in (tri[upper], nbrs.ravel()[upper]))
+        with tables_built(block, dtype):
+            assert _edge_connected(tri_a, tri_b, len(t)) == connected
 
 
 # ----------------------------------------------------------------------

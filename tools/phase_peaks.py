@@ -19,11 +19,13 @@ the phase, and ``held`` the memory traced when that call began, so
 ``peak - held`` is the call's transient.  Nested phases each count their
 own calls in full.
 
-The ``cli`` line ends in ``rss <MiB>``: the peak resident set size of the
-same command run again, untraced, in a process of its own
-(``python3 -m maxsurf.cli`` with SRC on ``PYTHONPATH``), as ``os.wait4``
-reports it to a small launcher process.  It counts the interpreter and the
-imports as well, and is what the benchmark's ``peak_rss_mib`` measures.
+The ``cli`` line ends in ``rss <MiB> faults <n>``: the peak resident set
+size and the minor page faults of the same command run again, untraced,
+in a process of its own (``python3 -m maxsurf.cli`` with SRC on
+``PYTHONPATH``), as ``os.wait4`` reports them to a small launcher process.
+Both count the interpreter and the imports as well.  The RSS is what the
+benchmark's ``peak_rss_mib`` measures; a minor fault maps in a page on
+its first touch, and again after the page was unmapped or trimmed.
 """
 
 from __future__ import annotations
@@ -144,23 +146,23 @@ LAUNCHER = """
 import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
 """
 
 
-def peak_rss(src: Path, argv: list[str]) -> float:
-    """Peak RSS in MiB of one CLI command run in a process of its own, in
-    the current directory."""
+def peak_rss_and_faults(src: Path, argv: list[str]) -> tuple[float, int]:
+    """Peak RSS in MiB and minor page faults of one CLI command run in a
+    process of its own, in the current directory."""
     env = dict(os.environ)
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + path if path else "")
     out = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable,
                           "-m", "maxsurf.cli", *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
-    code, kib = map(int, out.split())
+    code, kib, faults = map(int, out.split())
     if code != 0:
         raise SystemExit(f"maxsurf {argv[0]} exited with {code}")
-    return kib / 1024.0  # ru_maxrss is KiB
+    return kib / 1024.0, faults  # ru_maxrss is KiB
 
 
 def main(argv: list[str]) -> int:
@@ -183,7 +185,8 @@ def main(argv: list[str]) -> int:
                 workload.prepare(maxsurf, Path(workdir))
                 for cmd in workload.commands(params):
                     lines = measure(phases, cmd)
-                    lines[0] += f" rss {peak_rss(src, cmd):.1f}"
+                    rss, faults = peak_rss_and_faults(src, cmd)
+                    lines[0] += f" rss {rss:.1f} faults {faults}"
                     print(f"{name}: {cmd[0]}")
                     for line in lines:
                         print(f"  {line}")
