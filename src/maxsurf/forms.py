@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import flux_coeffs
-from .mesh import Mesh, scatter_add, triangle_blocks
+from .mesh import (Mesh, check_indices, per_mesh, scatter_add,
+                   triangle_blocks)
 from .solver import p1_divergence, p1_gradient
 
 ROOT_TOL = 1e-9
@@ -79,13 +80,14 @@ def max_interior_circulation(mesh: Mesh, form) -> float:
 # ----------------------------------------------------------------------
 
 
-def polyline_pieces(mesh: Mesh, radii, triangles=None):
+def polyline_pieces(mesh: Mesh, radii, triangles):
     """Exact arcs in which origin-centred circles cross the triangles.
 
     Every arc lies inside a single triangle, so integrals of
     piecewise-constant forms, and of affine fields against them, have
-    closed forms on the arcs.  Arcs outside the mesh are dropped, and so
-    are arcs outside ``triangles`` when that subset is given.  All radii
+    closed forms on the arcs.  Only the arcs in ``triangles``, integer
+    triangle ids in [0, T) (``np.arange(mesh.triangle_count)`` for the
+    whole mesh), are kept; arcs outside the mesh are dropped.  All radii
     are handled in one pass: the radius bands are found one block of
     triangles (``mesh.triangle_blocks``) at a time, and only the (triangle,
     radius) pairs they give are kept.
@@ -116,14 +118,12 @@ def polyline_pieces(mesh: Mesh, radii, triangles=None):
         raise ValueError("radii must be a 1d array of finite values")
     if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be positive and strictly increasing")
-    if triangles is None:
-        parts = (np.arange(rows.start, rows.stop)
-                 for rows in triangle_blocks(mesh.triangle_count))
-    else:
-        mask = np.zeros(mesh.triangle_count, dtype=bool)
-        mask[np.asarray(triangles, dtype=np.int64)] = True
-        tris = np.flatnonzero(mask)
-        parts = (tris[rows] for rows in triangle_blocks(len(tris)))
+    triangles = np.asarray(triangles)
+    check_indices(triangles, mesh.triangle_count)
+    mask = np.zeros(mesh.triangle_count, dtype=bool)
+    mask[triangles.astype(np.int64, copy=False)] = True
+    tris = np.flatnonzero(mask)
+    parts = (tris[rows] for rows in triangle_blocks(len(tris)))
 
     # the triangles whose radius band holds a radius, the first such
     # radius and their count
@@ -318,13 +318,8 @@ class _PotentialTree:
         self.reached_count = counts[self.reached]
 
 
-def _potential_tree(mesh: Mesh) -> _PotentialTree:
-    # kept in the instance dict, as the solver keeps its assembly plan: the
-    # forward and the return leg of a round trip integrate on one mesh
-    tree = mesh.__dict__.get("_potential_tree")
-    if tree is None:
-        tree = mesh.__dict__["_potential_tree"] = _PotentialTree(mesh)
-    return tree
+# the forward and the return leg of a round trip integrate on one mesh
+_potential_tree = per_mesh(_PotentialTree)
 
 
 def integrate_potential(mesh: Mesh, form, closedness_tol: float = 1e-9) -> np.ndarray:

@@ -31,13 +31,40 @@ _RINGS = ("inner", "outer")
 TRIANGLE_BLOCK = 8192  # triangles per block of the per-triangle kernels
 
 
-def table_dtype(vertex_count: int, edge_count: int):
-    """int32 for the index tables of a mesh of these counts, else int64.
+def check_index_range(count: int, what: str) -> None:
+    """Refuse ``count`` index slots once they reach 2**31.
 
-    int32 when V + 2E, the most slots the solver's assembly plan numbers,
-    is below 2**31; then every vertex and edge id fits as well.
+    Every index table of a mesh, of the solver's assembly plan and of its
+    sparse matrices is int32.  A mesh of V vertices and T triangles is
+    sized as V + 6T: the assembly plan numbers at most V + 2E slots, and
+    T triangles have at most 3T edges.  A sparse product or difference is
+    sized by its bound on the entries.
     """
-    return np.int32 if vertex_count + 2 * edge_count < 2**31 else np.int64
+    if count >= 2**31:
+        raise ValueError(f"{what}: {count} index slots, past the int32 "
+                         "range (2**31)")
+
+
+def check_indices(indices: np.ndarray, count: int) -> None:
+    """Refuse ``indices`` unless they are integers in [0, count); checked
+    before any cast, which would truncate or wrap them."""
+    if indices.dtype.kind not in "iu" and not np.array_equal(
+            indices, np.floor(indices)):
+        raise ValueError("triangle indices must be integers")
+    if indices.min(initial=0) < 0 or indices.max(initial=-1) >= count:
+        raise ValueError("triangle index out of range")
+
+
+def per_mesh(build):
+    """``build(mesh)``, made on first use and kept in the mesh's instance
+    dict, as ``functools.cached_property`` keeps the mesh's own derived
+    arrays (``Mesh`` is a frozen dataclass)."""
+    def kept(mesh: Mesh):
+        value = mesh.__dict__.get(build.__name__)
+        if value is None:
+            value = mesh.__dict__[build.__name__] = build(mesh)
+        return value
+    return kept
 
 
 def triangle_blocks(count: int) -> list[slice]:
@@ -70,9 +97,9 @@ class Mesh:
     Attributes
     ----------
     vertices : (V, 2) float array
-    triangles : (T, 3) int array, counterclockwise; int32 unless
-        ``table_dtype`` of V and 3T (the most edges T triangles have) is
-        int64, and so are the edge ends and ``triangle_edges``
+    triangles : (T, 3) int32 array, counterclockwise; the edge ends and
+        ``triangle_edges`` are int32 as well.  Construction refuses a mesh
+        whose V + 6T reaches 2**31 (``check_index_range``).
     vertex_class : (V,) int8 array with values INTERIOR/DIRICHLET/ARTIFICIAL
     h : float
         Nominal edge length used by the generator.
@@ -108,14 +135,11 @@ class Mesh:
             raise ValueError("triangles must be (T, 3)")
         if c.shape != (len(v),):
             raise ValueError("vertex_class must be (V,)")
-        # checked before the casts, which would truncate or wrap
-        if t.dtype.kind not in "iu" and not np.array_equal(t, np.floor(t)):
-            raise ValueError("triangle indices must be integers")
-        if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
-            raise ValueError("triangle index out of range")
+        check_indices(t, len(v))
         if not np.isin(c, (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
             raise ValueError("unknown vertex class")
-        t = np.array(t, dtype=table_dtype(len(v), 3 * len(t)), order="C")
+        check_index_range(len(v) + 6 * len(t), "mesh")
+        t = np.array(t, dtype=np.int32, order="C")
         c = np.ascontiguousarray(c, dtype=np.int8)
         for arr in (v, t, c):
             arr.setflags(write=False)
@@ -196,7 +220,7 @@ class Mesh:
         """Unique edge ends as (2, E) lo and hi rows, per-triangle edge ids,
         the boundary vertex mask and whether the triangles are
         edge-connected, all from one stable sort of the 3T edge slots by
-        key.  The ends and ids take the dtype of ``triangles``.
+        key.  The ends and ids are int32, as ``triangles`` is.
 
         Besides the tables it returns, only the keys, the sort order, a flag
         per sorted slot and the triangle pairs of the shared edges span the
@@ -208,7 +232,7 @@ class Mesh:
         tri_edges = np.empty((count, 3), dtype=t.dtype)
         boundary = np.zeros(nv, dtype=bool)
         # edge slot i is opposite corner i; one int64 key lo * V + hi per
-        # edge sorts like its (lo, hi) row; exact for V below about 3e9
+        # edge sorts like its (lo, hi) row, exact for any V below 2**31
         keys = np.empty(3 * count, dtype=np.int64)
         for rows in triangle_blocks(count):
             for i in range(3):
@@ -397,10 +421,9 @@ def _edge_connected(tri_a, tri_b, count) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _split_quads(vertex_count: int, corners) -> np.ndarray:
+def _split_quads(corners) -> np.ndarray:
     """Two counterclockwise triangles per quad of a grid, split along
-    v00-v11, written straight into the (T, 3) table of the dtype
-    ``table_dtype`` picks.
+    v00-v11, written straight into the (T, 3) int32 table.
 
     ``corners`` gives v00, v10, v11 and v01, each as a pair of integer
     arrays (r, c) of lengths R and C: the corner of the quad in grid row i
@@ -409,7 +432,7 @@ def _split_quads(vertex_count: int, corners) -> np.ndarray:
     """
     rows, cols = len(corners[0][0]), len(corners[0][1])
     count = 2 * rows * cols
-    out = np.empty((count, 3), dtype=table_dtype(vertex_count, 3 * count))
+    out = np.empty((count, 3), dtype=np.int32)
     quads = out.reshape(rows, cols, 6)
     for slot, corner in enumerate((0, 1, 2, 0, 2, 3)):
         r, c = corners[corner]
@@ -460,6 +483,8 @@ def build_rectangle(length: float, height: float, h: float,
             raise ValueError(f"unknown side {s!r}")
     nx = _grid_divisions(length, h, "length")
     ny = _grid_divisions(height, h, "height")
+    check_index_range((nx + 1) * (ny + 1) + 12 * nx * ny,
+                      f"the mesh of a {nx} x {ny} grid")
     grid = np.empty((ny + 1, nx + 1, 2))  # grid point (x_i, y_j) at [j, i]
     grid[:, :, 0] = np.linspace(0.0, length, nx + 1)
     grid[:, :, 1] = np.linspace(0.0, height, ny + 1)[:, None]
@@ -468,7 +493,7 @@ def build_rectangle(length: float, height: float, h: float,
     # vertex index of grid point (x_i, y_j) is j (nx + 1) + i
     row = np.arange(ny + 1) * (nx + 1)
     col = np.arange(nx + 1)
-    triangles = _split_quads(len(vertices), [
+    triangles = _split_quads([
         (row[:-1], col[:-1]), (row[:-1], col[1:]), (row[1:], col[1:]),
         (row[1:], col[:-1])])
 
@@ -522,6 +547,8 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
     n_r = max(1, _divisions(r_outer - r_inner, h, "radial extent"))
     n_theta = max(8, _divisions(2.0 * np.pi * r_outer, h,
                                 "outer circumference"))
+    check_index_range((n_r + 1) * n_theta + 12 * n_r * n_theta,
+                      f"the mesh of a {n_r} x {n_theta} polar grid")
 
     radii = np.linspace(r_inner, r_outer, n_r + 1)
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -535,7 +562,7 @@ def build_annulus(r_inner: float, r_outer: float, h: float,
     ring = np.arange(n_r + 1) * n_theta
     col = np.arange(n_theta)
     ahead = np.roll(col, -1)
-    triangles = _split_quads(len(vertices), [
+    triangles = _split_quads([
         (ring[:-1], col), (ring[1:], col), (ring[1:], ahead),
         (ring[:-1], ahead)])
 
@@ -570,9 +597,6 @@ def load_mesh(path) -> Mesh:
         h = float(header[2])
         if nv < 1 or nt < 1:
             raise ValueError("bad mesh header: counts must be positive")
-        if max(nv, nt) >= 2**63:
-            raise ValueError(f"bad mesh header: counts {header[0]} and "
-                             f"{header[1]} must be below 2**63")
         if not 0.0 < h < np.inf:
             raise ValueError(f"bad mesh header: h = {header[2]} is not "
                              "finite and positive")
@@ -582,6 +606,8 @@ def load_mesh(path) -> Mesh:
             raise ValueError(f"bad mesh header: {nv} vertex and {nt} "
                              f"triangle lines do not fit in the {size}-byte "
                              "file")
+        check_index_range(nv + 6 * nt, f"bad mesh header: {nv} vertex and "
+                          f"{nt} triangle lines")
         vert = read_rows(fh, 3, "mesh vertex lines", max_rows=nv)
         tris = read_rows(fh, 3, "mesh triangle lines", max_rows=nt,
                          dtype=np.int64)

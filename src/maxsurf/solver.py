@@ -90,7 +90,8 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .lorentz import _spacelike, _spacelike_density
-from .mesh import Mesh, scatter_add, table_dtype, triangle_blocks
+from .mesh import (Mesh, check_index_range, per_mesh, scatter_add,
+                   triangle_blocks)
 from .records import write_csv, read_csv
 
 METRICS = ("lorentz", "euclid")
@@ -477,44 +478,23 @@ def _sparsetools():
     return sys.modules[name]
 
 
-_INT32 = np.iinfo(np.int32)
-
-
-def _index_dtype(arrays, maxval=None, contents=False):
-    """int32 or int64 for CSR index arrays, as scipy's ``get_index_dtype``.
-
-    int64 when ``maxval`` exceeds the int32 range or an array's dtype does
-    not cast to int32, unless ``contents`` is set and the array is empty or
-    holds integers within that range.
-    """
-    if maxval is not None and maxval > _INT32.max:
-        return np.int64
-    for arr in arrays:
-        if not np.can_cast(arr.dtype, np.int32) and not (
-                contents and (arr.size == 0 or (
-                    arr.dtype.kind in "iu"
-                    and _INT32.min <= arr.min() and arr.max() <= _INT32.max))):
-            return np.int64
-    return np.int32
-
-
 def _csr(data, indices, indptr, shape) -> _CSR:
     """The CSR matrix of these arrays, as scipy's ``csr_matrix((data,
     indices, indptr), shape=shape)`` makes it.
 
-    The index arrays are cast to ``_index_dtype`` of their contents and the
-    shape (copies only where the dtype changes), and ``indices`` and
-    ``data`` are trimmed to the matrix's nnz, ``indptr[-1]``: a view that
-    is copied when it keeps less than half of its base (scipy's ``prune``).
-    The matrix's operations call scipy's compiled CSR kernels, which
-    ``_sparsetools`` loads without importing ``scipy`` (see ``_CSR``).
+    The index arrays are cast to int32, copied only where their dtype is
+    another: scipy picks int32 as well for every matrix below 2**31
+    entries, and the mesh and the sparse products refuse larger ones
+    (``mesh.check_index_range``).  ``indices`` and ``data`` are trimmed
+    to the matrix's nnz, ``indptr[-1]``: a view that is copied when it
+    keeps less than half of its base (scipy's ``prune``).  The matrix's
+    operations call scipy's compiled CSR kernels, which ``_sparsetools``
+    loads without importing ``scipy`` (see ``_CSR``).
     """
-    index = _index_dtype((indices, indptr),
-                         None if 0 in shape else max(shape), contents=True)
-    indptr = np.asarray(indptr, dtype=index)
+    indptr = np.asarray(indptr, dtype=np.int32)
     nnz = int(indptr[-1])
     return _CSR(_pruned(np.asarray(data)[:nnz]),
-                _pruned(np.asarray(indices, dtype=index)[:nnz]), indptr,
+                _pruned(np.asarray(indices, dtype=np.int32)[:nnz]), indptr,
                 shape)
 
 
@@ -528,8 +508,9 @@ class _CSR:
     ``data``, ``indices``, ``indptr`` and ``shape`` are those of scipy's
     ``csr_matrix``, which converts it:
     ``scipy.sparse.csr_matrix((k.data, k.indices, k.indptr), shape=k.shape)``.
-    Each operation calls the kernel of ``_sparsetools`` that scipy 1.17
-    calls for it, with the same index dtypes, zero-filled outputs where
+    ``indices`` and ``indptr`` are int32.  Each operation calls the kernel
+    of ``_sparsetools`` that scipy 1.17 calls for it, with the same int32
+    index arrays, zero-filled outputs where
     the kernel accumulates, and results made by ``_csr``, so every array
     is the one scipy would make, bit for bit: ``@`` a vector
     (``csr_matvec``) or a ``_CSR`` (``csr_matmat_maxnnz``, then
@@ -569,10 +550,9 @@ class _CSR:
         if k != k2:
             raise ValueError(f"matmul: shape {other.shape} against {self.shape}")
         kernels = _sparsetools()
-        arrays = (self.indptr, self.indices, other.indptr, other.indices)
         # maxnnz bounds the product's nnz; csr_matmat drops exact zeros
-        maxnnz = kernels.csr_matmat_maxnnz(
-            m, n, *_cast(arrays, _index_dtype(arrays)))
+        maxnnz = kernels.csr_matmat_maxnnz(m, n, self.indptr, self.indices,
+                                           other.indptr, other.indices)
         return self._combined(other, kernels.csr_matmat, maxnnz, (m, n))
 
     def __sub__(self, other: _CSR) -> _CSR:
@@ -583,16 +563,15 @@ class _CSR:
 
     def _combined(self, other: _CSR, kernel, maxnnz: int, shape) -> _CSR:
         """``kernel`` of this matrix and ``other`` into at most ``maxnnz``
-        entries: both matrices' indices in the dtype that fits ``maxnnz``."""
-        arrays = (self.indptr, self.indices, other.indptr, other.indices)
-        index = _index_dtype(arrays, maxnnz)
-        indptr = np.empty(shape[0] + 1, dtype=index)
-        indices = np.empty(maxnnz, dtype=index)
+        entries; refused from 2**31 entries on, where scipy would switch to
+        int64 indices."""
+        check_index_range(maxnnz, "sparse matrix")
+        indptr = np.empty(shape[0] + 1, dtype=np.int32)
+        indices = np.empty(maxnnz, dtype=np.int32)
         data = np.empty(maxnnz, dtype=np.result_type(self.data.dtype,
                                                      other.data.dtype))
-        a_ptr, a_ind, b_ptr, b_ind = _cast(arrays, index)
-        kernel(*shape, a_ptr, a_ind, self.data, b_ptr, b_ind, other.data,
-               indptr, indices, data)
+        kernel(*shape, self.indptr, self.indices, self.data, other.indptr,
+               other.indices, other.data, indptr, indices, data)
         return _csr(data, indices, indptr, shape)
 
     def diagonal(self) -> np.ndarray:
@@ -607,10 +586,6 @@ class _CSR:
         _sparsetools().csr_todense(*self.shape, self.indptr, self.indices,
                                    self.data, out)
         return out
-
-
-def _cast(arrays, index):
-    return [a.astype(index, copy=False) for a in arrays]
 
 
 class _Transposed:
@@ -636,12 +611,11 @@ class _Transposed:
     def tocsr(self) -> _CSR:
         a = self.matrix
         m, n = a.shape
-        index = _index_dtype((a.indptr, a.indices), max(a.nnz, m))
-        indptr = np.empty(n + 1, dtype=index)
-        indices = np.empty(a.nnz, dtype=index)
+        indptr = np.empty(n + 1, dtype=np.int32)
+        indices = np.empty(a.nnz, dtype=np.int32)
         data = np.empty(a.nnz, dtype=a.data.dtype)
-        _sparsetools().csr_tocsc(m, n, *_cast((a.indptr, a.indices), index),
-                                 a.data, indptr, indices, data)
+        _sparsetools().csr_tocsc(m, n, a.indptr, a.indices, a.data, indptr,
+                                 indices, data)
         return _csr(data, indices, indptr, (n, m))
 
 
@@ -662,54 +636,55 @@ class _AssemblyPlan:
     row: row r lists the edges (hi, lo) with hi = r, which a stable sort
     by hi puts in row order, then the diagonal, then the edges (lo, hi)
     with lo = r, already in row order.  Every slot is placed by its row's
-    offsets, in int32 where the counts allow.
+    offsets.  Every array is int32: the slots number at most V + 2E, and
+    the mesh has refused a V + 6T of 2**31 or more
+    (``mesh.check_index_range``).
     """
 
     def __init__(self, mesh: Mesh):
         n = mesh.vertex_count
         lo, hi = mesh.edges.T
         free = len(mesh.interior_vertices)
-        index = table_dtype(n, len(lo))
-        renumber = np.full(n, -1, dtype=index)
-        renumber[mesh.interior_vertices] = np.arange(free, dtype=index)
+        renumber = np.full(n, -1, dtype=np.int32)
+        renumber[mesh.interior_vertices] = np.arange(free, dtype=np.int32)
         # the edges between free vertices, as (row, col) above the diagonal
         both = renumber[lo] >= 0
         both &= renumber[hi] >= 0
         # the kept arrays come first, so that the temporaries are freed
         # above them in the heap rather than leave holes below them
         nnz = free + 2 * int(np.count_nonzero(both))
-        self.edge_slots = np.zeros(nnz, dtype=index)  # 0 at the diagonal
-        self.indices = np.empty(nnz, dtype=index)
-        self.indptr = np.empty(free + 1, dtype=index)
-        self.diagonal_slots = np.empty(free, dtype=index)
-        edge = np.arange(len(lo), dtype=index)[both]
+        self.edge_slots = np.zeros(nnz, dtype=np.int32)  # 0 at the diagonal
+        self.indices = np.empty(nnz, dtype=np.int32)
+        self.indptr = np.empty(free + 1, dtype=np.int32)
+        self.diagonal_slots = np.empty(free, dtype=np.int32)
+        edge = np.arange(len(lo), dtype=np.int32)[both]
         row = renumber[lo][both]  # nondecreasing
         col = renumber[hi][both]
         del both, renumber
-        below = np.bincount(col, minlength=free).astype(index)
-        above = np.bincount(row, minlength=free).astype(index)
+        below = np.bincount(col, minlength=free).astype(np.int32)
+        above = np.bincount(row, minlength=free).astype(np.int32)
         # row r holds its edges below the diagonal, its diagonal, then its
         # edges above it; it starts after r diagonal slots and the edge
         # slots of the rows before it
         start = self.indptr[:-1]
-        start[:] = np.arange(free, dtype=index)
-        start[1:] += np.cumsum(below[:-1] + above[:-1], dtype=index)
+        start[:] = np.arange(free, dtype=np.int32)
+        start[1:] += np.cumsum(below[:-1] + above[:-1], dtype=np.int32)
         self.indptr[-1] = nnz
         np.add(start, below, out=self.diagonal_slots)
-        self.indices[self.diagonal_slots] = np.arange(free, dtype=index)
+        self.indices[self.diagonal_slots] = np.arange(free, dtype=np.int32)
         # the k-th edge of one side, listed in row order, goes to slot k
         # plus its row's offset: the row's first slot on that side less
         # the number of that side's edges in the rows before
-        rank = np.arange(len(edge), dtype=index)
+        rank = np.arange(len(edge), dtype=np.int32)
         offset = self.diagonal_slots + 1
-        offset -= np.cumsum(above, dtype=index) - above
+        offset -= np.cumsum(above, dtype=np.int32) - above
         slots = offset[row]
         slots += rank
         self.edge_slots[slots] = edge
         self.indices[slots] = col
         del slots
         by_col = np.argsort(col, kind="stable")
-        offset = start - (np.cumsum(below, dtype=index) - below)
+        offset = start - (np.cumsum(below, dtype=np.int32) - below)
         slots = offset[col[by_col]]
         slots += rank
         self.edge_slots[slots] = edge[by_col]
@@ -727,13 +702,7 @@ class _AssemblyPlan:
         return _csr(data, self.indices, self.indptr, (n, n))
 
 
-def _plan(mesh: Mesh) -> _AssemblyPlan:
-    # kept in the instance dict, as functools.cached_property keeps the
-    # mesh's own derived arrays (Mesh is a frozen dataclass)
-    plan = mesh.__dict__.get("_assembly_plan")
-    if plan is None:
-        plan = mesh.__dict__["_assembly_plan"] = _AssemblyPlan(mesh)
-    return plan
+_plan = per_mesh(_AssemblyPlan)
 
 
 def _jacobi_scale(a: _CSR) -> np.ndarray:

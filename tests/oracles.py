@@ -345,18 +345,15 @@ def whole_array_tangent_data(mesh, ev):
     return data
 
 
-def whole_array_polyline_pieces(mesh, radii, triangles=None):
+def whole_array_polyline_pieces(mesh, radii, triangles):
     """``forms.polyline_pieces`` with the radius bands of all triangles
     found at once."""
     from maxsurf.forms import ROOT_TOL
 
     radii = np.asarray(radii, dtype=float)
-    if triangles is None:
-        tris = np.arange(mesh.triangle_count)
-    else:
-        mask = np.zeros(mesh.triangle_count, dtype=bool)
-        mask[np.asarray(triangles, dtype=np.int64)] = True
-        tris = np.flatnonzero(mask)
+    mask = np.zeros(mesh.triangle_count, dtype=bool)
+    mask[np.asarray(triangles, dtype=np.int64)] = True
+    tris = np.flatnonzero(mask)
     corners = mesh.triangles[tris]
     x = [mesh.vertices[corners[:, i], 0] for i in range(3)]
     y = [mesh.vertices[corners[:, i], 1] for i in range(3)]

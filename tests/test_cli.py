@@ -696,6 +696,15 @@ def test_mesh_header_count_beyond_the_file_is_one_error_line(capsys,
     assert "9223372036854775807 triangle lines" in err
 
 
+def test_grid_past_the_int32_range_is_one_error_line(capsys):
+    # refused from its division counts, before any array is allocated
+    assert main(["solve", "--shape", "rect:1x1", "--h", str(2**-16),
+                 "--bc", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert "past the int32 range" in err
+
+
 # ---------------------------------------------------------------------------
 # decay
 

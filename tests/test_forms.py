@@ -51,9 +51,16 @@ def gradient_form(mesh, values):
     return p1_gradient(mesh, values)
 
 
+def every_triangle(mesh):
+    return np.arange(mesh.triangle_count)
+
+
 def line_integral(mesh, form, radius, triangles=None):
-    """Counterclockwise integral of the form along the circle's arcs,
-    exact per arc: the form dotted with the arc's chord."""
+    """Counterclockwise integral of the form along the circle's arcs in
+    ``triangles`` (the whole mesh by default), exact per arc: the form
+    dotted with the arc's chord."""
+    if triangles is None:
+        triangles = every_triangle(mesh)
     tri, _, t0, t1 = polyline_pieces(mesh, [radius], triangles=triangles)
     return float(radius * np.sum(form[tri, 0] * (np.cos(t1) - np.cos(t0))
                                  + form[tri, 1] * (np.sin(t1) - np.sin(t0))))
@@ -61,6 +68,8 @@ def line_integral(mesh, form, radius, triangles=None):
 
 def norm_line_integral(mesh, form, radius, triangles=None):
     """Arclength integral of |(p, q)| over the circle, as the scan's eta."""
+    if triangles is None:
+        triangles = every_triangle(mesh)
     tri, _, t0, t1 = polyline_pieces(mesh, [radius], triangles=triangles)
     return float(np.linalg.norm(form[tri], axis=1) @ (radius * (t1 - t0)))
 
@@ -193,7 +202,8 @@ def test_polyline_pieces_partition_circle(square8c):
     # consecutive arcs meet at bit-identical angles and every arc's
     # midpoint lies in the triangle that owns it
     radius = 0.6
-    tri, k, t0, t1 = polyline_pieces(square8c, [radius])
+    tri, k, t0, t1 = polyline_pieces(square8c, [radius],
+                                     every_triangle(square8c))
     assert np.all(k == 0)
     assert np.all(t1 > t0)
     order = np.argsort(t0)
@@ -220,7 +230,7 @@ def test_polyline_pieces_partition_circle(square8c):
 def test_circle_through_vertex_or_tangent_tiles(dx, radii):
     mesh = centred_square(1.0 / 8.0, dx)
     radii = np.asarray(radii)
-    tri, k, t0, t1 = polyline_pieces(mesh, radii)
+    tri, k, t0, t1 = polyline_pieces(mesh, radii, every_triangle(mesh))
     length = np.bincount(k, weights=radii[k] * (t1 - t0))
     np.testing.assert_allclose(length, 2.0 * np.pi * radii, rtol=1e-12)
 
@@ -239,7 +249,7 @@ def test_tangent_edge_keeps_the_arc_at_any_rotation():
     for phi in np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False):
         rot = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
         mesh = Mesh(kite @ rot, [[0, 1, 2], [0, 2, 3]], [1, 1, 1, 1], h=0.4)
-        tri, _, t0, t1 = polyline_pieces(mesh, [r])
+        tri, _, t0, t1 = polyline_pieces(mesh, [r], every_triangle(mesh))
         assert r * np.sum(t1 - t0) == pytest.approx(expected, rel=1e-12)
         # where rounding makes the circle cut the edge twice, the upper
         # triangle may own the sliver in between
@@ -250,10 +260,20 @@ def test_circle_inside_one_triangle_is_one_arc():
     mesh = Mesh([[-1.0, -1.0], [2.0, -1.0], [-1.0, 2.0]], [[0, 1, 2]],
                 [1, 1, 1], h=3.0)
     radii = np.array([0.1, 0.4])
-    tri, k, t0, t1 = polyline_pieces(mesh, radii)
+    tri, k, t0, t1 = polyline_pieces(mesh, radii, every_triangle(mesh))
     np.testing.assert_array_equal(tri, [0, 0])
     np.testing.assert_array_equal(k, [0, 1])
     np.testing.assert_array_equal(t1 - t0, [2.0 * np.pi, 2.0 * np.pi])
+
+
+@pytest.mark.parametrize("triangles", [[-101], [100.7], [400]])
+def test_polyline_pieces_refuses_triangle_ids_that_are_not_in_the_mesh(
+        triangles):
+    # 400 triangles: -101 would read as triangle 299 and 100.7 as 100
+    mesh = build_annulus(1.0, 2.0, 0.25)
+    assert mesh.triangle_count == 400
+    with pytest.raises(ValueError, match="triangle ind"):
+        polyline_pieces(mesh, [1.5], triangles)
 
 
 def test_catenoid_flux_through_circle():
@@ -419,5 +439,5 @@ def test_potential_tree_build_peak_per_triangle():
 def test_circle_piece_count_is_pinned():
     # a counter, not a timing: an algorithmic change to clipping moves it
     mesh = build_annulus(1.0, 4.0, 0.1)
-    tri, _, _, _ = polyline_pieces(mesh, [2.5])
+    tri, _, _, _ = polyline_pieces(mesh, [2.5], every_triangle(mesh))
     assert len(tri) == 524

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from maxsurf import (
     load_mesh,
     save_mesh,
 )
-from maxsurf.mesh import TRIANGLE_BLOCK, table_dtype, triangle_blocks
+from maxsurf.mesh import TRIANGLE_BLOCK, check_index_range, triangle_blocks
 
 
 def vertex_at(mesh, x, y):
@@ -238,14 +239,10 @@ def bad_meshes():
     ]
 
 
-@pytest.mark.parametrize("block,dtype", [(1, None), (2, None), (7, None),
-                                         (TRIANGLE_BLOCK, None),
-                                         (2, np.int64)])
+@pytest.mark.parametrize("block", [1, 2, 7, TRIANGLE_BLOCK])
 def test_checks_keep_their_messages_and_order_at_any_block(monkeypatch,
-                                                           block, dtype):
+                                                           block):
     monkeypatch.setattr("maxsurf.mesh.TRIANGLE_BLOCK", block)
-    if dtype is not None:
-        monkeypatch.setattr("maxsurf.mesh.table_dtype", lambda *counts: dtype)
     for (v, t, c), message in bad_meshes():
         with pytest.raises(ValueError, match=message):
             Mesh(v, t, c, h=1.0)
@@ -288,8 +285,7 @@ def test_non_finite_vertex_rejected(bad):
 def test_integral_float_inputs_accepted():
     v, t, c = unit_tri_mesh()
     mesh = Mesh(v, t.astype(float), c.astype(float), h=1.0)
-    # the dtype the rule chooses for V vertices and at most 3T edges
-    assert mesh.triangles.dtype == table_dtype(len(v), 3 * len(t)) == np.int32
+    assert mesh.triangles.dtype == np.int32
     assert mesh.vertex_class.dtype == np.int8
     np.testing.assert_array_equal(mesh.triangles, t)
 
@@ -344,14 +340,30 @@ def test_index_tables_are_read_only(frozen):
             table[0, 0] = 5
 
 
-def test_table_dtype_falls_back_to_int64_past_the_int32_range():
-    # the counts alone decide; no mesh of that size is built
-    assert table_dtype(2**31, 0) == np.int64
-    assert table_dtype(2**31 - 1, 0) == np.int32
-    assert table_dtype(1, 2**30 - 1) == np.int32
-    assert table_dtype(1, 2**30) == np.int64
-    assert table_dtype(10**6, 2**30 - 500_001) == np.int32
-    assert table_dtype(10**6, 2**30 - 500_000) == np.int64
+def test_index_range_check_refuses_2_to_the_31():
+    # counts only; no array of that size is built
+    check_index_range(2**31 - 1, "slots")
+    with pytest.raises(ValueError, match=r"^slots: 2147483648 index slots, "
+                       r"past the int32 range \(2\*\*31\)$"):
+        check_index_range(2**31, "slots")
+
+
+@pytest.mark.parametrize("build,message", [
+    # V + 6T = 65537**2 + 12 * 65536**2 slots
+    (lambda: build_rectangle(1.0, 1.0, 2**-16),
+     "the mesh of a 65536 x 65536 grid: 55834705921 index slots"),
+    (lambda: build_annulus(1.0, 2.0, 1e-5),
+     "the mesh of a 100000 x 1256637 polar grid"),
+])
+def test_grid_past_the_int32_range_refused_before_allocating(build, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("count,block,expected", [
@@ -496,11 +508,25 @@ def test_load_mesh_rejects_a_header_h_that_is_not_positive(tmp_path, value):
 @pytest.mark.parametrize("header", ["99999999999999999999 2 1",
                                     f"4 {2**63} 1"])
 def test_load_mesh_refuses_counts_of_2_to_the_63(tmp_path, header):
+    # no file holds 6 bytes for each of 2**63 lines
     path = tmp_path / "m.txt"
     path.write_text(MESH_TEXT.replace("4 2 1", header, 1))
-    counts = " and ".join(header.split()[:2])
-    with pytest.raises(ValueError, match=f"bad mesh header: counts {counts} "
-                       r"must be below 2\*\*63"):
+    nv, nt = header.split()[:2]
+    with pytest.raises(ValueError, match=f"bad mesh header: {nv} vertex and "
+                       f"{nt} triangle lines do not fit in the "):
+        load_mesh(path)
+
+
+def test_load_mesh_refuses_counts_past_the_int32_range(tmp_path):
+    # 3 GiB hold the 6 (4 + 4e8) - 1 bytes the header's lines need at
+    # least, but V + 6T = 2,400,000,004 index slots reach 2**31; the
+    # file is sparse, and no line is read
+    path = tmp_path / "m.txt"
+    path.write_text("4 400000000 1\n")
+    os.truncate(path, 3 * 2**30)
+    with pytest.raises(ValueError, match="bad mesh header: 4 vertex and "
+                       "400000000 triangle lines: 2400000004 index slots, "
+                       "past the int32 range"):
         load_mesh(path)
 
 

@@ -39,7 +39,7 @@ from maxsurf.lorentz import _spacelike
 from maxsurf.solver import (COARSE_SIZE, FIELD_HEADER, FORCING_GAMMA,
                             FORCING_MAX, INITIAL_MARGIN_FACTOR, JACOBI_WEIGHT,
                             LINEAR_TOL, SIGMA_MIN, START_GAP, START_TOL,
-                            _AssemblyPlan, _forcing_term,
+                            _AssemblyPlan, _CSR, _forcing_term,
                             _harmonic_extension, _initial_guess, _VCycle)
 
 from conftest import (affine_field, cotan_laplacian, jittered,
@@ -1234,9 +1234,10 @@ def test_triangle_kernel_transients_stay_within_one_block():
     # Laplace matrix return or build from their (V,) and (E,) sums, each
     # pass over the triangles holds one block's temporaries, and so does
     # the band pass of polyline_pieces (its radii miss the mesh, so it
-    # finds no arcs): from 32,768 to 131,072 triangles (4 to 16 blocks)
-    # the transients stay within 80 to 192 bytes per block row and do not
-    # grow; the whole-array kernels held 48 to 80 bytes per triangle
+    # finds no arcs) beyond its mask and sorted ids of the listed
+    # triangles, 9 bytes each: from 32,768 to 131,072 triangles (4 to 16
+    # blocks) the transients stay within 80 to 192 bytes per block row and
+    # do not grow; the whole-array kernels held 48 to 80 bytes per triangle
     from maxsurf.forms import polyline_pieces
     from maxsurf.mesh import TRIANGLE_BLOCK
 
@@ -1256,12 +1257,14 @@ def test_triangle_kernel_transients_stay_within_one_block():
         ev.density
         mesh.constrained_vertices
         nnz = tangent_matrix(mesh, ev).nnz  # builds the assembly plan
+        every = np.arange(mesh.triangle_count)
         kept = 8 * (e + v + free + nnz)
         return np.array([
             peak(lambda: residual(mesh, ev)) - 8 * (v + free),
             peak(lambda: tangent_matrix(mesh, ev)) - kept,
             peak(lambda: tangent_matrix(mesh, None)) - kept,
-            peak(lambda: polyline_pieces(mesh, [5.0, 6.0]))])
+            peak(lambda: polyline_pieces(mesh, [5.0, 6.0], every))
+            - 9 * len(every)])
 
     small, large = transients(128), transients(256)
     assert np.all(large <= np.array([80, 128, 80, 192]) * TRIANGLE_BLOCK)
@@ -1279,6 +1282,35 @@ def test_assembly_plan_build_peak_per_edge():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 64 * len(mesh.edges)
+
+
+def test_solve_keeps_every_index_array_int32(monkeypatch):
+    # the mesh tables, the assembly plan, the aggregates and every level
+    # of every V-cycle a solve builds: one index type throughout
+    mesh = build_annulus(1.0, 4.0, 0.1, artificial_rings=["outer"])
+    bc = np.where(np.hypot(*mesh.vertices.T) > 2.0, -1.0, 0.0)
+    cycles = []
+    real = solver_module._vcycle
+
+    def recording(plan, matrix):
+        cycles.append(real(plan, matrix))
+        return cycles[-1]
+
+    monkeypatch.setattr(solver_module, "_vcycle", recording)
+    _, report = solve(mesh, bc)
+    assert report.converged
+    plan = solver_module._plan(mesh)
+    assert len(cycles) >= 2 and plan.tentatives
+    matrices = list(plan.tentatives)
+    for cycle in cycles:
+        assert cycle.tentatives is plan.tentatives
+        matrices += [m for a, _, p in cycle.levels for m in (a, p)]
+        if isinstance(cycle.bottom, _CSR):
+            matrices.append(cycle.bottom)
+    arrays = [mesh.triangles, mesh.edges, mesh.triangle_edges,
+              plan.edge_slots, plan.diagonal_slots, plan.indices, plan.indptr]
+    arrays += [x for m in matrices for x in (m.indices, m.indptr)]
+    assert [x.dtype for x in arrays] == [np.int32] * len(arrays)
 
 
 def test_multilevel_rejects_indefinite_operator():

@@ -67,7 +67,6 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from maxsurf import (Evaluation, LevelRegion, Mesh, NonConvergenceError,
                      SolverConfig, TopologyError, build_annulus,
@@ -79,7 +78,7 @@ from maxsurf import (Evaluation, LevelRegion, Mesh, NonConvergenceError,
 from maxsurf.expressions import (FUNCTIONS, VARIABLES, Expression,
                                  ExpressionError)
 from maxsurf import mesh as mesh_module
-from maxsurf.mesh import _edge_connected, table_dtype
+from maxsurf.mesh import _edge_connected
 from maxsurf.forms import (_bfs_tree, _check_form, _potential_tree,
                            max_interior_circulation)
 from maxsurf.uniqueness import LEVEL_CANDIDATES, _circle_sums
@@ -87,9 +86,8 @@ from maxsurf.records import ROW_BLOCK, fmt, read_csv, write_csv
 from maxsurf import solver as solver_module
 from maxsurf.solver import (COARSE_RCOND, SIGMA_MIN, STRENGTH_THETA, _CSR,
                             _AssemblyPlan, _aggregates, _csr,
-                            _dense_inverse, _dot, _index_dtype, _VCycle)
+                            _dense_inverse, _dot, _VCycle)
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse._sputils import get_index_dtype
 
 from conftest import jittered, scipy_csr, solver_csr, spacelike_field
 from oracles import (corner_gradients, gradient_margin, keyed_assembly_plan,
@@ -668,22 +666,16 @@ def csgraph_connected(neighbors) -> bool:
 
 
 def table_layouts(count):
-    """(block, dtype) ways to build the tables of ``count`` triangles: the
-    default blocks; blocks of 7, which straddle every run; a third of the
-    triangles a block, so that the last block is cut short; and int64
-    tables, which the rule picks only past 2**31 slots.  A dtype of None
-    keeps the rule's."""
-    return [(mesh_module.TRIANGLE_BLOCK, None), (7, None),
-            (1 + count // 3, None), (7, np.int64)]
+    """Block sizes to build the tables of ``count`` triangles with: the
+    default blocks; blocks of 7, which straddle every run; and a third of
+    the triangles a block, so that the last block is cut short."""
+    return [mesh_module.TRIANGLE_BLOCK, 7, 1 + count // 3]
 
 
 @contextlib.contextmanager
-def tables_built(block, dtype):
-    """Mesh tables built ``block`` triangles at a time, in ``dtype`` in
-    place of the one ``table_dtype`` picks unless that is None."""
-    rule = mesh_module.table_dtype if dtype is None else lambda *counts: dtype
-    with mock.patch.object(mesh_module, "TRIANGLE_BLOCK", block), \
-            mock.patch.object(mesh_module, "table_dtype", rule):
+def tables_built(block):
+    """Mesh tables built ``block`` triangles at a time."""
+    with mock.patch.object(mesh_module, "TRIANGLE_BLOCK", block):
         yield
 
 
@@ -694,11 +686,10 @@ def rebuilt(mesh):
 def unvalidated_mesh(triangles, nv):
     """A mesh of the triangles that skips the checks, so that its topology
     can be read where they would reject it (say, on a disconnected one).
-    The triangles are stored in the dtype the construction's rule picks."""
+    The triangles are stored as int32, as the construction stores them."""
     mesh = object.__new__(Mesh)
-    dtype = mesh_module.table_dtype(nv, 3 * len(triangles))
     for name, value in (("vertices", np.zeros((nv, 2))),
-                        ("triangles", triangles.astype(dtype)),
+                        ("triangles", triangles.astype(np.int32)),
                         ("vertex_class", np.zeros(nv, dtype=np.int8)),
                         ("h", 1.0)):
         object.__setattr__(mesh, name, value)
@@ -854,7 +845,7 @@ def test_scan_circle_pieces_match_loop():
 def test_polyline_pieces_rejects_bad_radii(square4):
     for bad in ([0.5, np.nan], [[0.5]], [0.5, 0.5], [-0.5, 0.5], [0.0]):
         with pytest.raises(ValueError, match="radii"):
-            polyline_pieces(square4, bad)
+            polyline_pieces(square4, bad, np.arange(square4.triangle_count))
 
 
 @settings(max_examples=60, deadline=None)
@@ -862,10 +853,10 @@ def test_polyline_pieces_rejects_bad_radii(square4):
        h=st.sampled_from([0.05, 0.1, 0.25, 1.0]))
 def test_rectangle_triangles_match_loop(nx, ny, h):
     ref = loop_rectangle_triangles(nx, ny)
-    for block, dtype in table_layouts(len(ref)):
-        with tables_built(block, dtype):
+    for block in table_layouts(len(ref)):
+        with tables_built(block):
             mesh = build_rectangle(nx * h, ny * h, h)
-        assert mesh.triangles.dtype == (dtype or np.int32)
+        assert mesh.triangles.dtype == np.int32
         np.testing.assert_array_equal(mesh.triangles, ref)
 
 
@@ -877,11 +868,11 @@ def test_annulus_triangles_match_loop(n_r, h, r_inner):
     r_outer = r_inner + n_r * h
     n_theta = max(8, round(2.0 * np.pi * r_outer / h))
     ref = loop_annulus_triangles(n_r, n_theta)
-    for block, dtype in table_layouts(len(ref)):
-        with tables_built(block, dtype):
+    for block in table_layouts(len(ref)):
+        with tables_built(block):
             mesh = build_annulus(r_inner, r_outer, h)
         assert mesh.vertex_count == (n_r + 1) * n_theta
-        assert mesh.triangles.dtype == (dtype or np.int32)
+        assert mesh.triangles.dtype == np.int32
         np.testing.assert_array_equal(mesh.triangles, ref)
 
 
@@ -924,16 +915,14 @@ def boundary_mask(edges, counts, nv):
 def test_edge_data_matches_sorted_rows(mesh):
     edges, counts, tri_edges, neighbors = sorted_rows_edge_data(mesh.triangles)
     mask = boundary_mask(edges, counts, mesh.vertex_count)
-    # the edge tables in the dtype the rule picks, int32 here, or in int64
-    assert table_dtype(mesh.vertex_count, 3 * mesh.triangle_count) == np.int32
-    for block, dtype in table_layouts(mesh.triangle_count):
-        with tables_built(block, dtype):
+    for block in table_layouts(mesh.triangle_count):
+        with tables_built(block):
             got = rebuilt(mesh)
             tables = (got.edges, got.triangle_edges, got.neighbors,
                       got.boundary_vertex_mask)
-        want = dtype or np.int32
-        assert_same_arrays(tables, (edges.astype(want),
-                                    tri_edges.astype(want), neighbors, mask))
+        assert_same_arrays(tables, (edges.astype(np.int32),
+                                    tri_edges.astype(np.int32), neighbors,
+                                    mask))
 
 
 def as_case(mesh):
@@ -952,17 +941,15 @@ def test_one_pass_topology_matches_former_edge_table(case):
     mask = boundary_mask(edges, counts, nv)
     connected = former_edge_connected(neighbors)
     assert connected == csgraph_connected(neighbors)
-    # the edge tables in the dtype the rule picks, int32 here, or in int64
-    assert table_dtype(nv, 3 * len(triangles)) == np.int32
-    for block, dtype in table_layouts(len(triangles)):
-        with tables_built(block, dtype):
+    for block in table_layouts(len(triangles)):
+        with tables_built(block):
             mesh = unvalidated_mesh(triangles, nv)
             tables = (mesh.edges, mesh.triangle_edges, mesh.neighbors,
                       mesh.boundary_vertex_mask)
             assert mesh._edge_data[3] == connected
-        want = dtype or np.int32
-        assert_same_arrays(tables, (edges.astype(want),
-                                    tri_edges.astype(want), neighbors, mask))
+        assert_same_arrays(tables, (edges.astype(np.int32),
+                                    tri_edges.astype(np.int32), neighbors,
+                                    mask))
 
 
 def gather_areas(mesh):
@@ -979,11 +966,11 @@ def test_areas_match_corner_gather(mesh):
     areas, means = gather_areas(mesh), mesh.vertices[mesh.triangles].mean(axis=1)
     centroids = whole_array_centroids(mesh)
     basis = whole_array_basis_columns(mesh)
-    for block, dtype in table_layouts(mesh.triangle_count):
-        with tables_built(block, dtype):
+    for block in table_layouts(mesh.triangle_count):
+        with tables_built(block):
             got = rebuilt(mesh)
             arrays = (got.areas, got.centroids, got.basis_columns)
-        assert got.triangles.dtype == (dtype or np.int32)
+        assert got.triangles.dtype == np.int32
         np.testing.assert_array_equal(arrays[0], areas)
         np.testing.assert_array_equal(arrays[1], means)
         same_bits(arrays[1], centroids)
@@ -999,10 +986,10 @@ def test_edge_connected_matches_csgraph(case):
     tri = np.repeat(np.arange(len(t)), 3)
     upper = nbrs.ravel() > tri  # each shared edge once
     connected = csgraph_connected(nbrs)
-    for block, dtype in table_layouts(len(t)):
-        tri_a, tri_b = (x.astype(dtype or np.int32)
-                        for x in (tri[upper], nbrs.ravel()[upper]))
-        with tables_built(block, dtype):
+    tri_a, tri_b = (x.astype(np.int32)
+                    for x in (tri[upper], nbrs.ravel()[upper]))
+    for block in table_layouts(len(t)):
+        with tables_built(block):
             assert _edge_connected(tri_a, tri_b, len(t)) == connected
 
 
@@ -1990,22 +1977,6 @@ def test_csr_cancellations_match_scipy_sparse():
         shape=(2, 2)))
 
 
-INDEX_DTYPES = [np.bool_, np.int8, np.uint16, np.int32, np.uint32, np.int64,
-                np.uint64, np.float64]
-
-
-@settings(max_examples=300, deadline=None)
-@given(arrays=st.lists(hnp.arrays(st.sampled_from(INDEX_DTYPES),
-                                  st.integers(0, 4)), max_size=3),
-       maxval=st.none() | st.integers(0, 2**40),
-       contents=st.booleans())
-def test_index_dtype_matches_scipy(arrays, maxval, contents):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # nan contents
-        assert _index_dtype(arrays, maxval, contents) == get_index_dtype(
-            arrays, maxval, contents)
-
-
 def scipy_matrices(data, indices, indptr, shape):
     """``_csr`` as it was: scipy's csr_matrix of the arrays."""
     return csr_matrix((data, indices, indptr), shape=shape)
@@ -2051,8 +2022,10 @@ def test_vcycle_matches_one_built_through_scipy_sparse(mesh, matrix,
 
 def block_sizes(count):
     """Block sizes giving one block with rows to spare, exactly one block,
-    a last block cut short, and many short blocks."""
-    return sorted({count + 7, count, max(1, count - 1), 1 + count // 3, 7})
+    a last block cut short, and many short blocks; at least 1, also for no
+    rows."""
+    return sorted({count + 7, max(1, count), max(1, count - 1),
+                   1 + count // 3, 7})
 
 
 def same_bits(got, ref):
@@ -2095,15 +2068,14 @@ def test_blocked_solver_kernels_match_whole_array_bincount(mesh, metric, seed,
 def test_blocked_polyline_pieces_match_whole_array_bands(data, mesh, subset,
                                                          seed):
     radii = data.draw(scan_radii(mesh))
-    triangles = None
+    triangles = np.arange(mesh.triangle_count)
     if subset:
         rng = np.random.default_rng(seed)
         triangles = rng.choice(mesh.triangle_count,
                                size=rng.integers(0, mesh.triangle_count),
                                replace=False)
     ref = whole_array_polyline_pieces(mesh, radii, triangles)
-    count = mesh.triangle_count if triangles is None else len(triangles)
-    for block in block_sizes(count):
+    for block in block_sizes(len(triangles)):
         with mock.patch.object(mesh_module, "TRIANGLE_BLOCK", block):
             got = polyline_pieces(mesh, radii, triangles)
         for g, r in zip(got, ref, strict=True):
@@ -2128,6 +2100,8 @@ def test_default_blocks_match_whole_array_kernels(make):
     same_bits(tangent_matrix(mesh, ev).data,
               whole_array_tangent_data(mesh, ev))
     radii = np.linspace(0.5, 1.9, 7)
-    for g, r in zip(polyline_pieces(mesh, radii),
-                    whole_array_polyline_pieces(mesh, radii), strict=True):
+    every = np.arange(mesh.triangle_count)
+    for g, r in zip(polyline_pieces(mesh, radii, every),
+                    whole_array_polyline_pieces(mesh, radii, every),
+                    strict=True):
         same_bits(g, r)
