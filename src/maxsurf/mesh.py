@@ -102,12 +102,13 @@ class Mesh:
         whose V + 6T reaches 2**31 (``check_index_range``).
     vertex_class : (V,) int8 array with values INTERIOR/DIRICHLET/ARTIFICIAL
     h : float
-        Nominal edge length used by the generator.
+        Nominal edge length used by the generator; finite and positive.
 
-    Construction checks the mesh, and so builds ``areas`` and the edge
-    table: ``edges``, ``triangle_edges``, ``boundary_vertex_mask`` and
-    whether the triangles are edge-connected, all from one stable sort of
-    the 3T edge slots by key.  Each table is allocated whole and filled
+    Construction checks the mesh, refusing one whose area overflows the
+    float range, and so builds ``areas`` and the edge table: ``edges``,
+    ``triangle_edges``, ``boundary_vertex_mask`` and whether the
+    triangles are edge-connected, all from one stable sort of the 3T edge
+    slots by key.  Each table is allocated whole and filled
     one block of ``TRIANGLE_BLOCK`` triangles, or of 3 ``TRIANGLE_BLOCK``
     sorted slots, at a time, and the few temporaries that span the mesh
     are dropped once read.  Every other derived array (``centroids``,
@@ -138,6 +139,8 @@ class Mesh:
         check_indices(t, len(v))
         if not np.isin(c, (INTERIOR, DIRICHLET, ARTIFICIAL)).all():
             raise ValueError("unknown vertex class")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"h = {self.h} is not finite and positive")
         check_index_range(len(v) + 6 * len(t), "mesh")
         t = np.array(t, dtype=np.int32, order="C")
         c = np.ascontiguousarray(c, dtype=np.int8)
@@ -354,6 +357,12 @@ class Mesh:
     # ------------------------------------------------------------------
 
     def _validate(self):
+        # an area past the float range reads inf or nan: refused here, and
+        # not warned about on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(self.total_area):
+                raise ValueError("the mesh's area overflows the float "
+                                 "range")
         if np.any(self.areas <= 0):
             bad = int(np.argmin(self.areas))
             raise ValueError(f"triangle {bad} is degenerate or clockwise")

@@ -47,9 +47,11 @@ compiled CSR kernels (``csr_matvec``, ``csc_matvec``,
 ``csr_minus_csr``, ``csr_diagonal``, ``csr_todense``) as scipy 1.17 calls
 them, so every matrix is bit for bit the one scipy makes.  Their module,
 ``scipy.sparse._sparsetools``, is loaded on first use straight from the
-installed scipy's directory (``_sparsetools``): no process imports
-``scipy`` or ``scipy.sparse``, which would cost about 20 MiB and a fifth
-of a second, most of it scipy's array-API shim.
+installed scipy's directory, under a name of its own
+(``_own_sparsetools``): no process imports ``scipy`` or ``scipy.sparse``,
+which would cost about 20 MiB and a fifth of a second, most of it scipy's
+array-API shim.  Once a host program imports ``scipy.sparse``, the
+solver uses scipy's copy.
 
 The hierarchy is lagged across the Newton systems of one solve (Knoll &
 Keyes, J. Comput. Phys. 193 (2004) 357-397, section 3): the first system
@@ -452,30 +454,40 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
-@cache
 def _sparsetools():
     """scipy's compiled CSR kernels, the module ``scipy.sparse._sparsetools``.
 
-    Loaded on first use, once, straight from the installed scipy's
-    directory by an extension loader, so that neither ``scipy`` nor
-    ``scipy.sparse`` is imported: that import, mostly scipy's array-API
-    shim, costs about 20 MiB and a fifth of a second.  A host program
-    that has already imported the module keeps its copy.
+    The copy a host program has imported, before or after a solve, and the
+    solver's own copy until then (``_own_sparsetools``).
     """
-    name = "scipy.sparse._sparsetools"
-    if name not in sys.modules:
-        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
-        stem = os.path.join(scipy_dirs[0], "sparse", "_sparsetools")
-        for suffix in EXTENSION_SUFFIXES:
-            path = stem + suffix
-            if os.path.exists(path):
-                break
-        loader = ExtensionFileLoader(name, path)
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(name, path, loader=loader))
-        loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name]
+    return (sys.modules.get("scipy.sparse._sparsetools")
+            or _own_sparsetools())
+
+
+@cache
+def _own_sparsetools():
+    """``scipy.sparse._sparsetools``, loaded on first use, once, straight
+    from the installed scipy's directory by an extension loader, so that
+    neither ``scipy`` nor ``scipy.sparse`` is imported: that import, mostly
+    scipy's array-API shim, costs about 20 MiB and a fifth of a second.
+
+    The copy is named ``maxsurf._sparsetools``, not by scipy's name, so
+    that a later import of ``scipy.sparse`` loads its own ``_sparsetools``
+    and sets it as an attribute of the package.
+    """
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    stem = os.path.join(scipy_dirs[0], "sparse", "_sparsetools")
+    for suffix in EXTENSION_SUFFIXES:
+        path = stem + suffix
+        if os.path.exists(path):
+            break
+    # the loader finds the module's init function by the name's last part
+    loader = ExtensionFileLoader("maxsurf._sparsetools", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(loader.name, path,
+                                               loader=loader))
+    loader.exec_module(module)
+    return module
 
 
 def _csr(data, indices, indptr, shape) -> _CSR:
@@ -632,22 +644,23 @@ class _AssemblyPlan:
     therefore read-only.  ``tentatives`` holds the multigrid aggregates
     once the first V-cycle on the mesh has chosen them.
 
-    The pattern is built from the mesh's edge table, sorted by (lo, hi)
-    row: row r lists the edges (hi, lo) with hi = r, which a stable sort
-    by hi puts in row order, then the diagonal, then the edges (lo, hi)
-    with lo = r, already in row order.  Every slot is placed by its row's
-    offsets.  Every array is int32: the slots number at most V + 2E, and
-    the mesh has refused a V + 6T of 2**31 or more
-    (``mesh.check_index_range``).
+    The pattern is built from two halves.  The upper half is the edges
+    between free vertices, which the mesh's edge table, sorted by (lo, hi),
+    lists as CSR rows once the free vertices are renumbered in increasing
+    order.  The lower half is its transpose, made by ``csr_tocsc``, a
+    stable counting sort that lists each row in column order.  Row r holds
+    its lower entries, its diagonal, then its upper entries, and each
+    half's entries are placed by their row's offsets.  Every array is
+    int32: the slots number at most V + 2E, and the mesh has refused a
+    V + 6T of 2**31 or more (``mesh.check_index_range``).
     """
 
     def __init__(self, mesh: Mesh):
-        n = mesh.vertex_count
         lo, hi = mesh.edges.T
         free = len(mesh.interior_vertices)
-        renumber = np.full(n, -1, dtype=np.int32)
+        renumber = np.full(mesh.vertex_count, -1, dtype=np.int32)
         renumber[mesh.interior_vertices] = np.arange(free, dtype=np.int32)
-        # the edges between free vertices, as (row, col) above the diagonal
+        # the edges between free vertices
         both = renumber[lo] >= 0
         both &= renumber[hi] >= 0
         # the kept arrays come first, so that the temporaries are freed
@@ -657,38 +670,28 @@ class _AssemblyPlan:
         self.indices = np.empty(nnz, dtype=np.int32)
         self.indptr = np.empty(free + 1, dtype=np.int32)
         self.diagonal_slots = np.empty(free, dtype=np.int32)
-        edge = np.arange(len(lo), dtype=np.int32)[both]
-        row = renumber[lo][both]  # nondecreasing
-        col = renumber[hi][both]
-        del both, renumber
-        below = np.bincount(col, minlength=free).astype(np.int32)
-        above = np.bincount(row, minlength=free).astype(np.int32)
-        # row r holds its edges below the diagonal, its diagonal, then its
-        # edges above it; it starts after r diagonal slots and the edge
-        # slots of the rows before it
-        start = self.indptr[:-1]
-        start[:] = np.arange(free, dtype=np.int32)
-        start[1:] += np.cumsum(below[:-1] + above[:-1], dtype=np.int32)
-        self.indptr[-1] = nnz
-        np.add(start, below, out=self.diagonal_slots)
+        # the edges between free vertices are the upper half's CSR rows as
+        # they stand: sorted by (lo, hi), renumbered in increasing order
+        row = renumber[lo][both]
+        upper = _csr(np.arange(len(lo), dtype=np.int32)[both],
+                     renumber[hi][both], _indptr(row, free), (free, free))
+        del both, renumber, row
+        # csr_tocsc sorts stably by column: each lower row in column order
+        lower = upper.T.tocsr()
+        # row r holds its lower edges, its diagonal, then its upper edges
+        np.add(lower.indptr, upper.indptr, out=self.indptr)
+        self.indptr += np.arange(free + 1, dtype=np.int32)
+        np.add(self.indptr[:-1], np.diff(lower.indptr),
+               out=self.diagonal_slots)
         self.indices[self.diagonal_slots] = np.arange(free, dtype=np.int32)
-        # the k-th edge of one side, listed in row order, goes to slot k
-        # plus its row's offset: the row's first slot on that side less
-        # the number of that side's edges in the rows before
-        rank = np.arange(len(edge), dtype=np.int32)
-        offset = self.diagonal_slots + 1
-        offset -= np.cumsum(above, dtype=np.int32) - above
-        slots = offset[row]
-        slots += rank
-        self.edge_slots[slots] = edge
-        self.indices[slots] = col
-        del slots
-        by_col = np.argsort(col, kind="stable")
-        offset = start - (np.cumsum(below, dtype=np.int32) - below)
-        slots = offset[col[by_col]]
-        slots += rank
-        self.edge_slots[slots] = edge[by_col]
-        self.indices[slots] = row[by_col]
+        # the k-th entry of a half goes to slot k plus its row's offset:
+        # the row's first slot in that half less the half's entries before
+        for half, first in ((lower, self.indptr[:-1]),
+                            (upper, self.diagonal_slots + 1)):
+            slots = np.repeat(first - half.indptr[:-1], np.diff(half.indptr))
+            slots += np.arange(half.nnz, dtype=np.int32)
+            self.edge_slots[slots] = half.data
+            self.indices[slots] = half.indices
         for arr in (self.edge_slots, self.diagonal_slots, self.indptr,
                     self.indices):
             arr.setflags(write=False)

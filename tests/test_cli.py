@@ -705,6 +705,16 @@ def test_grid_past_the_int32_range_is_one_error_line(capsys):
     assert "past the int32 range" in err
 
 
+def test_mesh_whose_area_overflows_is_one_error_line(capsys):
+    # its total area would overflow to inf, and the solve would report it
+    # converged with residual 0
+    assert main(["solve", "--shape", "rect:1e155x1e155", "--h", "1e154",
+                 "--bc", "2e154*sin(3e-155*x)*sin(3e-155*y)"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert "area overflows the float range" in err
+
+
 # ---------------------------------------------------------------------------
 # decay
 
@@ -838,7 +848,8 @@ save_field(mesh, 0.3 * x + 0.2 * y, os.path.join(workdir, "u.csv"))
 u = load_field(mesh, os.path.join(workdir, "u.csv"))
 assert return_trip_error(mesh, u, maximal_conjugate(mesh, u)) < 1e-12
 print(sorted(name for name in sys.modules
-             if name == "scipy.sparse" or name.startswith("scipy.sparse.")))
+             if name == "scipy.sparse" or name.startswith("scipy.sparse.")
+             or name == "maxsurf._sparsetools"))
 """
 
 
@@ -880,7 +891,8 @@ import sys
 from maxsurf.cli import main
 assert main(sys.argv[1:]) == 0
 print(sorted(name for name in sys.modules
-             if name == "scipy" or name.startswith("scipy.")))
+             if name == "scipy" or name.startswith("scipy.")
+             or name == "maxsurf._sparsetools"))
 """
 
 SOLVING_COMMANDS = {
@@ -902,7 +914,7 @@ def test_solving_process_loads_only_the_compiled_sparse_kernels(command,
         cwd=tmp_path, env=probe_env(), capture_output=True, text=True,
         timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "['scipy.sparse._sparsetools']"
+    assert out.stdout.splitlines()[-1] == "['maxsurf._sparsetools']"
     assert list(tmp_path.glob("u_*"))
 
 
@@ -936,13 +948,35 @@ print(_sparsetools() is sys.modules["scipy.sparse._sparsetools"])
 @pytest.mark.parametrize("order", ["before", "after"])
 def test_host_program_may_import_scipy_sparse_before_or_after_a_solve(
         order, tmp_path):
-    # one kernel module serves both: the solver reuses scipy's, or scipy
-    # finds the solver's
+    # one kernel module serves both once scipy.sparse is imported: the
+    # solver uses scipy's from then on
     out = subprocess.run([sys.executable, "-c", HOST_PROBE, order],
                          cwd=tmp_path, env=probe_env(), capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
+
+
+SCIPY_AFTER_SOLVE_PROBE = """
+import sys
+import numpy as np
+from maxsurf import build_rectangle, solve
+mesh = build_rectangle(1.0, 1.0, 0.25)
+assert solve(mesh, 0.1 * mesh.vertices[:, 0])[1].converged
+assert "scipy.sparse" not in sys.modules
+import scipy.sparse
+a = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+print(hasattr(scipy.sparse, "_sparsetools"), a @ np.ones(2))
+"""
+
+
+def test_scipy_sparse_imported_after_a_solve_has_its_kernel_module(tmp_path):
+    # the solver's own copy of the kernels does not take scipy's name
+    out = subprocess.run([sys.executable, "-c", SCIPY_AFTER_SOLVE_PROBE],
+                         cwd=tmp_path, env=probe_env(), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True [3. 3.]"
 
 
 # A CLI process run as ``python -m maxsurf.cli`` imports the package before

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxsurf import (
     ARTIFICIAL,
@@ -190,6 +191,48 @@ def test_bowtie_rejected():
     c = np.full(5, DIRICHLET, dtype=np.int8)
     with pytest.raises(ValueError, match="disconnected"):
         Mesh(v, t, c, h=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_rectangle(1e155, 1e155, 1e154),
+    lambda: build_rectangle(1e200, 1e200, 1e199),
+    lambda: build_annulus(1e154, 1e155, 2e154),
+    lambda: Mesh(1e200 * unit_tri_mesh()[0], *unit_tri_mesh()[1:], h=1.0),
+    lambda: Mesh(1.5e154 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                     [0.0, 1.0]]), [[0, 1, 2], [0, 2, 3]],
+                 [DIRICHLET] * 4, h=1.0),
+], ids=["rect-sum", "rect-areas", "annulus", "triangle", "square-sum"])
+def test_mesh_whose_area_overflows_refused(build):
+    # finite areas whose sum overflows, and areas that overflow themselves:
+    # one message and no RuntimeWarning (which this suite makes an error)
+    with pytest.raises(ValueError, match="area overflows the float range"):
+        build()
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+def test_mesh_refuses_an_h_that_is_not_finite_and_positive(h):
+    v, t, c = unit_tri_mesh()
+    with pytest.raises(ValueError, match=f"h = {h} is not finite and "
+                       "positive"):
+        Mesh(v, t, c, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.floats() | st.integers(-2, 2), scale=st.floats(1e-150, 1e150))
+def test_every_mesh_save_mesh_writes_loads_back(tmp_path_factory, h, scale):
+    v, t, c = unit_tri_mesh()
+    try:
+        mesh = Mesh(scale * v, t, c, h)
+    except ValueError:
+        assert not 0 < h < np.inf
+        return
+    path = tmp_path_factory.mktemp("mesh") / "m.txt"
+    save_mesh(mesh, path)
+    back = load_mesh(path)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    np.testing.assert_array_equal(back.triangles, mesh.triangles)
+    np.testing.assert_array_equal(back.vertex_class, mesh.vertex_class)
+    assert back.h == mesh.h
 
 
 def overshared_mesh():

@@ -1272,9 +1272,8 @@ def test_triangle_kernel_transients_stay_within_one_block():
 
 
 def test_assembly_plan_build_peak_per_edge():
-    # placed slot by slot from the sorted edge table: 57 bytes per edge on
-    # this annulus, of which the plan keeps 21; the former argsort of
-    # (V + 2E) int64 row-major keys peaked at 115
+    # built from the free edges' upper half and its CSR transpose: 51.5
+    # bytes per edge on this annulus, of which the plan keeps 21
     mesh = build_annulus(1.0, 4.0, 0.1, artificial_rings=["outer"])
     mesh.interior_vertices  # kept by the mesh, not by the plan
     tracemalloc.start()

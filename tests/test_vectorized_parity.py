@@ -1939,6 +1939,9 @@ def test_csr_operations_match_scipy_sparse(data):
     assert_same_array(a @ x, a_ref @ x)
     assert_same_array(a.T @ y, a_ref.T @ y)
     assert_same_csr(a.T.tocsr(), a_ref.T.tocsr())
+    # int32 data, as the assembly plan transposes its edge ids
+    e, e_ref = both((parts[0].astype(np.int32), *parts[1:]))
+    assert_same_csr(e.T.tocsr(), e_ref.T.tocsr())
     b, b_ref = both(data.draw(csr_parts(m=n)))
     assert_same_csr(a @ b, a_ref @ b_ref)
     c, c_ref = both(data.draw(csr_parts(m=m, n=n)))
