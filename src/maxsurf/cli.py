@@ -15,7 +15,6 @@ the chosen level; not a failure).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -48,46 +47,6 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # input plumbing
 # ----------------------------------------------------------------------
-
-
-def _config_tokens(path: str) -> list[str]:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    tokens: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise UsageError(f"config line is not key=value: {line!r}")
-            tokens.append("--" + key.strip().replace("_", "-"))
-            tokens.append(value.strip())
-    return tokens
-
-
-def _expand_config(argv: list[str]) -> list[str]:
-    """Splice config-file key=value pairs in as flags, where they appear.
-
-    Flags written after --config on the command line override the file.
-    """
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a file path")
-            out.extend(_config_tokens(argv[i + 1]))
-            i += 2
-        elif tok.startswith("--config="):
-            out.extend(_config_tokens(tok.split("=", 1)[1]))
-            i += 1
-        else:
-            out.append(tok)
-            i += 1
-    return out
 
 
 def _positive(value: str, what: str) -> float:
@@ -319,7 +278,6 @@ def _add_mesh_flags(sub, shapes: str) -> None:
 
 def _add_common(sub) -> None:
     sub.add_argument("--out", default="out", help="output file prefix")
-    sub.add_argument("--config", help="key=value file spliced in as flags")
 
 
 def _add_trace(sub) -> None:
@@ -405,10 +363,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_expand_config(argv))
+        args = parser.parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -248,9 +248,10 @@ def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     basis = mesh.basis_columns
     g = np.empty((2, mesh.triangle_count))
     for rows in triangle_blocks(mesh.triangle_count):
-        corners = mesh.triangles[rows]
+        # numpy gathers through intp indices about thrice as fast
+        corners = mesh.triangles[rows].T.astype(np.intp)
         for i in range(3):
-            vi = values[corners[:, i]]
+            vi = values[corners[i]]
             for row, b in zip(g[:, rows], basis[:, i, rows]):
                 if i == 0:
                     np.multiply(vi, b, out=row)
@@ -259,24 +260,18 @@ def p1_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return g.T
 
 
-def p1_divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """(V,) weak divergence of the piecewise-constant field (fx, fy).
+def p1_divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray,
+                  density: np.ndarray | None = None) -> np.ndarray:
+    """(V,) weak divergence of the piecewise-constant field f = (fx, fy),
+    or of the flux f = (fx, fy) / ``density``.
 
     Component i is sum_T area_T grad(phi_i) . f_T, the area-weighted
     transpose of ``p1_gradient``.  Computed from the (T,) rows of
-    ``mesh.basis_columns`` one block of triangles at a time and summed per
-    vertex by ``mesh.scatter_add``, triangle by triangle and corners 0, 1,
-    2 within each triangle: the order of one ``bincount`` over all corners.
-    """
-    return _divergence(mesh, fx, fy)
-
-
-def _divergence(mesh: Mesh, fx: np.ndarray, fy: np.ndarray,
-                density: np.ndarray | None = None) -> np.ndarray:
-    """``p1_divergence`` of (fx, fy), or of the flux (fx, fy) / ``density``.
-
-    Each block makes its own area-weighted rows, f area_T or, in place,
-    (f / density) area_T.
+    ``mesh.basis_columns`` one block of triangles at a time, each block
+    making its own area-weighted rows, f area_T or, in place,
+    (f / density) area_T, and summed per vertex by ``mesh.scatter_add``,
+    triangle by triangle and corners 0, 1, 2 within each triangle: the
+    order of one ``bincount`` over all corners.
     """
     bx, by = mesh.basis_columns
     out = np.zeros(mesh.vertex_count)
@@ -362,7 +357,8 @@ def residual(mesh: Mesh, ev: Evaluation) -> np.ndarray:
     the ``p1_divergence`` of the flux, which ``forms.circulations`` also
     computes.
     """
-    return _divergence(mesh, ev.gx, ev.gy, ev.density)[mesh.interior_vertices]
+    return p1_divergence(mesh, ev.gx, ev.gy,
+                         ev.density)[mesh.interior_vertices]
 
 
 def residual_norm(mesh: Mesh, r: np.ndarray) -> float:

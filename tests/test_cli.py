@@ -186,6 +186,12 @@ def test_solve_nonconvergence_exit(capsys, tmp_path):
     assert rc == 2
     assert "not converged" in capsys.readouterr().err
     assert read_record(tmp_path / "bad_report.txt")["converged"] == "0"
+    # --max-newton reaches the solver: one step is too few for this data
+    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.125",
+               "--bc", "0.3*sin(2*x)*sin(2*y)", "--max-newton", "1",
+               "--out", "t"])
+    assert rc == 2
+    assert "max_newton exceeded" in capsys.readouterr().err
 
 
 def test_solve_failed_start_traces_its_step_zero_row(capsys, tmp_path):
@@ -548,15 +554,13 @@ def test_uniqueness_ratio_just_above_one_is_one_error_line(capsys):
     assert err.startswith("error: ratio 1.000000000001 gives ")
 
 
-def test_uniqueness_seg_len_is_a_usage_error(capsys, tmp_path):
-    # the circle segment length is always h/2; neither flag nor config key
-    (tmp_path / "seg.cfg").write_text("seg_len=0.05\n")
-    for extra in (["--seg-len", "0.05"], ["--config", "seg.cfg"]):
-        assert main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1"]
-                    + extra) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error:")
-        assert "seg-len" in err
+def test_uniqueness_seg_len_is_a_usage_error(capsys):
+    # the circle segment length is always h/2, not a flag
+    assert main(UNIQ + ["--bc", "0", "--art0", "0", "--art1", "-1",
+                        "--seg-len", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "seg-len" in err
 
 
 # ---------------------------------------------------------------------------
@@ -752,49 +756,14 @@ def test_decay_nonconvergence_exit(capsys):
 
 
 # ---------------------------------------------------------------------------
-# config files and environment
+# a run is its flags
 
 
-def test_config_file_supplies_flags(tmp_path, capsys):
-    (tmp_path / "run.cfg").write_text(
-        "# solver settings\nmetric=euclid\nmax_newton=30\n")
-    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.25",
-               "--bc", "x^2-y^2", "--config", "run.cfg", "--out", "c"])
-    assert rc == 0
-    # byte-identical with the flags spelled out
-    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.25",
-               "--bc", "x^2-y^2", "--metric", "euclid", "--max-newton", "30",
-               "--out", "x"])
-    assert rc == 0
-    assert ((tmp_path / "c_solution.csv").read_bytes()
-            == (tmp_path / "x_solution.csv").read_bytes())
-    capsys.readouterr()
-
-
-def test_flags_after_config_override_it(tmp_path, capsys):
-    (tmp_path / "lemma.cfg").write_text("samples=5000\nseed=2\n")
-    rc = main(["lemma", "--eps", "0.4", "--config", "lemma.cfg",
-               "--samples", "100", "--out", "o"])
-    assert rc == 0
-    assert read_record(tmp_path / "o_lemma.txt")["n_samples"] == "100"
-    capsys.readouterr()
-
-
-def test_config_underscore_keys_reach_dashed_flags(tmp_path, capsys):
-    (tmp_path / "tight.cfg").write_text("max_newton=1\n")
-    rc = main(["solve", "--shape", "rect:1x1", "--h", "0.125",
-               "--bc", "0.3*sin(2*x)*sin(2*y)", "--config", "tight.cfg",
-               "--out", "t"])
-    assert rc == 2
-    assert "max_newton" in capsys.readouterr().err
-
-
-def test_config_errors(tmp_path, capsys):
-    assert main(["lemma", "--eps", "0.4", "--config", "missing.cfg"]) == 1
-    (tmp_path / "mangled.cfg").write_text("no equals sign here\n")
-    assert main(["lemma", "--eps", "0.4", "--config", "mangled.cfg"]) == 1
-    assert main(["lemma", "--eps", "0.4", "--config"]) == 1
-    capsys.readouterr()
+def test_config_flag_is_refused_as_unknown(capsys):
+    for config in (["--config", "x.cfg"], ["--config=x.cfg"]):
+        assert main(["lemma", "--eps", "0.4"] + config) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unrecognized arguments: {' '.join(config)}\n"
 
 
 # ---------------------------------------------------------------------------
